@@ -36,7 +36,7 @@ from .dependence import (
     check_vertical_independence,
     forward_factorization_value,
 )
-from .errors import ConfigError, ConfigValidationError, NlprobError
+from .errors import ConfigValidationError, NlprobError
 from .expectation import (
     expectation_chain,
     inequality_suite,
@@ -44,8 +44,7 @@ from .expectation import (
     upper_expectation,
 )
 from .functions import AbsPower, Affine, Exp
-from .models import COMONOTONE_PAIR
-from .reports import CheckResult, dumps, equality
+from .reports import CheckResult, comparison, dumps, equality
 from .simulate import DRIFT_MAX, AdversaryStrategy, run_slln_experiment
 from .slln import truncate, truncation_params
 
@@ -61,12 +60,27 @@ class ExecutionOutcome:
     failures: tuple[str, ...]
 
 
+@dataclass
+class _Run:
+    """What the runners of one execution share; the simulation runner leaves
+    its experiment payloads and trajectory samples here."""
+
+    config: ExperimentConfig
+    tol: float
+    seed: int | None
+    jobs: int
+    selected: list[str]
+    experiment: dict[str, Any] | None = None
+    control: dict[str, Any] | None = None
+    samples: tuple = ()
+
+
 def _var_names(config: ExperimentConfig) -> list[str]:
     return list(config.model_doc.get("variables", {}).keys())
 
 
-def _axiom_records(config: ExperimentConfig, tol: float) -> list[CheckResult]:
-    model = config.model
+def _axiom_records(run: _Run) -> list[CheckResult]:
+    model, tol = run.config.model, run.tol
     size = model.credal.size
     if size <= 12:
         events = all_events(size)
@@ -83,7 +97,8 @@ def _axiom_records(config: ExperimentConfig, tol: float) -> list[CheckResult]:
     return records
 
 
-def _chain_records(config: ExperimentConfig, tol: float) -> list[CheckResult]:
+def _chain_records(run: _Run) -> list[CheckResult]:
+    config, tol = run.config, run.tol
     records = []
     for name, var in zip(_var_names(config), config.model.variables):
         bounds = expectation_chain(config.model.credal, var)
@@ -95,7 +110,8 @@ def _chain_records(config: ExperimentConfig, tol: float) -> list[CheckResult]:
     return records
 
 
-def _inequality_records(config: ExperimentConfig, tol: float) -> list[CheckResult]:
+def _inequality_records(run: _Run) -> list[CheckResult]:
+    config, tol = run.config, run.tol
     model = config.model
     names = _var_names(config)
     records = []
@@ -119,18 +135,17 @@ def _inequality_records(config: ExperimentConfig, tol: float) -> list[CheckResul
 
 
 def _dependence_horizon(config: ExperimentConfig) -> int:
-    if config.model.joint == COMONOTONE_PAIR:
-        return 2
-    return max(2, config.horizon)
+    return min(max(2, config.horizon), config.model.coordinates or math.inf)
 
 
-def _na_records(config: ExperimentConfig, tol: float) -> list[dict]:
-    rep = check_negative_association(config.model, _dependence_horizon(config),
-                                     tol=tol)
-    return [_association_record(rep)]
+def _na_records(run: _Run) -> list[CheckResult]:
+    n = _dependence_horizon(run.config)
+    rep = check_negative_association(run.config.model, n, tol=run.tol)
+    return [rep.record()]
 
 
-def _vertical_records(config: ExperimentConfig, tol: float) -> list[dict]:
+def _vertical_records(run: _Run) -> list[CheckResult]:
+    config = run.config
     n = _dependence_horizon(config)
     funcs = []
     for i in range(1, n + 1):
@@ -139,17 +154,12 @@ def _vertical_records(config: ExperimentConfig, tol: float) -> list[dict]:
         width = span / 2.0 if span > 0 else 1.0
         mid = float(vals.min() + vals.max()) / 2.0
         funcs.append(TestFunction(RAMP, mid - width / 2.0, width))
-    rep = check_vertical_independence(config.model, n, funcs, tol)
-    return [_association_record(rep)]
+    rep = check_vertical_independence(config.model, n, funcs, run.tol)
+    return [rep.record()]
 
 
-def _association_record(rep) -> dict[str, Any]:
-    return {"check": rep.check, "lhs": rep.worst_gap, "rhs": rep.tolerance,
-            "gap": rep.worst_gap, "pass": rep.passed, "witness": rep.witness,
-            "verdict": rep.verdict, "checked": rep.checked}
-
-
-def _forward_records(config: ExperimentConfig, tol: float) -> list[CheckResult]:
+def _forward_records(run: _Run) -> list[CheckResult]:
+    config, tol = run.config, run.tol
     value = forward_factorization_value(config.model, config.forward_g,
                                         config.forward_f, n=2)
     g_desc = getattr(config.forward_g, "descriptor", str(config.forward_g))
@@ -162,7 +172,8 @@ def _forward_records(config: ExperimentConfig, tol: float) -> list[CheckResult]:
     return records
 
 
-def _truncation_records(config: ExperimentConfig, tol: float) -> list[CheckResult]:
+def _truncation_records(run: _Run) -> list[CheckResult]:
+    config, tol = run.config, run.tol
     model, schedule = config.model, config.schedule
     records = []
     eq_tol = max(tol, 1e-12)
@@ -184,9 +195,14 @@ def _truncation_records(config: ExperimentConfig, tol: float) -> list[CheckResul
     return records
 
 
-def _simulation_records(config: ExperimentConfig, tol: float, seed: int,
-                        jobs: int, want_slln: bool, want_strassen: bool
-                        ) -> tuple[list[CheckResult], dict, dict | None, tuple]:
+def _simulation_records(run: _Run) -> list[CheckResult]:
+    """Records of slln and strassen together, from one experiment: the first
+    of the two names to run produces them all, the second adds none."""
+    if run.experiment is not None:
+        return []
+    config, seed, jobs = run.config, run.seed, run.jobs
+    want_slln = "slln" in run.selected
+    want_strassen = "strassen" in run.selected
     sim = config.simulation
     phi = config.phi if want_strassen else None
     result = run_slln_experiment(
@@ -195,19 +211,13 @@ def _simulation_records(config: ExperimentConfig, tol: float, seed: int,
         epsilon=sim.epsilon, phi=phi, jobs=jobs, grid_points=sim.grid_points)
     records: list[CheckResult] = []
     if want_slln:
-        records.append(CheckResult(
-            "slln-upper-exceedance", result.upper_exceedance_fraction,
-            sim.max_exceedance_fraction,
-            result.upper_exceedance_fraction - sim.max_exceedance_fraction,
-            result.upper_exceedance_fraction <= sim.max_exceedance_fraction,
-            {"per_strategy": result.per_strategy}))
-        records.append(CheckResult(
-            "slln-lower-undershoot", result.lower_undershoot_fraction,
-            sim.max_exceedance_fraction,
-            result.lower_undershoot_fraction - sim.max_exceedance_fraction,
-            result.lower_undershoot_fraction <= sim.max_exceedance_fraction,
-            {"per_strategy": result.per_strategy}))
-    control_payload = None
+        for name, frac in (("slln-upper-exceedance",
+                            result.upper_exceedance_fraction),
+                           ("slln-lower-undershoot",
+                            result.lower_undershoot_fraction)):
+            records.append(comparison(
+                name, frac, sim.max_exceedance_fraction, 0.0,
+                {"per_strategy": result.per_strategy}))
     if want_slln and sim.negative_control:
         control = run_slln_experiment(
             config.model, config.schedule, (AdversaryStrategy(DRIFT_MAX),),
@@ -219,18 +229,19 @@ def _simulation_records(config: ExperimentConfig, tol: float, seed: int,
             "slln-negative-control", frac, sim.min_control_fraction,
             sim.min_control_fraction - frac, frac >= sim.min_control_fraction,
             {"swapped_centers": True, "strategy": "drift-max"}))
-        control_payload = _experiment_payload(control)
+        run.control = _experiment_payload(control)
     if want_strassen:
         sups = [s.phi_tail_sup for s in result.path_summaries]
         worst = max(sups)
         lip = config.phi.lipschitz_on_ray(1.0)
         limit = result.phi_bound + lip * sim.epsilon
-        records.append(CheckResult(
-            "strassen-bound", worst, limit, worst - limit, worst <= limit,
+        records.append(comparison(
+            "strassen-bound", worst, limit, 0.0,
             {"phi": config.phi.descriptor, "phi_bound": result.phi_bound,
              "lipschitz": lip, "epsilon": sim.epsilon}))
-    return records, _experiment_payload(result), control_payload, \
-        result.trajectory_samples
+    run.experiment = _experiment_payload(result)
+    run.samples = result.trajectory_samples
+    return records
 
 
 def _experiment_payload(result) -> dict[str, Any]:
@@ -276,6 +287,20 @@ def _write_csv(path: Path, samples) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
+# one runner per check name, each returning that check's records
+RUNNERS = {
+    "axioms": _axiom_records,
+    "chain": _chain_records,
+    "inequalities": _inequality_records,
+    "na": _na_records,
+    "vertical": _vertical_records,
+    "forward": _forward_records,
+    "truncation": _truncation_records,
+    "slln": _simulation_records,
+    "strassen": _simulation_records,
+}
+
+
 def execute(config: ExperimentConfig, subcommand: str = "all",
             out_dir: str | Path | None = None, jobs: int = 1,
             seed_override: int | None = None,
@@ -289,46 +314,17 @@ def execute(config: ExperimentConfig, subcommand: str = "all",
     if {"slln", "strassen"} & set(selected) and seed is None:
         raise ConfigValidationError("seed: required when simulation checks run")
 
-    by_check: dict[str, list[dict]] = {}
-    experiment = control = None
-    samples: tuple = ()
-    for check in selected:
-        if check == "axioms":
-            recs = [r.as_dict() for r in _axiom_records(config, tol)]
-        elif check == "chain":
-            recs = [r.as_dict() for r in _chain_records(config, tol)]
-        elif check == "inequalities":
-            recs = [r.as_dict() for r in _inequality_records(config, tol)]
-        elif check == "na":
-            recs = _na_records(config, tol)
-        elif check == "vertical":
-            recs = _vertical_records(config, tol)
-        elif check == "forward":
-            recs = [r.as_dict() for r in _forward_records(config, tol)]
-        elif check == "truncation":
-            recs = [r.as_dict() for r in _truncation_records(config, tol)]
-        elif check in ("slln", "strassen"):
-            if experiment is None:
-                sim_recs, experiment, control, samples = _simulation_records(
-                    config, tol, seed, jobs, "slln" in selected,
-                    "strassen" in selected)
-                recs = [r.as_dict() for r in sim_recs]
-            else:
-                continue  # both selected: records were produced together
-        else:  # pragma: no cover - CHECK_NAMES is closed
-            raise ConfigValidationError(f"checks: unknown {check!r}")
-        by_check.setdefault(check, []).extend(recs)
+    run = _Run(config, tol, seed, jobs, selected)
+    by_check = {check: RUNNERS[check](run) for check in selected}
 
-    failures = []
-    flat_records = []
+    failures, flat_records = [], []
     for check in CHECK_NAMES:
-        for rec in by_check.get(check, []):
+        for rec in map(CheckResult.as_dict, by_check.get(check, [])):
             # value pins and the control are not property assertions, so an
             # expected violation of their family never inverts them
             exempt = (rec["check"].endswith("-expected")
                       or rec["check"] == "slln-negative-control")
             expected = check in config.expected_violations and not exempt
-            rec = dict(rec)
             rec["expected_violation"] = expected
             if expected:
                 rec["pass"] = not rec["pass"]
@@ -346,8 +342,8 @@ def execute(config: ExperimentConfig, subcommand: str = "all",
         "jobs_invariant": True,
         "expected_violations": sorted(config.expected_violations),
         "checks": flat_records,
-        "experiment": experiment,
-        "negative_control": control,
+        "experiment": run.experiment,
+        "negative_control": run.control,
         "passed": passed,
         "config": config.raw,
     }
@@ -355,8 +351,8 @@ def execute(config: ExperimentConfig, subcommand: str = "all",
     out = Path(out_dir if out_dir is not None else (config.out or "out"))
     out.mkdir(parents=True, exist_ok=True)
     (out / "report.json").write_text(dumps(report) + "\n")
-    if samples:
-        _write_csv(out / "trajectories.csv", samples)
+    if run.samples:
+        _write_csv(out / "trajectories.csv", run.samples)
         (out / "plot.gp").write_text(_PLOT_SCRIPT)
     lines = []
     for rec in flat_records:
@@ -411,10 +407,7 @@ def main(argv: list[str] | None = None) -> int:
         outcome = execute(config, subcommand=args.command, out_dir=args.out,
                           jobs=max(1, args.jobs), seed_override=args.seed,
                           tolerance_override=args.tolerance)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except NlprobError as exc:
+    except NlprobError as exc:  # configuration errors included
         print(f"error: {exc}", file=sys.stderr)
         return 2
     for line in (outcome.out_dir / "summary.txt").read_text().splitlines():

@@ -29,13 +29,16 @@ reporting knobs::
 
 Parsing is strict: unknown check names, missing files, bad schedules and
 malformed descriptors raise ConfigValidationError naming the field;
-non-JSON text raises ConfigParseError with the position. Defaults:
-tolerance 1e-9, epsilon 0.05, n_start = n_steps // 10.
+non-JSON text raises ConfigParseError with the position. Scalar fields
+take finite JSON numbers only (no bool, string or NaN). Defaults: tolerance
+1e-9, epsilon 0.05, n_start = n_steps // 10, horizon = the model's
+coordinate count, or 4 where it is unbounded.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable
@@ -72,6 +75,8 @@ FAMILIES = {
 
 DEFAULT_TOLERANCE = 1e-9
 DEFAULT_EPSILON = 0.05
+DEFAULT_HORIZON = 4
+SIMULATION_CHECKS = frozenset({"slln", "strassen"})
 
 # the pair-model counterexample functions double as sensible defaults
 DEFAULT_FORWARD_F = TestFunction(RAMP, 0.0, 1.0)
@@ -112,31 +117,52 @@ class ExperimentConfig:
     raw: dict[str, Any]
 
     def needs_simulation(self) -> bool:
-        return bool({"slln", "strassen"} & set(self.checks))
+        return bool(SIMULATION_CHECKS & set(self.checks))
 
 
 def _field_error(name: str, message: str) -> ConfigValidationError:
     return ConfigValidationError(f"{name}: {message}")
 
 
+def _number(value: Any, name: str, *, optional: bool = False,
+            integer: bool = False, low: float | None = None,
+            high: float | None = None, above: float | None = None) -> Any:
+    """The reader of every scalar config field: a finite JSON number (not a
+    bool), integral if ``integer``, within ``[low, high]`` and ``> above``;
+    None if ``optional`` and null. Else ConfigValidationError naming it."""
+    if value is None and optional:
+        return None
+    try:
+        ok = not isinstance(value, bool) and math.isfinite(value)
+    except (TypeError, OverflowError):  # not a number, or an int past floats
+        ok = False
+    if not ok or (integer and value != int(value)):
+        kind = "an integer" if integer else "a finite number"
+        raise _field_error(name, f"must be {kind}, got {value!r}")
+    value = int(value) if integer else float(value)
+    if low is not None and value < low:
+        raise _field_error(name, f"must be >= {low}, got {value}")
+    if high is not None and value > high:
+        raise _field_error(name, f"must be <= {high}, got {value}")
+    if above is not None and value <= above:
+        raise _field_error(name, f"must be > {above}, got {value}")
+    return value
+
+
 def _function_from_any(desc: Any, name: str) -> Callable:
     """A ramp descriptor or a scalar-function descriptor."""
     if not isinstance(desc, dict) or "kind" not in desc:
         raise _field_error(name, f"needs an object with a 'kind', got {desc!r}")
-    if desc["kind"] in (RAMP, NEGATED_RAMP, CONSTANT):
-        try:
-            return TestFunction(
-                desc["kind"],
-                float(desc.get("threshold", 0.0)),
-                float(desc.get("width", 1.0)),
-                desc.get("direction",
-                         "decreasing" if desc["kind"] == NEGATED_RAMP
-                         else "increasing"))
-        except NlprobError as exc:
-            raise _field_error(name, str(exc)) from exc
-    try:
-        return from_descriptor(desc)
-    except NlprobError as exc:
+    kind = desc["kind"]
+    try:  # errors below name the field, e.g. "forward.g: width: ..."
+        if kind not in (RAMP, NEGATED_RAMP, CONSTANT):
+            return from_descriptor(desc)
+        return TestFunction(
+            kind, _number(desc.get("threshold", 0.0), "threshold"),
+            _number(desc.get("width", 1.0), "width"),
+            desc.get("direction",
+                     "decreasing" if kind == NEGATED_RAMP else "increasing"))
+    except (NlprobError, ValueError, TypeError) as exc:
         raise _field_error(name, str(exc)) from exc
 
 
@@ -146,14 +172,12 @@ def _parse_strategy(entry: Any, name: str) -> AdversaryStrategy:
     if not isinstance(entry, dict) or "kind" not in entry:
         raise _field_error(name, f"needs a kind, got {entry!r}")
     kind = entry["kind"]
-    if kind not in (FIXED, CYCLIC, IID_RANDOM, DRIFT_MAX):
-        raise _field_error(name, f"unknown strategy kind {kind!r}")
-    try:
+    try:  # errors below name the field, e.g. "...strategies[0]: index: ..."
         if kind == FIXED:
-            if "index" not in entry:
-                raise _field_error(name, "fixed strategy needs an 'index'")
-            return AdversaryStrategy(FIXED, int(entry["index"]))
-        return AdversaryStrategy(kind, salt=int(entry.get("seed", 0)))
+            return AdversaryStrategy(FIXED, _number(
+                entry.get("index"), "index", optional=True, integer=True))
+        return AdversaryStrategy(
+            kind, salt=_number(entry.get("seed", 0), "seed", integer=True))
     except NlprobError as exc:
         raise _field_error(name, str(exc)) from exc
 
@@ -161,22 +185,17 @@ def _parse_strategy(entry: Any, name: str) -> AdversaryStrategy:
 def _parse_schedule(doc: Any) -> WeightSchedule:
     if not isinstance(doc, dict) or "kind" not in doc:
         raise _field_error("schedule", f"needs an object with a 'kind', got {doc!r}")
+    numbers = {key: _number(doc.get(key, default), f"schedule.{key}",
+                            optional=default is None)
+               for key, default in (("alpha", 1.0), ("beta", 0.5), ("C", 1.0),
+                                    ("m", 2.0), ("p", None))}
     try:
-        return make_schedule(
-            doc["kind"],
-            alpha=float(doc.get("alpha", 1.0)),
-            beta=float(doc.get("beta", 0.5)),
-            C=float(doc.get("C", 1.0)),
-            m=float(doc.get("m", 2.0)),
-            p=None if doc.get("p") is None else float(doc["p"]),
-        )
-    except NlprobError as exc:
-        raise _field_error("schedule", str(exc)) from exc
-    except ValueError as exc:
+        return make_schedule(doc["kind"], **numbers)
+    except (NlprobError, ValueError, TypeError) as exc:
         raise _field_error("schedule", str(exc)) from exc
 
 
-def _parse_simulation(doc: Any, n_default_start: bool = True) -> SimulationSettings:
+def _parse_simulation(doc: Any) -> SimulationSettings:
     if doc is None:
         return SimulationSettings()
     if not isinstance(doc, dict):
@@ -189,32 +208,25 @@ def _parse_simulation(doc: Any, n_default_start: bool = True) -> SimulationSetti
             raise _field_error("simulation.strategies", "must be a nonempty list")
         strategies = tuple(_parse_strategy(s, f"simulation.strategies[{k}]")
                            for k, s in enumerate(strategies_doc))
-    n_steps = int(doc.get("n_steps", 100_000))
-    if n_steps < 1000:
-        raise _field_error("simulation.n_steps", f"must be >= 1000, got {n_steps}")
-    paths = int(doc.get("paths_per_strategy", 50))
-    if paths < 1:
-        raise _field_error("simulation.paths_per_strategy",
-                           f"must be >= 1, got {paths}")
-    n_start = doc.get("n_start")
-    if n_start is not None:
-        n_start = int(n_start)
-        if not 100 <= n_start < n_steps:
-            raise _field_error("simulation.n_start",
-                               f"must be in [100, {n_steps}), got {n_start}")
-    epsilon = float(doc.get("epsilon", DEFAULT_EPSILON))
-    if epsilon <= 0:
-        raise _field_error("simulation.epsilon", f"must be > 0, got {epsilon}")
+
+    def number(key: str, default: Any, **bounds: Any) -> Any:
+        return _number(doc.get(key, default), f"simulation.{key}", **bounds)
+
+    n_steps = number("n_steps", 100_000, integer=True, low=1000)
     return SimulationSettings(
         n_steps=n_steps,
-        paths_per_strategy=paths,
+        paths_per_strategy=number("paths_per_strategy", 50, integer=True,
+                                  low=1),
         strategies=strategies,
-        n_start=n_start,
-        epsilon=epsilon,
+        n_start=number("n_start", None, optional=True, integer=True, low=100,
+                       high=n_steps - 1),
+        epsilon=number("epsilon", DEFAULT_EPSILON, above=0.0),
         negative_control=bool(doc.get("negative_control", True)),
-        max_exceedance_fraction=float(doc.get("max_exceedance_fraction", 0.0)),
-        min_control_fraction=float(doc.get("min_control_fraction", 0.95)),
-        grid_points=int(doc.get("grid_points", 160)),
+        max_exceedance_fraction=number("max_exceedance_fraction", 0.0,
+                                       low=0.0, high=1.0),
+        min_control_fraction=number("min_control_fraction", 0.95, low=0.0,
+                                    high=1.0),
+        grid_points=number("grid_points", 160, integer=True, low=2),
     )
 
 
@@ -263,27 +275,25 @@ def parse_config(text: str, base_dir: str | Path | None = None) -> ExperimentCon
             raise _field_error(f"checks[{k}]",
                                f"unknown check {name!r}; known: {list(CHECK_NAMES)}")
     checks = tuple(dict.fromkeys(checks_doc))  # dedupe, keep order
+    simulated = sorted(SIMULATION_CHECKS & set(checks))
+    if simulated and not model.product_measures:
+        raise _field_error("checks", f"{simulated} need a rectangular model, "
+                                     f"not {model.joint!r}")
 
-    tolerance = float(raw.get("tolerance", DEFAULT_TOLERANCE))
-    if tolerance <= 0:
-        raise _field_error("tolerance", f"must be > 0, got {tolerance}")
-
-    seed = raw.get("seed")
-    if seed is not None:
-        seed = int(seed)
-        if seed < 0:
-            raise _field_error("seed", f"must be a nonnegative integer, got {seed}")
+    tolerance = _number(raw.get("tolerance", DEFAULT_TOLERANCE), "tolerance",
+                        above=0.0)
+    seed = _number(raw.get("seed"), "seed", optional=True, integer=True, low=0)
 
     schedule = None
     if raw.get("schedule") is not None:
         schedule = _parse_schedule(raw["schedule"])
-    needs_schedule = {"truncation", "slln", "strassen"} & set(checks)
+    needs_schedule = {"truncation", *SIMULATION_CHECKS} & set(checks)
     if needs_schedule and schedule is None:
         raise _field_error("schedule",
                            f"required by checks {sorted(needs_schedule)}")
 
     simulation = _parse_simulation(raw.get("simulation"))
-    if {"slln", "strassen"} & set(checks) and seed is None:
+    if simulated and seed is None:
         raise _field_error("seed", "required when simulation checks are selected")
 
     forward_doc = raw.get("forward") or {}
@@ -293,9 +303,8 @@ def parse_config(text: str, base_dir: str | Path | None = None) -> ExperimentCon
                  if "g" in forward_doc else DEFAULT_FORWARD_G)
     forward_f = (_function_from_any(forward_doc["f"], "forward.f")
                  if "f" in forward_doc else DEFAULT_FORWARD_F)
-    forward_expected = forward_doc.get("expected")
-    if forward_expected is not None:
-        forward_expected = float(forward_expected)
+    forward_expected = _number(forward_doc.get("expected"), "forward.expected",
+                               optional=True)
 
     phi = (_function_from_any(raw["phi"], "phi")
            if raw.get("phi") is not None else Exp(1.0))
@@ -315,16 +324,15 @@ def parse_config(text: str, base_dir: str | Path | None = None) -> ExperimentCon
             raise _field_error("expected_violations",
                                f"unknown check {name!r}")
 
-    default_horizon = 2 if model.joint == "comonotone-pair" else 4
-    horizon = int(raw.get("horizon", default_horizon))
-    if horizon < 1:
-        raise _field_error("horizon", f"must be >= 1, got {horizon}")
+    horizon = _number(raw.get("horizon", model.coordinates or DEFAULT_HORIZON),
+                      "horizon", integer=True, low=1)
 
     indices = raw.get("truncation_indices", [1, 2, 3, 5, 8])
-    if (not isinstance(indices, list) or not indices
-            or any((not isinstance(i, int)) or i < 1 for i in indices)):
+    if not isinstance(indices, list) or not indices:
         raise _field_error("truncation_indices",
                            "must be a nonempty list of integers >= 1")
+    indices = [_number(i, f"truncation_indices[{k}]", integer=True, low=1)
+               for k, i in enumerate(indices)]
 
     out = raw.get("out")
     if out is not None and not isinstance(out, str):

@@ -14,6 +14,17 @@ monotone test functions (ramps):
   to coordinates, with increasing and decreasing families swept separately.
   A violation needs only one witnessing assignment.
 
+  On a rectangular model the inequality holds with equality and the report
+  is written in closed form. The adversary picks one measure per coordinate,
+  so both sides are the product of the per-coordinate maxima
+  max_j E_j[f_i(X_i)]. That is exact in floating point too: the E_j entries
+  are nonnegative (values in [0, 1], weights >= 0), rounded multiplication
+  of nonnegative floats is monotone in each factor, and both sides multiply
+  the same maxima in the same order. So every gap is 0.0, a family of F
+  functions counts sum_{k=2..n} F^k assignments, and the witness an
+  exhaustive sweep keeps is the family's first function, twice, at split 2.
+  The comonotone pair is swept (one split, F^2 assignments).
+
 * *Vertical independence*: the same split relations hold with equality for
   arbitrary nonnegative (not necessarily monotone) function tuples.
 
@@ -25,10 +36,10 @@ monotone test functions (ramps):
   would express that conditioning on the past cannot depress the next
   coordinate's lower mean. Vertical independence does NOT imply it: the
   bundled two-point pair model drives the value strictly negative while
-  every negative-association sweep stays clean. The stronger sequential
-  (conditional) independence notion is documented here for orientation but
-  has no checker: its conditional structure has no finite enumeration over a
-  measure list, and its testable consequences are exactly the checks above.
+  every negative-association sweep stays clean. Sequential (conditional)
+  independence, where the adversary picks each coordinate's measure after
+  seeing the past, has no checker here, although on a finite space its
+  expectations are computable by backward induction over the measure list.
 
 A sweep never proves a universally quantified property; verdicts are
 "no-counterexample-found" or "violated", with the worst gap and a witness.
@@ -55,12 +66,12 @@ from .errors import (
 from .models import (
     COMONOTONE_PAIR,
     DEFAULT_ORACLE_CAP,
-    RECTANGULAR,
     SequenceModel,
     coordinate_expectation_matrix,
     joint_lower_expectation,
     product_expectation_table,
 )
+from .reports import CheckResult
 
 INCREASING = "increasing"
 DECREASING = "decreasing"
@@ -73,10 +84,6 @@ VERDICT_OK = "no-counterexample-found"
 VERDICT_VIOLATED = "violated"
 
 DEFAULT_TOL = 1e-9
-
-# cells allowed for the identity-free assignment x measure enumeration before
-# the rectangular sweep falls back to the factorized form (see ledger note)
-_HONEST_SWEEP_BUDGET = 4_000_000
 
 
 @dataclass(frozen=True)
@@ -206,64 +213,21 @@ class AssociationReport:
     def passed(self) -> bool:
         return self.verdict == VERDICT_OK
 
-    def as_dict(self) -> dict[str, Any]:
-        return {"check": self.check, "verdict": self.verdict,
-                "worst_gap": self.worst_gap, "checked": self.checked,
-                "tolerance": self.tolerance, "witness": self.witness}
-
-
-def _cycled_rows(model: SequenceModel, family: TestFamily, n: int) -> list[np.ndarray]:
-    return [family.value_rows(model.variable_at(i)) for i in range(1, n + 1)]
-
-
-def _rect_split_gaps(E: list[np.ndarray], k: int) -> np.ndarray:
-    """Gap vector over all family assignments for split k on a rectangular
-    model: joint upper of the k-product minus (prefix upper) * (marginal
-    upper). E[i] holds per-coordinate E_j[f_a(X_i)] with shape (F, m)."""
-    F, m = E[0].shape
-    if F ** k * m ** k <= _HONEST_SWEEP_BUDGET:
-        # identity-free enumeration of every measure assignment
-        A = E[0]
-        for i in range(1, k):
-            Fa, Ja = A.shape
-            A = (A[:, :, None, None] * E[i][None, None, :, :]) \
-                .transpose(0, 2, 1, 3).reshape(Fa * F, Ja * m)
-        lhs = A.max(axis=1)
-        P = E[0]
-        for i in range(1, k - 1):
-            Fa, Ja = P.shape
-            P = (P[:, :, None, None] * E[i][None, None, :, :]) \
-                .transpose(0, 2, 1, 3).reshape(Fa * F, Ja * m)
-        prefix = P.max(axis=1)
-        rhs = np.multiply.outer(prefix, E[k - 1].max(axis=1)).reshape(-1)
-        return lhs - rhs
-    if F ** k > _HONEST_SWEEP_BUDGET:
-        raise OracleTooLargeError(
-            f"family sweep needs {F ** k} assignments at split {k}; "
-            "pass a smaller family")
-    # test functions are nonnegative, so every E entry is >= 0 and the
-    # maximum over per-coordinate measure assignments of the product equals
-    # the product of per-coordinate maxima (plain arithmetic on finite
-    # nonnegative lists; cross-validated against the enumeration above)
-    u = [e.max(axis=1) for e in E[:k]]
-    lhs = u[0]
-    for ui in u[1:]:
-        lhs = np.multiply.outer(lhs, ui)
-    prefix = u[0]
-    for ui in u[1:-1]:
-        prefix = np.multiply.outer(prefix, ui)
-    rhs = np.multiply.outer(prefix, u[-1])
-    return (lhs - rhs).reshape(-1)
+    def record(self) -> CheckResult:
+        """The report as a check record: worst gap against the tolerance."""
+        return CheckResult(self.check, self.worst_gap, self.tolerance,
+                           self.worst_gap, self.passed, self.witness,
+                           self.verdict, self.checked)
 
 
 def _sweep_family(model: SequenceModel, family: TestFamily, n: int,
-                  ) -> tuple[float, int, dict[str, Any] | None]:
-    """Worst gap over splits k=2..n and all assignments from one family."""
+                  ) -> tuple[float, int, dict[str, Any]]:
+    """Worst gap over splits k=2..n and all assignments from one family
+    (closed form for rectangular models, see the module docstring)."""
     F = len(family)
-    worst = float("-inf")
-    witness: dict[str, Any] | None = None
-    checked = 0
-    if model.joint == COMONOTONE_PAIR:
+    if model.product_measures:
+        worst, checked, a, b = 0.0, sum(F ** k for k in range(2, n + 1)), 0, 0
+    else:
         R1 = family.value_rows(model.variable_at(1))
         R2 = family.value_rows(model.variable_at(2))
         W = model.credal.weight_matrix()
@@ -274,24 +238,9 @@ def _sweep_family(model: SequenceModel, family: TestFamily, n: int,
         checked = F * F
         a, b = np.unravel_index(int(gap.argmax()), gap.shape)
         worst = float(gap[a, b])
-        witness = {"direction": family.direction, "split": 2,
-                   "functions": [family.functions[a].descriptor,
-                                 family.functions[b].descriptor]}
-        return worst, checked, witness
-
-    rows = _cycled_rows(model, family, n)
-    E = [coordinate_expectation_matrix(model, r) for r in rows]
-    for k in range(2, n + 1):
-        gaps = _rect_split_gaps(E, k)
-        checked += gaps.size
-        i = int(gaps.argmax())
-        g = float(gaps[i])
-        if g > worst:
-            assignment = np.unravel_index(i, (F,) * k)
-            worst = g
-            witness = {"direction": family.direction, "split": k,
-                       "functions": [family.functions[int(a)].descriptor
-                                     for a in assignment]}
+    witness = {"direction": family.direction, "split": 2,
+               "functions": [family.functions[a].descriptor,
+                             family.functions[b].descriptor]}
     return worst, checked, witness
 
 
@@ -301,19 +250,19 @@ def check_negative_association(model: SequenceModel, n: int,
     """Sweep the split inequalities over ramp families on coordinates 1..n.
 
     With ``family=None`` both default directions are swept; otherwise only
-    the given family (call twice for a custom mirrored pair). Needs n >= 2.
+    the given family (call twice for a custom mirrored pair). Needs
+    2 <= n <= the enumeration cap, within the model's coordinates.
     """
     if n < 2:
         raise ValueError(f"negative-association sweep needs n >= 2, got {n}")
+    model.variable_at(n)  # raises unless coordinate n exists
+    if n > DEFAULT_ORACLE_CAP:  # the joint oracle's cap keeps F^n reportable
+        raise OracleTooLargeError(
+            f"{n} coordinates exceed the enumeration cap {DEFAULT_ORACLE_CAP}")
     families = [family] if family is not None else list(default_families(model))
-    worst = float("-inf")
-    witness = None
-    checked = 0
-    for fam in families:
-        g, c, w = _sweep_family(model, fam, n)
-        checked += c
-        if g > worst:
-            worst, witness = g, w
+    sweeps = [_sweep_family(model, fam, n) for fam in families]
+    worst, _, witness = max(sweeps, key=lambda sweep: sweep[0])  # first on ties
+    checked = sum(c for _, c, _ in sweeps)
     verdict = VERDICT_VIOLATED if worst > tol else VERDICT_OK
     return AssociationReport("negative-association", verdict, worst, checked,
                              tol, witness)
@@ -377,7 +326,7 @@ def forward_factorization_value(model: SequenceModel, g: Callable, f: Callable,
     probe are what the weighted-sum convergence machinery consumes.
     """
     if n is None:
-        n = 2 if model.joint == COMONOTONE_PAIR else len(model.variables)
+        n = len(model.variables)
     if n < 2:
         raise ValueError(f"forward factorization needs n >= 2, got {n}")
     last = model.variable_at(n)
@@ -385,12 +334,7 @@ def forward_factorization_value(model: SequenceModel, g: Callable, f: Callable,
     f_low = float(coordinate_expectation_matrix(model, f_row[None, :]).min())
 
     # nonnegativity probe for g on the realized grid of the first n-1 coords
-    if model.joint == COMONOTONE_PAIR:
-        g_vals = np.asarray(g(model.variable_at(1).values), dtype=float)
-    else:
-        grids = np.meshgrid(*(model.variable_at(i).values for i in range(1, n)),
-                            indexing="ij")
-        g_vals = np.asarray(g(*grids), dtype=float)
+    g_vals = np.asarray(g(*model.grids(n - 1)), dtype=float)
     if g_vals.min() < 0.0:
         raise NegativeFunctionValueError(
             f"g reaches {g_vals.min()} on the grid; it must be nonnegative")

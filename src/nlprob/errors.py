@@ -81,6 +81,10 @@ class DegenerateLogError(NlprobError):
     """A coordinate index < 1 would degenerate the log(i+1) scaling."""
 
 
+class UnsupportedModelError(NlprobError, ValueError):
+    """An operation does not apply to the model's joint semantics."""
+
+
 class LengthMismatchError(NlprobError):
     """Two sequences that must align by index have incompatible lengths."""
 

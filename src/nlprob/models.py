@@ -1,20 +1,22 @@
 """Sequence models and exact joint upper/lower expectations.
 
 A sequence model couples one credal set with a finite list of coordinate
-variables and a joint semantics:
+variables and a joint semantics. Only this module interprets the semantics;
+callers ask the model how many ``coordinates`` it defines, whether it has
+``product_measures``, and on which outcome ``grids`` to evaluate integrands.
 
 ``rectangular``
-    Coordinate i is sampled on a fresh copy of the space; an adversary picks
-    one credal measure *per coordinate*. The joint upper expectation of
-    F(X_1, ..., X_n) is the maximum over all |P|^n per-coordinate measure
-    assignments of the product-measure expectation. The variable list cycles
-    (coordinate i uses ``variables[(i-1) % len]``), so a single-variable model
-    describes an identically-distributed sequence of any length.
+    Coordinate i is sampled on a fresh copy of the space; a non-adaptive
+    adversary picks one credal measure *per coordinate*. The joint upper
+    expectation of F(X_1, ..., X_n) is the maximum over all |P|^n
+    per-coordinate measure assignments of the product-measure expectation.
+    The variable list cycles (coordinate i uses ``variables[(i-1) % len]``),
+    so there are unboundedly many coordinates.
 
 ``comonotone-pair``
-    Exactly two variables read off the *same* outcome: the adversary picks
-    one measure j and the joint expectation of F(X, Y) is
-    E_j[F(X(w), Y(w))], maximized over j. This is the maximally coupled
+    Exactly two coordinates, one per variable, read off the *same* outcome:
+    the adversary picks one measure j and the joint expectation of F(X, Y)
+    is E_j[F(X(w), Y(w))], maximized over j. This is the maximally coupled
     two-coordinate model; it is where dependence checkers find structure.
 
 Everything is computed by exact enumeration, so the coordinate count is
@@ -41,6 +43,10 @@ RECTANGULAR = "rectangular"
 COMONOTONE_PAIR = "comonotone-pair"
 DEFAULT_ORACLE_CAP = 6
 
+# coordinates each joint semantics defines; None: unbounded (the list cycles)
+_COORDINATES = {RECTANGULAR: None, COMONOTONE_PAIR: 2}
+JOINT_KINDS = tuple(_COORDINATES)
+
 # hard ceiling on enumeration cells regardless of the caller-supplied cap
 _MAX_CELLS = 4_000_000
 
@@ -61,39 +67,45 @@ class SequenceModel:
                 raise DimensionMismatchError(
                     f"variable {k} has size {v.size}, space has {self.credal.size}"
                 )
-        if self.joint not in (RECTANGULAR, COMONOTONE_PAIR):
+        if self.joint not in _COORDINATES:
             raise ValueError(f"unknown joint semantics {self.joint!r}")
-        if self.joint == COMONOTONE_PAIR and len(variables) != 2:
+        if self.coordinates is not None and len(variables) != self.coordinates:
             raise DimensionMismatchError(
-                f"comonotone-pair model needs exactly 2 variables, got {len(variables)}"
-            )
+                f"{self.joint} model needs exactly {self.coordinates} "
+                f"variables, got {len(variables)}")
+
+    @property
+    def coordinates(self) -> int | None:
+        """How many coordinates the model defines; ``None`` means unbounded."""
+        return _COORDINATES[self.joint]
+
+    @property
+    def product_measures(self) -> bool:
+        """Whether each coordinate gets its own measure (rectangular)."""
+        return self.joint == RECTANGULAR
 
     def variable_at(self, i: int) -> RandomVariable:
         """Coordinate variable for 1-based index i (rectangular models cycle)."""
-        if i < 1:
-            raise IndexOutOfRangeError(f"coordinate index {i} must be >= 1")
-        if self.joint == COMONOTONE_PAIR:
-            if i > 2:
-                raise IndexOutOfRangeError(
-                    f"comonotone-pair model has 2 coordinates, asked for {i}")
-            return self.variables[i - 1]
+        if i < 1 or (self.coordinates is not None and i > self.coordinates):
+            raise IndexOutOfRangeError(
+                f"{self.joint} model has no coordinate {i}")
         return self.variables[(i - 1) % len(self.variables)]
 
-    def coordinate_values(self, n: int) -> np.ndarray:
-        """Value vectors for coordinates 1..n stacked as rows, shape (n, size)."""
-        return np.vstack([self.variable_at(i).values for i in range(1, n + 1)])
+    def grids(self, n: int) -> list[np.ndarray]:
+        """Values of coordinates 1..n on the outcome grid: n independent
+        outcome axes for rectangular models, one shared axis for the pair."""
+        values = [self.variable_at(i).values for i in range(1, n + 1)]
+        if self.product_measures:
+            return np.meshgrid(*values, indexing="ij")
+        return values
 
 
 def _check_cap(model: SequenceModel, n: int, cap: int) -> None:
-    if n < 1:
-        raise IndexOutOfRangeError(f"need n >= 1 coordinates, got {n}")
-    if model.joint == COMONOTONE_PAIR and n > 2:
-        raise IndexOutOfRangeError(
-            f"comonotone-pair model has 2 coordinates, asked for {n}")
+    model.variable_at(n)  # raises unless coordinate n exists
     if n > cap:
         raise OracleTooLargeError(
             f"{n} coordinates exceed the enumeration cap {cap}")
-    if model.joint == RECTANGULAR:
+    if model.product_measures:
         cells = (model.credal.size ** n) + (len(model.credal) ** n)
         if cells > _MAX_CELLS:
             raise OracleTooLargeError(
@@ -101,21 +113,9 @@ def _check_cap(model: SequenceModel, n: int, cap: int) -> None:
 
 
 def _integrand_tensor(model: SequenceModel, F, n: int) -> np.ndarray:
-    """F evaluated on the outcome grid: shape (size,)*n for rectangular,
-    (size,) for comonotone-pair. Tries broadcasting, falls back pointwise."""
-    if model.joint == COMONOTONE_PAIR:
-        cols = [model.variable_at(i).values for i in range(1, n + 1)]
-        try:
-            out = np.asarray(F(*cols), dtype=float)
-            if out.shape == cols[0].shape:
-                return out
-        except (TypeError, ValueError):
-            pass
-        return np.array([float(F(*(c[w] for c in cols)))
-                         for w in range(model.credal.size)])
-
-    grids = np.meshgrid(*(model.variable_at(i).values for i in range(1, n + 1)),
-                        indexing="ij")
+    """F evaluated on the model's outcome grid (:meth:`SequenceModel.grids`).
+    Tries broadcasting, falls back pointwise."""
+    grids = model.grids(n)
     shape = grids[0].shape
     try:
         out = np.asarray(F(*grids), dtype=float)
@@ -140,12 +140,11 @@ def joint_expectation_table(model: SequenceModel, F, n: int,
     _check_cap(model, n, cap)
     G = _integrand_tensor(model, F, n)
     W = model.credal.weight_matrix()
-    if model.joint == COMONOTONE_PAIR:
-        return W @ G
-    # contract coordinate axes one at a time; each step consumes the current
-    # leading outcome axis and appends that coordinate's measure axis at the
-    # end, so the final axes read (j_1, ..., j_n)
-    for _ in range(n):
+    # contract outcome axes one at a time; each step consumes the current
+    # leading outcome axis and appends that axis's measure axis at the end,
+    # so the final axes read (j_1, ..., j_n) -- a single j for the pair,
+    # whose grid has one shared outcome axis
+    for _ in range(G.ndim):
         G = np.tensordot(G, W.T, axes=([0], [0]))
     return G
 
@@ -196,11 +195,10 @@ def product_expectation_table(model: SequenceModel, rows,
     rows = np.atleast_2d(np.asarray(rows, dtype=float))
     n = rows.shape[0]
     _check_cap(model, n, cap)
-    W = model.credal.weight_matrix()
-    if model.joint == COMONOTONE_PAIR:
-        return W @ rows.prod(axis=0)
-    E = coordinate_expectation_matrix(model, rows)
-    return reduce(np.multiply.outer, E)
+    if model.product_measures:
+        E = coordinate_expectation_matrix(model, rows)
+        return reduce(np.multiply.outer, E)
+    return model.credal.weight_matrix() @ rows.prod(axis=0)
 
 
 def product_upper_expectation(model: SequenceModel, rows,

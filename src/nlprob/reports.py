@@ -4,7 +4,9 @@ Every verification op in the package reports through :class:`CheckResult` so
 the CLI can serialize one homogeneous list. Gap sign convention: checks are
 stated so that a *positive* gap is a violation (for "lhs <= rhs" checks
 ``gap = lhs - rhs``; for equalities ``gap = |lhs - rhs|``). ``passed`` is
-always ``gap <= tol`` for the tolerance recorded on the result.
+always ``gap <= tol`` for the tolerance recorded on the result. Records of
+a finite sweep also carry its ``verdict`` and the number of cases it
+``checked``.
 """
 
 from __future__ import annotations
@@ -22,17 +24,17 @@ class CheckResult:
     gap: float
     passed: bool
     witness: Mapping[str, Any] | None = None
+    verdict: str | None = None
+    checked: int | None = None
 
     def as_dict(self) -> dict[str, Any]:
         # serialized key is "pass"; the attribute avoids the keyword
-        return {
-            "check": self.check,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "gap": self.gap,
-            "pass": self.passed,
-            "witness": _plain(self.witness),
-        }
+        out = {"check": self.check, "lhs": self.lhs, "rhs": self.rhs,
+               "gap": self.gap, "pass": self.passed,
+               "witness": _plain(self.witness)}
+        if self.verdict is not None:
+            out.update(verdict=self.verdict, checked=self.checked)
+        return out
 
 
 def comparison(check: str, lhs: float, rhs: float, tol: float,
@@ -51,10 +53,6 @@ def equality(check: str, lhs: float, rhs: float, tol: float,
 
 def all_passed(results: Sequence[CheckResult]) -> bool:
     return all(r.passed for r in results)
-
-
-def worst(results: Sequence[CheckResult]) -> CheckResult | None:
-    return max(results, key=lambda r: r.gap) if results else None
 
 
 def _plain(obj: Any) -> Any:

@@ -22,7 +22,7 @@ from typing import Any
 
 from .core import CredalSet, OutcomeSpace, RandomVariable, credal_set_from_rows
 from .errors import ConfigValidationError
-from .models import COMONOTONE_PAIR, RECTANGULAR, SequenceModel
+from .models import JOINT_KINDS, RECTANGULAR, SequenceModel
 
 
 def credal_document(credal: CredalSet,
@@ -77,7 +77,7 @@ def sequence_model_from_document(doc: dict[str, Any]) -> SequenceModel:
     if not variables:
         raise ConfigValidationError("model document needs at least one variable")
     joint = doc.get("joint", RECTANGULAR)
-    if joint not in (RECTANGULAR, COMONOTONE_PAIR):
+    if joint not in JOINT_KINDS:
         raise ConfigValidationError(f"unknown joint semantics {joint!r}")
     return SequenceModel(credal, tuple(variables.values()), joint)
 

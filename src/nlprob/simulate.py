@@ -36,10 +36,11 @@ from .errors import (
     BadStrategyParamError,
     IndexOutOfRangeError,
     ScheduleInvalidError,
+    UnsupportedModelError,
 )
 from .expectation import expectation_values
 from .functions import ScalarFunction
-from .models import RECTANGULAR, SequenceModel
+from .models import SequenceModel
 from .slln import WeightSchedule, normalized_partial_sums, validate_schedule
 
 FIXED = "fixed"
@@ -139,8 +140,9 @@ def sample_path(model: SequenceModel, strategy: AdversaryStrategy,
     ``seed`` is an integer or a numpy SeedSequence; the outcome stream and
     an iid-random strategy's choice stream use disjoint substreams of it.
     """
-    if model.joint != RECTANGULAR:
-        raise ValueError("sampling needs a rectangular-product model")
+    if not model.product_measures:
+        raise UnsupportedModelError(
+            f"sampling needs a rectangular-product model, not {model.joint!r}")
     if n_steps < 1:
         raise IndexOutOfRangeError(f"need n_steps >= 1, got {n_steps}")
     choices = _strategy_choices(model, strategy, n_steps, seed)

@@ -122,6 +122,27 @@ class TestDemoConfig:
         assert report["tolerance"] == 1e-06
 
 
+class TestRectangularHorizonFive:
+    def test_dependence_checks_pass(self, tmp_path):
+        # 27 ramps per family at horizon 5 is 27^5 assignments at the last
+        # split; the closed form covers them without enumerating
+        config = tmp_path / "rect.json"
+        config.write_text(json.dumps({
+            "model": {"space": 3, "measures": [[0.5, 0.25, 0.25],
+                                               [0.2, 0.3, 0.5]],
+                      "variables": {"X1": [0.0, 1.0, 2.0],
+                                    "X2": [-1.0, 0.0, 1.0]}},
+            "checks": ["na", "vertical"],
+            "horizon": 5,
+        }))
+        code, _, report = run(tmp_path, "check-deps", "--config", str(config))
+        assert code == 0 and report["passed"] is True
+        na = record(report, "negative-association")
+        assert na["gap"] == 0.0 and na["pass"] is True
+        assert na["checked"] == 2 * sum(27 ** k for k in range(2, 6))
+        assert record(report, "vertical-independence")["pass"] is True
+
+
 class TestFailureModes:
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["verify", "--config", str(tmp_path / "nope.json")]) == 2
@@ -170,6 +191,29 @@ class TestFailureModes:
         assert "first failing check: vertical-independence" in captured.err
         assert "RESULT: FAILED" in captured.out
         assert (out / "summary.txt").read_text().count("FAIL") >= 1
+
+    def test_non_numeric_tolerance_exits_two(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({
+            "model": {"space": 2, "measures": [[0.5, 0.5]],
+                      "variables": {"X": [0.0, 1.0]}},
+            "checks": ["chain"],
+            "tolerance": "x",
+        }))
+        assert main(["verify", "--config", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert "tolerance" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("check", ["slln", "strassen"])
+    def test_pair_model_cannot_simulate(self, tmp_path, capsys, check):
+        config = json.loads(Path(PAIR).read_text())
+        config["checks"] = [check]
+        path = tmp_path / "pair-sim.json"
+        path.write_text(json.dumps(config))
+        code, out, report = run(tmp_path, "all", "--config", str(path))
+        assert code == 2 and report is None
+        err = capsys.readouterr().err
+        assert err.startswith("error: checks:") and "Traceback" not in err
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -1,6 +1,7 @@
 """Experiment configuration parsing and validation."""
 
 import json
+import re
 
 import pytest
 
@@ -129,6 +130,57 @@ class TestScalarFields:
             parse_config(config_text(expected_violations=["bogus"]))
         config = parse_config(config_text(expected_violations=["forward"]))
         assert config.expected_violations == frozenset({"forward"})
+
+
+def nested(field, value):
+    """Config overrides that put ``value`` at the dotted ``field``."""
+    head, _, key = field.partition(".")
+    return {head: {key: value}} if key else {head: value}
+
+
+class TestScalarReader:
+    # one hostile value per scalar field: each names its field, exit code 2
+    @pytest.mark.parametrize("field, value", [
+        ("tolerance", "x"),
+        ("tolerance", float("nan")),
+        ("seed", 1.5),
+        ("seed", True),
+        ("horizon", "4"),
+        ("horizon", 2.5),
+        ("forward.expected", float("inf")),
+        ("simulation.n_steps", "many"),
+        ("simulation.paths_per_strategy", False),
+        ("simulation.n_start", 500.5),
+        ("simulation.epsilon", float("nan")),
+        ("simulation.max_exceedance_fraction", 1.5),
+        ("simulation.min_control_fraction", "high"),
+        ("simulation.grid_points", 0),
+        ("schedule.beta", None),
+    ])
+    def test_rejected_and_named(self, field, value):
+        overrides = nested(field, value)
+        if field.startswith("schedule."):
+            overrides["schedule"]["kind"] = "kolmogorov"
+        with pytest.raises(ConfigValidationError, match=re.escape(field)):
+            parse_config(config_text(**overrides))
+
+    def test_truncation_index_bool_rejected(self):
+        with pytest.raises(ConfigValidationError,
+                           match=r"truncation_indices\[0\]"):
+            parse_config(config_text(truncation_indices=[True]))
+
+    def test_integral_floats_read_as_ints(self):
+        config = parse_config(config_text(seed=7.0, horizon=3.0))
+        assert config.seed == 7 and isinstance(config.seed, int)
+        assert config.horizon == 3 and isinstance(config.horizon, int)
+
+    def test_simulation_needs_a_rectangular_model(self):
+        pair = {**MODEL_DOC, "joint": "comonotone-pair",
+                "variables": {"Y": [0.0, -1.0], "X": [0.0, 1.0]}}
+        schedule = {"kind": "kolmogorov", "alpha": 1.0, "beta": 0.5}
+        with pytest.raises(ConfigValidationError, match="^checks: "):
+            parse_config(config_text(model=pair, checks=["slln"], seed=1,
+                                     schedule=schedule))
 
 
 class TestScheduleRequirements:

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import itertools
+import math
+
 import numpy as np
 import pytest
 
-import nlprob.dependence as dep
 from nlprob import (
     RandomVariable,
     SequenceModel,
@@ -28,9 +30,11 @@ from nlprob.errors import (
     MixedMonotonicityError,
     NegativeFunctionValueError,
     NonPositiveWidthError,
+    OracleTooLargeError,
     POutOfRangeError,
 )
 from nlprob.functions import Affine
+from nlprob.models import coordinate_expectation_matrix
 
 UNIT_RAMP = TestFunction("ramp", 0.0, 1.0)
 SHIFTED_RAMP = TestFunction("ramp", -1.0, 1.0)
@@ -146,21 +150,99 @@ class TestNegativeAssociation:
             assert check_negative_association(model, 2).passed
 
 
-class TestSweepBranchCrossValidation:
-    def test_enumeration_vs_factorized(self, make_rectangular, monkeypatch):
-        # same inputs through both rectangular sweep branches must agree;
-        # budget 216 = 6^3 still admits every F^k assignment list but pushes
-        # each split past the cell limit, forcing the factorized form
-        fam = ramp_family([-2.0, 0.0, 2.0], [1.0, 3.0])
-        for _ in range(8):
-            model = make_rectangular(n_measures=4, n_vars=2)
-            honest = check_negative_association(model, 3, family=fam)
-            monkeypatch.setattr(dep, "_HONEST_SWEEP_BUDGET", 216)
-            forced = check_negative_association(model, 3, family=fam)
-            monkeypatch.undo()
-            assert honest.verdict == forced.verdict
-            assert honest.worst_gap == pytest.approx(forced.worst_gap, abs=1e-12)
-            assert honest.checked == forced.checked
+def enumerate_association(model, families, n):
+    """Negative-association sweep by brute force over every split k = 2..n,
+    every assignment of family functions and every measure assignment,
+    kept in the order the report promises (first strict maximum wins).
+
+    Each coordinate's expectation matrix is computed once for the whole
+    family. Separate ``product_expectation_table`` calls per side would not
+    do: BLAS rounds an entry of ``rows @ W.T`` differently depending on how
+    many rows share the call, and the sides would differ by one ulp.
+    """
+    measures = range(len(model.credal))
+
+    def upper(factors):
+        return max(math.prod(e[j] for e, j in zip(factors, js))
+                   for js in itertools.product(measures, repeat=len(factors)))
+
+    worst, checked, witness = float("-inf"), 0, None
+    for family in families:
+        E = [coordinate_expectation_matrix(
+                 model, family.value_rows(model.variable_at(i))).tolist()
+             for i in range(1, n + 1)]
+        for k in range(2, n + 1):
+            for assignment in itertools.product(range(len(family)), repeat=k):
+                factors = [E[i][a] for i, a in enumerate(assignment)]
+                gap = upper(factors) - upper(factors[:-1]) * max(factors[-1])
+                checked += 1
+                if gap > worst:
+                    worst = gap
+                    witness = {"direction": family.direction, "split": k,
+                               "functions": [family.functions[a].descriptor
+                                             for a in assignment]}
+    return worst, checked, witness
+
+
+class TestRectangularClosedForm:
+    """The rectangular report is written in closed form; the enumeration it
+    replaced is kept here as the oracle it must match exactly."""
+
+    @staticmethod
+    def random_model(rng):
+        size = int(rng.integers(2, 6))
+        counts = rng.integers(0, 4, size=(int(rng.integers(1, 5)), size))
+        counts[:, 0] += 1  # no all-zero row; zero weights elsewhere stay
+        rows = counts / counts.sum(axis=1, keepdims=True)
+        variables = tuple(RandomVariable(rng.integers(-4, 5, size) / 2.0)
+                          for _ in range(int(rng.integers(1, 4))))
+        return SequenceModel(credal_set_from_rows(rows), variables,
+                             "rectangular")
+
+    @staticmethod
+    def random_family(rng):
+        direction = ("increasing", "decreasing")[int(rng.integers(2))]
+        kind = "ramp" if direction == "increasing" else "negated-ramp"
+        functions = [TestFunction(kind, float(rng.uniform(-3.0, 3.0)),
+                                  float(rng.uniform(0.25, 3.0)), direction)
+                     for _ in range(int(rng.integers(1, 4)))]
+        if rng.random() < 0.3:
+            functions.insert(int(rng.integers(len(functions) + 1)),
+                             TestFunction(CONSTANT, direction=direction))
+        return TestFamily(tuple(functions), direction)
+
+    def test_matches_enumeration(self, rng):
+        for _ in range(60):
+            model = self.random_model(rng)
+            family = self.random_family(rng)
+            n = int(rng.integers(2, 4))
+            report = check_negative_association(model, n, family=family)
+            worst, checked, witness = enumerate_association(model, [family], n)
+            assert report.worst_gap == worst == 0.0
+            assert report.checked == checked
+            assert report.witness == witness
+            assert report.passed
+
+    def test_default_families_match_enumeration(self, rng):
+        for _ in range(4):
+            model = self.random_model(rng)
+            report = check_negative_association(model, 2)
+            worst, checked, witness = enumerate_association(
+                model, default_families(model), 2)
+            assert report.worst_gap == worst == 0.0
+            assert report.checked == checked == 2 * 27 ** 2
+            assert report.witness == witness
+
+    def test_horizon_beyond_the_old_sweep_budget(self, make_rectangular):
+        # 27 functions per family at n = 5: 27^5 assignments at the last
+        # split, more than an enumeration could afford
+        report = check_negative_association(make_rectangular(n_vars=2), 5)
+        assert report.passed and report.worst_gap == 0.0
+        assert report.checked == 2 * sum(27 ** k for k in range(2, 6))
+
+    def test_horizon_capped_like_the_oracle(self, make_rectangular):
+        with pytest.raises(OracleTooLargeError):
+            check_negative_association(make_rectangular(n_vars=2), 7)
 
 
 class TestVerticalIndependence:

@@ -59,6 +59,18 @@ class TestModelValidation:
         with pytest.raises(IndexOutOfRangeError):
             pair_model.variable_at(3)
 
+    def test_coordinate_counts(self, pair_model, marginal_model):
+        assert pair_model.coordinates == 2
+        assert marginal_model.coordinates is None
+        assert marginal_model.variable_at(7) is marginal_model.variables[0]
+        with pytest.raises(IndexOutOfRangeError):
+            joint_expectation_table(pair_model, lambda y, x: y * x, 3)
+
+    def test_grids(self, pair_model, marginal_model):
+        # the pair shares one outcome axis; rectangular coordinates do not
+        assert [g.shape for g in pair_model.grids(2)] == [(2,), (2,)]
+        assert [g.shape for g in marginal_model.grids(3)] == [(2, 2, 2)] * 3
+
 
 class TestJointOracle:
     def test_product_pinned(self, marginal_model):

@@ -25,6 +25,7 @@ from nlprob.errors import (
     IndexOutOfRangeError,
     ScheduleInvalidError,
     UnboundedPhiError,
+    UnsupportedModelError,
 )
 
 
@@ -116,6 +117,10 @@ class TestSamplePath:
 
     def test_rejects_non_rectangular_models(self, pair_model):
         with pytest.raises(ValueError, match="rectangular"):
+            sample_path(pair_model, AdversaryStrategy("cyclic"), 10, 1)
+
+    def test_non_rectangular_error_is_named(self, pair_model):
+        with pytest.raises(UnsupportedModelError, match="comonotone-pair"):
             sample_path(pair_model, AdversaryStrategy("cyclic"), 10, 1)
 
     def test_needs_positive_length(self, marginal_model):
