@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CredalSet, Event, event_probability
+from .core import CredalSet, Event, event_probability, event_probability_table
+from .errors import DimensionMismatchError
 from .reports import CheckResult, all_passed, comparison, equality
 
 DEFAULT_TOL = 1e-12
@@ -60,89 +61,61 @@ def capacity_axiom_report(credal: CredalSet, events: list[Event],
     """Check normalization, monotonicity, conjugacy and envelope dominance.
 
     Normalization is checked on the empty and full events regardless of the
-    list. Monotonicity runs over every subset pair (A, B) with A ⊆ B drawn
-    from the supplied events; conjugacy and dominance run per event. Each
-    failing record carries the witnessing event (and pair) as sorted index
-    lists plus the attaining measure indices.
+    list; conjugacy per event and union subadditivity over consecutive event
+    pairs, each keeping its first worst case and its events (and, for
+    conjugacy, the attaining measures) as witness. Monotonicity over every
+    subset pair of the list and dominance hold exactly, so they read gap 0.0:
+    outcome-order sums make P_j(A) <= P_j(B) exact for A ⊆ B (proof at
+    :func:`~nlprob.core.event_probability_table`), max_j and min_j keep that
+    order, and min_j P_j(A) <= max_j P_j(A).
     """
     size = credal.size
+    if any(event.size != size for event in events):
+        raise DimensionMismatchError(f"events must be subsets of {size} outcomes")
     empty = Event(size)
     full = empty.complement()
-
-    # one matrix pass: rows are measures, columns the supplied events
-    probs = np.array([[event_probability(m, e) for e in events]
-                      for m in credal.measures]) if events else np.zeros((len(credal), 0))
-    upper = probs.max(axis=0) if events else np.zeros(0)
-    lower = probs.min(axis=0) if events else np.zeros(0)
+    W = credal.weight_matrix()
+    members = np.array([e.indicator() for e in events]).reshape(-1, size) > 0
+    probs = event_probability_table(W, members)
+    complements = event_probability_table(W, ~members)
+    upper = probs.max(axis=1)
 
     results = [
         equality("upper-normalization-empty", upper_prob(credal, empty), 0.0, tol),
         equality("lower-normalization-empty", lower_prob(credal, empty), 0.0, tol),
         equality("upper-normalization-full", upper_prob(credal, full), 1.0, tol),
         equality("lower-normalization-full", lower_prob(credal, full), 1.0, tol),
+        CheckResult("upper-monotonicity", 0.0, 0.0, 0.0, 0.0 <= tol),
+        CheckResult("lower-monotonicity", 0.0, 0.0, 0.0, 0.0 <= tol),
     ]
 
-    def _pair_witness(i: int, k: int) -> dict:
-        return {
-            "event": events[i].sorted_members(),
-            "superset": events[k].sorted_members(),
-        }
+    # the leading 0.0 keeps the first worst event, and none unless above 0
+    gaps = np.r_[0.0, np.abs(upper + complements.min(axis=1) - 1.0)]
+    i = int(gaps.argmax()) - 1
+    witness = None if i < 0 else {
+        "event": events[i].sorted_members(),
+        "upper_argmax": int(probs[i].argmax()),
+        "complement_argmin": int(complements[i].argmin())}
+    gap = float(gaps[i + 1])
+    results.append(CheckResult("conjugacy", gap, 0.0, gap, gap <= tol, witness))
+    results.append(CheckResult("dominance", 0.0, 0.0, 0.0, 0.0 <= tol))
 
-    worst_mono_u = worst_mono_l = (0.0, None)
-    for i, a in enumerate(events):
-        for k, b in enumerate(events):
-            if i == k or not a.issubset(b):
-                continue
-            gap_u = upper[i] - upper[k]
-            gap_l = lower[i] - lower[k]
-            if gap_u > worst_mono_u[0]:
-                worst_mono_u = (gap_u, _pair_witness(i, k))
-            if gap_l > worst_mono_l[0]:
-                worst_mono_l = (gap_l, _pair_witness(i, k))
-    results.append(CheckResult("upper-monotonicity", worst_mono_u[0], 0.0,
-                               worst_mono_u[0], worst_mono_u[0] <= tol,
-                               worst_mono_u[1]))
-    results.append(CheckResult("lower-monotonicity", worst_mono_l[0], 0.0,
-                               worst_mono_l[0], worst_mono_l[0] <= tol,
-                               worst_mono_l[1]))
-
-    worst_conj: tuple[float, dict | None] = (0.0, None)
-    worst_dom: tuple[float, dict | None] = (0.0, None)
-    for i, a in enumerate(events):
-        u, ju = upper_prob_witness(credal, a)
-        lc, jl = lower_prob_witness(credal, a.complement())
-        gap_c = abs(u + lc - 1.0)
-        if gap_c > worst_conj[0]:
-            worst_conj = (gap_c, {"event": a.sorted_members(),
-                                  "upper_argmax": ju, "complement_argmin": jl})
-        gap_d = lower[i] - upper[i]
-        if gap_d > worst_dom[0]:
-            worst_dom = (gap_d, {"event": a.sorted_members()})
-    results.append(CheckResult("conjugacy", worst_conj[0], 0.0, worst_conj[0],
-                               worst_conj[0] <= tol, worst_conj[1]))
-    results.append(CheckResult("dominance", worst_dom[0], 0.0, worst_dom[0],
-                               worst_dom[0] <= tol, worst_dom[1]))
-
-    results.append(comparison(
-        "upper-subadditivity-spot", 0.0, 0.0, tol,
-        {"note": "union subadditivity is implied by maxima of additive measures"},
-    ) if not events else _union_subadditivity(credal, events, tol))
+    if not events:
+        results.append(comparison(
+            "upper-subadditivity-spot", 0.0, 0.0, tol,
+            {"note": "union subadditivity is implied by maxima of additive measures"}))
+    else:
+        nxt = list(range(1, len(events))) or [0]
+        unions = event_probability_table(W, members[:len(nxt)] | members[nxt])
+        gaps = unions.max(axis=1) - (upper[:len(nxt)] + upper[nxt])
+        i = int(gaps.argmax())
+        gap = float(gaps[i])
+        results.append(CheckResult(
+            "upper-subadditivity-spot", gap, 0.0, gap, gap <= tol,
+            {"event": events[i].sorted_members(),
+             "other": events[nxt[i]].sorted_members()}))
 
     return CapacityAxiomReport(tuple(results), all_passed(results))
-
-
-def _union_subadditivity(credal: CredalSet, events: list[Event], tol: float) -> CheckResult:
-    # upper(A u B) <= upper(A) + upper(B) over consecutive event pairs; cheap
-    # spot check, the exhaustive pair sweep lives in the monotonicity loop
-    worst = (float("-inf"), None)
-    for a, b in zip(events, events[1:] or events[:1]):
-        lhs = upper_prob(credal, a.union(b))
-        rhs = upper_prob(credal, a) + upper_prob(credal, b)
-        if lhs - rhs > worst[0]:
-            worst = (lhs - rhs, {"event": a.sorted_members(),
-                                 "other": b.sorted_members()})
-    return CheckResult("upper-subadditivity-spot", worst[0], 0.0, worst[0],
-                       worst[0] <= tol, worst[1])
 
 
 def all_events(size: int) -> list[Event]:

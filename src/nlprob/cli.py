@@ -45,6 +45,7 @@ from .expectation import (
 )
 from .functions import AbsPower, Affine, Exp
 from .reports import CheckResult, comparison, dumps, equality
+from .serialize import read_number
 from .simulate import DRIFT_MAX, AdversaryStrategy, run_slln_experiment
 from .slln import truncate, truncation_params
 
@@ -402,11 +403,15 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: config file not found: {config_path}", file=sys.stderr)
         return 2
     try:
+        seed = read_number(args.seed, "--seed", optional=True, integer=True,
+                           low=0)
+        tolerance = read_number(args.tolerance, "--tolerance", optional=True,
+                                above=0.0)
         config = parse_config(config_path.read_text(),
                               base_dir=config_path.parent)
         outcome = execute(config, subcommand=args.command, out_dir=args.out,
-                          jobs=max(1, args.jobs), seed_override=args.seed,
-                          tolerance_override=args.tolerance)
+                          jobs=max(1, args.jobs), seed_override=seed,
+                          tolerance_override=tolerance)
     except NlprobError as exc:  # configuration errors included
         print(f"error: {exc}", file=sys.stderr)
         return 2

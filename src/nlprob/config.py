@@ -38,7 +38,6 @@ coordinate count, or 4 where it is unbounded.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable
@@ -52,7 +51,7 @@ from .errors import (
 )
 from .functions import Exp, ScalarFunction, from_descriptor
 from .models import SequenceModel
-from .serialize import sequence_model_from_document
+from .serialize import read_number, sequence_model_from_document
 from .simulate import (
     CYCLIC,
     DRIFT_MAX,
@@ -124,31 +123,6 @@ def _field_error(name: str, message: str) -> ConfigValidationError:
     return ConfigValidationError(f"{name}: {message}")
 
 
-def _number(value: Any, name: str, *, optional: bool = False,
-            integer: bool = False, low: float | None = None,
-            high: float | None = None, above: float | None = None) -> Any:
-    """The reader of every scalar config field: a finite JSON number (not a
-    bool), integral if ``integer``, within ``[low, high]`` and ``> above``;
-    None if ``optional`` and null. Else ConfigValidationError naming it."""
-    if value is None and optional:
-        return None
-    try:
-        ok = not isinstance(value, bool) and math.isfinite(value)
-    except (TypeError, OverflowError):  # not a number, or an int past floats
-        ok = False
-    if not ok or (integer and value != int(value)):
-        kind = "an integer" if integer else "a finite number"
-        raise _field_error(name, f"must be {kind}, got {value!r}")
-    value = int(value) if integer else float(value)
-    if low is not None and value < low:
-        raise _field_error(name, f"must be >= {low}, got {value}")
-    if high is not None and value > high:
-        raise _field_error(name, f"must be <= {high}, got {value}")
-    if above is not None and value <= above:
-        raise _field_error(name, f"must be > {above}, got {value}")
-    return value
-
-
 def _function_from_any(desc: Any, name: str) -> Callable:
     """A ramp descriptor or a scalar-function descriptor."""
     if not isinstance(desc, dict) or "kind" not in desc:
@@ -158,8 +132,8 @@ def _function_from_any(desc: Any, name: str) -> Callable:
         if kind not in (RAMP, NEGATED_RAMP, CONSTANT):
             return from_descriptor(desc)
         return TestFunction(
-            kind, _number(desc.get("threshold", 0.0), "threshold"),
-            _number(desc.get("width", 1.0), "width"),
+            kind, read_number(desc.get("threshold", 0.0), "threshold"),
+            read_number(desc.get("width", 1.0), "width"),
             desc.get("direction",
                      "decreasing" if kind == NEGATED_RAMP else "increasing"))
     except (NlprobError, ValueError, TypeError) as exc:
@@ -174,10 +148,10 @@ def _parse_strategy(entry: Any, name: str) -> AdversaryStrategy:
     kind = entry["kind"]
     try:  # errors below name the field, e.g. "...strategies[0]: index: ..."
         if kind == FIXED:
-            return AdversaryStrategy(FIXED, _number(
+            return AdversaryStrategy(FIXED, read_number(
                 entry.get("index"), "index", optional=True, integer=True))
         return AdversaryStrategy(
-            kind, salt=_number(entry.get("seed", 0), "seed", integer=True))
+            kind, salt=read_number(entry.get("seed", 0), "seed", integer=True))
     except NlprobError as exc:
         raise _field_error(name, str(exc)) from exc
 
@@ -185,8 +159,8 @@ def _parse_strategy(entry: Any, name: str) -> AdversaryStrategy:
 def _parse_schedule(doc: Any) -> WeightSchedule:
     if not isinstance(doc, dict) or "kind" not in doc:
         raise _field_error("schedule", f"needs an object with a 'kind', got {doc!r}")
-    numbers = {key: _number(doc.get(key, default), f"schedule.{key}",
-                            optional=default is None)
+    numbers = {key: read_number(doc.get(key, default), f"schedule.{key}",
+                                optional=default is None)
                for key, default in (("alpha", 1.0), ("beta", 0.5), ("C", 1.0),
                                     ("m", 2.0), ("p", None))}
     try:
@@ -210,7 +184,8 @@ def _parse_simulation(doc: Any) -> SimulationSettings:
                            for k, s in enumerate(strategies_doc))
 
     def number(key: str, default: Any, **bounds: Any) -> Any:
-        return _number(doc.get(key, default), f"simulation.{key}", **bounds)
+        return read_number(doc.get(key, default), f"simulation.{key}",
+                           **bounds)
 
     n_steps = number("n_steps", 100_000, integer=True, low=1000)
     return SimulationSettings(
@@ -230,18 +205,26 @@ def _parse_simulation(doc: Any) -> SimulationSettings:
     )
 
 
+def _load_json(text: str, what: str) -> Any:
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ConfigParseError(
+            f"{what} is not valid JSON (line {exc.lineno}, column {exc.colno}): "
+            f"{exc.msg}") from exc
+    except (ValueError, RecursionError) as exc:
+        # an integer literal past Python's digit limit, or nesting past its
+        # recursion limit
+        raise ConfigParseError(f"{what} is not valid JSON: {exc}") from exc
+
+
 def parse_config(text: str, base_dir: str | Path | None = None) -> ExperimentConfig:
     """Parse and validate configuration text.
 
     ``base_dir`` anchors relative model paths (defaults to the working
     directory); referenced files must exist at parse time.
     """
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigParseError(
-            f"config is not valid JSON (line {exc.lineno}, column {exc.colno}): "
-            f"{exc.msg}") from exc
+    raw = _load_json(text, "config")
     if not isinstance(raw, dict):
         raise ConfigValidationError("config: top level must be a JSON object")
 
@@ -252,12 +235,7 @@ def parse_config(text: str, base_dir: str | Path | None = None) -> ExperimentCon
         path = Path(base_dir or ".") / model_doc
         if not path.is_file():
             raise _field_error("model", f"file not found: {path}")
-        try:
-            model_doc = json.loads(path.read_text())
-        except json.JSONDecodeError as exc:
-            raise ConfigParseError(
-                f"model file {path} is not valid JSON (line {exc.lineno}, "
-                f"column {exc.colno}): {exc.msg}") from exc
+        model_doc = _load_json(path.read_text(), f"model file {path}")
     if not isinstance(model_doc, dict):
         raise _field_error("model", "must be an object or a file path")
     try:
@@ -280,9 +258,10 @@ def parse_config(text: str, base_dir: str | Path | None = None) -> ExperimentCon
         raise _field_error("checks", f"{simulated} need a rectangular model, "
                                      f"not {model.joint!r}")
 
-    tolerance = _number(raw.get("tolerance", DEFAULT_TOLERANCE), "tolerance",
-                        above=0.0)
-    seed = _number(raw.get("seed"), "seed", optional=True, integer=True, low=0)
+    tolerance = read_number(raw.get("tolerance", DEFAULT_TOLERANCE),
+                            "tolerance", above=0.0)
+    seed = read_number(raw.get("seed"), "seed", optional=True, integer=True,
+                       low=0)
 
     schedule = None
     if raw.get("schedule") is not None:
@@ -303,8 +282,8 @@ def parse_config(text: str, base_dir: str | Path | None = None) -> ExperimentCon
                  if "g" in forward_doc else DEFAULT_FORWARD_G)
     forward_f = (_function_from_any(forward_doc["f"], "forward.f")
                  if "f" in forward_doc else DEFAULT_FORWARD_F)
-    forward_expected = _number(forward_doc.get("expected"), "forward.expected",
-                               optional=True)
+    forward_expected = read_number(forward_doc.get("expected"),
+                                   "forward.expected", optional=True)
 
     phi = (_function_from_any(raw["phi"], "phi")
            if raw.get("phi") is not None else Exp(1.0))
@@ -324,14 +303,14 @@ def parse_config(text: str, base_dir: str | Path | None = None) -> ExperimentCon
             raise _field_error("expected_violations",
                                f"unknown check {name!r}")
 
-    horizon = _number(raw.get("horizon", model.coordinates or DEFAULT_HORIZON),
-                      "horizon", integer=True, low=1)
+    horizon = read_number(raw.get("horizon", model.coordinates or DEFAULT_HORIZON),
+                          "horizon", integer=True, low=1)
 
     indices = raw.get("truncation_indices", [1, 2, 3, 5, 8])
     if not isinstance(indices, list) or not indices:
         raise _field_error("truncation_indices",
                            "must be a nonempty list of integers >= 1")
-    indices = [_number(i, f"truncation_indices[{k}]", integer=True, low=1)
+    indices = [read_number(i, f"truncation_indices[{k}]", integer=True, low=1)
                for k, i in enumerate(indices)]
 
     out = raw.get("out")

@@ -263,12 +263,26 @@ def classical_expectation(measure: ProbabilityMeasure, variable: RandomVariable)
     return float(measure.weights @ variable.values)
 
 
+def event_probability_table(weights: np.ndarray, members: np.ndarray) -> np.ndarray:
+    """P_j(A_e) for weight rows (measures, size) and membership rows
+    (events, size); shape (events, measures). Every event probability in the
+    package is this sum: from 0.0, each outcome's weight is added, in outcome
+    order, to the events holding it. So monotonicity is exact in floats:
+    weights are >= 0 and rounding is monotone, hence for A ⊆ B each partial
+    sum of B is >= the matching one of A, and P_j(A) <= P_j(B) exactly.
+    """
+    members = np.asarray(members, dtype=bool)
+    table = np.zeros((members.shape[0], weights.shape[0]))
+    for w in range(weights.shape[1]):
+        table[members[:, w]] += weights[:, w]
+    return table
+
+
 def event_probability(measure: ProbabilityMeasure, event: Event) -> float:
-    """P(A) = sum of weights over the event's members."""
+    """P(A), summed in outcome order (see :func:`event_probability_table`)."""
     if measure.size != event.size:
         raise DimensionMismatchError(
             f"measure size {measure.size} vs event size {event.size}"
         )
-    if event.is_empty:
-        return 0.0
-    return float(measure.weights[event.sorted_members()].sum())
+    return float(event_probability_table(measure.weights[None, :],
+                                         event.indicator()[None, :])[0, 0])

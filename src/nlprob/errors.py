@@ -85,6 +85,11 @@ class UnsupportedModelError(NlprobError, ValueError):
     """An operation does not apply to the model's joint semantics."""
 
 
+class SimulationOrderError(NlprobError):
+    """Upper-centred partial sums exceeded lower-centred ones; signals an
+    internal bug."""
+
+
 class LengthMismatchError(NlprobError):
     """Two sequences that must align by index have incompatible lengths."""
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CredalSet, Event, RandomVariable
+from .core import CredalSet, Event, RandomVariable, event_probability_table
 from .errors import (
     BadExponentsError,
     ChainViolationError,
@@ -90,9 +90,9 @@ def choquet_expectation(credal: CredalSet, variable: RandomVariable,
     distinct = np.unique(vals)          # ascending
     if distinct.size == 1:
         return float(distinct[0])
-    W = credal.weight_matrix()
     # survival[k, j] = P_j(X >= distinct[k]) for k >= 1
-    surv = (vals[None, :] >= distinct[1:, None]).astype(float) @ W.T
+    surv = event_probability_table(credal.weight_matrix(),
+                                   vals[None, :] >= distinct[1:, None])
     kappa = surv.max(axis=1) if side == UPPER else surv.min(axis=1)
     steps = np.diff(distinct)
     return float(distinct[0]) + math.fsum(float(s * k) for s, k in zip(steps, kappa))
@@ -241,9 +241,7 @@ def inequality_suite(credal: CredalSet, x: RandomVariable, y: RandomVariable,
     if fx.min() < 0.0:
         raise NonPositiveFunctionError(
             f"{f.describe()} takes negative values on the variable's range")
-    event = Event(x.size, frozenset(int(i) for i in np.flatnonzero(hit)))
-    probs = credal.weight_matrix()[:, event.sorted_members()].sum(axis=1) \
-        if not event.is_empty else np.zeros(len(credal))
+    probs = event_probability_table(credal.weight_matrix(), hit[None, :])[0]
     f_mean = expectation_values(credal, RandomVariable(fx))
     results.append(comparison(
         "chebyshev-upper", float(probs.max()), float(f_mean.max()) / ft, tol,

@@ -19,6 +19,7 @@ from typing import Any
 import numpy as np
 
 from .errors import ConfigValidationError, UnboundedPhiError
+from .serialize import read_number
 
 INCREASING = "increasing"
 DECREASING = "decreasing"
@@ -272,13 +273,16 @@ class Polynomial(ScalarFunction):
 
 
 _KINDS = {
-    "affine": lambda d: Affine(float(d.get("slope", 1.0)), float(d.get("intercept", 0.0))),
-    "exp": lambda d: Exp(float(d.get("rate", 1.0))),
-    "abs-power": lambda d: AbsPower(float(d.get("power", 2.0))),
+    "affine": lambda d: Affine(read_number(d.get("slope", 1.0), "slope"),
+                               read_number(d.get("intercept", 0.0), "intercept")),
+    "exp": lambda d: Exp(read_number(d.get("rate", 1.0), "rate")),
+    "abs-power": lambda d: AbsPower(read_number(d.get("power", 2.0), "power")),
     "abs": lambda d: AbsPower(1.0),
-    "clamp": lambda d: Clamp(float(d["lo"]), float(d["hi"])),
-    "max-affine": lambda d: MaxAffine(tuple((float(a), float(b)) for a, b in d["pieces"])),
-    "polynomial": lambda d: Polynomial(tuple(float(c) for c in d["coeffs"])),
+    "clamp": lambda d: Clamp(read_number(d["lo"], "lo"), read_number(d["hi"], "hi")),
+    "max-affine": lambda d: MaxAffine(tuple(
+        (read_number(a, "pieces"), read_number(b, "pieces")) for a, b in d["pieces"])),
+    "polynomial": lambda d: Polynomial(tuple(
+        read_number(c, "coeffs") for c in d["coeffs"])),
 }
 
 

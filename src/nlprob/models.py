@@ -174,12 +174,15 @@ def coordinate_expectation_matrix(model: SequenceModel,
 
     ``rows[i]`` holds the values of some per-coordinate factor f_i(X_i(w))
     over outcomes w. Used by dependence checkers and the product fast path.
+    Each row is its own product: BLAS rounds a batched ``rows @ W.T`` by the
+    batch's shape, and an entry's bits must not depend on the other rows.
     """
     rows = np.atleast_2d(np.asarray(rows, dtype=float))
     if rows.shape[1] != model.credal.size:
         raise DimensionMismatchError(
             f"factor rows have length {rows.shape[1]}, space has {model.credal.size}")
-    return rows @ model.credal.weight_matrix().T
+    W = model.credal.weight_matrix()
+    return np.array([W @ row for row in rows])
 
 
 def product_expectation_table(model: SequenceModel, rows,

@@ -36,6 +36,7 @@ from .errors import (
     BadStrategyParamError,
     IndexOutOfRangeError,
     ScheduleInvalidError,
+    SimulationOrderError,
     UnsupportedModelError,
 )
 from .expectation import expectation_values
@@ -268,7 +269,7 @@ def run_slln_experiment(model: SequenceModel, schedule: WeightSchedule,
         s_up = normalized_partial_sums(path.values, schedule, upper_centers)
         s_low = normalized_partial_sums(path.values, schedule, lower_centers)
         if not swap_centers and (s_up - s_low).max() > _ORDER_SLACK:
-            raise AssertionError(
+            raise SimulationOrderError(
                 "upper-centered sums exceeded lower-centered sums")
         tail_up = s_up[n_start - 1:]
         tail_low = s_low[n_start - 1:]

@@ -1,9 +1,15 @@
 """Command-line entry point: exit codes, artifacts, determinism."""
 
+import contextlib
+import copy
+import io
 import json
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from nlprob.cli import main
 
@@ -219,3 +225,96 @@ class TestFailureModes:
         with pytest.raises(SystemExit) as exc:
             main(["--version"])
         assert exc.value.code == 0
+
+
+SMALL = {"model": {"space": 2, "measures": [[0.5, 0.5], [0.8, 0.2]],
+                   "variables": {"X": [0.0, 1.0]}},
+         "checks": ["chain"]}
+
+
+def _edited(edit):
+    config = copy.deepcopy(SMALL)
+    edit(config)
+    return json.dumps(config)
+
+
+def _nan_phi(config):
+    config.update(checks=["strassen"], seed=1, schedule={"kind": "kolmogorov"},
+                  phi={"kind": "exp", "rate": float("nan")})
+
+
+HUGE = "9" * 4301  # one digit past Python's int-from-string limit
+
+# (config text, extra flags, model file text or None, what the error names)
+HOSTILE_NUMBERS = {
+    "measure-string": (_edited(lambda c: c["model"].update(
+        measures=[["a", "b"], [0.5, 0.5]])), [], None, "measures[0][0]"),
+    "value-string": (_edited(lambda c: c["model"]["variables"].update(
+        X=["a", 1])), [], None, "variables['X'][0]"),
+    "value-bool": (_edited(lambda c: c["model"]["variables"].update(
+        X=[True, 1])), [], None, "variables['X'][0]"),
+    "phi-nan": (_edited(_nan_phi), [], None, "phi: rate"),
+    "huge-literal": (json.dumps(SMALL)[:-1] + f', "seed": {HUGE}}}', [], None,
+                     "not valid JSON"),
+    "huge-literal-model-file": (_edited(lambda c: c.update(model="m.json")), [],
+                                f'{{"space": {HUGE}}}', "model file"),
+    "tolerance-nan": (json.dumps(SMALL), ["--tolerance", "nan"], None, "--tolerance"),
+    "tolerance-inf": (json.dumps(SMALL), ["--tolerance", "inf"], None, "--tolerance"),
+    "seed-negative": (json.dumps(SMALL), ["--seed", "-1"], None, "--seed"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HOSTILE_NUMBERS))
+def test_hostile_number_exits_two(tmp_path, capsys, case):
+    text, flags, model_text, named = HOSTILE_NUMBERS[case]
+    (tmp_path / "config.json").write_text(text)
+    if model_text is not None:
+        (tmp_path / "m.json").write_text(model_text)
+    code, _, report = run(tmp_path, "all", "--config",
+                          str(tmp_path / "config.json"), *flags)
+    err = capsys.readouterr().err
+    assert code == 2 and report is None
+    assert err.startswith("error: ") and named in err and "Traceback" not in err
+
+
+HOSTILE = ["x", True, None, float("nan"), [], {}, -1, 0, 0.5, 1e-300]
+SHIPPED = [json.loads(Path(path).read_text()) for path in (PAIR, DEMO)]
+
+
+def _node_paths(node, prefix=()):
+    """The path of every leaf and of every value under a key, below ``node``."""
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        children = ()
+    for key, child in children:
+        yield prefix + (key,)
+        yield from _node_paths(child, prefix + (key,))
+
+
+NODES = [(k, path) for k, doc in enumerate(SHIPPED) for path in _node_paths(doc)]
+
+
+@seed(20251018)
+@settings(max_examples=150, deadline=None, database=None)
+@given(st.sampled_from(NODES), st.sampled_from(HOSTILE))
+def test_hostile_config_keeps_exit_code_contract(node, value):
+    # values are small, so no example asks for a large simulation
+    k, path = node
+    config = copy.deepcopy(SHIPPED[k])
+    parent = config
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        (Path(tmp) / "config.json").write_text(json.dumps(config))
+        out = Path(tmp) / "out"
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = main(["all", "--config", str(Path(tmp) / "config.json"),
+                         "--out", str(out)])
+        assert code in (0, 1, 2)
+        if code == 1:
+            assert "\nFAIL " in "\n" + (out / "summary.txt").read_text()

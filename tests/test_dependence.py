@@ -156,9 +156,7 @@ def enumerate_association(model, families, n):
     kept in the order the report promises (first strict maximum wins).
 
     Each coordinate's expectation matrix is computed once for the whole
-    family. Separate ``product_expectation_table`` calls per side would not
-    do: BLAS rounds an entry of ``rows @ W.T`` differently depending on how
-    many rows share the call, and the sides would differ by one ulp.
+    family.
     """
     measures = range(len(model.credal))
 
@@ -258,6 +256,25 @@ class TestVerticalIndependence:
             report = check_vertical_independence(model, 3, funcs)
             assert report.passed
             assert report.worst_gap <= 1e-12
+
+    def test_rectangular_gap_is_exactly_zero(self, make_rectangular, rng):
+        # an entry of the coordinate expectation matrix does not depend on
+        # the other rows of its call, so the joint table and the split
+        # product multiply the same bits, and rounding keeps max(a*b) equal
+        # to max(a)*max(b) for nonnegative factors
+        for _ in range(40):
+            model = make_rectangular(n_vars=3)
+            n = int(rng.integers(2, 5))
+            funcs = [TestFunction("ramp", float(rng.uniform(-10.0, 10.0)),
+                                  float(rng.uniform(0.5, 10.0)))
+                     for _ in range(n)]
+            assert check_vertical_independence(model, n, funcs).worst_gap == 0.0
+            rows = rng.uniform(0.0, 3.0, (int(rng.integers(2, 9)),
+                                          model.credal.size))
+            batch = coordinate_expectation_matrix(model, rows)
+            for i, row in enumerate(rows):
+                alone = coordinate_expectation_matrix(model, row)
+                assert batch[i].tobytes() == alone[0].tobytes()
 
     def test_identical_pair_fails(self, x01):
         credal = credal_set_from_rows([[0.5, 0.5]])

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import nlprob.simulate
 from nlprob import (
     AbsPower,
     AdversaryStrategy,
@@ -23,7 +24,9 @@ from nlprob import (
 from nlprob.errors import (
     BadStrategyParamError,
     IndexOutOfRangeError,
+    NlprobError,
     ScheduleInvalidError,
+    SimulationOrderError,
     UnboundedPhiError,
     UnsupportedModelError,
 )
@@ -196,6 +199,18 @@ class TestRunExperiment:
         for t in result.trajectory_samples:
             assert np.all(t.upper <= t.lower + 1e-9)
             assert np.array_equal(t.steps, result.trajectory_samples[0].steps)
+
+    def test_center_order_fault_is_named(self, marginal_model, kolmogorov,
+                                         monkeypatch):
+        # a partial-sum routine that ignores its centers breaks the order
+        # upper-centred <= lower-centred; that is an internal fault, named
+        monkeypatch.setattr(nlprob.simulate, "normalized_partial_sums",
+                            lambda values, schedule, centers: centers)
+        with pytest.raises(SimulationOrderError) as exc:
+            run_slln_experiment(marginal_model, kolmogorov,
+                                bundled_strategies(), n_steps=1000,
+                                paths_per_strategy=1, seed=1)
+        assert isinstance(exc.value, NlprobError)
 
     def test_swapped_centers_wreck_convergence(self, marginal_model,
                                                kolmogorov):
