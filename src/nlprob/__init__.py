@@ -12,7 +12,6 @@ from __future__ import annotations
 __version__ = "0.1.0"
 
 from .capacity import (
-    CapacityAxiomReport,
     all_events,
     capacity_axiom_report,
     lower_prob,
@@ -36,7 +35,6 @@ from .core import (
     uniform_measure,
 )
 from .dependence import (
-    AssociationReport,
     TestFamily,
     TestFunction,
     binomial_pair_model,
@@ -60,8 +58,6 @@ from .errors import (
 )
 from .expectation import (
     ExpectationBounds,
-    InequalityReport,
-    SublinearAxiomReport,
     borel_cantelli_tail,
     choquet_expectation,
     expectation_chain,

@@ -8,13 +8,11 @@ enumeration. The pair is conjugate: upper(A) + lower(complement A) = 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .core import CredalSet, Event, event_probability, event_probability_table
 from .errors import DimensionMismatchError
-from .reports import CheckResult, all_passed, comparison, equality
+from .reports import CheckResult, comparison, equality
 
 DEFAULT_TOL = 1e-12
 
@@ -45,20 +43,9 @@ def lower_prob_witness(credal: CredalSet, event: Event) -> tuple[float, int]:
     return float(p[j]), j
 
 
-@dataclass(frozen=True)
-class CapacityAxiomReport:
-    """Axiom-by-axiom verdicts for the two envelopes on a list of events."""
-
-    results: tuple[CheckResult, ...]
-    passed: bool
-
-    def worst_gap(self) -> float:
-        return max(r.gap for r in self.results)
-
-
 def capacity_axiom_report(credal: CredalSet, events: list[Event],
-                          tol: float = DEFAULT_TOL) -> CapacityAxiomReport:
-    """Check normalization, monotonicity, conjugacy and envelope dominance.
+                          tol: float = DEFAULT_TOL) -> tuple[CheckResult, ...]:
+    """Records of normalization, monotonicity, conjugacy and envelope dominance.
 
     Normalization is checked on the empty and full events regardless of the
     list; conjugacy per event and union subadditivity over consecutive event
@@ -115,7 +102,7 @@ def capacity_axiom_report(credal: CredalSet, events: list[Event],
             {"event": events[i].sorted_members(),
              "other": events[nxt[i]].sorted_members()}))
 
-    return CapacityAxiomReport(tuple(results), all_passed(results))
+    return tuple(results)
 
 
 def all_events(size: int) -> list[Event]:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any
 
@@ -27,7 +27,7 @@ import numpy as np
 
 from . import __version__
 from .capacity import all_events, capacity_axiom_report
-from .config import CHECK_NAMES, FAMILIES, ExperimentConfig, parse_config
+from .config import CHECK_NAMES, FAMILIES, ExperimentConfig, parse_config, read_text
 from .core import Event
 from .dependence import (
     RAMP,
@@ -90,12 +90,11 @@ def _axiom_records(run: _Run) -> list[CheckResult]:
         singles = [Event(size, frozenset([i])) for i in range(size)]
         prefixes = [Event(size, frozenset(range(i + 1))) for i in range(size)]
         events = singles + prefixes + [e.complement() for e in singles]
-    records = list(capacity_axiom_report(model.credal, events, tol).results)
     x = model.variables[0]
     y = model.variables[1 % len(model.variables)]
-    records.extend(sublinear_axiom_report(model.credal, x, y, lam=2.0, c=1.0,
-                                          a=-1.0, tol=tol).results)
-    return records
+    return [*capacity_axiom_report(model.credal, events, tol),
+            *sublinear_axiom_report(model.credal, x, y, lam=2.0, c=1.0,
+                                    a=-1.0, tol=tol)]
 
 
 def _chain_records(run: _Run) -> list[CheckResult]:
@@ -127,11 +126,10 @@ def _inequality_records(run: _Run) -> list[CheckResult]:
         if top > 0:
             trials.append(("square", AbsPower(2.0), top / 2.0))
         for label, f, threshold in trials:
-            rep = inequality_suite(model.credal, var, other, 2.0, 2.0,
-                                   threshold, f, tol)
-            for r in rep.results:
-                records.append(CheckResult(f"{r.check}:{name}:{label}", r.lhs,
-                                           r.rhs, r.gap, r.passed, r.witness))
+            records.extend(
+                replace(r, check=f"{r.check}:{name}:{label}")
+                for r in inequality_suite(model.credal, var, other, 2.0, 2.0,
+                                          threshold, f, tol))
     return records
 
 
@@ -141,8 +139,7 @@ def _dependence_horizon(config: ExperimentConfig) -> int:
 
 def _na_records(run: _Run) -> list[CheckResult]:
     n = _dependence_horizon(run.config)
-    rep = check_negative_association(run.config.model, n, tol=run.tol)
-    return [rep.record()]
+    return [check_negative_association(run.config.model, n, tol=run.tol)]
 
 
 def _vertical_records(run: _Run) -> list[CheckResult]:
@@ -155,8 +152,7 @@ def _vertical_records(run: _Run) -> list[CheckResult]:
         width = span / 2.0 if span > 0 else 1.0
         mid = float(vals.min() + vals.max()) / 2.0
         funcs.append(TestFunction(RAMP, mid - width / 2.0, width))
-    rep = check_vertical_independence(config.model, n, funcs, run.tol)
-    return [rep.record()]
+    return [check_vertical_independence(config.model, n, funcs, run.tol)]
 
 
 def _forward_records(run: _Run) -> list[CheckResult]:
@@ -315,6 +311,13 @@ def execute(config: ExperimentConfig, subcommand: str = "all",
     if {"slln", "strassen"} & set(selected) and seed is None:
         raise ConfigValidationError("seed: required when simulation checks run")
 
+    out = Path(out_dir if out_dir is not None else (config.out or "out"))
+    try:  # before the checks run, so a bad --out costs no work
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        flag = "--out" if out_dir is not None else "out"
+        raise ConfigValidationError(f"{flag}: cannot create {out}: "
+                                    f"{exc.strerror}") from exc
     run = _Run(config, tol, seed, jobs, selected)
     by_check = {check: RUNNERS[check](run) for check in selected}
 
@@ -340,7 +343,6 @@ def execute(config: ExperimentConfig, subcommand: str = "all",
         "selected_checks": selected,
         "tolerance": tol,
         "seed": seed,
-        "jobs_invariant": True,
         "expected_violations": sorted(config.expected_violations),
         "checks": flat_records,
         "experiment": run.experiment,
@@ -349,8 +351,6 @@ def execute(config: ExperimentConfig, subcommand: str = "all",
         "config": config.raw,
     }
 
-    out = Path(out_dir if out_dir is not None else (config.out or "out"))
-    out.mkdir(parents=True, exist_ok=True)
     (out / "report.json").write_text(dumps(report) + "\n")
     if run.samples:
         _write_csv(out / "trajectories.csv", run.samples)
@@ -407,7 +407,7 @@ def main(argv: list[str] | None = None) -> int:
                            low=0)
         tolerance = read_number(args.tolerance, "--tolerance", optional=True,
                                 above=0.0)
-        config = parse_config(config_path.read_text(),
+        config = parse_config(read_text(config_path, "config"),
                               base_dir=config_path.parent)
         outcome = execute(config, subcommand=args.command, out_dir=args.out,
                           jobs=max(1, args.jobs), seed_override=seed,

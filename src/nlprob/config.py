@@ -205,6 +205,14 @@ def _parse_simulation(doc: Any) -> SimulationSettings:
     )
 
 
+def read_text(path: Path, what: str) -> str:
+    """A file's UTF-8 text; ConfigParseError naming ``what`` otherwise."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigParseError(f"{what} {path} is not UTF-8 text: {exc}") from exc
+
+
 def _load_json(text: str, what: str) -> Any:
     try:
         return json.loads(text)
@@ -235,7 +243,7 @@ def parse_config(text: str, base_dir: str | Path | None = None) -> ExperimentCon
         path = Path(base_dir or ".") / model_doc
         if not path.is_file():
             raise _field_error("model", f"file not found: {path}")
-        model_doc = _load_json(path.read_text(), f"model file {path}")
+        model_doc = _load_json(read_text(path, "model file"), f"model file {path}")
     if not isinstance(model_doc, dict):
         raise _field_error("model", "must be an object or a file path")
     try:

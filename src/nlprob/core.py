@@ -28,6 +28,7 @@ from .errors import (
     EmptyVectorError,
     IndexOutOfRangeError,
     NegativeWeightError,
+    NonFiniteError,
     NotNormalizedError,
 )
 
@@ -149,13 +150,13 @@ def make_measure(weights) -> ProbabilityMeasure:
 
     Raises
     ------
-    EmptyVectorError, NegativeWeightError, NotNormalizedError
+    EmptyVectorError, NonFiniteError, NegativeWeightError, NotNormalizedError
     """
     w = np.asarray(weights, dtype=float)
     if w.ndim != 1 or w.size == 0:
         raise EmptyVectorError("measure needs a nonempty 1-d weight vector")
     if not np.all(np.isfinite(w)):
-        raise ValueError("weights must be finite")
+        raise NonFiniteError("weights must be finite")
     low = w.min()
     if low < WEIGHT_FLOOR:
         raise NegativeWeightError(
@@ -191,7 +192,7 @@ class RandomVariable:
         if v.ndim != 1 or v.size == 0:
             raise EmptyVectorError("random variable needs a nonempty value vector")
         if not np.all(np.isfinite(v)):
-            raise ValueError("random variable values must be finite")
+            raise NonFiniteError("random variable values must be finite")
         object.__setattr__(self, "values", _readonly(v))
 
     @property

@@ -198,28 +198,6 @@ def default_families(model: SequenceModel, n_thresholds: int = 9,
     return out[0], out[1]
 
 
-@dataclass(frozen=True)
-class AssociationReport:
-    """Outcome of a finite dependence sweep."""
-
-    check: str
-    verdict: str
-    worst_gap: float
-    checked: int
-    tolerance: float
-    witness: dict[str, Any] | None = None
-
-    @property
-    def passed(self) -> bool:
-        return self.verdict == VERDICT_OK
-
-    def record(self) -> CheckResult:
-        """The report as a check record: worst gap against the tolerance."""
-        return CheckResult(self.check, self.worst_gap, self.tolerance,
-                           self.worst_gap, self.passed, self.witness,
-                           self.verdict, self.checked)
-
-
 def _sweep_family(model: SequenceModel, family: TestFamily, n: int,
                   ) -> tuple[float, int, dict[str, Any]]:
     """Worst gap over splits k=2..n and all assignments from one family
@@ -246,7 +224,7 @@ def _sweep_family(model: SequenceModel, family: TestFamily, n: int,
 
 def check_negative_association(model: SequenceModel, n: int,
                                family: TestFamily | None = None,
-                               tol: float = DEFAULT_TOL) -> AssociationReport:
+                               tol: float = DEFAULT_TOL) -> CheckResult:
     """Sweep the split inequalities over ramp families on coordinates 1..n.
 
     With ``family=None`` both default directions are swept; otherwise only
@@ -264,8 +242,8 @@ def check_negative_association(model: SequenceModel, n: int,
     worst, _, witness = max(sweeps, key=lambda sweep: sweep[0])  # first on ties
     checked = sum(c for _, c, _ in sweeps)
     verdict = VERDICT_VIOLATED if worst > tol else VERDICT_OK
-    return AssociationReport("negative-association", verdict, worst, checked,
-                             tol, witness)
+    return CheckResult("negative-association", worst, tol, worst,
+                       verdict == VERDICT_OK, witness, verdict, checked)
 
 
 def _as_rows(model: SequenceModel, functions: Sequence[Callable], n: int
@@ -285,13 +263,14 @@ def _as_rows(model: SequenceModel, functions: Sequence[Callable], n: int
 
 def check_vertical_independence(model: SequenceModel, n: int,
                                 functions: Sequence[Callable],
-                                tol: float = DEFAULT_TOL) -> AssociationReport:
+                                tol: float = DEFAULT_TOL) -> CheckResult:
     """Check the split relations hold with *equality* for one nonnegative
     function tuple (f_1, ..., f_n). n = 1 passes vacuously."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     if n == 1:
-        return AssociationReport("vertical-independence", VERDICT_OK, 0.0, 0, tol)
+        return CheckResult("vertical-independence", 0.0, tol, 0.0, True, None,
+                           VERDICT_OK, 0)
     rows = _as_rows(model, functions, n)
     if rows.min() < 0.0:
         i, _ = np.unravel_index(int(rows.argmin()), rows.shape)
@@ -310,8 +289,8 @@ def check_vertical_independence(model: SequenceModel, n: int,
             worst = violation
             witness = {"split": k, "lhs": lhs, "rhs": prefix * marginal}
     verdict = VERDICT_VIOLATED if worst > tol else VERDICT_OK
-    return AssociationReport("vertical-independence", verdict, worst, checked,
-                             tol, witness)
+    return CheckResult("vertical-independence", worst, tol, worst,
+                       verdict == VERDICT_OK, witness, verdict, checked)
 
 
 def forward_factorization_value(model: SequenceModel, g: Callable, f: Callable,

@@ -1,9 +1,9 @@
 """Exception hierarchy.
 
 Every error raised on a documented failure path derives from NlprobError, so
-callers can catch the package root. Input-contract violations that the public
-ops do not enumerate (wrong types, non-finite numbers) raise plain ValueError
-or TypeError as usual.
+callers can catch the package root. A non-finite number raises NonFiniteError
+(also a ValueError); other input-contract violations that the public ops do
+not enumerate (wrong types) raise plain ValueError or TypeError as usual.
 """
 
 from __future__ import annotations
@@ -88,6 +88,10 @@ class UnsupportedModelError(NlprobError, ValueError):
 class SimulationOrderError(NlprobError):
     """Upper-centred partial sums exceeded lower-centred ones; signals an
     internal bug."""
+
+
+class NonFiniteError(NlprobError, ValueError):
+    """A number that must be finite is inf or NaN, given or by overflow."""
 
 
 class LengthMismatchError(NlprobError):

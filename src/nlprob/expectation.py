@@ -34,7 +34,7 @@ from .errors import (
     NonPositiveFunctionError,
 )
 from .functions import INCREASING, ScalarFunction
-from .reports import CheckResult, all_passed, comparison, equality
+from .reports import CheckResult, comparison, equality
 
 CHAIN_TOL = 1e-12
 UPPER = "upper"
@@ -128,16 +128,10 @@ def expectation_chain(credal: CredalSet, variable: RandomVariable) -> Expectatio
     )
 
 
-@dataclass(frozen=True)
-class SublinearAxiomReport:
-    results: tuple[CheckResult, ...]
-    passed: bool
-
-
 def sublinear_axiom_report(credal: CredalSet, x: RandomVariable, y: RandomVariable,
                            lam: float = 2.0, c: float = 1.0, a: float = -1.0,
-                           tol: float = CHAIN_TOL) -> SublinearAxiomReport:
-    """Verify the sublinear-expectation axioms on a concrete (X, Y, lam, c, a).
+                           tol: float = CHAIN_TOL) -> tuple[CheckResult, ...]:
+    """Sublinear-expectation axiom records for a concrete (X, Y, lam, c, a).
 
     Monotonicity is only meaningful when X >= Y pointwise; otherwise that
     record is marked inapplicable and passes vacuously. ``lam`` must be >= 0.
@@ -186,20 +180,14 @@ def sublinear_axiom_report(credal: CredalSet, x: RandomVariable, y: RandomVariab
         "conjugation",
         lower_expectation(credal, x),
         -upper_expectation(credal, neg), tol))
-    return SublinearAxiomReport(tuple(results), all_passed(results))
-
-
-@dataclass(frozen=True)
-class InequalityReport:
-    results: tuple[CheckResult, ...]
-    passed: bool
-    chebyshev_variant: str
+    return tuple(results)
 
 
 def inequality_suite(credal: CredalSet, x: RandomVariable, y: RandomVariable,
                      p: float, q: float, threshold: float, f: ScalarFunction,
-                     tol: float = CHAIN_TOL) -> InequalityReport:
-    """Hoelder, Chebyshev (both envelopes) and Jensen on concrete inputs.
+                     tol: float = CHAIN_TOL) -> tuple[CheckResult, ...]:
+    """Records of Hoelder, Chebyshev (both envelopes, the variant in their
+    witness) and Jensen on concrete inputs.
 
     Preconditions: p, q > 1 conjugate within 1e-12 (BadExponentsError);
     f positive at the threshold (NonPositiveFunctionError) and structurally
@@ -258,7 +246,7 @@ def inequality_suite(credal: CredalSet, x: RandomVariable, y: RandomVariable,
         upper_expectation(credal, RandomVariable(np.asarray(f(x.values), dtype=float))),
         tol))
 
-    return InequalityReport(tuple(results), all_passed(results), variant)
+    return tuple(results)
 
 
 @dataclass(frozen=True)

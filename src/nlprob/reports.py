@@ -15,6 +15,8 @@ import json
 from dataclasses import dataclass
 from typing import Any, Mapping, Sequence
 
+from .errors import NonFiniteError
+
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -73,5 +75,10 @@ def _plain(obj: Any) -> Any:
 
 
 def dumps(payload: Any) -> str:
-    """Deterministic JSON text: construction key order, shortest float repr."""
-    return json.dumps(_plain(payload), indent=2, allow_nan=False)
+    """Deterministic JSON text: construction key order, shortest float repr.
+    Raises NonFiniteError if the payload holds inf or NaN."""
+    plain = _plain(payload)
+    try:
+        return json.dumps(plain, indent=2, allow_nan=False)
+    except ValueError as exc:  # allow_nan=False refuses inf and NaN
+        raise NonFiniteError(f"a report value is not finite: {exc}") from None

@@ -17,7 +17,7 @@ from nlprob import (
     upper_prob_witness,
 )
 from nlprob.errors import DimensionMismatchError
-from nlprob.reports import CheckResult, comparison, equality
+from nlprob.reports import CheckResult, all_passed, comparison, equality
 
 
 class TestEnvelopes:
@@ -61,8 +61,8 @@ class TestAxiomReport:
     def test_exhaustive_random_credal(self, make_credal):
         for _ in range(25):
             c = make_credal()
-            report = capacity_axiom_report(c, all_events(c.size), tol=1e-12)
-            assert report.passed, report.worst_gap()
+            records = capacity_axiom_report(c, all_events(c.size), tol=1e-12)
+            assert all_passed(records), max(r.gap for r in records)
 
     def test_monotonicity_exact(self, make_credal):
         c = make_credal(size=6)
@@ -75,20 +75,20 @@ class TestAxiomReport:
 
     def test_singleton_all_gaps_zero(self, rng):
         c = credal_set_from_rows([rng.dirichlet(np.ones(5))])
-        report = capacity_axiom_report(c, all_events(5), tol=1e-12)
-        assert report.passed
-        assert report.worst_gap() <= 1e-15
+        records = capacity_axiom_report(c, all_events(5), tol=1e-12)
+        assert all_passed(records)
+        assert max(r.gap for r in records) <= 1e-15
 
     def test_subset_of_full_space(self, make_credal):
         c = make_credal(size=4)
         assert upper_prob(c, Event(4, frozenset([1, 2]))) <= 1.0
 
     def test_report_record_inventory(self, two_point_credal):
-        report = capacity_axiom_report(two_point_credal, all_events(2), tol=1e-12)
-        names = {r.check for r in report.results}
+        records = capacity_axiom_report(two_point_credal, all_events(2), tol=1e-12)
+        names = {r.check for r in records}
         assert {"conjugacy", "dominance", "upper-monotonicity",
                 "lower-monotonicity", "upper-normalization-full"} <= names
-        spot = [r for r in report.results if r.check == "upper-subadditivity-spot"]
+        spot = [r for r in records if r.check == "upper-subadditivity-spot"]
         assert spot and spot[0].witness is not None
 
     def test_monotone_sequence_stabilizes(self, make_credal):
@@ -189,19 +189,19 @@ class TestClosedForm:
                 keep = np.sort(rng.choice(len(events), 96, replace=False))
                 events = [events[i] for i in keep]
             tol = (1e-12, 0.0)[t % 2]
-            report = capacity_axiom_report(credal, events, tol)
+            records = capacity_axiom_report(credal, events, tol)
             expected = pairwise_axiom_report(credal, events, tol)
             assert [(r.check, r.lhs, r.rhs, r.gap, r.passed, r.witness)
-                    for r in report.results] == \
+                    for r in records] == \
                 [(r.check, r.lhs, r.rhs, r.gap, r.passed, r.witness)
                  for r in expected]
-            assert all(type(x) is float for r in report.results
+            assert all(type(x) is float for r in records
                        for x in (r.lhs, r.rhs, r.gap))
 
     def test_empty_and_single_event_lists(self, make_credal):
         c = make_credal(size=4)
         for events in ([], [Event(4, frozenset([1, 3]))]):
-            assert list(capacity_axiom_report(c, events).results) == \
+            assert list(capacity_axiom_report(c, events)) == \
                 pairwise_axiom_report(c, events, 1e-12)
 
     def test_wrong_size_event_raises(self, make_credal):
@@ -217,7 +217,7 @@ class TestClosedForm:
             credal = credal_set_from_rows(
                 random_weight_rows(rng, "zero-outcome", size))
             gaps = {r.check: r.gap for r in
-                    capacity_axiom_report(credal, all_events(size)).results}
+                    capacity_axiom_report(credal, all_events(size))}
             assert gaps["upper-monotonicity"] == 0.0
             assert gaps["lower-monotonicity"] == 0.0
 

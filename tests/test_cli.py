@@ -238,12 +238,23 @@ def _edited(edit):
     return json.dumps(config)
 
 
-def _nan_phi(config):
-    config.update(checks=["strassen"], seed=1, schedule={"kind": "kolmogorov"},
-                  phi={"kind": "exp", "rate": float("nan")})
+def _phi_rate(rate):
+    def edit(config):
+        config.update(checks=["strassen"], seed=1,
+                      schedule={"kind": "kolmogorov"},
+                      phi={"kind": "exp", "rate": rate})
+    return edit
+
+
+def _overflowing_values(config):
+    config["model"].update(space=3, measures=[[0.5, 0.25, 0.25]],
+                           variables={"X": [1e308, -1e308, 0.0]})
+    config.update(checks=["axioms"])
 
 
 HUGE = "9" * 4301  # one digit past Python's int-from-string limit
+DEMO_HUGE_C = json.loads(Path(DEMO).read_text())
+DEMO_HUGE_C["schedule"]["C"] = 1e308
 
 # (config text, extra flags, model file text or None, what the error names)
 HOSTILE_NUMBERS = {
@@ -253,7 +264,12 @@ HOSTILE_NUMBERS = {
         X=["a", 1])), [], None, "variables['X'][0]"),
     "value-bool": (_edited(lambda c: c["model"]["variables"].update(
         X=[True, 1])), [], None, "variables['X'][0]"),
-    "phi-nan": (_edited(_nan_phi), [], None, "phi: rate"),
+    "phi-nan": (_edited(_phi_rate(float("nan"))), [], None, "phi: rate"),
+    # finite inputs whose results overflow to inf
+    "phi-rate-overflow": (_edited(_phi_rate(1e308)), [], None, "not finite"),
+    "schedule-C-overflow": (json.dumps(DEMO_HUGE_C), [], None, "not finite"),
+    "values-sum-overflow": (_edited(_overflowing_values), [], None,
+                            "must be finite"),
     "huge-literal": (json.dumps(SMALL)[:-1] + f', "seed": {HUGE}}}', [], None,
                      "not valid JSON"),
     "huge-literal-model-file": (_edited(lambda c: c.update(model="m.json")), [],
@@ -275,6 +291,33 @@ def test_hostile_number_exits_two(tmp_path, capsys, case):
     err = capsys.readouterr().err
     assert code == 2 and report is None
     assert err.startswith("error: ") and named in err and "Traceback" not in err
+
+
+NOT_UTF8 = json.dumps(SMALL).replace("chain", "chain\xe9").encode("latin-1")
+
+# (config bytes, model file bytes or None, --out below tmp_path, named)
+UNUSABLE_FILES = {
+    "out-is-a-file": (json.dumps(SMALL).encode(), None, "config.json", "--out"),
+    "out-under-a-file": (json.dumps(SMALL).encode(), None, "config.json/out",
+                         "--out"),
+    "config-not-utf8": (NOT_UTF8, None, "out", "config"),
+    "model-file-not-utf8": (_edited(lambda c: c.update(model="m.json")).encode(),
+                            json.dumps(SMALL["model"]).encode("utf-16"), "out",
+                            "model file"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNUSABLE_FILES))
+def test_unusable_file_exits_two(tmp_path, capsys, case):
+    config, model, out, named = UNUSABLE_FILES[case]
+    (tmp_path / "config.json").write_bytes(config)
+    if model is not None:
+        (tmp_path / "m.json").write_bytes(model)
+    code = main(["all", "--config", str(tmp_path / "config.json"),
+                 "--out", str(tmp_path / out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"error: {named}") and "Traceback" not in err
 
 
 HOSTILE = ["x", True, None, float("nan"), [], {}, -1, 0, 0.5, 1e-300]

@@ -103,7 +103,7 @@ class TestNegativeAssociation:
         report = check_negative_association(pair_model, 2)
         assert report.passed
         assert report.verdict == "no-counterexample-found"
-        assert report.worst_gap <= 1e-9
+        assert report.gap <= 1e-9
 
     def test_identical_pair_violated(self, x01):
         credal = credal_set_from_rows([[0.5, 0.5]])
@@ -112,7 +112,7 @@ class TestNegativeAssociation:
         assert not report.passed
         assert report.verdict == "violated"
         # sharp ramp separates: E[f^2] - E[f]^2 = 0.5 - 0.25
-        assert report.worst_gap == pytest.approx(0.25, abs=1e-12)
+        assert report.gap == pytest.approx(0.25, abs=1e-12)
         assert report.witness is not None and report.witness["split"] == 2
 
     def test_rectangular_models_clean(self, make_rectangular):
@@ -216,7 +216,7 @@ class TestRectangularClosedForm:
             n = int(rng.integers(2, 4))
             report = check_negative_association(model, n, family=family)
             worst, checked, witness = enumerate_association(model, [family], n)
-            assert report.worst_gap == worst == 0.0
+            assert report.gap == worst == 0.0
             assert report.checked == checked
             assert report.witness == witness
             assert report.passed
@@ -227,7 +227,7 @@ class TestRectangularClosedForm:
             report = check_negative_association(model, 2)
             worst, checked, witness = enumerate_association(
                 model, default_families(model), 2)
-            assert report.worst_gap == worst == 0.0
+            assert report.gap == worst == 0.0
             assert report.checked == checked == 2 * 27 ** 2
             assert report.witness == witness
 
@@ -235,7 +235,7 @@ class TestRectangularClosedForm:
         # 27 functions per family at n = 5: 27^5 assignments at the last
         # split, more than an enumeration could afford
         report = check_negative_association(make_rectangular(n_vars=2), 5)
-        assert report.passed and report.worst_gap == 0.0
+        assert report.passed and report.gap == 0.0
         assert report.checked == 2 * sum(27 ** k for k in range(2, 6))
 
     def test_horizon_capped_like_the_oracle(self, make_rectangular):
@@ -255,7 +255,7 @@ class TestVerticalIndependence:
                                           float(vals.max() - vals.min()) or 1.0))
             report = check_vertical_independence(model, 3, funcs)
             assert report.passed
-            assert report.worst_gap <= 1e-12
+            assert report.gap <= 1e-12
 
     def test_rectangular_gap_is_exactly_zero(self, make_rectangular, rng):
         # an entry of the coordinate expectation matrix does not depend on
@@ -268,7 +268,7 @@ class TestVerticalIndependence:
             funcs = [TestFunction("ramp", float(rng.uniform(-10.0, 10.0)),
                                   float(rng.uniform(0.5, 10.0)))
                      for _ in range(n)]
-            assert check_vertical_independence(model, n, funcs).worst_gap == 0.0
+            assert check_vertical_independence(model, n, funcs).gap == 0.0
             rows = rng.uniform(0.0, 3.0, (int(rng.integers(2, 9)),
                                           model.credal.size))
             batch = coordinate_expectation_matrix(model, rows)
@@ -281,7 +281,7 @@ class TestVerticalIndependence:
         model = SequenceModel(credal, (x01, x01), "comonotone-pair")
         report = check_vertical_independence(model, 2, [UNIT_RAMP, UNIT_RAMP])
         assert not report.passed
-        assert report.worst_gap == pytest.approx(0.25, abs=1e-15)
+        assert report.gap == pytest.approx(0.25, abs=1e-15)
 
     def test_single_coordinate_vacuous(self, pair_model):
         report = check_vertical_independence(pair_model, 1, [UNIT_RAMP])

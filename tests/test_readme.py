@@ -1,0 +1,15 @@
+"""The README's library example prints the values its comments state."""
+
+import re
+from pathlib import Path
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_library_example_prints_its_comments(capsys):
+    section = README.read_text().split("## Library example", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    # each comment opens with the printed value, before any ": " remark
+    expected = [c.split(": ", 1)[0] for c in re.findall(r"# (.+)", code)]
+    exec(compile(code, str(README), "exec"), {})
+    assert capsys.readouterr().out.splitlines() == expected
