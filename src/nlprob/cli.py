@@ -178,12 +178,11 @@ def _truncation_records(run: _Run) -> list[CheckResult]:
         var = model.variable_at(i)
         params = truncation_params(schedule, i, model.credal, var)
         truncated = truncate(var, params)
+        mean = upper_expectation(model.credal, truncated)
         records.append(equality(
-            f"truncation-mean[{i}]",
-            upper_expectation(model.credal, truncated),
+            f"truncation-mean[{i}]", mean,
             upper_expectation(model.credal, var), eq_tol,
             {"b": params.center, "c": params.half_width, "d": params.recenter}))
-        mean = upper_expectation(model.credal, truncated)
         reach = float(schedule.a(i)) * float(np.abs(truncated.values - mean).max())
         envelope = 6.0 * schedule.C * float(schedule.A(i)) / math.log(i + 1)
         records.append(CheckResult(f"truncation-bound[{i}]", reach, envelope,

@@ -125,7 +125,8 @@ class Exp(ScalarFunction):
     def lipschitz_on_ray(self, upper: float) -> float:
         if self.rate < 0:
             return float("inf")
-        return abs(self.rate) * float(np.exp(self.rate * upper))
+        with np.errstate(over="ignore"):  # inf is refused as NonFiniteError
+            return abs(self.rate) * float(np.exp(self.rate * upper))
 
     @property
     def descriptor(self):

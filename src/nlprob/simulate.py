@@ -19,6 +19,12 @@ sums at n0, which depends on A_n and n0: with A_n = n^0.8 and n0 = 1e4 that
 scale is about 0.029 and a driftless path crosses eps = 0.05 about one time
 in ten, while with A_n = n the same eps sits near 11 sigma.
 
+Per experiment the weight table (a_i, A_n) is evaluated once and shared by
+every path; per path the sampler draws one uniform per step and inverts the
+chosen measure's CDF by bisecting for the count of cumulative weights at or
+below it (see ``sample_path``), then forms both trajectories from the same
+values.
+
 Determinism: each path's generator is derived from (master seed, strategy
 index, path index) via seed-sequence spawn keys, and aggregation reduces in
 path order, so results are bit-identical for any worker count.
@@ -114,6 +120,12 @@ def _seed_sequence(seed, *key: int) -> np.random.SeedSequence:
     return np.random.SeedSequence(entropy=int(seed), spawn_key=key)
 
 
+def _cycle(pattern: np.ndarray, n_steps: int) -> np.ndarray:
+    """pattern[t % len(pattern)] for t = 0..n_steps-1, by tiling: an integer
+    modulo over every step costs ten times as much."""
+    return np.tile(pattern, -(-n_steps // len(pattern)))[:n_steps]
+
+
 def _strategy_choices(model: SequenceModel, strategy: AdversaryStrategy,
                       n_steps: int, seed) -> np.ndarray:
     m = len(model.credal)
@@ -123,7 +135,7 @@ def _strategy_choices(model: SequenceModel, strategy: AdversaryStrategy,
                 f"fixed({strategy.index}) with only {m} measures")
         return np.full(n_steps, strategy.index, dtype=np.int64)
     if strategy.kind == CYCLIC:
-        return np.arange(n_steps, dtype=np.int64) % m
+        return _cycle(np.arange(m, dtype=np.int64), n_steps)
     if strategy.kind == IID_RANDOM:
         rng = np.random.Generator(np.random.PCG64(
             _seed_sequence(seed, 1, strategy.salt)))
@@ -131,7 +143,26 @@ def _strategy_choices(model: SequenceModel, strategy: AdversaryStrategy,
     # drift-max: per distinct coordinate variable, lowest maximizing index
     per_var = np.array([int(expectation_values(model.credal, v).argmax())
                         for v in model.variables], dtype=np.int64)
-    return per_var[np.arange(n_steps, dtype=np.int64) % len(model.variables)]
+    return _cycle(per_var, n_steps)
+
+
+def _inverse_cdf(weights: np.ndarray, choices: np.ndarray,
+                 u: np.ndarray) -> np.ndarray:
+    """Outcome index of each step: #{k < size - 1 : F_{choices[t]}(k) <= u[t]}
+    for the cumulative weights F, by bisection (see ``sample_path`` for why
+    it is exact)."""
+    m, size = weights.shape
+    width = 1 << (size - 1).bit_length()  # the least power of two >= size
+    table = np.full((m, width), np.inf)
+    table[:, :size - 1] = np.cumsum(weights, axis=1)[:, :-1]
+    table = table.ravel()
+    row = choices * width
+    pos = row.copy()
+    step = width // 2
+    while step:  # decide the bits of the count, highest first
+        pos += step * (table[pos + (step - 1)] <= u)
+        step //= 2
+    return pos - row
 
 
 def sample_path(model: SequenceModel, strategy: AdversaryStrategy,
@@ -140,6 +171,24 @@ def sample_path(model: SequenceModel, strategy: AdversaryStrategy,
 
     ``seed`` is an integer or a numpy SeedSequence; the outcome stream and
     an iid-random strategy's choice stream use disjoint substreams of it.
+
+    Step t draws u_t uniform on [0, 1) and takes the outcome
+
+        o_t = #{k < size - 1 : F_{j_t}(k) <= u_t},
+
+    with F_j the cumulative weights of measure j = choices[t]. This is the
+    inverse CDF ``min(searchsorted(F_j, u_t, side="right"), size - 1)``
+    exactly: a cumulative sum of nonnegative floats is nondecreasing even
+    after rounding, so the k with F_j(k) <= u_t form a prefix of the row
+    and searchsorted returns its length; counting only over k < size - 1
+    caps that length at size - 1 as the clip did (the last entry may round
+    below 1.0, so u_t can reach it). Since the counted set is a prefix, its
+    length is found by bisection: each row is stored as F_j(0..size-2)
+    padded with +inf (never <= u_t) to a power-of-two width W, and log2(W)
+    passes of one gather and one comparison set the bits of o_t from the
+    highest down. A pass costs the same for every step and measure, so
+    there is no sort and no per-measure mask; the cost grows with
+    log(size), and a two-outcome space takes one pass.
     """
     if not model.product_measures:
         raise UnsupportedModelError(
@@ -149,14 +198,9 @@ def sample_path(model: SequenceModel, strategy: AdversaryStrategy,
     choices = _strategy_choices(model, strategy, n_steps, seed)
     rng = np.random.Generator(np.random.PCG64(_seed_sequence(seed, 0)))
     u = rng.random(n_steps)
-    cumulative = np.cumsum(model.credal.weight_matrix(), axis=1)
-    outcomes = np.empty(n_steps, dtype=np.int64)
-    for j in np.unique(choices):
-        mask = choices == j
-        outcomes[mask] = np.searchsorted(cumulative[j], u[mask], side="right")
-    np.clip(outcomes, 0, model.credal.size - 1, out=outcomes)
+    outcomes = _inverse_cdf(model.credal.weight_matrix(), choices, u)
     value_table = np.vstack([v.values for v in model.variables])
-    var_idx = np.arange(n_steps, dtype=np.int64) % len(model.variables)
+    var_idx = _cycle(np.arange(len(model.variables), dtype=np.int64), n_steps)
     values = value_table[var_idx, outcomes]
     base = _seed_sequence(seed)
     return SamplePath(tuple(int(k) for k in base.spawn_key), choices, outcomes,
@@ -248,16 +292,15 @@ def run_slln_experiment(model: SequenceModel, schedule: WeightSchedule,
         raise ValueError(
             f"n_start must be in [100, {n_steps}), got {n_start}")
 
-    n_vars = len(model.variables)
     upper_c = np.array([float(expectation_values(model.credal, v).max())
                         for v in model.variables])
     lower_c = np.array([float(expectation_values(model.credal, v).min())
                         for v in model.variables])
     if swap_centers:
         upper_c, lower_c = lower_c, upper_c
-    idx = np.arange(n_steps) % n_vars
-    upper_centers = upper_c[idx]
-    lower_centers = lower_c[idx]
+    table = schedule.table(n_steps)
+    upper_centers = _cycle(upper_c, n_steps)
+    lower_centers = _cycle(lower_c, n_steps)
     grid = sample_grid(n_steps, n_start, grid_points)
     phi_bound = phi.sup_on_nonpositive() if phi is not None else None
 
@@ -266,14 +309,17 @@ def run_slln_experiment(model: SequenceModel, schedule: WeightSchedule,
         strat = strategies[si]
         path = sample_path(model, strat, n_steps,
                            _seed_sequence(seed, si, pi))
-        s_up = normalized_partial_sums(path.values, schedule, upper_centers)
-        s_low = normalized_partial_sums(path.values, schedule, lower_centers)
+        s_up = normalized_partial_sums(path.values, table, upper_centers)
+        s_low = normalized_partial_sums(path.values, table, lower_centers)
         if not swap_centers and (s_up - s_low).max() > _ORDER_SLACK:
             raise SimulationOrderError(
                 "upper-centered sums exceeded lower-centered sums")
         tail_up = s_up[n_start - 1:]
         tail_low = s_low[n_start - 1:]
-        phi_sup = float(np.max(phi(tail_up))) if phi is not None else None
+        phi_sup = None
+        if phi is not None:
+            with np.errstate(over="ignore"):  # an inf sup is NonFiniteError later
+                phi_sup = float(np.max(phi(tail_up)))
         summary = PathSummary(strat.label, pi, float(s_up[-1]), float(s_low[-1]),
                               float(tail_up.max()), float(tail_low.min()),
                               phi_sup)

@@ -112,6 +112,11 @@ class WeightSchedule:
             return table[idx]
         raise ValueError(f"unknown normalizer rule {self.A_kind!r}")
 
+    def table(self, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """The arrays (a_1..a_n, A_1..A_n), evaluated once for a horizon n."""
+        ii = np.arange(1, n + 1)
+        return self.a(ii), self.A(ii)
+
     @property
     def descriptor(self) -> dict:
         return {"kind": self.kind, "p": self.p, "alpha": self.alpha,
@@ -228,7 +233,8 @@ def truncation_params(schedule: WeightSchedule, i: int, credal: CredalSet,
     if i < 1:
         raise DegenerateLogError(f"coordinate index must be >= 1, got {i}")
     b = upper_expectation(credal, variable)
-    c = float(schedule.C * schedule.A(i) / (schedule.a(i) * math.log(i + 1)))
+    with np.errstate(over="ignore"):  # an inf half-width is NonFiniteError later
+        c = float(schedule.C * schedule.A(i) / (schedule.a(i) * math.log(i + 1)))
     clipped = np.clip(variable.values - b, -c, c)
     d = b - upper_expectation(credal, RandomVariable(clipped))
     return TruncationParams(i, b, c, d)
@@ -287,14 +293,22 @@ def exp_moment_bound_sequence(model: SequenceModel, schedule: WeightSchedule,
                      for n in range(1, n_max + 1)])
 
 
-def normalized_partial_sums(values, schedule: WeightSchedule,
+def normalized_partial_sums(values, table: tuple[np.ndarray, np.ndarray],
                             centers) -> np.ndarray:
     """S_n = sum_{i<=n} a_i (x_i - center_i) / A_n for n = 1..N, one
-    prefix-sum pass."""
+    prefix-sum pass. ``table`` is ``WeightSchedule.table(m)`` for some
+    m >= N; the steps run in one buffer, in the order subtract, scale,
+    cumsum, divide, so the result is bit for bit
+    ``np.cumsum(a * (x - c)) / A``."""
     x = np.asarray(values, dtype=float)
     c = np.asarray(centers, dtype=float)
-    if c.size < x.size:
+    a, A = table
+    if min(c.size, len(a), len(A)) < x.size:
         raise LengthMismatchError(
-            f"{c.size} centers for {x.size} steps; need at least as many")
-    ii = np.arange(1, x.size + 1)
-    return np.cumsum(schedule.a(ii) * (x - c[:x.size])) / schedule.A(ii)
+            f"{c.size} centers, {len(a)} weights and {len(A)} normalizers "
+            f"for {x.size} steps; need at least as many of each")
+    out = np.subtract(x, c[:x.size])
+    out *= a[:x.size]
+    np.cumsum(out, out=out)
+    out /= A[:x.size]
+    return out

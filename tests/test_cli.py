@@ -5,6 +5,7 @@ import copy
 import io
 import json
 import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
@@ -291,6 +292,22 @@ def test_hostile_number_exits_two(tmp_path, capsys, case):
     err = capsys.readouterr().err
     assert code == 2 and report is None
     assert err.startswith("error: ") and named in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("case", ["phi-rate-overflow", "schedule-C-overflow",
+                                  "values-sum-overflow"])
+def test_overflow_is_an_error_not_a_warning(tmp_path, capsys, case):
+    # the overflow itself is the configuration error: numpy's RuntimeWarning
+    # must not reach stderr ahead of the CLI's own "error:" line
+    text, flags, _, _ = HOSTILE_NUMBERS[case]
+    (tmp_path / "config.json").write_text(text)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, _, _ = run(tmp_path, "all", "--config",
+                         str(tmp_path / "config.json"), *flags)
+    assert code == 2
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 NOT_UTF8 = json.dumps(SMALL).replace("chain", "chain\xe9").encode("latin-1")

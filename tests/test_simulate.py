@@ -152,6 +152,80 @@ class TestSamplePath:
         assert hits >= 49
 
 
+def _searchsorted_path(model, choices, n_steps, seed):
+    """The sampler as first written, kept as an oracle: a masked
+    searchsorted per measure, clipped to the last outcome."""
+    u = np.random.Generator(np.random.PCG64(
+        np.random.SeedSequence(entropy=seed, spawn_key=(0,)))).random(n_steps)
+    cumulative = np.cumsum(model.credal.weight_matrix(), axis=1)
+    outcomes = np.empty(n_steps, dtype=np.int64)
+    for j in np.unique(choices):
+        mask = choices == j
+        outcomes[mask] = np.searchsorted(cumulative[j], u[mask], side="right")
+    np.clip(outcomes, 0, model.credal.size - 1, out=outcomes)
+    value_table = np.vstack([v.values for v in model.variables])
+    var_idx = np.arange(n_steps) % len(model.variables)
+    return outcomes, value_table[var_idx, outcomes]
+
+
+def _random_rectangular_model(rng):
+    # mostly the small spaces of the configs, sometimes a larger one, where
+    # the sampler's bisection takes up to seven passes
+    size = int(rng.integers(1, 11) if rng.random() < 0.8
+               else rng.integers(11, 130))
+    rows = rng.random((int(rng.integers(1, 6)), size))
+    rows[rng.random(rows.shape) < 0.3] = 0.0   # zero-weight outcomes
+    rows[:, rng.integers(size)] += 0.1         # no empty row
+    rows /= rows.sum(axis=1, keepdims=True)    # cumsums may end below 1.0
+    variables = tuple(RandomVariable(rng.normal(size=size))
+                      for _ in range(int(rng.integers(1, 4))))
+    return SequenceModel(credal_set_from_rows(rows), variables, "rectangular")
+
+
+def test_inverse_cdf_matches_searchsorted_oracle(rng):
+    strategies = (AdversaryStrategy("fixed", 0), AdversaryStrategy("cyclic"),
+                  AdversaryStrategy("iid-random"),
+                  AdversaryStrategy("drift-max"))
+    for trial in range(100):
+        model = _random_rectangular_model(rng)
+        n_steps = int(rng.integers(1, 3000))
+        for strat in strategies:
+            path = sample_path(model, strat, n_steps, trial)
+            outcomes, values = _searchsorted_path(model, path.choices,
+                                                  n_steps, trial)
+            assert np.array_equal(path.outcomes, outcomes)
+            assert np.array_equal(path.values, values)
+
+
+def test_inverse_cdf_is_exact_at_the_boundaries(rng):
+    # u placed on, just under and just over every cumulative weight, plus
+    # the extremes of [0, 1): the ties decide side="right", and a row whose
+    # sum rounds below 1.0 lets u pass its last entry, where searchsorted
+    # returns size and the clip gave the last outcome; the sizes sit on,
+    # under and over powers of two, so the bisection pads a row with +inf
+    # from one entry up to almost half of it
+    for rows in ([[0.1] * 10, [0.0, 0.5, 0.0, 0.5] + [0.0] * 6],
+                 [[1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.2, 0.3, 0.5]],
+                 [[1.0]], [[0.5, 0.5], [1.0, 0.0]],
+                 *(rng.dirichlet(np.ones(size), size=4)
+                   for size in (7, 8, 9, 32, 33, 64))):
+        weights = np.asarray(rows, dtype=float)
+        cumulative = np.cumsum(weights, axis=1)
+        edges = np.unique(np.concatenate([
+            cumulative.ravel(), np.nextafter(cumulative.ravel(), 0.0),
+            np.nextafter(cumulative.ravel(), 2.0),
+            [0.0, np.nextafter(1.0, 0.0)]]))
+        edges = edges[(edges >= 0.0) & (edges < 1.0)]
+        for j in range(len(weights)):
+            choices = np.full(edges.size, j, dtype=np.int64)
+            want = np.minimum(np.searchsorted(cumulative[j], edges,
+                                              side="right"),
+                              weights.shape[1] - 1)
+            assert np.array_equal(
+                nlprob.simulate._inverse_cdf(weights, choices, edges), want)
+    assert np.cumsum([0.1] * 10)[-1] < 1.0   # the first row's case arises
+
+
 class TestSampleGrid:
     def test_anchors_present(self):
         grid = sample_grid(1000, 100, points=32)

@@ -358,30 +358,67 @@ class TestExpMomentBound:
 
 class TestNormalizedPartialSums:
     def test_unit_steps(self, kolmogorov):
-        s = normalized_partial_sums([1.0, 1.0], kolmogorov, [0.0, 0.0])
+        s = normalized_partial_sums([1.0, 1.0], kolmogorov.table(2),
+                                    [0.0, 0.0])
         assert np.all(s == [1.0, 1.0])
 
     def test_alternating_pin(self, kolmogorov):
-        s = normalized_partial_sums([1.0, 0.0, 1.0, 0.0], kolmogorov,
+        s = normalized_partial_sums([1.0, 0.0, 1.0, 0.0], kolmogorov.table(4),
                                     [0.5] * 4)
         assert s == pytest.approx([0.5, 0.0, 1.0 / 6.0, 0.0], abs=1e-15)
 
     def test_centers_cancel_exactly(self, kolmogorov, rng):
         x = rng.uniform(-5, 5, 30)
-        assert np.all(normalized_partial_sums(x, kolmogorov, x) == 0.0)
+        assert np.all(
+            normalized_partial_sums(x, kolmogorov.table(len(x)), x) == 0.0)
 
     def test_power_normalizer(self):
         sched = make_schedule("mz", alpha=1.0, beta=0.5, p=1.25)
-        s = normalized_partial_sums([1.0, 1.0, 1.0], sched, [0.0] * 3)
+        s = normalized_partial_sums([1.0, 1.0, 1.0], sched.table(3), [0.0] * 3)
         assert s == pytest.approx(
             [1.0, 2.0 / 2.0 ** 0.8, 3.0 / 3.0 ** 0.8], rel=1e-15)
 
     def test_center_count_must_cover_steps(self, kolmogorov):
         with pytest.raises(LengthMismatchError):
-            normalized_partial_sums([1.0, 2.0, 3.0], kolmogorov, [0.0, 0.0])
+            normalized_partial_sums([1.0, 2.0, 3.0], kolmogorov.table(3),
+                                    [0.0, 0.0])
         # extra centers are fine: only the first x.size are used
-        s = normalized_partial_sums([1.0], kolmogorov, [0.0, 9.0])
+        s = normalized_partial_sums([1.0], kolmogorov.table(1), [0.0, 9.0])
         assert np.all(s == [1.0])
+
+    def test_table_must_cover_steps(self, kolmogorov):
+        with pytest.raises(LengthMismatchError):
+            normalized_partial_sums([1.0, 2.0, 3.0], kolmogorov.table(2),
+                                    [0.0] * 3)
+        a, A = kolmogorov.table(3)
+        for short in ((a[:2], A), (a, A[:2])):
+            with pytest.raises(LengthMismatchError):
+                normalized_partial_sums([1.0, 2.0, 3.0], short, [0.0] * 3)
+        # a longer table is fine: only the first x.size entries are used
+        assert np.array_equal(
+            normalized_partial_sums([1.0, 2.0], kolmogorov.table(5), [0.0] * 2),
+            normalized_partial_sums([1.0, 2.0], kolmogorov.table(2), [0.0] * 2))
+
+    @pytest.mark.parametrize("rules", [
+        ("kolmogorov", {}),
+        ("mz", {"p": 1.25}),
+        ("custom", {"a_rule": ("harmonic", None)}),
+        ("custom", {"a_rule": ("harmonic", None), "A_rule": ("power", 0.9)}),
+        ("custom", {"a_rule": ("table", tuple(np.linspace(0.5, 3.0, 257))),
+                    "A_rule": ("table", tuple(np.arange(1.0, 258.0) ** 0.85))}),
+    ], ids=["kolmogorov", "mz", "harmonic", "harmonic-power", "tables"])
+    def test_table_matches_the_pointwise_formula_bit_for_bit(self, rules, rng):
+        kind, extra = rules
+        sched = make_schedule(kind, alpha=1.0, beta=0.5, **extra)
+        for n in (1, 2, 17, 257):
+            ii = np.arange(1, n + 1)
+            x = rng.normal(size=n) * 10.0 ** rng.integers(-3, 4, size=n)
+            c = rng.uniform(-1.0, 1.0, size=n)
+            a, A = sched.table(n)
+            assert np.array_equal(a, sched.a(ii)) and np.array_equal(A, sched.A(ii))
+            want = np.cumsum(sched.a(ii) * (x - c)) / sched.A(ii)
+            assert np.array_equal(
+                normalized_partial_sums(x, sched.table(n), c), want)
 
 
 def test_truncation_series_converges_numerically(kolmogorov):
