@@ -92,12 +92,10 @@ from .simulate import (
     AdversaryStrategy,
     ExperimentResult,
     SamplePath,
-    StrassenEvaluation,
     bundled_strategies,
     run_slln_experiment,
     sample_grid,
     sample_path,
-    strassen_evaluate,
 )
 from .slln import (
     ScheduleValidation,

@@ -201,8 +201,8 @@ def _simulation_records(run: _Run) -> list[CheckResult]:
     want_strassen = "strassen" in run.selected
     sim = config.simulation
     phi = config.phi if want_strassen else None
-    result = run_slln_experiment(
-        config.model, config.schedule, sim.strategies, sim.n_steps,
+    result = _experiment(
+        sim, config.model, config.schedule, sim.strategies, sim.n_steps,
         sim.paths_per_strategy, seed, n_start=sim.n_start,
         epsilon=sim.epsilon, phi=phi, jobs=jobs, grid_points=sim.grid_points)
     records: list[CheckResult] = []
@@ -215,8 +215,8 @@ def _simulation_records(run: _Run) -> list[CheckResult]:
                 name, frac, sim.max_exceedance_fraction, 0.0,
                 {"per_strategy": result.per_strategy}))
     if want_slln and sim.negative_control:
-        control = run_slln_experiment(
-            config.model, config.schedule, (AdversaryStrategy(DRIFT_MAX),),
+        control = _experiment(
+            sim, config.model, config.schedule, (AdversaryStrategy(DRIFT_MAX),),
             sim.n_steps, sim.paths_per_strategy, seed, n_start=sim.n_start,
             epsilon=sim.epsilon, swap_centers=True, jobs=jobs,
             grid_points=sim.grid_points)
@@ -238,6 +238,18 @@ def _simulation_records(run: _Run) -> list[CheckResult]:
     run.experiment = _experiment_payload(result)
     run.samples = result.trajectory_samples
     return records
+
+
+def _experiment(sim, *args, **kwargs):
+    """``run_slln_experiment``, with an experiment too large for the
+    machine's memory reported as the configuration error it is."""
+    try:
+        return run_slln_experiment(*args, **kwargs)
+    except MemoryError as exc:
+        raise ConfigValidationError(
+            f"simulation: n_steps={sim.n_steps}, paths_per_strategy="
+            f"{sim.paths_per_strategy} and grid_points={sim.grid_points} "
+            f"need more memory than this machine has") from exc
 
 
 def _experiment_payload(result) -> dict[str, Any]:

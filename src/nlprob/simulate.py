@@ -19,22 +19,33 @@ sums at n0, which depends on A_n and n0: with A_n = n^0.8 and n0 = 1e4 that
 scale is about 0.029 and a driftless path crosses eps = 0.05 about one time
 in ten, while with A_n = n the same eps sits near 11 sigma.
 
-Per experiment the weight table (a_i, A_n) is evaluated once and shared by
-every path; per path the sampler draws one uniform per step and inverts the
-chosen measure's CDF by bisecting for the count of cumulative weights at or
-below it (see ``sample_path``), then forms both trajectories from the same
-values.
+The experiment runner is a step-major block engine. The weight table
+(a_i, A_n) is evaluated once per experiment, and each strategy's sampler
+tables once. The paths of one strategy advance together, at most
+``PATH_BLOCK`` of them, through blocks of ``STEP_BLOCK`` steps. A block
+draws one uniform per path and step into a preallocated (paths x steps)
+buffer, inverts the chosen measure's CDF by bisecting for the count of
+cumulative weights at or below it (see ``sample_path``), and forms both
+trajectories from the same values with ``normalized_partial_sums``, which
+carries each path's running sums from block to block. Between blocks a
+path keeps only its running sums, tail max and min, phi sup and grid
+samples, so no per-path array grows with the horizon, and the block
+buffers are bounded by the two constants.
 
-Determinism: each path's generator is derived from (master seed, strategy
-index, path index) via seed-sequence spawn keys, and aggregation reduces in
-path order, so results are bit-identical for any worker count.
+Determinism: each path's generators are derived from (master seed, strategy
+index, path index) via seed-sequence spawn keys and drawn block by block in
+step order, which gives the same streams as drawing the whole path at once.
+The carried sums are the one-pass sums to the bit, and results are
+collected in path order, so they are bit-identical for any worker count
+and any grouping of paths into blocks.
 """
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Any, NamedTuple, Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -57,6 +68,13 @@ DRIFT_MAX = "drift-max"
 
 DEFAULT_EPSILON = 0.05
 _ORDER_SLACK = 1e-9
+
+# The block engine's shape: the paths of one strategy that advance together,
+# and the steps they take per block. A (PATH_BLOCK, STEP_BLOCK) float64
+# buffer is 256 KB, so the sampler's scratch buffers together fit a 2 MB
+# per-core L2 cache.
+PATH_BLOCK = 32
+STEP_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -120,54 +138,174 @@ def _seed_sequence(seed, *key: int) -> np.random.SeedSequence:
     return np.random.SeedSequence(entropy=int(seed), spawn_key=key)
 
 
-def _cycle(pattern: np.ndarray, n_steps: int) -> np.ndarray:
-    """pattern[t % len(pattern)] for t = 0..n_steps-1, by tiling: an integer
-    modulo over every step costs ten times as much."""
-    return np.tile(pattern, -(-n_steps // len(pattern)))[:n_steps]
+class _Cycle:
+    """pattern[t % len(pattern)] over any window of at most ``steps``
+    consecutive steps t, sliced from one tiling: an integer modulo over
+    every step costs ten times as much."""
+
+    def __init__(self, pattern: np.ndarray, steps: int) -> None:
+        self.period = len(pattern)
+        self.tiled = np.tile(pattern, -(-(steps + self.period - 1)
+                                        // self.period))
+
+    def window(self, start: int, steps: int) -> np.ndarray:
+        offset = start % self.period
+        return self.tiled[offset:offset + steps]
 
 
-def _strategy_choices(model: SequenceModel, strategy: AdversaryStrategy,
-                      n_steps: int, seed) -> np.ndarray:
+def _choice_pattern(model: SequenceModel,
+                    strategy: AdversaryStrategy) -> np.ndarray | None:
+    """The measures a strategy plays in turn, one per step, the same for
+    every path; None for iid-random, whose choices each path draws."""
     m = len(model.credal)
     if strategy.kind == FIXED:
         if strategy.index >= m:
             raise BadStrategyParamError(
                 f"fixed({strategy.index}) with only {m} measures")
-        return np.full(n_steps, strategy.index, dtype=np.int64)
+        return np.array([strategy.index], dtype=np.int64)
     if strategy.kind == CYCLIC:
-        return _cycle(np.arange(m, dtype=np.int64), n_steps)
+        return np.arange(m, dtype=np.int64)
     if strategy.kind == IID_RANDOM:
-        rng = np.random.Generator(np.random.PCG64(
-            _seed_sequence(seed, 1, strategy.salt)))
-        return rng.integers(0, m, size=n_steps, dtype=np.int64)
+        return None
     # drift-max: per distinct coordinate variable, lowest maximizing index
-    per_var = np.array([int(expectation_values(model.credal, v).argmax())
-                        for v in model.variables], dtype=np.int64)
-    return _cycle(per_var, n_steps)
+    return np.array([int(expectation_values(model.credal, v).argmax())
+                     for v in model.variables], dtype=np.int64)
 
 
-def _inverse_cdf(weights: np.ndarray, choices: np.ndarray,
-                 u: np.ndarray) -> np.ndarray:
-    """Outcome index of each step: #{k < size - 1 : F_{choices[t]}(k) <= u[t]}
-    for the cumulative weights F, by bisection (see ``sample_path`` for why
-    it is exact)."""
+def _cdf_table(weights: np.ndarray) -> tuple[np.ndarray, int]:
+    """Each measure's cumulative weights F_j(0..size-2), padded with +inf to
+    the least power of two W >= size and laid out flat, and W."""
     m, size = weights.shape
-    width = 1 << (size - 1).bit_length()  # the least power of two >= size
+    width = 1 << (size - 1).bit_length()
     table = np.full((m, width), np.inf)
     table[:, :size - 1] = np.cumsum(weights, axis=1)[:, :-1]
-    table = table.ravel()
-    row = choices * width
-    pos = row.copy()
+    return table.ravel(), width
+
+
+def _bisect(table: np.ndarray, width: int, rows: np.ndarray, u: np.ndarray,
+            pos: np.ndarray, idx: np.ndarray, seen: np.ndarray,
+            hit: np.ndarray) -> None:
+    """Set ``pos`` to rows + #{k < size - 1 : F(k) <= u}, where each step's
+    row offset in ``rows`` (a multiple of W, one row shared by every path
+    or one per path) picks its cumulative weights F in ``table``, by
+    log2(W) passes (see ``sample_path`` for why it is exact). ``idx``,
+    ``seen`` and ``hit`` are scratch arrays of ``pos``'s shape."""
     step = width // 2
-    while step:  # decide the bits of the count, highest first
-        pos += step * (table[pos + (step - 1)] <= u)
+    if not step:  # a one-outcome space
+        pos[...] = rows
+        return
+    # every path starts at its row, so the first probe gathers only rows
+    np.less_equal(table[rows + (step - 1)], u, out=hit)
+    np.multiply(hit, step, out=pos)
+    pos += rows
+    step //= 2
+    while step:  # decide the lower bits of the count, highest first
+        np.add(pos, step - 1, out=idx)
+        # every index is in range; "clip" only spares take a buffered copy
+        np.take(table, idx, out=seen, mode="clip")
+        np.less_equal(seen, u, out=hit)
+        pos += np.multiply(hit, step, out=idx)
         step //= 2
-    return pos - row
+
+
+def _shaped(flat: np.ndarray, paths: int, steps: int) -> np.ndarray:
+    return flat[:paths * steps].reshape(paths, steps)
+
+
+class _Buffers:
+    """Scratch arrays for up to ``paths`` paths by ``steps`` steps, allocated
+    once and viewed per block as contiguous (paths, steps) arrays."""
+
+    def __init__(self, paths: int, steps: int) -> None:
+        n = paths * steps
+        self.u = np.empty(n)
+        self.seen = np.empty(n)
+        self.values = np.empty(n)
+        self.pos = np.empty(n, dtype=np.int64)
+        self.idx = np.empty(n, dtype=np.int64)
+        self.rows = np.empty(n, dtype=np.int64)
+        self.hit = np.empty(n, dtype=bool)
+
+
+class _BlockSampler:
+    """The sampler of one strategy on one rectangular-product model. It
+    draws a block of consecutive steps for a group of paths at once.
+
+    Its tables have one row of width W per (variable, measure) pair, at
+    offset (variable * measures + measure) * W: the measure's cumulative
+    weights (``_cdf_table``), and the variable's values. So a step's final
+    bisection position is also the flat index of its value, and a
+    strategy that plays the same measure on every path has one row
+    sequence for all of them, built once for blocks of at most ``steps``
+    steps.
+    """
+
+    def __init__(self, model: SequenceModel, strategy: AdversaryStrategy,
+                 steps: int) -> None:
+        if not model.product_measures:
+            raise UnsupportedModelError(
+                f"sampling needs a rectangular-product model, not "
+                f"{model.joint!r}")
+        weights = model.credal.weight_matrix()
+        self.measures, size = weights.shape
+        n_vars = len(model.variables)
+        cdf, self.width = _cdf_table(weights)
+        self.table = np.tile(cdf, n_vars)
+        values = np.zeros((n_vars, self.width))  # the padding is never read
+        values[:, :size] = [v.values for v in model.variables]
+        self.values = np.repeat(values, self.measures, axis=0).ravel()
+        self.salt = strategy.salt
+        pattern = _choice_pattern(model, strategy)
+        var_rows = np.arange(n_vars, dtype=np.int64) * self.measures
+        self.shared = pattern is not None
+        if self.shared:
+            t = np.arange(math.lcm(n_vars, len(pattern)))
+            var_rows = var_rows[t % n_vars] + pattern[t % len(pattern)]
+        # row offsets; iid-random adds each path's drawn measure to them
+        self.rows = _Cycle(var_rows * self.width, steps)
+
+    def streams(self, seed) -> tuple[np.random.Generator,
+                                     np.random.Generator | None]:
+        """One path's outcome stream and, for iid-random, its choice
+        stream: disjoint substreams of ``seed``."""
+        outcomes = np.random.Generator(np.random.PCG64(_seed_sequence(seed, 0)))
+        if self.shared:
+            return outcomes, None
+        return outcomes, np.random.Generator(np.random.PCG64(
+            _seed_sequence(seed, 1, self.salt)))
+
+    def draw(self, streams, start: int, steps: int, buf: _Buffers
+             ) -> tuple[np.ndarray, np.ndarray]:
+        """Steps start..start+steps-1 of every path in ``streams``, each
+        path's draws continuing its own streams: (positions, values), views
+        into ``buf`` of shape (paths, steps). A position is the step's row
+        offset plus its outcome, so the outcome is position % W and the
+        measure is position // W % measures."""
+        paths = len(streams)
+        u = _shaped(buf.u, paths, steps)
+        for row, (outcome_rng, _) in zip(u, streams):
+            outcome_rng.random(out=row)
+        rows = self.rows.window(start, steps)
+        if not self.shared:
+            drawn = _shaped(buf.rows, paths, steps)
+            for row, (_, choice_rng) in zip(drawn, streams):
+                row[:] = choice_rng.integers(0, self.measures, size=steps,
+                                             dtype=np.int64)
+            drawn *= self.width
+            rows = np.add(drawn, rows, out=drawn)
+        pos = _shaped(buf.pos, paths, steps)
+        _bisect(self.table, self.width, rows, u, pos,
+                _shaped(buf.idx, paths, steps), _shaped(buf.seen, paths, steps),
+                _shaped(buf.hit, paths, steps))
+        values = _shaped(buf.values, paths, steps)
+        np.take(self.values, pos, out=values, mode="clip")
+        return pos, values
 
 
 def sample_path(model: SequenceModel, strategy: AdversaryStrategy,
                 n_steps: int, seed) -> SamplePath:
-    """Simulate one path of a rectangular-product model.
+    """Simulate one path of a rectangular-product model: the experiment's
+    block sampler run for one path and one block of ``n_steps`` steps.
 
     ``seed`` is an integer or a numpy SeedSequence; the outcome stream and
     an iid-random strategy's choice stream use disjoint substreams of it.
@@ -190,21 +328,15 @@ def sample_path(model: SequenceModel, strategy: AdversaryStrategy,
     there is no sort and no per-measure mask; the cost grows with
     log(size), and a two-outcome space takes one pass.
     """
-    if not model.product_measures:
-        raise UnsupportedModelError(
-            f"sampling needs a rectangular-product model, not {model.joint!r}")
     if n_steps < 1:
         raise IndexOutOfRangeError(f"need n_steps >= 1, got {n_steps}")
-    choices = _strategy_choices(model, strategy, n_steps, seed)
-    rng = np.random.Generator(np.random.PCG64(_seed_sequence(seed, 0)))
-    u = rng.random(n_steps)
-    outcomes = _inverse_cdf(model.credal.weight_matrix(), choices, u)
-    value_table = np.vstack([v.values for v in model.variables])
-    var_idx = _cycle(np.arange(len(model.variables), dtype=np.int64), n_steps)
-    values = value_table[var_idx, outcomes]
+    sampler = _BlockSampler(model, strategy, n_steps)
+    pos, values = sampler.draw([sampler.streams(seed)], 0, n_steps,
+                               _Buffers(1, n_steps))
+    rows, outcomes = np.divmod(pos[0], sampler.width)
     base = _seed_sequence(seed)
-    return SamplePath(tuple(int(k) for k in base.spawn_key), choices, outcomes,
-                      values)
+    return SamplePath(tuple(int(k) for k in base.spawn_key),
+                      rows % sampler.measures, outcomes, values[0])
 
 
 @dataclass(frozen=True)
@@ -278,6 +410,10 @@ def run_slln_experiment(model: SequenceModel, schedule: WeightSchedule,
     on a correct model depends on the normalizer A_n and on ``n_start``
     (see the module docstring), so a zero-crossing demand needs an
     ``epsilon`` above the fluctuation scale of the sums at ``n_start``.
+
+    Each strategy's paths run in groups of at most ``PATH_BLOCK``, block by
+    block (see the module docstring); ``jobs > 1`` runs the groups on that
+    many threads. A path's results do not depend on its group.
     """
     validation = validate_schedule(schedule, n_steps)
     if not validation.passed:
@@ -299,41 +435,71 @@ def run_slln_experiment(model: SequenceModel, schedule: WeightSchedule,
     if swap_centers:
         upper_c, lower_c = lower_c, upper_c
     table = schedule.table(n_steps)
-    upper_centers = _cycle(upper_c, n_steps)
-    lower_centers = _cycle(lower_c, n_steps)
     grid = sample_grid(n_steps, n_start, grid_points)
     phi_bound = phi.sup_on_nonpositive() if phi is not None else None
+    block = min(STEP_BLOCK, n_steps)
+    samplers = [_BlockSampler(model, strat, block) for strat in strategies]
+    upper_cycle, lower_cycle = _Cycle(upper_c, block), _Cycle(lower_c, block)
 
-    def one_path(task: tuple[int, int]) -> tuple[PathSummary, TrajectorySample]:
-        si, pi = task
-        strat = strategies[si]
-        path = sample_path(model, strat, n_steps,
-                           _seed_sequence(seed, si, pi))
-        s_up = normalized_partial_sums(path.values, table, upper_centers)
-        s_low = normalized_partial_sums(path.values, table, lower_centers)
-        if not swap_centers and (s_up - s_low).max() > _ORDER_SLACK:
-            raise SimulationOrderError(
-                "upper-centered sums exceeded lower-centered sums")
-        tail_up = s_up[n_start - 1:]
-        tail_low = s_low[n_start - 1:]
-        phi_sup = None
-        if phi is not None:
-            with np.errstate(over="ignore"):  # an inf sup is NonFiniteError later
-                phi_sup = float(np.max(phi(tail_up)))
-        summary = PathSummary(strat.label, pi, float(s_up[-1]), float(s_low[-1]),
-                              float(tail_up.max()), float(tail_low.min()),
-                              phi_sup)
-        sampled = TrajectorySample(strat.label, pi, grid,
-                                   s_up[grid - 1], s_low[grid - 1])
-        return summary, sampled
+    def one_group(task: tuple[int, int, int]
+                  ) -> list[tuple[PathSummary, TrajectorySample]]:
+        """Paths first..first+count-1 of strategy si, through every block."""
+        si, first, count = task
+        sampler, label = samplers[si], strategies[si].label
+        streams = [sampler.streams(_seed_sequence(seed, si, pi))
+                   for pi in range(first, first + count)]
+        buf = _Buffers(count, block)
+        carry_up = np.full(count, -0.0)  # see normalized_partial_sums
+        carry_low = np.full(count, -0.0)
+        tail_max = np.full(count, -np.inf)
+        tail_min = np.full(count, np.inf)
+        phi_sup = np.full(count, -np.inf)
+        grid_up = np.empty((count, grid.size))
+        grid_low = np.empty((count, grid.size))
+        for start in range(0, n_steps, STEP_BLOCK):
+            stop = min(start + STEP_BLOCK, n_steps)
+            _, values = sampler.draw(streams, start, stop - start, buf)
+            part = (table[0][start:stop], table[1][start:stop])
+            s_up = normalized_partial_sums(
+                values, part, upper_cycle.window(start, stop - start),
+                carry=carry_up)
+            s_low = normalized_partial_sums(
+                values, part, lower_cycle.window(start, stop - start),
+                carry=carry_low)
+            if not swap_centers and (s_up - s_low).max() > _ORDER_SLACK:
+                raise SimulationOrderError(
+                    "upper-centered sums exceeded lower-centered sums")
+            if stop >= n_start:
+                tail = max(n_start - 1 - start, 0)
+                tail_up, tail_low = s_up[:, tail:], s_low[:, tail:]
+                np.maximum(tail_max, tail_up.max(axis=1), out=tail_max)
+                np.minimum(tail_min, tail_low.min(axis=1), out=tail_min)
+                if phi is not None:
+                    # an inf sup is NonFiniteError later
+                    with np.errstate(over="ignore"):
+                        np.maximum(phi_sup, phi(tail_up).max(axis=1),
+                                   out=phi_sup)
+            lo, hi = np.searchsorted(grid, (start + 1, stop + 1))
+            if hi > lo:
+                grid_up[:, lo:hi] = s_up[:, grid[lo:hi] - 1 - start]
+                grid_low[:, lo:hi] = s_low[:, grid[lo:hi] - 1 - start]
+        return [(PathSummary(label, first + i, float(s_up[i, -1]),
+                             float(s_low[i, -1]), float(tail_max[i]),
+                             float(tail_min[i]),
+                             None if phi is None else float(phi_sup[i])),
+                 TrajectorySample(label, first + i, grid, grid_up[i],
+                                  grid_low[i]))
+                for i in range(count)]
 
-    tasks = [(si, pi) for si in range(len(strategies))
-             for pi in range(paths_per_strategy)]
+    tasks = [(si, first, min(PATH_BLOCK, paths_per_strategy - first))
+             for si in range(len(strategies))
+             for first in range(0, paths_per_strategy, PATH_BLOCK)]
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            outputs = list(pool.map(one_path, tasks))
+            groups = list(pool.map(one_group, tasks))
     else:
-        outputs = [one_path(t) for t in tasks]
+        groups = [one_group(t) for t in tasks]
+    outputs = [o for group in groups for o in group]
 
     summaries = tuple(o[0] for o in outputs)
     samples = tuple(o[1] for o in outputs)
@@ -360,24 +526,3 @@ def run_slln_experiment(model: SequenceModel, schedule: WeightSchedule,
     return ExperimentResult(config, n_steps, n_start, epsilon, summaries,
                             samples, float(exceed.mean()),
                             float(undershoot.mean()), per_strategy, phi_bound)
-
-
-class StrassenEvaluation(NamedTuple):
-    tail_sup: float
-    bound: float
-
-
-def strassen_evaluate(trajectory, phi: ScalarFunction,
-                      n_start: int) -> StrassenEvaluation:
-    """(sup_{n >= n_start} phi(S_n), sup_{x <= 0} phi(x)) for one trajectory.
-
-    The bound raises UnboundedPhiError for transforms unbounded on the
-    nonpositive axis (such as |x|). With the identity transform this reduces
-    to (max tail value, 0).
-    """
-    s = np.asarray(trajectory, dtype=float)
-    if not 1 <= n_start <= s.size:
-        raise IndexOutOfRangeError(
-            f"n_start {n_start} outside 1..{s.size}")
-    bound = phi.sup_on_nonpositive()
-    return StrassenEvaluation(float(np.max(phi(s[n_start - 1:]))), float(bound))

@@ -294,21 +294,38 @@ def exp_moment_bound_sequence(model: SequenceModel, schedule: WeightSchedule,
 
 
 def normalized_partial_sums(values, table: tuple[np.ndarray, np.ndarray],
-                            centers) -> np.ndarray:
-    """S_n = sum_{i<=n} a_i (x_i - center_i) / A_n for n = 1..N, one
+                            centers, carry: np.ndarray | None = None
+                            ) -> np.ndarray:
+    """S_n = sum_{i<=n} a_i (x_i - center_i) / A_n for n = 1..N along the
+    last axis of ``values`` (one path, or a block of paths by steps), one
     prefix-sum pass. ``table`` is ``WeightSchedule.table(m)`` for some
-    m >= N; the steps run in one buffer, in the order subtract, scale,
-    cumsum, divide, so the result is bit for bit
-    ``np.cumsum(a * (x - c)) / A``."""
+    m >= N, or its slice over a block's steps; the steps run in one buffer,
+    in the order subtract, scale, cumsum, divide, so the result is bit for
+    bit ``np.cumsum(a * (x - c)) / A``.
+
+    ``carry``, when given, holds each path's running sum
+    sum_{i<t0} a_i (x_i - c_i) of the steps before the block and is
+    advanced in place to the block's last step. It is added to the block's
+    first scaled term before the cumsum, which is the very addition an
+    unbroken cumsum makes there, so a path summed block by block gets the
+    bits of the one-pass sums. Start it at -0.0: -0.0 + x == x for every
+    float x, so an empty prefix changes no bit, not even a sign of zero.
+    """
     x = np.asarray(values, dtype=float)
     c = np.asarray(centers, dtype=float)
     a, A = table
-    if min(c.size, len(a), len(A)) < x.size:
+    n = x.shape[-1]
+    if min(c.size, len(a), len(A)) < n:
         raise LengthMismatchError(
             f"{c.size} centers, {len(a)} weights and {len(A)} normalizers "
-            f"for {x.size} steps; need at least as many of each")
-    out = np.subtract(x, c[:x.size])
-    out *= a[:x.size]
-    np.cumsum(out, out=out)
-    out /= A[:x.size]
+            f"for {n} steps; need at least as many of each")
+    out = np.subtract(x, c[:n])
+    out *= a[:n]
+    carried = carry is not None and n > 0
+    if carried:
+        out[..., 0] += carry
+    np.cumsum(out, axis=-1, out=out)
+    if carried:
+        carry[...] = out[..., -1]
+    out /= A[:n]
     return out

@@ -222,6 +222,21 @@ class TestFailureModes:
         err = capsys.readouterr().err
         assert err.startswith("error: checks:") and "Traceback" not in err
 
+    def test_experiment_too_large_for_memory_exits_two(self, tmp_path,
+                                                       capsys):
+        # 1e15 steps ask numpy for a 7 PiB weight table, which it refuses
+        # before any page is mapped: a configuration error, not a crash
+        config = json.loads(Path(DEMO).read_text())
+        config["checks"] = ["slln"]
+        config["simulation"].update(n_steps=10**15, n_start=10**14)
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(config))
+        code, out, report = run(tmp_path, "simulate", "--config", str(path))
+        assert code == 2 and report is None
+        err = capsys.readouterr().err
+        assert err.startswith("error: simulation: n_steps=1000000000000000")
+        assert "paths_per_strategy=2" in err and "Traceback" not in err
+
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--version"])

@@ -1,6 +1,7 @@
 """Adversarial path sampling and envelope-convergence experiments."""
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -19,7 +20,6 @@ from nlprob import (
     run_slln_experiment,
     sample_grid,
     sample_path,
-    strassen_evaluate,
 )
 from nlprob.errors import (
     BadStrategyParamError,
@@ -30,6 +30,31 @@ from nlprob.errors import (
     UnboundedPhiError,
     UnsupportedModelError,
 )
+from nlprob.expectation import expectation_values
+from nlprob.functions import ScalarFunction
+from nlprob.simulate import PathSummary, TrajectorySample
+from nlprob.slln import normalized_partial_sums
+
+
+class StrassenEvaluation(NamedTuple):
+    tail_sup: float
+    bound: float
+
+
+def strassen_evaluate(trajectory, phi: ScalarFunction,
+                      n_start: int) -> StrassenEvaluation:
+    """(sup_{n >= n_start} phi(S_n), sup_{x <= 0} phi(x)) for one trajectory.
+
+    The bound raises UnboundedPhiError for transforms unbounded on the
+    nonpositive axis (such as |x|). With the identity transform this reduces
+    to (max tail value, 0).
+    """
+    s = np.asarray(trajectory, dtype=float)
+    if not 1 <= n_start <= s.size:
+        raise IndexOutOfRangeError(
+            f"n_start {n_start} outside 1..{s.size}")
+    bound = phi.sup_on_nonpositive()
+    return StrassenEvaluation(float(np.max(phi(s[n_start - 1:]))), float(bound))
 
 
 @pytest.fixture
@@ -168,6 +193,17 @@ def _searchsorted_path(model, choices, n_steps, seed):
     return outcomes, value_table[var_idx, outcomes]
 
 
+def _inverse_cdf(weights, choices, u):
+    """The sampler's bisection on one path's steps: the outcome index of
+    each step under the measure ``choices`` picks."""
+    table, width = nlprob.simulate._cdf_table(weights)
+    pos = np.empty(u.shape, dtype=np.int64)
+    nlprob.simulate._bisect(table, width, choices * width, u, pos,
+                            np.empty_like(pos), np.empty(u.shape),
+                            np.empty(u.shape, dtype=bool))
+    return pos - choices * width
+
+
 def _random_rectangular_model(rng):
     # mostly the small spaces of the configs, sometimes a larger one, where
     # the sampler's bisection takes up to seven passes
@@ -221,9 +257,136 @@ def test_inverse_cdf_is_exact_at_the_boundaries(rng):
             want = np.minimum(np.searchsorted(cumulative[j], edges,
                                               side="right"),
                               weights.shape[1] - 1)
-            assert np.array_equal(
-                nlprob.simulate._inverse_cdf(weights, choices, edges), want)
+            assert np.array_equal(_inverse_cdf(weights, choices, edges), want)
     assert np.cumsum([0.1] * 10)[-1] < 1.0   # the first row's case arises
+
+
+def test_chunked_draws_equal_one_shot_draws():
+    # the block engine draws each path's uniforms with Generator.random(out=)
+    # and iid-random's choices with Generator.integers one block at a time;
+    # its results are the one-pass results only while numpy keeps these
+    # streams independent of how the draws are chunked
+    chunks = (1, 7, 1024, 3, 999, 1, 2000, 965)
+    n = sum(chunks)
+    for seed in range(3):
+        one_shot = np.random.Generator(np.random.PCG64(seed)).random(n)
+        rng = np.random.Generator(np.random.PCG64(seed))
+        chunked = np.empty(n)
+        edges = np.cumsum((0,) + chunks)
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            rng.random(out=chunked[lo:hi])
+        assert chunked.tobytes() == one_shot.tobytes()
+        for m in (1, 2, 3, 5, 64, 1000):
+            one_shot = np.random.Generator(np.random.PCG64(seed)).integers(
+                0, m, size=n, dtype=np.int64)
+            rng = np.random.Generator(np.random.PCG64(seed))
+            chunked = np.concatenate([rng.integers(0, m, size=c,
+                                                   dtype=np.int64)
+                                      for c in chunks])
+            assert np.array_equal(chunked, one_shot)
+
+
+def _path_oracle(model, schedule, strategies, n_steps, paths_per_strategy,
+                 seed, n_start, swap_centers, phi, grid_points):
+    """The path-major loop the block engine replaced: per path, one
+    ``sample_path`` over the whole horizon, two one-pass
+    ``normalized_partial_sums``, the order check, the tail statistics, phi
+    and the grid gather."""
+    upper_c = np.array([float(expectation_values(model.credal, v).max())
+                        for v in model.variables])
+    lower_c = np.array([float(expectation_values(model.credal, v).min())
+                        for v in model.variables])
+    if swap_centers:
+        upper_c, lower_c = lower_c, upper_c
+    table = schedule.table(n_steps)
+    reps = -(-n_steps // len(upper_c))
+    upper_centers = np.tile(upper_c, reps)[:n_steps]
+    lower_centers = np.tile(lower_c, reps)[:n_steps]
+    grid = sample_grid(n_steps, n_start, grid_points)
+    outputs = []
+    for si, strat in enumerate(strategies):
+        for pi in range(paths_per_strategy):
+            path = sample_path(model, strat, n_steps, np.random.SeedSequence(
+                entropy=seed, spawn_key=(si, pi)))
+            s_up = normalized_partial_sums(path.values, table, upper_centers)
+            s_low = normalized_partial_sums(path.values, table, lower_centers)
+            if not swap_centers and (s_up - s_low).max() > 1e-9:
+                raise SimulationOrderError("order")
+            tail_up = s_up[n_start - 1:]
+            tail_low = s_low[n_start - 1:]
+            phi_sup = None
+            if phi is not None:
+                phi_sup = strassen_evaluate(s_up, phi, n_start).tail_sup
+            outputs.append((
+                PathSummary(strat.label, pi, float(s_up[-1]), float(s_low[-1]),
+                            float(tail_up.max()), float(tail_low.min()),
+                            phi_sup),
+                TrajectorySample(strat.label, pi, grid, s_up[grid - 1],
+                                 s_low[grid - 1])))
+    return outputs
+
+
+def test_block_engine_matches_the_path_oracle(rng):
+    # block size and path cap are the engine's; the horizons sit below one
+    # block, on a block multiple and off it, the tail starts and grid points
+    # fall on block edges, and 33 paths leave a partial group of one
+    block = nlprob.simulate.STEP_BLOCK
+    assert nlprob.simulate.PATH_BLOCK == 32
+    strategies = (AdversaryStrategy("fixed", 0), AdversaryStrategy("cyclic"),
+                  AdversaryStrategy("iid-random", salt=2),
+                  AdversaryStrategy("drift-max"))
+    schedules = (make_schedule("kolmogorov", alpha=1.0, beta=0.5),
+                 make_schedule("mz", alpha=1.0, beta=0.5, p=1.25),
+                 make_schedule("custom", alpha=1.0, beta=0.5,
+                               a_rule=("harmonic", None)))
+    horizons = (101, 700, block - 1, block, block + 1, 2 * block,
+                2 * block + 300)
+    for trial in range(60):
+        model = _random_rectangular_model(rng)
+        n_steps = horizons[trial % len(horizons)]
+        starts = [s for s in (100, block - 1, block, block + 1,
+                              n_steps // 2, n_steps - 1) if 100 <= s < n_steps]
+        kwargs = dict(
+            n_steps=n_steps,
+            paths_per_strategy=33 if trial % 15 == 0 else int(rng.integers(1, 4)),
+            seed=int(rng.integers(2**32)),
+            # each horizon comes round 8 or 9 times: every start is taken
+            n_start=starts[trial // len(horizons) % len(starts)],
+            swap_centers=bool(trial % 2),
+            phi=Exp(float(rng.uniform(0.1, 2.0))) if trial % 3 else None,
+            grid_points=int(rng.integers(2, 200)))
+        schedule = schedules[trial % len(schedules)]
+        want = _path_oracle(model, schedule, strategies, **kwargs)
+        for jobs in (1, 3):
+            got = run_slln_experiment(model, schedule, strategies, jobs=jobs,
+                                      **kwargs)
+            assert len(got.path_summaries) == len(want)
+            for summary, sample, (want_summary, want_sample) in zip(
+                    got.path_summaries, got.trajectory_samples, want):
+                # repr prints every float to the last bit and its sign
+                assert repr(summary) == repr(want_summary)
+                assert (sample.strategy, sample.path_index) == (
+                    want_sample.strategy, want_sample.path_index)
+                for field in ("steps", "upper", "lower"):
+                    a = getattr(sample, field)
+                    b = getattr(want_sample, field)
+                    assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def test_block_buffers_do_not_grow_with_the_horizon(marginal_model,
+                                                     kolmogorov, monkeypatch):
+    sizes = []
+    original = nlprob.simulate._Buffers.__init__
+
+    def record(self, paths, steps):
+        sizes.append((paths, steps))
+        original(self, paths, steps)
+
+    monkeypatch.setattr(nlprob.simulate._Buffers, "__init__", record)
+    run_slln_experiment(marginal_model, kolmogorov, bundled_strategies(),
+                        n_steps=5000, paths_per_strategy=40, seed=3)
+    assert sizes and max(sizes) == (nlprob.simulate.PATH_BLOCK,
+                                    nlprob.simulate.STEP_BLOCK)
 
 
 class TestSampleGrid:
@@ -279,7 +442,7 @@ class TestRunExperiment:
         # a partial-sum routine that ignores its centers breaks the order
         # upper-centred <= lower-centred; that is an internal fault, named
         monkeypatch.setattr(nlprob.simulate, "normalized_partial_sums",
-                            lambda values, schedule, centers: centers)
+                            lambda values, schedule, centers, carry: centers)
         with pytest.raises(SimulationOrderError) as exc:
             run_slln_experiment(marginal_model, kolmogorov,
                                 bundled_strategies(), n_steps=1000,

@@ -421,6 +421,37 @@ class TestNormalizedPartialSums:
                 normalized_partial_sums(x, sched.table(n), c), want)
 
 
+    def test_blocks_with_a_carry_match_one_pass_bit_for_bit(self, rng):
+        # a (paths, steps) array cut into blocks at random edges, each block
+        # summed with the paths' carry, gives the one-pass sums of every
+        # path to the bit, and the carry ends at each path's running sum
+        sched = make_schedule("mz", alpha=1.0, beta=0.5, p=1.25)
+        n, paths = 700, 5
+        a, A = sched.table(n)
+        x = rng.normal(size=(paths, n)) * 10.0 ** rng.integers(-3, 4, size=n)
+        c = rng.uniform(-1.0, 1.0, size=n)
+        edges = np.unique(np.concatenate([[0, 1, n], rng.integers(0, n, 12)]))
+        carry = np.full(paths, -0.0)
+        blocks = [normalized_partial_sums(x[:, lo:hi], (a[lo:hi], A[lo:hi]),
+                                          c[lo:hi], carry=carry)
+                  for lo, hi in zip(edges[:-1], edges[1:])]
+        for p in range(paths):
+            want = normalized_partial_sums(x[p], (a, A), c)
+            assert np.concatenate([b[p] for b in blocks]).tobytes() == \
+                want.tobytes()
+            assert carry[p] == np.cumsum(a * (x[p] - c))[-1]
+
+    def test_a_fresh_carry_keeps_a_negative_zero(self, kolmogorov):
+        # -0.0 is the sum of no terms: a first block summed with it keeps
+        # the sign of a leading -0.0 as the one-pass sums do
+        x = np.array([[-0.0, -0.0, 1.0]])
+        carry = np.full(1, -0.0)
+        got = normalized_partial_sums(x, kolmogorov.table(3), [0.0] * 3,
+                                      carry=carry)
+        want = normalized_partial_sums(x[0], kolmogorov.table(3), [0.0] * 3)
+        assert np.signbit(want[0]) and got[0].tobytes() == want.tobytes()
+
+
 def test_truncation_series_converges_numerically(kolmogorov):
     # sum_i (log(i+1))^alpha / A_i^{alpha+1} = sum log(i+1)/i^2 for the
     # kolmogorov schedule with alpha = 1: the last decade up to 10^6
