@@ -43,7 +43,6 @@ from .dependence import (
     default_families,
     exp_product_bound_gap,
     forward_factorization_value,
-    monotone_image_model,
     ramp_family,
 )
 from .errors import (
@@ -83,7 +82,6 @@ from .models import (
     SequenceModel,
     joint_lower_expectation,
     joint_upper_expectation,
-    maximizing_assignment,
     product_lower_expectation,
     product_upper_expectation,
 )
@@ -103,7 +101,6 @@ from .slln import (
     WeightSchedule,
     elementary_exp_bound_check,
     exp_moment_bound,
-    exp_moment_bound_sequence,
     make_schedule,
     normalized_partial_sums,
     truncate,

@@ -354,25 +354,6 @@ def _direction_of(f: Callable) -> str | None:
     return d
 
 
-def monotone_image_model(model: SequenceModel, maps: Sequence[Callable]
-                         ) -> SequenceModel:
-    """Transform each coordinate by a monotone map, all in one direction.
-
-    Dependence verdicts are preserved under such images; tests re-run the
-    sweeps on the transformed model to exercise exactly that.
-    """
-    if len(maps) != len(model.variables):
-        raise LengthMismatchError(
-            f"{len(maps)} maps for {len(model.variables)} variables")
-    directions = {_direction_of(m) for m in maps}
-    if None in directions or len(directions) != 1:
-        raise MixedMonotonicityError(
-            f"maps must share one monotone direction, got {directions}")
-    new_vars = tuple(RandomVariable(np.asarray(m(v.values), dtype=float))
-                     for m, v in zip(maps, model.variables))
-    return SequenceModel(model.credal, new_vars, model.joint)
-
-
 def exp_product_bound_gap(model: SequenceModel, n: int,
                           functions: Sequence[Callable],
                           cap: int = DEFAULT_ORACLE_CAP) -> float:

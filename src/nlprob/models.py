@@ -160,14 +160,6 @@ def joint_lower_expectation(model: SequenceModel, F, n: int,
     return float(joint_expectation_table(model, F, n, cap).min())
 
 
-def maximizing_assignment(model: SequenceModel, F, n: int,
-                          cap: int = DEFAULT_ORACLE_CAP) -> tuple[int, ...]:
-    """Lexicographically first measure assignment attaining the upper value."""
-    table = joint_expectation_table(model, F, n, cap)
-    flat = int(table.argmax())
-    return tuple(int(k) for k in np.unravel_index(flat, table.shape))
-
-
 def coordinate_expectation_matrix(model: SequenceModel,
                                   rows: np.ndarray) -> np.ndarray:
     """E_j[row_i] for factor-value rows over the space: shape (n, |P|).

@@ -24,20 +24,26 @@ The experiment runner is a step-major block engine. The weight table
 tables once. The paths of one strategy advance together, at most
 ``PATH_BLOCK`` of them, through blocks of ``STEP_BLOCK`` steps. A block
 draws one uniform per path and step into a preallocated (paths x steps)
-buffer, inverts the chosen measure's CDF by bisecting for the count of
-cumulative weights at or below it (see ``sample_path``), and forms both
-trajectories from the same values with ``normalized_partial_sums``, which
-carries each path's running sums from block to block. Between blocks a
+buffer and inverts the chosen measure's CDF by bisecting for the count of
+cumulative weights at or below it (see ``sample_path``). The final
+position indexes a table of pre-centred pairs, the outcome's value minus
+the upper mean in the real part and minus the lower mean in the
+imaginary part, so one complex gather gives each step's two centred
+terms, and the paired form of ``normalized_partial_sums`` forms both
+trajectories in one complex prefix sum, carrying each path's running
+pair from block to block. numpy adds complex numbers part by part, so
+each trajectory has the bits of its own real prefix sum. Between blocks a
 path keeps only its running sums, tail max and min, phi sup and grid
 samples, so no per-path array grows with the horizon, and the block
-buffers are bounded by the two constants.
+buffers are bounded by the module constants.
 
 Determinism: each path's generators are derived from (master seed, strategy
-index, path index) via seed-sequence spawn keys and drawn block by block in
-step order, which gives the same streams as drawing the whole path at once.
-The carried sums are the one-pass sums to the bit, and results are
-collected in path order, so they are bit-identical for any worker count
-and any grouping of paths into blocks.
+index, path index) via seed-sequence spawn keys and drawn in step order,
+the uniforms block by block and iid-random's choices ``CHOICE_BLOCKS``
+blocks at a time, which gives the same streams as drawing the whole path
+at once. The carried sums are the one-pass sums to the bit, and results
+are collected in path order, so they are bit-identical for any worker
+count and any grouping of paths into blocks.
 """
 
 from __future__ import annotations
@@ -75,6 +81,12 @@ _ORDER_SLACK = 1e-9
 # per-core L2 cache.
 PATH_BLOCK = 32
 STEP_BLOCK = 1024
+# iid-random draws each path's measure choices for up to this many blocks
+# in one Generator.integers call, which costs about 10 us on top of its
+# draws. A group keeps them as the least unsigned integers that hold a
+# measure index: with at most 256 measures, (PATH_BLOCK, CHOICE_BLOCKS *
+# STEP_BLOCK) bytes, 256 KB.
+CHOICE_BLOCKS = 8
 
 
 @dataclass(frozen=True)
@@ -220,11 +232,37 @@ class _Buffers:
         n = paths * steps
         self.u = np.empty(n)
         self.seen = np.empty(n)
-        self.values = np.empty(n)
+        self.pairs = np.empty(n, dtype=np.complex128)
         self.pos = np.empty(n, dtype=np.int64)
         self.idx = np.empty(n, dtype=np.int64)
         self.rows = np.empty(n, dtype=np.int64)
         self.hit = np.empty(n, dtype=bool)
+
+
+class _Choices:
+    """iid-random's measure choices for a group of paths over a horizon,
+    drawn per path for up to ``CHOICE_BLOCKS`` blocks of ``steps`` steps in
+    one call and read back block by block. A stream drawn in chunks is the
+    stream drawn at once, so the chunking changes no choice."""
+
+    def __init__(self, rngs: list[np.random.Generator], measures: int,
+                 steps: int, horizon: int) -> None:
+        self.rngs, self.measures, self.horizon = rngs, measures, horizon
+        self.chunk = np.empty((len(rngs), min(CHOICE_BLOCKS * steps, horizon)),
+                              dtype=np.min_scalar_type(measures - 1))
+        self.start = self.stop = 0
+
+    def window(self, start: int, steps: int) -> np.ndarray:
+        """Each path's choices at steps start..start+steps-1, a
+        (paths, steps) view; a window starts where the last one stopped."""
+        if start + steps > self.stop:
+            n = min(self.chunk.shape[1], self.horizon - start)
+            for row, rng in zip(self.chunk, self.rngs):
+                row[:n] = rng.integers(0, self.measures, size=n,
+                                       dtype=np.int64)
+            self.start, self.stop = start, start + n
+        offset = start - self.start
+        return self.chunk[:, offset:offset + steps]
 
 
 class _BlockSampler:
@@ -233,15 +271,20 @@ class _BlockSampler:
 
     Its tables have one row of width W per (variable, measure) pair, at
     offset (variable * measures + measure) * W: the measure's cumulative
-    weights (``_cdf_table``), and the variable's values. So a step's final
-    bisection position is also the flat index of its value, and a
-    strategy that plays the same measure on every path has one row
-    sequence for all of them, built once for blocks of at most ``steps``
-    steps.
+    weights (``_cdf_table``), the variable's values and, given the centre
+    vectors (upper, lower), the pre-centred pairs: complex entries whose
+    real part is the value minus the variable's upper centre and whose
+    imaginary part is the value minus its lower centre. So a step's final
+    bisection position is also the flat index of its value and of its
+    centred pair, and a strategy that plays the same measure on every path
+    has one row sequence for all of them, built once for blocks of at most
+    ``steps`` steps.
     """
 
     def __init__(self, model: SequenceModel, strategy: AdversaryStrategy,
-                 steps: int) -> None:
+                 steps: int,
+                 centers: tuple[np.ndarray, np.ndarray] | None = None
+                 ) -> None:
         if not model.product_measures:
             raise UnsupportedModelError(
                 f"sampling needs a rectangular-product model, not "
@@ -254,6 +297,13 @@ class _BlockSampler:
         values = np.zeros((n_vars, self.width))  # the padding is never read
         values[:, :size] = [v.values for v in model.variables]
         self.values = np.repeat(values, self.measures, axis=0).ravel()
+        if centers is not None:
+            # set part by part: complex arithmetic could flip a zero's sign
+            self.pairs = np.empty(self.values.size, dtype=np.complex128)
+            for part, c in zip((self.pairs.real, self.pairs.imag), centers):
+                np.subtract(self.values,
+                            np.repeat(c, self.measures * self.width), out=part)
+        self.steps = steps
         self.salt = strategy.salt
         pattern = _choice_pattern(model, strategy)
         var_rows = np.arange(n_vars, dtype=np.int64) * self.measures
@@ -264,42 +314,44 @@ class _BlockSampler:
         # row offsets; iid-random adds each path's drawn measure to them
         self.rows = _Cycle(var_rows * self.width, steps)
 
-    def streams(self, seed) -> tuple[np.random.Generator,
-                                     np.random.Generator | None]:
-        """One path's outcome stream and, for iid-random, its choice
-        stream: disjoint substreams of ``seed``."""
-        outcomes = np.random.Generator(np.random.PCG64(_seed_sequence(seed, 0)))
+    def streams(self, seeds: Sequence, horizon: int
+                ) -> tuple[list[np.random.Generator], _Choices | None]:
+        """The outcome streams of a group of paths, one per seed, and, for
+        iid-random, their choices over ``horizon`` steps: each path's
+        outcome and choice streams are disjoint substreams of its seed."""
+        outcomes = [np.random.Generator(np.random.PCG64(_seed_sequence(s, 0)))
+                    for s in seeds]
         if self.shared:
             return outcomes, None
-        return outcomes, np.random.Generator(np.random.PCG64(
-            _seed_sequence(seed, 1, self.salt)))
+        return outcomes, _Choices(
+            [np.random.Generator(np.random.PCG64(
+                _seed_sequence(s, 1, self.salt))) for s in seeds],
+            self.measures, self.steps, horizon)
 
     def draw(self, streams, start: int, steps: int, buf: _Buffers
-             ) -> tuple[np.ndarray, np.ndarray]:
+             ) -> np.ndarray:
         """Steps start..start+steps-1 of every path in ``streams``, each
-        path's draws continuing its own streams: (positions, values), views
-        into ``buf`` of shape (paths, steps). A position is the step's row
-        offset plus its outcome, so the outcome is position % W and the
-        measure is position // W % measures."""
-        paths = len(streams)
+        path's draws continuing its own streams: the positions, a view into
+        ``buf`` of shape (paths, steps). A position is the step's row
+        offset plus its outcome, so it indexes the step's value and centred
+        pair, the outcome is position % W and the measure is
+        position // W % measures."""
+        outcome_rngs, choices = streams
+        paths = len(outcome_rngs)
         u = _shaped(buf.u, paths, steps)
-        for row, (outcome_rng, _) in zip(u, streams):
-            outcome_rng.random(out=row)
+        for row, rng in zip(u, outcome_rngs):
+            rng.random(out=row)
         rows = self.rows.window(start, steps)
-        if not self.shared:
+        if choices is not None:
             drawn = _shaped(buf.rows, paths, steps)
-            for row, (_, choice_rng) in zip(drawn, streams):
-                row[:] = choice_rng.integers(0, self.measures, size=steps,
-                                             dtype=np.int64)
-            drawn *= self.width
+            np.multiply(choices.window(start, steps), self.width, out=drawn,
+                        dtype=np.int64)
             rows = np.add(drawn, rows, out=drawn)
         pos = _shaped(buf.pos, paths, steps)
         _bisect(self.table, self.width, rows, u, pos,
                 _shaped(buf.idx, paths, steps), _shaped(buf.seen, paths, steps),
                 _shaped(buf.hit, paths, steps))
-        values = _shaped(buf.values, paths, steps)
-        np.take(self.values, pos, out=values, mode="clip")
-        return pos, values
+        return pos
 
 
 def sample_path(model: SequenceModel, strategy: AdversaryStrategy,
@@ -331,12 +383,12 @@ def sample_path(model: SequenceModel, strategy: AdversaryStrategy,
     if n_steps < 1:
         raise IndexOutOfRangeError(f"need n_steps >= 1, got {n_steps}")
     sampler = _BlockSampler(model, strategy, n_steps)
-    pos, values = sampler.draw([sampler.streams(seed)], 0, n_steps,
-                               _Buffers(1, n_steps))
-    rows, outcomes = np.divmod(pos[0], sampler.width)
+    pos = sampler.draw(sampler.streams([seed], n_steps), 0, n_steps,
+                       _Buffers(1, n_steps))[0]
+    rows, outcomes = np.divmod(pos, sampler.width)
     base = _seed_sequence(seed)
     return SamplePath(tuple(int(k) for k in base.spawn_key),
-                      rows % sampler.measures, outcomes, values[0])
+                      rows % sampler.measures, outcomes, sampler.values[pos])
 
 
 @dataclass(frozen=True)
@@ -438,19 +490,20 @@ def run_slln_experiment(model: SequenceModel, schedule: WeightSchedule,
     grid = sample_grid(n_steps, n_start, grid_points)
     phi_bound = phi.sup_on_nonpositive() if phi is not None else None
     block = min(STEP_BLOCK, n_steps)
-    samplers = [_BlockSampler(model, strat, block) for strat in strategies]
-    upper_cycle, lower_cycle = _Cycle(upper_c, block), _Cycle(lower_c, block)
+    samplers = [_BlockSampler(model, strat, block, (upper_c, lower_c))
+                for strat in strategies]
 
     def one_group(task: tuple[int, int, int]
                   ) -> list[tuple[PathSummary, TrajectorySample]]:
         """Paths first..first+count-1 of strategy si, through every block."""
         si, first, count = task
         sampler, label = samplers[si], strategies[si].label
-        streams = [sampler.streams(_seed_sequence(seed, si, pi))
-                   for pi in range(first, first + count)]
+        streams = sampler.streams([_seed_sequence(seed, si, pi)
+                                   for pi in range(first, first + count)],
+                                  n_steps)
         buf = _Buffers(count, block)
-        carry_up = np.full(count, -0.0)  # see normalized_partial_sums
-        carry_low = np.full(count, -0.0)
+        # the running pair sums; see normalized_partial_sums
+        carry = np.full(count, complex(-0.0, -0.0))
         tail_max = np.full(count, -np.inf)
         tail_min = np.full(count, np.inf)
         phi_sup = np.full(count, -np.inf)
@@ -458,14 +511,16 @@ def run_slln_experiment(model: SequenceModel, schedule: WeightSchedule,
         grid_low = np.empty((count, grid.size))
         for start in range(0, n_steps, STEP_BLOCK):
             stop = min(start + STEP_BLOCK, n_steps)
-            _, values = sampler.draw(streams, start, stop - start, buf)
-            part = (table[0][start:stop], table[1][start:stop])
-            s_up = normalized_partial_sums(
-                values, part, upper_cycle.window(start, stop - start),
-                carry=carry_up)
-            s_low = normalized_partial_sums(
-                values, part, lower_cycle.window(start, stop - start),
-                carry=carry_low)
+            steps = stop - start
+            pos = sampler.draw(streams, start, steps, buf)
+            terms = _shaped(buf.pairs, count, steps)
+            np.take(sampler.pairs, pos, out=terms, mode="clip")
+            # the block's uniforms and probes are spent, so their buffers
+            # take the two trajectories
+            s_up, s_low = normalized_partial_sums(
+                terms, (table[0][start:stop], table[1][start:stop]),
+                carry=carry, out=(_shaped(buf.u, count, steps),
+                                  _shaped(buf.seen, count, steps)))
             if not swap_centers and (s_up - s_low).max() > _ORDER_SLACK:
                 raise SimulationOrderError(
                     "upper-centered sums exceeded lower-centered sums")

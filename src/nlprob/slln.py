@@ -285,17 +285,9 @@ def exp_moment_bound(model: SequenceModel, schedule: WeightSchedule, n: int,
     return product_upper_expectation(model, np.vstack(rows), cap)
 
 
-def exp_moment_bound_sequence(model: SequenceModel, schedule: WeightSchedule,
-                              n_max: int,
-                              cap: int = DEFAULT_ORACLE_CAP) -> np.ndarray:
-    """exp_moment_bound for n = 1..n_max, for sup inspection."""
-    return np.array([exp_moment_bound(model, schedule, n, cap)
-                     for n in range(1, n_max + 1)])
-
-
 def normalized_partial_sums(values, table: tuple[np.ndarray, np.ndarray],
-                            centers, carry: np.ndarray | None = None
-                            ) -> np.ndarray:
+                            centers=None, carry: np.ndarray | None = None,
+                            out: tuple[np.ndarray, np.ndarray] | None = None):
     """S_n = sum_{i<=n} a_i (x_i - center_i) / A_n for n = 1..N along the
     last axis of ``values`` (one path, or a block of paths by steps), one
     prefix-sum pass. ``table`` is ``WeightSchedule.table(m)`` for some
@@ -303,29 +295,53 @@ def normalized_partial_sums(values, table: tuple[np.ndarray, np.ndarray],
     in the order subtract, scale, cumsum, divide, so the result is bit for
     bit ``np.cumsum(a * (x - c)) / A``.
 
+    The paired form takes no ``centers``: ``values`` is a complex128 array
+    of terms already centred twice, x_i - c_i in the real part and
+    x_i - d_i in the imaginary part, and the result is the pair of real
+    trajectories (centred on c, centred on d). numpy adds complex numbers
+    part by part, so one complex cumsum makes both prefix sums, each bit
+    for bit its float64 cumsum. ``a`` scales the float parts: a complex
+    times a real would promote a to a + 0j, and x * a - y * 0 can flip the
+    sign of a zero. The terms are summed in place, so ``values`` ends
+    holding the running sums, and each part divided by A is written to the
+    two float arrays of ``out`` (new ones when it is None).
+
     ``carry``, when given, holds each path's running sum
-    sum_{i<t0} a_i (x_i - c_i) of the steps before the block and is
-    advanced in place to the block's last step. It is added to the block's
-    first scaled term before the cumsum, which is the very addition an
-    unbroken cumsum makes there, so a path summed block by block gets the
-    bits of the one-pass sums. Start it at -0.0: -0.0 + x == x for every
-    float x, so an empty prefix changes no bit, not even a sign of zero.
+    sum_{i<t0} a_i (x_i - c_i) of the steps before the block (complex in
+    the paired form) and is advanced in place to the block's last step.
+    It is added to the block's first scaled term before the cumsum, which
+    is the very addition an unbroken cumsum makes there, so a path summed
+    block by block gets the bits of the one-pass sums. Start it at -0.0
+    (``complex(-0.0, -0.0)`` for pairs): -0.0 + x == x for every float x,
+    so an empty prefix changes no bit, not even a sign of zero.
     """
-    x = np.asarray(values, dtype=float)
-    c = np.asarray(centers, dtype=float)
+    paired = centers is None
     a, A = table
-    n = x.shape[-1]
-    if min(c.size, len(a), len(A)) < n:
+    n = np.shape(values)[-1]
+    n_centers = n if paired else np.size(centers)
+    if min(n_centers, len(a), len(A)) < n:
         raise LengthMismatchError(
-            f"{c.size} centers, {len(a)} weights and {len(A)} normalizers "
+            f"{n_centers} centers, {len(a)} weights and {len(A)} normalizers "
             f"for {n} steps; need at least as many of each")
-    out = np.subtract(x, c[:n])
-    out *= a[:n]
+    if paired:
+        terms = values
+        parts = terms.view(np.float64)  # (re, im) of each term, interleaved
+        np.multiply(parts, np.repeat(a[:n], 2), out=parts)
+    else:
+        terms = np.subtract(np.asarray(values, dtype=float),
+                            np.asarray(centers, dtype=float)[:n])
+        terms *= a[:n]
     carried = carry is not None and n > 0
     if carried:
-        out[..., 0] += carry
-    np.cumsum(out, axis=-1, out=out)
+        terms[..., 0] += carry
+    np.cumsum(terms, axis=-1, out=terms)
     if carried:
-        carry[...] = out[..., -1]
-    out /= A[:n]
+        carry[...] = terms[..., -1]
+    if not paired:
+        terms /= A[:n]
+        return terms
+    if out is None:
+        out = (np.empty(terms.shape), np.empty(terms.shape))
+    np.divide(terms.real, A[:n], out=out[0])
+    np.divide(terms.imag, A[:n], out=out[1])
     return out

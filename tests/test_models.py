@@ -12,7 +12,6 @@ from nlprob import (
     joint_lower_expectation,
     joint_upper_expectation,
     lower_expectation,
-    maximizing_assignment,
     product_lower_expectation,
     product_upper_expectation,
     upper_expectation,
@@ -101,11 +100,6 @@ class TestJointOracle:
         assert table[1, 0] == pytest.approx(table[1, 1], abs=1e-15)
         assert table[0, 0] == pytest.approx(0.5, abs=1e-15)
         assert table[1, 0] == pytest.approx(0.2, abs=1e-15)
-
-    def test_maximizing_assignment_lexicographic(self, marginal_model):
-        # both (0, 0) and maximum ties resolved to the first flat index
-        assert maximizing_assignment(marginal_model, lambda a, b: a * b, 2) == (0, 0)
-        assert maximizing_assignment(marginal_model, lambda a, b: 0 * a * b, 2) == (0, 0)
 
     def test_cap_enforced(self, marginal_model):
         with pytest.raises(OracleTooLargeError):

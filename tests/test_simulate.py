@@ -263,9 +263,10 @@ def test_inverse_cdf_is_exact_at_the_boundaries(rng):
 
 def test_chunked_draws_equal_one_shot_draws():
     # the block engine draws each path's uniforms with Generator.random(out=)
-    # and iid-random's choices with Generator.integers one block at a time;
-    # its results are the one-pass results only while numpy keeps these
-    # streams independent of how the draws are chunked
+    # one block at a time, and iid-random's choices with Generator.integers
+    # several blocks at a time; its results are the one-pass results only
+    # while numpy keeps these streams independent of how the draws are
+    # chunked
     chunks = (1, 7, 1024, 3, 999, 1, 2000, 965)
     n = sum(chunks)
     for seed in range(3):
@@ -284,6 +285,32 @@ def test_chunked_draws_equal_one_shot_draws():
                                                    dtype=np.int64)
                                       for c in chunks])
             assert np.array_equal(chunked, one_shot)
+
+
+def test_complex_cumsum_is_two_real_cumsums():
+    # the block engine sums a block's two trajectories in one complex128
+    # cumsum along the last axis; its results are the two float64 cumsums
+    # only while numpy adds complex numbers part by part in step order, so
+    # signed zeros, cancellations and magnitudes 400 decades apart must
+    # come out with the bits of the real sums
+    rng = np.random.default_rng(8)
+    for shape in ((1,), (2,), (1023,), (3, 1024), (25, 1025), (2, 3, 129)):
+        parts = []
+        for _ in range(2):
+            x = rng.normal(size=shape) * 10.0 ** rng.integers(-200, 200,
+                                                               size=shape)
+            x[rng.random(shape) < 0.2] = -0.0
+            x[rng.random(shape) < 0.1] = 0.0
+            cancel = rng.random(shape) < 0.1   # x then -x sums to a zero
+            x[..., 1:][cancel[..., 1:]] = -x[..., :-1][cancel[..., 1:]]
+            parts.append(x)
+        z = np.empty(shape, dtype=np.complex128)
+        z.real, z.imag = parts
+        want = [np.cumsum(x, axis=-1) for x in parts]
+        for got in (np.cumsum(z, axis=-1),
+                    np.cumsum(z, axis=-1, out=z)):   # in place, as the engine
+            assert got.real.tobytes() == want[0].tobytes()
+            assert got.imag.tobytes() == want[1].tobytes()
 
 
 def _path_oracle(model, schedule, strategies, n_steps, paths_per_strategy,
@@ -373,6 +400,31 @@ def test_block_engine_matches_the_path_oracle(rng):
                     assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
+@pytest.mark.parametrize("choice_blocks", [1, 3, nlprob.simulate.CHOICE_BLOCKS])
+def test_iid_choices_match_the_path_oracle_across_chunks(rng, monkeypatch,
+                                                         choice_blocks):
+    # iid-random draws its choices several blocks ahead: a horizon of two
+    # whole chunks and a part of a third, with one block cut short, must
+    # still give each path the one-shot choices
+    monkeypatch.setattr(nlprob.simulate, "CHOICE_BLOCKS", choice_blocks)
+    n_steps = (2 * choice_blocks + 1) * nlprob.simulate.STEP_BLOCK - 300
+    strategies = (AdversaryStrategy("iid-random", salt=5),)
+    schedule = make_schedule("mz", alpha=1.0, beta=0.5, p=1.25)
+    for _ in range(3):
+        model = _random_rectangular_model(rng)
+        kwargs = dict(n_steps=n_steps, paths_per_strategy=3,
+                      seed=int(rng.integers(2**32)), n_start=n_steps // 3,
+                      swap_centers=False, phi=None, grid_points=300)
+        want = _path_oracle(model, schedule, strategies, **kwargs)
+        got = run_slln_experiment(model, schedule, strategies, **kwargs)
+        for summary, sample, (want_summary, want_sample) in zip(
+                got.path_summaries, got.trajectory_samples, want, strict=True):
+            assert repr(summary) == repr(want_summary)
+            for field in ("upper", "lower"):
+                assert getattr(sample, field).tobytes() == \
+                    getattr(want_sample, field).tobytes()
+
+
 def test_block_buffers_do_not_grow_with_the_horizon(marginal_model,
                                                      kolmogorov, monkeypatch):
     sizes = []
@@ -439,10 +491,17 @@ class TestRunExperiment:
 
     def test_center_order_fault_is_named(self, marginal_model, kolmogorov,
                                          monkeypatch):
-        # a partial-sum routine that ignores its centers breaks the order
-        # upper-centred <= lower-centred; that is an internal fault, named
+        # a partial-sum routine that hands back the two trajectories
+        # swapped breaks the order upper-centred <= lower-centred; that is
+        # an internal fault, named
+        paired_sums = nlprob.simulate.normalized_partial_sums
+
+        def swapped(*args, **kwargs):
+            upper, lower = paired_sums(*args, **kwargs)
+            return lower, upper
+
         monkeypatch.setattr(nlprob.simulate, "normalized_partial_sums",
-                            lambda values, schedule, centers, carry: centers)
+                            swapped)
         with pytest.raises(SimulationOrderError) as exc:
             run_slln_experiment(marginal_model, kolmogorov,
                                 bundled_strategies(), n_steps=1000,

@@ -12,7 +12,6 @@ from nlprob import (
     credal_set_from_rows,
     elementary_exp_bound_check,
     exp_moment_bound,
-    exp_moment_bound_sequence,
     make_schedule,
     normalized_partial_sums,
     truncate,
@@ -348,13 +347,6 @@ class TestExpMomentBound:
         with pytest.raises(IndexOutOfRangeError):
             exp_moment_bound(pair_model, kolmogorov, 0)
 
-    def test_sequence_matches_pointwise(self, kolmogorov, x012, size3_credal):
-        model = SequenceModel(size3_credal, (x012, x012), "rectangular")
-        seq = exp_moment_bound_sequence(model, kolmogorov, 4)
-        assert seq.shape == (4,)
-        for n in range(1, 5):
-            assert seq[n - 1] == exp_moment_bound(model, kolmogorov, n)
-
 
 class TestNormalizedPartialSums:
     def test_unit_steps(self, kolmogorov):
@@ -450,6 +442,87 @@ class TestNormalizedPartialSums:
                                       carry=carry)
         want = normalized_partial_sums(x[0], kolmogorov.table(3), [0.0] * 3)
         assert np.signbit(want[0]) and got[0].tobytes() == want.tobytes()
+
+    @staticmethod
+    def _pairs(x, upper, lower):
+        # set part by part, as the simulator's pair table is
+        z = np.empty(np.shape(x), dtype=np.complex128)
+        z.real = x - upper
+        z.imag = x - lower
+        return z
+
+    @pytest.mark.parametrize("rules", [
+        {"a_rule": ("harmonic", None), "A_rule": ("power", 0.9)},
+        {"a_rule": ("table", tuple(np.linspace(0.5, 3.0, 3073))),
+         "A_rule": ("table", tuple(np.arange(1.0, 3074.0) ** 0.85))},
+    ], ids=["harmonic-power", "tables"])
+    def test_paired_form_matches_two_real_passes_bit_for_bit(self, rules,
+                                                              rng):
+        # blocks of 1, 1023, 1024 and 1025 steps, summed as complex pairs
+        # with one carry from complex(-0.0, -0.0), give each path the bits
+        # of two one-pass real sums, one per centre sequence
+        sched = make_schedule("custom", alpha=1.0, beta=0.5, **rules)
+        paths, lengths = 4, (1, 1023, 1024, 1025)
+        n = sum(lengths)
+        a, A = sched.table(n)
+        x = rng.normal(size=(paths, n)) * 10.0 ** rng.integers(-3, 4, size=n)
+        upper = rng.uniform(-1.0, 1.0, size=n)
+        lower = upper - rng.uniform(0.0, 1.0, size=n)
+        x[:, ::7] = upper[::7]     # terms that are exactly zero
+        x[:, 1::11] = -0.0
+        carry = np.full(paths, complex(-0.0, -0.0))
+        blocks = []
+        edges = np.cumsum((0,) + lengths)
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            out = (np.empty((paths, hi - lo)), np.empty((paths, hi - lo)))
+            got = normalized_partial_sums(
+                self._pairs(x[:, lo:hi], upper[lo:hi], lower[lo:hi]),
+                (a[lo:hi], A[lo:hi]), carry=carry, out=out)
+            assert got[0] is out[0] and got[1] is out[1]
+            blocks.append(got)
+        for p in range(paths):
+            for side, centers in enumerate((upper, lower)):
+                want = normalized_partial_sums(x[p], (a, A), centers)
+                got = np.concatenate([b[side][p] for b in blocks])
+                assert got.tobytes() == want.tobytes()
+            assert carry[p].real == np.cumsum(a * (x[p] - upper))[-1]
+            assert carry[p].imag == np.cumsum(a * (x[p] - lower))[-1]
+
+    @pytest.mark.parametrize("first", [(0.0, 0.5), (-0.5, 0.0)],
+                             ids=["real", "imaginary"])
+    def test_paired_form_keeps_the_sign_of_a_zero(self, kolmogorov, first):
+        # x_1 = -0.0 makes one part of the first term -0.0 and the other
+        # nonzero; scaling by a complex times real product would turn that
+        # -0.0 into +0.0, and the first sums with it
+        c, d = [first[0], 0.0, 0.0], [first[1], 0.0, 0.0]
+        x = np.array([[-0.0, 1.0, 2.0]])
+        got = normalized_partial_sums(self._pairs(x, c, d),
+                                      kolmogorov.table(3),
+                                      carry=np.full(1, complex(-0.0, -0.0)))
+        for s, centers in zip(got, (c, d)):
+            want = normalized_partial_sums(x[0], kolmogorov.table(3), centers)
+            assert s[0].tobytes() == want.tobytes()
+        assert np.signbit(got[first.index(0.0)][0, 0])
+
+    def test_paired_sums_of_a_degenerate_model_are_exactly_zero(self):
+        # a constant coordinate centred on its own value: every term is
+        # +0.0, and a fresh carry of negative zeros leaves the sums +0.0
+        sched = make_schedule("mz", alpha=1.0, beta=0.5, p=1.25)
+        x = np.full((3, 1025), 2.0)
+        carry = np.full(3, complex(-0.0, -0.0))
+        upper, lower = normalized_partial_sums(
+            self._pairs(x, 2.0, 2.0), sched.table(1025), carry=carry)
+        want = normalized_partial_sums(x[0], sched.table(1025), x[0])
+        for s in (upper, lower):
+            assert s.tobytes() == np.zeros_like(s).tobytes()
+            assert s[0].tobytes() == want.tobytes()
+
+    def test_paired_table_must_cover_steps(self, kolmogorov):
+        a, A = kolmogorov.table(3)
+        for short in ((a[:2], A), (a, A[:2])):
+            with pytest.raises(LengthMismatchError):
+                normalized_partial_sums(self._pairs(np.ones(3), 0.0, 0.0),
+                                        short)
 
 
 def test_truncation_series_converges_numerically(kolmogorov):
