@@ -4,6 +4,10 @@ The upper probability of an event is the maximum of its probability across
 the credal set's measures; the lower probability is the minimum. Both are
 attained because the set is a finite list — no optimization, just exact
 enumeration. The pair is conjugate: upper(A) + lower(complement A) = 1.
+
+A single event is an :class:`~nlprob.core.Event`; an event family is a
+boolean membership matrix of shape (events, size), one row per event, so
+the whole family of a space is one array and no ``Event`` is built for it.
 """
 
 from __future__ import annotations
@@ -43,35 +47,39 @@ def lower_prob_witness(credal: CredalSet, event: Event) -> tuple[float, int]:
     return float(p[j]), j
 
 
-def capacity_axiom_report(credal: CredalSet, events: list[Event],
+def capacity_axiom_report(credal: CredalSet, events: np.ndarray,
                           tol: float = DEFAULT_TOL) -> tuple[CheckResult, ...]:
-    """Records of normalization, monotonicity, conjugacy and envelope dominance.
+    """Records of normalization, monotonicity, conjugacy and envelope dominance
+    over an event family given as a boolean membership matrix of shape
+    (events, size): row e marks the outcomes of event e, as
+    :func:`all_events` builds it. An empty family has shape (0, size).
 
     Normalization is checked on the empty and full events regardless of the
-    list; conjugacy per event and union subadditivity over consecutive event
-    pairs, each keeping its first worst case and its events (and, for
-    conjugacy, the attaining measures) as witness. Monotonicity over every
-    subset pair of the list and dominance hold exactly, so they read gap 0.0:
-    outcome-order sums make P_j(A) <= P_j(B) exact for A ⊆ B (proof at
-    :func:`~nlprob.core.event_probability_table`), max_j and min_j keep that
-    order, and min_j P_j(A) <= max_j P_j(A).
+    family; conjugacy per event and union subadditivity over consecutive
+    event pairs, each keeping its first worst case and its events (outcome
+    lists, and for conjugacy the attaining measures) as witness.
+    Monotonicity over every subset pair of the family and dominance hold
+    exactly, so they read gap 0.0: outcome-order sums make P_j(A) <= P_j(B)
+    exact for A ⊆ B (proof at :func:`~nlprob.core.event_probability_table`),
+    max_j and min_j keep that order, and min_j P_j(A) <= max_j P_j(A).
     """
     size = credal.size
-    if any(event.size != size for event in events):
-        raise DimensionMismatchError(f"events must be subsets of {size} outcomes")
-    empty = Event(size)
-    full = empty.complement()
+    members = np.asarray(events, dtype=bool)
+    if members.ndim != 2 or members.shape[1] != size:
+        raise DimensionMismatchError(
+            f"events must be a membership matrix of shape (events, {size}), "
+            f"got shape {members.shape}")
     W = credal.weight_matrix()
-    members = np.array([e.indicator() for e in events]).reshape(-1, size) > 0
+    ends = event_probability_table(W, np.repeat([[False], [True]], size, axis=1))
     probs = event_probability_table(W, members)
     complements = event_probability_table(W, ~members)
     upper = probs.max(axis=1)
 
     results = [
-        equality("upper-normalization-empty", upper_prob(credal, empty), 0.0, tol),
-        equality("lower-normalization-empty", lower_prob(credal, empty), 0.0, tol),
-        equality("upper-normalization-full", upper_prob(credal, full), 1.0, tol),
-        equality("lower-normalization-full", lower_prob(credal, full), 1.0, tol),
+        equality("upper-normalization-empty", ends[0].max(), 0.0, tol),
+        equality("lower-normalization-empty", ends[0].min(), 0.0, tol),
+        equality("upper-normalization-full", ends[1].max(), 1.0, tol),
+        equality("lower-normalization-full", ends[1].min(), 1.0, tol),
         CheckResult("upper-monotonicity", 0.0, 0.0, 0.0, 0.0 <= tol),
         CheckResult("lower-monotonicity", 0.0, 0.0, 0.0, 0.0 <= tol),
     ]
@@ -80,32 +88,33 @@ def capacity_axiom_report(credal: CredalSet, events: list[Event],
     gaps = np.r_[0.0, np.abs(upper + complements.min(axis=1) - 1.0)]
     i = int(gaps.argmax()) - 1
     witness = None if i < 0 else {
-        "event": events[i].sorted_members(),
+        "event": np.flatnonzero(members[i]).tolist(),
         "upper_argmax": int(probs[i].argmax()),
         "complement_argmin": int(complements[i].argmin())}
     gap = float(gaps[i + 1])
     results.append(CheckResult("conjugacy", gap, 0.0, gap, gap <= tol, witness))
     results.append(CheckResult("dominance", 0.0, 0.0, 0.0, 0.0 <= tol))
 
-    if not events:
+    if not len(members):
         results.append(comparison(
             "upper-subadditivity-spot", 0.0, 0.0, tol,
             {"note": "union subadditivity is implied by maxima of additive measures"}))
     else:
-        nxt = list(range(1, len(events))) or [0]
+        nxt = list(range(1, len(members))) or [0]
         unions = event_probability_table(W, members[:len(nxt)] | members[nxt])
         gaps = unions.max(axis=1) - (upper[:len(nxt)] + upper[nxt])
         i = int(gaps.argmax())
         gap = float(gaps[i])
         results.append(CheckResult(
             "upper-subadditivity-spot", gap, 0.0, gap, gap <= tol,
-            {"event": events[i].sorted_members(),
-             "other": events[nxt[i]].sorted_members()}))
+            {"event": np.flatnonzero(members[i]).tolist(),
+             "other": np.flatnonzero(members[nxt[i]]).tolist()}))
 
     return tuple(results)
 
 
-def all_events(size: int) -> list[Event]:
-    """Every subset of a space, bitmask order. Exponential; keep size small."""
-    return [Event(size, frozenset(i for i in range(size) if mask >> i & 1))
-            for mask in range(1 << size)]
+def all_events(size: int) -> np.ndarray:
+    """Every subset of a space as a membership matrix of shape
+    (2**size, size): row k holds the bits of k, so outcome i is in event k
+    when bit i of k is set. Exponential; keep size small."""
+    return (np.arange(1 << size)[:, None] >> np.arange(size)) & 1 > 0

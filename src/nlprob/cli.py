@@ -28,7 +28,6 @@ import numpy as np
 from . import __version__
 from .capacity import all_events, capacity_axiom_report
 from .config import CHECK_NAMES, FAMILIES, ExperimentConfig, parse_config, read_text
-from .core import Event
 from .dependence import (
     RAMP,
     TestFunction,
@@ -83,13 +82,12 @@ def _var_names(config: ExperimentConfig) -> list[str]:
 def _axiom_records(run: _Run) -> list[CheckResult]:
     model, tol = run.config.model, run.tol
     size = model.credal.size
-    if size <= 12:
+    if size <= 16:
         events = all_events(size)
     else:
         # deterministic tractable family: singletons, prefixes, complements
-        singles = [Event(size, frozenset([i])) for i in range(size)]
-        prefixes = [Event(size, frozenset(range(i + 1))) for i in range(size)]
-        events = singles + prefixes + [e.complement() for e in singles]
+        singles = np.eye(size, dtype=bool)
+        events = np.vstack([singles, np.tri(size, dtype=bool), ~singles])
     x = model.variables[0]
     y = model.variables[1 % len(model.variables)]
     return [*capacity_axiom_report(model.credal, events, tol),
@@ -287,11 +285,10 @@ plot "trajectories.csv" every ::1 using 3:4 with dots lc rgb "#1f77b4" \\
 
 def _write_csv(path: Path, samples) -> None:
     lines = ["path_id,strategy,n,s_upper,s_lower"]
-    pid = 0
-    for sample in samples:
-        for n, su, sl in zip(sample.steps, sample.upper, sample.lower):
-            lines.append(f"{pid},{sample.strategy},{int(n)},{float(su)!r},{float(sl)!r}")
-        pid += 1
+    for pid, sample in enumerate(samples):
+        head = f"{pid},{sample.strategy},"
+        lines.extend(f"{head}{n},{su!r},{sl!r}" for n, su, sl in zip(
+            sample.steps.tolist(), sample.upper.tolist(), sample.lower.tolist()))
     path.write_text("\n".join(lines) + "\n")
 
 

@@ -271,11 +271,14 @@ def event_probability_table(weights: np.ndarray, members: np.ndarray) -> np.ndar
     order, to the events holding it. So monotonicity is exact in floats:
     weights are >= 0 and rounding is monotone, hence for A ⊆ B each partial
     sum of B is >= the matching one of A, and P_j(A) <= P_j(B) exactly.
+    Every event takes every step, a non-member adding a zero: entries start
+    at +0.0 and gain only terms >= 0, so none is -0.0, and x + 0.0 == x
+    keeps each sum the member-only one bit for bit.
     """
     members = np.asarray(members, dtype=bool)
     table = np.zeros((members.shape[0], weights.shape[0]))
     for w in range(weights.shape[1]):
-        table[members[:, w]] += weights[:, w]
+        table += np.multiply.outer(members[:, w], weights[:, w])
     return table
 
 

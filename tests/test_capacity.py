@@ -16,8 +16,15 @@ from nlprob import (
     upper_prob,
     upper_prob_witness,
 )
+from nlprob.core import event_probability_table
 from nlprob.errors import DimensionMismatchError
 from nlprob.reports import CheckResult, all_passed, comparison, equality
+
+
+def as_events(rows):
+    """The Event objects of a membership matrix's rows, in row order."""
+    return [Event(rows.shape[1], frozenset(np.flatnonzero(row).tolist()))
+            for row in rows]
 
 
 class TestEnvelopes:
@@ -66,7 +73,7 @@ class TestAxiomReport:
 
     def test_monotonicity_exact(self, make_credal):
         c = make_credal(size=6)
-        events = all_events(6)
+        events = as_events(all_events(6))
         for a in events:
             for b in events:
                 if a.issubset(b):
@@ -105,7 +112,15 @@ class TestAxiomReport:
 
 def test_all_events_cardinality():
     assert len(all_events(3)) == 8
-    assert len({tuple(e.sorted_members()) for e in all_events(4)}) == 16
+    assert len({tuple(np.flatnonzero(row)) for row in all_events(4)}) == 16
+
+
+def test_all_events_row_k_holds_the_bits_of_k():
+    for size in range(1, 11):
+        rows = all_events(size)
+        assert rows.dtype == bool and rows.shape == (1 << size, size)
+        for k, row in enumerate(rows.tolist()):
+            assert row == [bool(k >> i & 1) for i in range(size)]
 
 
 def pairwise_axiom_report(credal, events, tol):
@@ -187,10 +202,10 @@ class TestClosedForm:
             events = all_events(size)
             if size > 6:  # keep the oracle affordable
                 keep = np.sort(rng.choice(len(events), 96, replace=False))
-                events = [events[i] for i in keep]
+                events = events[keep]
             tol = (1e-12, 0.0)[t % 2]
             records = capacity_axiom_report(credal, events, tol)
-            expected = pairwise_axiom_report(credal, events, tol)
+            expected = pairwise_axiom_report(credal, as_events(events), tol)
             assert [(r.check, r.lhs, r.rhs, r.gap, r.passed, r.witness)
                     for r in records] == \
                 [(r.check, r.lhs, r.rhs, r.gap, r.passed, r.witness)
@@ -200,14 +215,17 @@ class TestClosedForm:
 
     def test_empty_and_single_event_lists(self, make_credal):
         c = make_credal(size=4)
-        for events in ([], [Event(4, frozenset([1, 3]))]):
+        for events in (np.zeros((0, 4), dtype=bool),
+                       np.array([[False, True, False, True]])):
             assert list(capacity_axiom_report(c, events)) == \
-                pairwise_axiom_report(c, events, 1e-12)
+                pairwise_axiom_report(c, as_events(events), 1e-12)
 
     def test_wrong_size_event_raises(self, make_credal):
         c = make_credal(size=4)
-        with pytest.raises(DimensionMismatchError):
-            capacity_axiom_report(c, [Event(4), Event(5, frozenset([4]))])
+        for events in (all_events(5), np.zeros((2, 3), dtype=bool),
+                       np.ones(4, dtype=bool)):
+            with pytest.raises(DimensionMismatchError):
+                capacity_axiom_report(c, events)
 
     def test_monotonicity_gaps_exactly_zero_with_a_zero_weight_outcome(self, rng):
         # a pairwise numpy sum (8 or more members) rounds a superset below
@@ -234,3 +252,21 @@ def test_event_probability_is_a_left_to_right_sum(rng):
             total += float(measure.weights[i])
         assert event_probability(measure, Event(size, frozenset(members))).hex() == \
             total.hex()
+
+
+def test_event_probability_table_is_a_left_to_right_sum_per_entry(rng):
+    for t in range(120):
+        size = int(rng.integers(2, 16))
+        kind = ("dirichlet", "decades", "zero-outcome")[t % 3]
+        weights = random_weight_rows(rng, kind, size)
+        members = np.vstack([np.zeros(size, dtype=bool),
+                             np.ones(size, dtype=bool),
+                             rng.random((30, size)) < 0.5])
+        table = event_probability_table(weights, members)
+        assert table.shape == (len(members), len(weights))
+        for e, row in enumerate(members):
+            for j, w in enumerate(weights):
+                total = 0.0
+                for i in np.flatnonzero(row):
+                    total += float(w[i])
+                assert table[e, j].hex() == total.hex()

@@ -8,10 +8,12 @@ import tempfile
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+from nlprob import cli
 from nlprob.cli import main
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -148,6 +150,45 @@ class TestRectangularHorizonFive:
         assert na["gap"] == 0.0 and na["pass"] is True
         assert na["checked"] == 2 * sum(27 ** k for k in range(2, 6))
         assert record(report, "vertical-independence")["pass"] is True
+
+
+class TestAxiomEventFamily:
+    def _family(self, tmp_path, monkeypatch, size):
+        seen = []
+        real = cli.capacity_axiom_report
+
+        def spy(credal, events, tol):
+            seen.append(events)
+            return real(credal, events, tol)
+
+        monkeypatch.setattr(cli, "capacity_axiom_report", spy)
+        config = tmp_path / "wide.json"
+        config.write_text(json.dumps({
+            "model": {"space": size,
+                      "measures": [[1.0 / size] * size,
+                                   [0.5] + [0.5 / (size - 1)] * (size - 1)],
+                      "variables": {"X": [float(i) for i in range(size)]}},
+            "checks": ["axioms"],
+        }))
+        code, _, report = run(tmp_path, "verify", "--config", str(config))
+        assert code == 0 and report["passed"] is True
+        assert report["selected_checks"] == ["axioms"]
+        assert len(seen) == 1
+        return [np.flatnonzero(row).tolist() for row in seen[0]]
+
+    def test_every_event_up_to_sixteen_outcomes(self, tmp_path, monkeypatch):
+        family = self._family(tmp_path, monkeypatch, 16)
+        assert family == [[i for i in range(16) if k >> i & 1]
+                          for k in range(1 << 16)]
+
+    def test_singles_prefixes_complements_above_sixteen(self, tmp_path,
+                                                         monkeypatch):
+        family = self._family(tmp_path, monkeypatch, 17)
+        assert len(family) == 51
+        assert family == ([[i] for i in range(17)]
+                          + [list(range(i + 1)) for i in range(17)]
+                          + [[k for k in range(17) if k != i]
+                             for i in range(17)])
 
 
 class TestFailureModes:
