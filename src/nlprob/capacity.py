@@ -72,7 +72,11 @@ def capacity_axiom_report(credal: CredalSet, events: np.ndarray,
     W = credal.weight_matrix()
     ends = event_probability_table(W, np.repeat([[False], [True]], size, axis=1))
     probs = event_probability_table(W, members)
-    complements = event_probability_table(W, ~members)
+    if (members ^ members[::-1]).all():
+        # every row's complement is its mirror row, as in all_events
+        complements = probs[::-1]
+    else:
+        complements = event_probability_table(W, ~members)
     upper = probs.max(axis=1)
 
     results = [

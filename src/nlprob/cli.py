@@ -18,6 +18,7 @@ produce byte-identical report.json and trajectories.csv for any --jobs.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -27,7 +28,14 @@ import numpy as np
 
 from . import __version__
 from .capacity import all_events, capacity_axiom_report
-from .config import CHECK_NAMES, FAMILIES, ExperimentConfig, parse_config, read_text
+from .config import (
+    CHECK_NAMES,
+    FAMILIES,
+    ExperimentConfig,
+    parse_config,
+    read_text,
+    too_large,
+)
 from .dependence import (
     RAMP,
     TestFunction,
@@ -56,8 +64,8 @@ class ExecutionOutcome:
     exit_code: int
     passed: bool
     report: dict[str, Any]
-    out_dir: Path
     failures: tuple[str, ...]
+    summary: str
 
 
 @dataclass
@@ -244,10 +252,7 @@ def _experiment(sim, *args, **kwargs):
     try:
         return run_slln_experiment(*args, **kwargs)
     except MemoryError as exc:
-        raise ConfigValidationError(
-            f"simulation: n_steps={sim.n_steps}, paths_per_strategy="
-            f"{sim.paths_per_strategy} and grid_points={sim.grid_points} "
-            f"need more memory than this machine has") from exc
+        raise too_large(sim) from exc
 
 
 def _experiment_payload(result) -> dict[str, Any]:
@@ -371,12 +376,14 @@ def execute(config: ExperimentConfig, subcommand: str = "all",
     lines.append("")
     lines.append(f"RESULT: {'OK' if passed else 'FAILED'} "
                  f"({len(flat_records) - len(failures)}/{len(flat_records)} records)")
-    (out / "summary.txt").write_text("\n".join(lines) + "\n")
+    summary = "\n".join(lines) + "\n"
+    (out / "summary.txt").write_text(summary)
 
-    return ExecutionOutcome(0 if passed else 1, passed, report, out,
-                            tuple(failures))
+    return ExecutionOutcome(0 if passed else 1, passed, report,
+                            tuple(failures), summary)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nlprob",
@@ -423,7 +430,7 @@ def main(argv: list[str] | None = None) -> int:
     except NlprobError as exc:  # configuration errors included
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    for line in (outcome.out_dir / "summary.txt").read_text().splitlines():
+    for line in outcome.summary.splitlines():
         print(line)
     if not outcome.passed:
         print(f"first failing check: {outcome.failures[0]}", file=sys.stderr)

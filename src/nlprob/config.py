@@ -38,6 +38,8 @@ coordinate count, or 4 where it is unbounded.
 from __future__ import annotations
 
 import json
+import math
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable
@@ -76,6 +78,9 @@ DEFAULT_TOLERANCE = 1e-9
 DEFAULT_EPSILON = 0.05
 DEFAULT_HORIZON = 4
 SIMULATION_CHECKS = frozenset({"slln", "strassen"})
+# a floor on what a path's PathSummary, TrajectorySample and report entry
+# keep beside its grid samples (tracemalloc: about 240 bytes)
+_SUMMARY_BYTES = 200
 
 # the pair-model counterexample functions double as sensible defaults
 DEFAULT_FORWARD_F = TestFunction(RAMP, 0.0, 1.0)
@@ -169,7 +174,34 @@ def _parse_schedule(doc: Any) -> WeightSchedule:
         raise _field_error("schedule", str(exc)) from exc
 
 
-def _parse_simulation(doc: Any) -> SimulationSettings:
+def physical_memory() -> float:
+    """Bytes of physical memory, or inf where the system does not say."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return math.inf
+
+
+def simulation_bytes(sim: SimulationSettings) -> int:
+    """A floor on the memory a simulation keeps: the weight table (a_n and
+    A_n, 16 bytes a step) and, for every path, the negative control's
+    included, its two grid samples and its summaries."""
+    paths = sim.paths_per_strategy * (len(sim.strategies)
+                                      + sim.negative_control)
+    per_path = 16 * min(sim.grid_points, sim.n_steps) + _SUMMARY_BYTES
+    return 16 * sim.n_steps + paths * per_path
+
+
+def too_large(sim: SimulationSettings) -> ConfigValidationError:
+    return ConfigValidationError(
+        f"simulation: n_steps={sim.n_steps}, paths_per_strategy="
+        f"{sim.paths_per_strategy} and grid_points={sim.grid_points} "
+        f"need more memory than this machine has")
+
+
+def _parse_simulation(doc: Any, simulated: bool) -> SimulationSettings:
+    """The simulation settings; when ``simulated``, refused as too large
+    if :func:`simulation_bytes` exceeds :func:`physical_memory`."""
     if doc is None:
         return SimulationSettings()
     if not isinstance(doc, dict):
@@ -188,7 +220,7 @@ def _parse_simulation(doc: Any) -> SimulationSettings:
                            **bounds)
 
     n_steps = number("n_steps", 100_000, integer=True, low=1000)
-    return SimulationSettings(
+    sim = SimulationSettings(
         n_steps=n_steps,
         paths_per_strategy=number("paths_per_strategy", 50, integer=True,
                                   low=1),
@@ -203,6 +235,9 @@ def _parse_simulation(doc: Any) -> SimulationSettings:
                                     high=1.0),
         grid_points=number("grid_points", 160, integer=True, low=2),
     )
+    if simulated and simulation_bytes(sim) > physical_memory():
+        raise too_large(sim)
+    return sim
 
 
 def read_text(path: Path, what: str) -> str:
@@ -279,7 +314,7 @@ def parse_config(text: str, base_dir: str | Path | None = None) -> ExperimentCon
         raise _field_error("schedule",
                            f"required by checks {sorted(needs_schedule)}")
 
-    simulation = _parse_simulation(raw.get("simulation"))
+    simulation = _parse_simulation(raw.get("simulation"), bool(simulated))
     if simulated and seed is None:
         raise _field_error("seed", "required when simulation checks are selected")
 

@@ -225,6 +225,9 @@ class CredalSet:
                 raise DimensionMismatchError(
                     f"measure {j} has size {m.size}, space has {self.space.size}"
                 )
+        weights = np.vstack([m.weights for m in measures])
+        weights.setflags(write=False)
+        object.__setattr__(self, "_weights", weights)
 
     def __len__(self) -> int:
         return len(self.measures)
@@ -234,8 +237,9 @@ class CredalSet:
         return self.space.size
 
     def weight_matrix(self) -> np.ndarray:
-        """Measures stacked as rows; shape (len(self), space.size)."""
-        return np.vstack([m.weights for m in self.measures])
+        """Measures stacked as rows; shape (len(self), space.size). One
+        read-only array, stacked when the set is built."""
+        return self._weights
 
     def duplicate_pairs(self) -> list[tuple[int, int]]:
         """Index pairs (i < j) of exactly identical measures. Permitted, flagged."""

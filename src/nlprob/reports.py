@@ -12,8 +12,9 @@ a finite sweep also carry its ``verdict`` and the number of cases it
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
-from typing import Any, Mapping, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 from .errors import NonFiniteError
 
@@ -76,9 +77,79 @@ def _plain(obj: Any) -> Any:
 
 def dumps(payload: Any) -> str:
     """Deterministic JSON text: construction key order, shortest float repr.
-    Raises NonFiniteError if the payload holds inf or NaN."""
-    plain = _plain(payload)
-    try:
-        return json.dumps(plain, indent=2, allow_nan=False)
-    except ValueError as exc:  # allow_nan=False refuses inf and NaN
-        raise NonFiniteError(f"a report value is not finite: {exc}") from None
+    Raises NonFiniteError if the payload holds inf or NaN.
+
+    The text is ``json.dumps(_plain(payload), indent=2, allow_nan=False)``
+    written in one walk (the stdlib's C encoder ignores ``indent``, so the
+    stdlib would take its pure-Python encoder after a full ``_plain`` copy).
+    """
+    chunks: list[str] = []
+    _write(payload, chunks.append, "\n")
+    return "".join(chunks)
+
+
+_escape = json.encoder.encode_basestring_ascii
+
+
+def _write(o: Any, emit: Callable[[str], Any], newline: str) -> None:
+    """Emit the indent-2 JSON text of ``o``, whose line starts at
+    ``newline`` ("\\n" plus its indentation). Builtin values are written
+    here; numpy values, subclasses, sets and other mappings go through
+    ``_plain``.
+    A module-level function, not a closure: a closure calling itself keeps
+    a reference cycle, and with it every report's chunks, until the cyclic
+    collector runs."""
+    t = type(o)
+    if t is str:
+        emit(_escape(o))
+    elif t is float:
+        if not math.isfinite(o):  # the stdlib's words, as the fallback's
+            raise NonFiniteError(
+                "a report value is not finite: Out of range float values "
+                f"are not JSON compliant: {o!r}")
+        emit(repr(o))
+    elif t is int:
+        emit(int.__repr__(o))
+    elif o is None:
+        emit("null")
+    elif o is True:
+        emit("true")
+    elif o is False:
+        emit("false")
+    elif t is dict:
+        if not o:
+            emit("{}")
+            return
+        if any(type(k) is not str for k in o):
+            # _plain's keys: str(k), the last value of equal texts winning
+            o = {str(k): v for k, v in o.items()}
+        inner = newline + "  "
+        sep = "{" + inner
+        for k, v in o.items():
+            emit(sep)
+            emit(_escape(k))
+            emit(": ")
+            _write(v, emit, inner)
+            sep = "," + inner
+        emit(newline + "}")
+    elif t is list or t is tuple:
+        if not o:
+            emit("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for v in o:
+            emit(sep)
+            _write(v, emit, inner)
+            sep = "," + inner
+        emit(newline + "]")
+    else:
+        # what _plain makes of it, in the stdlib's words. Not _write again:
+        # _plain returns a float or str subclass (np.float64, np.str_) as it
+        # is. JSON text holds no raw newline, so indenting each line places
+        # the block.
+        try:
+            text = json.dumps(_plain(o), indent=2, allow_nan=False)
+        except ValueError as exc:  # allow_nan=False refuses inf and NaN
+            raise NonFiniteError(f"a report value is not finite: {exc}") from None
+        emit(text.replace("\n", newline))

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import nlprob.capacity as capacity
 from nlprob import (
     Event,
     all_events,
@@ -108,6 +109,40 @@ class TestAxiomReport:
         assert values[-1] == upper_prob(c, chain[-1])
         full_twice = [upper_prob(c, chain[-1]) for _ in range(3)]
         assert len(set(full_twice)) == 1
+
+
+def test_full_family_complements_are_its_rows_reversed(rng):
+    # the complement of row k of all_events is row 2^s - 1 - k, so the
+    # reversed event table is the complement table, bit for bit
+    for size in range(1, 13):
+        W = rng.dirichlet(np.full(size, 0.8), size=int(rng.integers(1, 7)))
+        members = all_events(size)
+        assert (members ^ members[::-1]).all()
+        probs = event_probability_table(W, members)
+        complements = event_probability_table(W, ~members)
+        assert np.array_equal(probs[::-1].view(np.int64),
+                              complements.view(np.int64))
+
+
+@pytest.mark.parametrize("family, computed", [
+    (all_events(5), False),
+    (np.vstack([np.eye(5, dtype=bool), np.tri(5, dtype=bool),
+                ~np.eye(5, dtype=bool)]), True),
+    (all_events(5)[:-1], True),
+])
+def test_complement_table_route(make_credal, monkeypatch, family, computed):
+    tables = []
+
+    def spy(weights, members):
+        tables.append(np.array(members))
+        return event_probability_table(weights, members)
+
+    c = make_credal(size=5)
+    want = capacity_axiom_report(c, family, tol=1e-12)
+    monkeypatch.setattr(capacity, "event_probability_table", spy)
+    assert capacity_axiom_report(c, family, tol=1e-12) == want
+    assert any(t.shape == family.shape and (t == ~family).all()
+               for t in tables) == computed
 
 
 def test_all_events_cardinality():

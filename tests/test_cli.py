@@ -4,6 +4,8 @@ import contextlib
 import copy
 import io
 import json
+import subprocess
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -278,6 +280,13 @@ class TestFailureModes:
         assert err.startswith("error: simulation: n_steps=1000000000000000")
         assert "paths_per_strategy=2" in err and "Traceback" not in err
 
+    def test_stdout_is_the_summary_file(self, tmp_path, capsys):
+        for config in (PAIR, DEMO):
+            code, out, _ = run(tmp_path, "all", "--config", config)
+            assert code == 0
+            assert capsys.readouterr().out.splitlines() \
+                == (out / "summary.txt").read_text().splitlines()
+
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--version"])
@@ -434,3 +443,24 @@ def test_hostile_config_keeps_exit_code_contract(node, value):
         assert code in (0, 1, 2)
         if code == 1:
             assert "\nFAIL " in "\n" + (out / "summary.txt").read_text()
+
+
+def test_import_builds_no_parser():
+    probe = ("import sys; sys.path[:0] = sys.argv[1:]; import nlprob.cli; "
+             "print(nlprob.cli._build_parser.cache_info().misses)")
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    done = subprocess.run([sys.executable, "-c", probe, src],
+                          capture_output=True, text=True, check=True)
+    assert done.stdout == "0\n"
+
+
+def test_main_builds_the_parser_once(tmp_path):
+    config = tmp_path / "small.json"
+    config.write_text(json.dumps(SMALL))
+    cli._build_parser.cache_clear()
+    for k in range(2):
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["verify", "--config", str(config),
+                         "--out", str(tmp_path / f"out{k}")]) == 0
+    info = cli._build_parser.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 1, 1)

@@ -5,8 +5,13 @@ import re
 
 import pytest
 
-from nlprob import Exp, parse_config
-from nlprob.config import DEFAULT_EPSILON, DEFAULT_TOLERANCE, FAMILIES
+from nlprob import Exp, config as config_module, parse_config
+from nlprob.config import (
+    DEFAULT_EPSILON,
+    DEFAULT_TOLERANCE,
+    FAMILIES,
+    simulation_bytes,
+)
 from nlprob.errors import ConfigParseError, ConfigValidationError
 
 MODEL_DOC = {
@@ -293,3 +298,59 @@ class TestTextErrors:
     def test_top_level_must_be_object(self):
         with pytest.raises(ConfigValidationError, match="top level"):
             parse_config("[1, 2]")
+
+
+class TestSimulationMemoryBound:
+    SCHEDULE = {"kind": "kolmogorov", "alpha": 1.0, "beta": 0.5}
+
+    def text(self, checks=("slln",), **simulation):
+        return config_text(checks=list(checks), seed=1, schedule=self.SCHEDULE,
+                           simulation=simulation)
+
+    def test_estimate_counts_table_grid_summaries_and_control(self):
+        sim = parse_config(self.text(
+            n_steps=10_000, paths_per_strategy=3, grid_points=50,
+            strategies=["cyclic", "drift-max"])).simulation
+        per_path = 16 * 50 + config_module._SUMMARY_BYTES
+        assert simulation_bytes(sim) == 16 * 10_000 + 3 * 3 * per_path
+        no_control = parse_config(self.text(
+            n_steps=10_000, paths_per_strategy=3, grid_points=50,
+            strategies=["cyclic", "drift-max"],
+            negative_control=False)).simulation
+        assert simulation_bytes(sim) - simulation_bytes(no_control) \
+            == 3 * per_path
+
+    def test_refused_above_the_machine_memory(self, monkeypatch):
+        text = self.text(n_steps=20_000, paths_per_strategy=4)
+        need = simulation_bytes(parse_config(text).simulation)
+        monkeypatch.setattr(config_module, "physical_memory", lambda: need)
+        assert parse_config(text).simulation.n_steps == 20_000
+        monkeypatch.setattr(config_module, "physical_memory",
+                            lambda: need - 1)
+        with pytest.raises(ConfigValidationError) as exc:
+            parse_config(text)
+        assert str(exc.value) == (
+            "simulation: n_steps=20000, paths_per_strategy=4 and "
+            "grid_points=160 need more memory than this machine has")
+
+    @pytest.mark.parametrize("simulation", [
+        {"n_steps": 10**10},                  # two 80 GB weight arrays
+        {"n_steps": 1000, "paths_per_strategy": 10**9},
+        {"n_steps": 10**9, "grid_points": 10**9},
+    ])
+    def test_huge_simulations_are_refused(self, monkeypatch, simulation):
+        monkeypatch.setattr(config_module, "physical_memory", lambda: 2**36)
+        with pytest.raises(ConfigValidationError,
+                           match=r"^simulation: n_steps=\d+, "
+                                 r"paths_per_strategy=\d+ .* more memory"):
+            parse_config(self.text(**simulation))
+        with pytest.raises(ConfigValidationError, match="more memory"):
+            parse_config(self.text(checks=["strassen"], **simulation))
+
+    def test_unsimulated_config_is_not_bounded(self, monkeypatch):
+        monkeypatch.setattr(config_module, "physical_memory", lambda: 0)
+        config = parse_config(self.text(checks=["chain"], n_steps=10**10))
+        assert config.simulation.n_steps == 10**10
+
+    def test_probe_reads_the_machine(self):
+        assert config_module.physical_memory() > 2**20

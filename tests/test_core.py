@@ -162,6 +162,13 @@ class TestCredalSet:
         with pytest.raises(EmptyVectorError):
             credal_set_from_rows([])
 
+    def test_weight_matrix_is_one_read_only_array(self, two_point_credal):
+        m = two_point_credal.weight_matrix()
+        assert two_point_credal.weight_matrix() is m
+        assert not m.flags.writeable
+        with pytest.raises(ValueError):
+            m[0, 0] = 1.0
+
     def test_duplicate_pairs(self):
         c = credal_set_from_rows([[0.5, 0.5], [0.5, 0.5], [0.8, 0.2]])
         assert c.duplicate_pairs() == [(0, 1)]
