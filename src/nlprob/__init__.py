@@ -1,10 +1,10 @@
 """Exact imprecise probability on finite outcome spaces.
 
 Measures live on a finite outcome space; a credal set is a finite list of
-them. Everything downstream is exact enumeration: capacity envelopes,
-sublinear and Choquet expectations, dependence sweeps, and a deterministic
-Monte Carlo laboratory for weighted strong laws under adversarial measure
-selection.
+them. Everything downstream is exact, by enumeration or in closed form:
+capacity envelopes, sublinear and Choquet expectations, dependence sweeps,
+and a deterministic Monte Carlo laboratory for weighted strong laws under
+adversarial measure selection.
 """
 
 from __future__ import annotations
@@ -57,7 +57,6 @@ from .errors import (
 )
 from .expectation import (
     ExpectationBounds,
-    borel_cantelli_tail,
     choquet_expectation,
     expectation_chain,
     inequality_suite,

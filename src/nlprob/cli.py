@@ -289,12 +289,14 @@ plot "trajectories.csv" every ::1 using 3:4 with dots lc rgb "#1f77b4" \\
 
 
 def _write_csv(path: Path, samples) -> None:
-    lines = ["path_id,strategy,n,s_upper,s_lower"]
-    for pid, sample in enumerate(samples):
-        head = f"{pid},{sample.strategy},"
-        lines.extend(f"{head}{n},{su!r},{sl!r}" for n, su, sl in zip(
-            sample.steps.tolist(), sample.upper.tolist(), sample.lower.tolist()))
-    path.write_text("\n".join(lines) + "\n")
+    """One chunk per path, so only one path's lines are held at a time."""
+    with path.open("w") as out:
+        out.write("path_id,strategy,n,s_upper,s_lower\n")
+        for pid, sample in enumerate(samples):
+            head = f"{pid},{sample.strategy},"
+            out.write("".join(f"{head}{n},{su!r},{sl!r}\n" for n, su, sl in zip(
+                sample.steps.tolist(), sample.upper.tolist(),
+                sample.lower.tolist())))
 
 
 # one runner per check name, each returning that check's records

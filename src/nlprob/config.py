@@ -54,14 +54,7 @@ from .errors import (
 from .functions import Exp, ScalarFunction, from_descriptor
 from .models import SequenceModel
 from .serialize import read_number, sequence_model_from_document
-from .simulate import (
-    CYCLIC,
-    DRIFT_MAX,
-    FIXED,
-    IID_RANDOM,
-    AdversaryStrategy,
-    bundled_strategies,
-)
+from .simulate import FIXED, AdversaryStrategy, bundled_strategies
 from .slln import WeightSchedule, make_schedule
 
 CHECK_NAMES = ("axioms", "chain", "inequalities", "na", "vertical",

@@ -17,12 +17,13 @@ monotone test functions (ramps):
   On a rectangular model the inequality holds with equality and the report
   is written in closed form. The adversary picks one measure per coordinate,
   so both sides are the product of the per-coordinate maxima
-  max_j E_j[f_i(X_i)]. That is exact in floating point too: the E_j entries
-  are nonnegative (values in [0, 1], weights >= 0), rounded multiplication
-  of nonnegative floats is monotone in each factor, and both sides multiply
-  the same maxima in the same order. So every gap is 0.0, a family of F
-  functions counts sum_{k=2..n} F^k assignments, and the witness an
-  exhaustive sweep keeps is the family's first function, twice, at split 2.
+  max_j E_j[f_i(X_i)]: the closed form of the rectangular product oracle,
+  :func:`models.product_expectation_table`, whose docstring shows it exact
+  in floating point for nonnegative factors (here values in [0, 1]). Both
+  sides multiply the same maxima in the same order. So every gap is 0.0, a
+  family of F functions counts sum_{k=2..n} F^k assignments, and the witness
+  an exhaustive sweep keeps is the family's first function, twice, at split
+  2.
   The comonotone pair is swept (one split, F^2 assignments).
 
 * *Vertical independence*: the same split relations hold with equality for
@@ -276,26 +277,30 @@ def check_vertical_independence(model: SequenceModel, n: int,
         i, _ = np.unravel_index(int(rows.argmin()), rows.shape)
         raise NegativeFunctionValueError(
             f"function {i + 1} takes a negative value; all must be nonnegative")
+    if n > DEFAULT_ORACLE_CAP:  # long horizons stay refused, as in the NA sweep
+        raise OracleTooLargeError(
+            f"{n} coordinates exceed the enumeration cap {DEFAULT_ORACLE_CAP}")
+    # upper of each prefix product rows[:k], k = 1..n; split k compares
+    # entry k-1 with entry k-2 times the marginal upper of coordinate k
+    uppers = [float(product_expectation_table(model, rows[:k]).max())
+              for k in range(1, n + 1)]
+    marginals = coordinate_expectation_matrix(model, rows).max(axis=1)
     worst = float("-inf")
     witness = None
-    checked = 0
     for k in range(2, n + 1):
-        lhs = float(product_expectation_table(model, rows[:k]).max())
-        prefix = float(product_expectation_table(model, rows[:k - 1]).max())
-        marginal = float(coordinate_expectation_matrix(model, rows[k - 1:k]).max())
-        violation = abs(lhs - prefix * marginal)
-        checked += 1
+        lhs = uppers[k - 1]
+        rhs = uppers[k - 2] * float(marginals[k - 1])
+        violation = abs(lhs - rhs)
         if violation > worst:
             worst = violation
-            witness = {"split": k, "lhs": lhs, "rhs": prefix * marginal}
+            witness = {"split": k, "lhs": lhs, "rhs": rhs}
     verdict = VERDICT_VIOLATED if worst > tol else VERDICT_OK
     return CheckResult("vertical-independence", worst, tol, worst,
-                       verdict == VERDICT_OK, witness, verdict, checked)
+                       verdict == VERDICT_OK, witness, verdict, n - 1)
 
 
 def forward_factorization_value(model: SequenceModel, g: Callable, f: Callable,
-                                n: int | None = None,
-                                cap: int = DEFAULT_ORACLE_CAP) -> float:
+                                n: int | None = None) -> float:
     """Lower expectation of g(X_1..X_{n-1}) * (f(X_n) - E_low[f(X_n)]).
 
     ``g`` takes n-1 array arguments and must be nonnegative on the realized
@@ -322,7 +327,7 @@ def forward_factorization_value(model: SequenceModel, g: Callable, f: Callable,
         return np.asarray(g(*xs[:-1]), dtype=float) * (
             np.asarray(f(xs[-1]), dtype=float) - f_low)
 
-    return joint_lower_expectation(model, integrand, n, cap)
+    return joint_lower_expectation(model, integrand, n)
 
 
 def binomial_pair_model(p_values: Sequence[float]) -> SequenceModel:
@@ -355,8 +360,7 @@ def _direction_of(f: Callable) -> str | None:
 
 
 def exp_product_bound_gap(model: SequenceModel, n: int,
-                          functions: Sequence[Callable],
-                          cap: int = DEFAULT_ORACLE_CAP) -> float:
+                          functions: Sequence[Callable]) -> float:
     """prod_i E_up[exp f_i(X_i)] minus E_up[exp(sum_i f_i(X_i))].
 
     The functions must share one monotone direction. For models passing the

@@ -25,12 +25,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CredalSet, Event, RandomVariable, event_probability_table
+from .core import CredalSet, RandomVariable, event_probability_table
 from .errors import (
     BadExponentsError,
     ChainViolationError,
     DimensionMismatchError,
-    IndexOutOfRangeError,
     NonPositiveFunctionError,
 )
 from .functions import INCREASING, ScalarFunction
@@ -247,37 +246,3 @@ def inequality_suite(credal: CredalSet, x: RandomVariable, y: RandomVariable,
         tol))
 
     return tuple(results)
-
-
-@dataclass(frozen=True)
-class BorelCantelliTail:
-    """Finite-list tail bound: sum of upper probabilities from index m on,
-    compared against the exact upper probability of the tail union."""
-
-    series_sum: float
-    tail_bound: float
-    union_upper: float
-    result: CheckResult
-
-
-def borel_cantelli_tail(credal: CredalSet, events: list[Event], m: int = 1,
-                        tol: float = CHAIN_TOL) -> BorelCantelliTail:
-    """Sum upper probabilities of ``events[m-1:]`` (1-based m) and compare
-    with the exact upper probability of their union. When the full series is
-    small, the tail union's upper probability is small: the finite shadow of
-    the first Borel-Cantelli statement for the upper envelope."""
-    if m < 1 or m > len(events):
-        raise IndexOutOfRangeError(
-            f"tail start {m} outside 1..{len(events)}")
-    from .capacity import upper_prob  # local import avoids a cycle
-
-    per_event = [upper_prob(credal, e) for e in events]
-    series = math.fsum(per_event)
-    tail = math.fsum(per_event[m - 1:])
-    union = events[m - 1]
-    for e in events[m:]:
-        union = union.union(e)
-    union_upper = upper_prob(credal, union)
-    return BorelCantelliTail(
-        series, tail, union_upper,
-        comparison("borel-cantelli-tail", union_upper, tail, tol, {"m": m}))

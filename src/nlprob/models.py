@@ -19,15 +19,17 @@ callers ask the model how many ``coordinates`` it defines, whether it has
     is E_j[F(X(w), Y(w))], maximized over j. This is the maximally coupled
     two-coordinate model; it is where dependence checkers find structure.
 
-Everything is computed by exact enumeration, so the coordinate count is
-capped (default 6) and exceeding it raises ``OracleTooLargeError`` instead of
-silently grinding.
+General integrands (:func:`joint_expectation_table`) are computed by exact
+enumeration, so their coordinate count is capped (default 6) and exceeding it
+raises ``OracleTooLargeError`` instead of silently grinding. Products of
+nonnegative per-coordinate factors (:func:`product_expectation_table`) are
+in closed form and have no cap.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
@@ -36,6 +38,7 @@ from .errors import (
     DimensionMismatchError,
     EmptyVectorError,
     IndexOutOfRangeError,
+    NegativeFunctionValueError,
     OracleTooLargeError,
 )
 
@@ -47,7 +50,7 @@ DEFAULT_ORACLE_CAP = 6
 _COORDINATES = {RECTANGULAR: None, COMONOTONE_PAIR: 2}
 JOINT_KINDS = tuple(_COORDINATES)
 
-# hard ceiling on enumeration cells regardless of the caller-supplied cap
+# hard ceiling on enumeration cells, even within the coordinate cap
 _MAX_CELLS = 4_000_000
 
 
@@ -100,11 +103,11 @@ class SequenceModel:
         return values
 
 
-def _check_cap(model: SequenceModel, n: int, cap: int) -> None:
+def _check_cap(model: SequenceModel, n: int) -> None:
     model.variable_at(n)  # raises unless coordinate n exists
-    if n > cap:
+    if n > DEFAULT_ORACLE_CAP:
         raise OracleTooLargeError(
-            f"{n} coordinates exceed the enumeration cap {cap}")
+            f"{n} coordinates exceed the enumeration cap {DEFAULT_ORACLE_CAP}")
     if model.product_measures:
         cells = (model.credal.size ** n) + (len(model.credal) ** n)
         if cells > _MAX_CELLS:
@@ -129,15 +132,14 @@ def _integrand_tensor(model: SequenceModel, F, n: int) -> np.ndarray:
     return out
 
 
-def joint_expectation_table(model: SequenceModel, F, n: int,
-                            cap: int = DEFAULT_ORACLE_CAP) -> np.ndarray:
+def joint_expectation_table(model: SequenceModel, F, n: int) -> np.ndarray:
     """Expectation of F under every admissible measure assignment.
 
     Rectangular: shape ``(|P|,)*n``, entry [j_1, ..., j_n] is the
     product-measure expectation with measure j_i on coordinate i.
     Comonotone-pair: shape ``(|P|,)``, entry [j] is E_j.
     """
-    _check_cap(model, n, cap)
+    _check_cap(model, n)
     G = _integrand_tensor(model, F, n)
     W = model.credal.weight_matrix()
     # contract outcome axes one at a time; each step consumes the current
@@ -149,15 +151,13 @@ def joint_expectation_table(model: SequenceModel, F, n: int,
     return G
 
 
-def joint_upper_expectation(model: SequenceModel, F, n: int,
-                            cap: int = DEFAULT_ORACLE_CAP) -> float:
+def joint_upper_expectation(model: SequenceModel, F, n: int) -> float:
     """max over measure assignments of E[F(X_1, ..., X_n)], exact."""
-    return float(joint_expectation_table(model, F, n, cap).max())
+    return float(joint_expectation_table(model, F, n).max())
 
 
-def joint_lower_expectation(model: SequenceModel, F, n: int,
-                            cap: int = DEFAULT_ORACLE_CAP) -> float:
-    return float(joint_expectation_table(model, F, n, cap).min())
+def joint_lower_expectation(model: SequenceModel, F, n: int) -> float:
+    return float(joint_expectation_table(model, F, n).min())
 
 
 def coordinate_expectation_matrix(model: SequenceModel,
@@ -177,30 +177,41 @@ def coordinate_expectation_matrix(model: SequenceModel,
     return np.array([W @ row for row in rows])
 
 
-def product_expectation_table(model: SequenceModel, rows,
-                              cap: int = DEFAULT_ORACLE_CAP) -> np.ndarray:
-    """Assignment table for the product integrand ``prod_i f_i(X_i)``.
+def product_expectation_table(model: SequenceModel, rows) -> np.ndarray:
+    """Extreme expectations of the product integrand ``prod_i f_i(X_i)``,
+    from per-coordinate factor rows (``rows[i]`` holds f_i(X_i(w)) over the
+    outcomes w). Callers read the ``.max()`` and ``.min()`` of the result.
 
-    Same semantics as :func:`joint_expectation_table` with
-    ``F = prod_i f_i``, but computed from precomputed per-coordinate factor
-    value rows. For rectangular joints the product measure factorizes
-    coordinate-wise, so entry [j_1, ..., j_n] is ``prod_i E_{j_i}[f_i(X_i)]``,
-    materialized by exact outer products over all assignments.
+    Rectangular: the product measure factorizes coordinate-wise, so the
+    assignment (j_1, ..., j_n) gives ``prod_i E_{j_i}[f_i]``, and its
+    extremes over all |P|^n assignments are reached at the coordinate-wise
+    argmin and argmax. The result is the 2-entry array
+    ``[prod_i min_j E_j[f_i], prod_i max_j E_j[f_i]]``, multiplied left to
+    right from :func:`coordinate_expectation_matrix`. Rounded multiplication
+    of nonnegative floats is monotone in each factor, so these are the min
+    and max of the full assignment table bit for bit. That needs
+    nonnegative rows, so a negative entry raises
+    ``NegativeFunctionValueError``; signed product integrands go through
+    :func:`joint_upper_expectation` and :func:`joint_lower_expectation`.
+
+    Comonotone-pair: one measure j reads both coordinates off the same
+    outcome, so the result is ``(E_j[prod_i f_i])_j``, shape ``(|P|,)``.
     """
     rows = np.atleast_2d(np.asarray(rows, dtype=float))
-    n = rows.shape[0]
-    _check_cap(model, n, cap)
-    if model.product_measures:
-        E = coordinate_expectation_matrix(model, rows)
-        return reduce(np.multiply.outer, E)
-    return model.credal.weight_matrix() @ rows.prod(axis=0)
+    model.variable_at(rows.shape[0])  # raises unless every coordinate exists
+    if not model.product_measures:
+        return model.credal.weight_matrix() @ rows.prod(axis=0)
+    if rows.min() < 0.0:
+        raise NegativeFunctionValueError(
+            "a rectangular product needs nonnegative factor rows, "
+            f"got {rows.min()}")
+    E = coordinate_expectation_matrix(model, rows)
+    return np.array([math.prod(E.min(axis=1)), math.prod(E.max(axis=1))])
 
 
-def product_upper_expectation(model: SequenceModel, rows,
-                              cap: int = DEFAULT_ORACLE_CAP) -> float:
-    return float(product_expectation_table(model, rows, cap).max())
+def product_upper_expectation(model: SequenceModel, rows) -> float:
+    return float(product_expectation_table(model, rows).max())
 
 
-def product_lower_expectation(model: SequenceModel, rows,
-                              cap: int = DEFAULT_ORACLE_CAP) -> float:
-    return float(product_expectation_table(model, rows, cap).min())
+def product_lower_expectation(model: SequenceModel, rows) -> float:
+    return float(product_expectation_table(model, rows).min())

@@ -33,11 +33,7 @@ from .errors import (
     POutOfRangeError,
 )
 from .expectation import upper_expectation
-from .models import (
-    DEFAULT_ORACLE_CAP,
-    SequenceModel,
-    product_upper_expectation,
-)
+from .models import SequenceModel, product_upper_expectation
 from .reports import CheckResult, all_passed, comparison
 
 KOLMOGOROV = "kolmogorov"
@@ -270,10 +266,10 @@ def elementary_exp_bound_check(x, alpha: float) -> ElementaryBoundCheck:
     return ElementaryBoundCheck(lhs, rhs, bool(np.all(lhs <= rhs + ELEMENTARY_SLACK)))
 
 
-def exp_moment_bound(model: SequenceModel, schedule: WeightSchedule, n: int,
-                     cap: int = DEFAULT_ORACLE_CAP) -> float:
+def exp_moment_bound(model: SequenceModel, schedule: WeightSchedule,
+                     n: int) -> float:
     """Upper expectation of exp{(m log(n+1)/A_n) sum_{i<=n} a_i(X_i - b_i)}
-    with b_i the coordinate upper means. Exact enumeration, so n <= cap."""
+    with b_i the coordinate upper means."""
     if n < 1:
         raise IndexOutOfRangeError(f"need n >= 1, got {n}")
     scale = schedule.m * math.log(n + 1) / float(schedule.A(n))
@@ -282,7 +278,7 @@ def exp_moment_bound(model: SequenceModel, schedule: WeightSchedule, n: int,
         v = model.variable_at(i)
         b = upper_expectation(model.credal, v)
         rows.append(np.exp(scale * float(schedule.a(i)) * (v.values - b)))
-    return product_upper_expectation(model, np.vstack(rows), cap)
+    return product_upper_expectation(model, np.vstack(rows))
 
 
 def normalized_partial_sums(values, table: tuple[np.ndarray, np.ndarray],

@@ -445,6 +445,51 @@ def test_hostile_config_keeps_exit_code_contract(node, value):
             assert "\nFAIL " in "\n" + (out / "summary.txt").read_text()
 
 
+WEIGHT_UNITS = 8  # dyadic weights, so every measure sums to exactly 1.0
+
+
+@st.composite
+def scratch_configs(draw):
+    """A dependence-check config built from nothing: 1-4 outcomes, 1-3
+    measures, either joint, horizon 1-9 and any nonempty set of checks."""
+    size = draw(st.integers(1, 4))
+    measures = []
+    for _ in range(draw(st.integers(1, 3))):
+        cuts = sorted(draw(st.lists(st.integers(0, WEIGHT_UNITS),
+                                    min_size=size - 1, max_size=size - 1)))
+        measures.append([(b - a) / WEIGHT_UNITS for a, b in
+                         zip([0, *cuts], [*cuts, WEIGHT_UNITS])])
+    joint = draw(st.sampled_from(["rectangular", "comonotone-pair"]))
+    n_vars = 2 if joint == "comonotone-pair" else draw(st.integers(1, 2))
+    value = st.integers(-4, 4).map(lambda k: k / 2.0)
+    variables = {f"X{k}": draw(st.lists(value, min_size=size, max_size=size))
+                 for k in range(1, n_vars + 1)}
+    return {"model": {"space": size, "measures": measures,
+                      "variables": variables, "joint": joint},
+            "checks": draw(st.lists(st.sampled_from(["na", "vertical", "forward"]),
+                                    min_size=1, max_size=3, unique=True)),
+            "horizon": draw(st.sampled_from(range(1, 10)))}
+
+
+@seed(20261018)
+@settings(max_examples=120, deadline=None, database=None)
+@given(scratch_configs())
+def test_scratch_config_keeps_exit_code_contract(config):
+    with tempfile.TemporaryDirectory() as tmp:
+        (Path(tmp) / "config.json").write_text(json.dumps(config))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["all", "--config", str(Path(tmp) / "config.json"),
+                         "--out", str(Path(tmp) / "out")])
+    assert code in (0, 1, 2)
+    if code == 2:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+    if (config["model"]["joint"] == "rectangular" and config["horizon"] > 6
+            and {"na", "vertical"} & set(config["checks"])):
+        assert code == 2 and "enumeration cap" in err.getvalue()
+
+
 def test_import_builds_no_parser():
     probe = ("import sys; sys.path[:0] = sys.argv[1:]; import nlprob.cli; "
              "print(nlprob.cli._build_parser.cache_info().misses)")

@@ -274,6 +274,12 @@ class TestVerticalIndependence:
                 alone = coordinate_expectation_matrix(model, row)
                 assert batch[i].tobytes() == alone[0].tobytes()
 
+    def test_horizon_capped_like_the_sweep(self, make_rectangular):
+        model = make_rectangular(n_vars=2)
+        assert check_vertical_independence(model, 6, [UNIT_RAMP] * 6).checked == 5
+        with pytest.raises(OracleTooLargeError):
+            check_vertical_independence(model, 7, [UNIT_RAMP] * 7)
+
     def test_identical_pair_fails(self, x01):
         credal = credal_set_from_rows([[0.5, 0.5]])
         model = SequenceModel(credal, (x01, x01), "comonotone-pair")

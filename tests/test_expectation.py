@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 from nlprob import (
     Event,
     RandomVariable,
-    borel_cantelli_tail,
     choquet_expectation,
     credal_set_from_rows,
     dirac_measure,
@@ -277,30 +276,6 @@ class TestInequalitySuite:
             assert all_passed(report), [r.check for r in report if not r.passed]
             report = inequality_suite(c, x, y, 2.0, 2.0, threshold, Exp(1.0))
             assert all_passed(report)
-
-
-class TestBorelCantelli:
-    def test_geometric_tail_pinned(self):
-        # P({n}) = 2^-n for n = 1..10, remainder on outcome 0
-        weights = [2.0 ** -10] + [2.0 ** -n for n in range(1, 11)]
-        credal = credal_set_from_rows([weights])
-        events = [Event(11, frozenset([n])) for n in range(1, 11)]
-        result = borel_cantelli_tail(credal, events, m=4)
-        assert result.tail_bound == 2.0 ** -3 - 2.0 ** -10 == 0.1240234375
-        assert result.union_upper <= result.tail_bound + 1e-15
-
-    def test_single_event_equality(self, make_credal):
-        c = make_credal(size=4)
-        a = Event(4, frozenset([2]))
-        result = borel_cantelli_tail(c, [a], m=1)
-        assert result.tail_bound == pytest.approx(upper_prob(c, a), abs=1e-15)
-        assert result.union_upper == pytest.approx(result.tail_bound, abs=1e-15)
-
-    def test_disjoint_singleton_additive(self, rng):
-        c = credal_set_from_rows([rng.dirichlet(np.ones(6))])
-        events = [Event(6, frozenset([i])) for i in range(4)]
-        result = borel_cantelli_tail(c, events, m=1)
-        assert result.union_upper == pytest.approx(result.tail_bound, abs=1e-12)
 
 
 @given(st.integers(2, 6), st.integers(1, 4), st.integers(0, 10 ** 6))

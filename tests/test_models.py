@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nlprob import (
     RandomVariable,
@@ -19,6 +23,7 @@ from nlprob import (
 from nlprob.errors import (
     DimensionMismatchError,
     IndexOutOfRangeError,
+    NegativeFunctionValueError,
     OracleTooLargeError,
 )
 from nlprob.models import (
@@ -200,3 +205,42 @@ class TestProductFastPath:
     def test_product_table_dimension_check(self, marginal_model):
         with pytest.raises(DimensionMismatchError):
             product_expectation_table(marginal_model, np.ones((2, 5)))
+
+    def test_closed_form_shape(self, make_rectangular, pair_model):
+        model = make_rectangular(n_vars=2)
+        assert product_expectation_table(model, np.ones((5, model.credal.size))
+                                         ).size == 2
+        assert product_expectation_table(pair_model, np.ones((2, 2))).size == (
+            len(pair_model.credal))
+
+    def test_negative_factor_rejected(self, marginal_model):
+        with pytest.raises(NegativeFunctionValueError):
+            product_expectation_table(marginal_model, np.array([[0.5, -0.1]]))
+
+
+def _enumerated_table(model, rows):
+    """Every |P|^n assignment's product expectation: the enumeration the
+    closed form replaced, kept as its oracle."""
+    return functools.reduce(np.multiply.outer,
+                            coordinate_expectation_matrix(model, rows))
+
+
+# factor values: zeros of both signs and magnitudes over six decades
+FACTOR = st.one_of(st.just(0.0), st.just(-0.0), st.floats(1e-3, 1e3))
+
+
+@given(st.integers(1, 8), st.integers(1, 5), st.integers(1, 6), st.data())
+@settings(max_examples=200, deadline=None)
+def test_closed_form_matches_enumeration_bitwise(size, n_measures, n, data):
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    credal = credal_set_from_rows(
+        rng.dirichlet(np.full(size, 0.8), size=n_measures))
+    model = SequenceModel(credal, (RandomVariable(np.zeros(size)),),
+                          "rectangular")
+    row = st.lists(FACTOR, min_size=size, max_size=size)
+    rows = np.array(data.draw(st.lists(
+        st.one_of(row, st.just([-0.0] * size)), min_size=n, max_size=n)))
+    closed = product_expectation_table(model, rows)
+    full = _enumerated_table(model, rows)
+    assert closed.max().tobytes() == full.max().tobytes()
+    assert closed.min().tobytes() == full.min().tobytes()

@@ -319,7 +319,7 @@ class TestExpMomentBound:
         credal = credal_set_from_rows([[0.7, 0.3], [0.3, 0.7]])
         x = RandomVariable(np.array([0.0, 1.0]))
         model = SequenceModel(credal, (x,), "rectangular")
-        for n in range(1, 6):
+        for n in range(1, 41):  # the closed form has no enumeration cap
             lam = kolmogorov.m * math.log(n + 1) / float(kolmogorov.A(n))
             b = upper_expectation(credal, x)
             factor = upper_expectation(
