@@ -7,32 +7,19 @@ and a deterministic Monte Carlo laboratory for weighted strong laws under
 adversarial measure selection.
 """
 
-from __future__ import annotations
+import types as _types
 
 __version__ = "0.1.0"
 
-from .capacity import (
-    all_events,
-    capacity_axiom_report,
-    lower_prob,
-    lower_prob_witness,
-    upper_prob,
-    upper_prob_witness,
-)
+from .capacity import all_events, capacity_axiom_report
 from .config import ExperimentConfig, SimulationSettings, parse_config
 from .core import (
     CredalSet,
-    Event,
     OutcomeSpace,
     ProbabilityMeasure,
     RandomVariable,
-    classical_expectation,
     credal_set_from_rows,
-    dirac_measure,
-    event_probability,
-    indicator_variable,
     make_measure,
-    uniform_measure,
 )
 from .dependence import (
     TestFamily,
@@ -43,7 +30,6 @@ from .dependence import (
     default_families,
     exp_product_bound_gap,
     forward_factorization_value,
-    ramp_family,
 )
 from .errors import (
     ChainViolationError,
@@ -61,10 +47,8 @@ from .expectation import (
     expectation_chain,
     inequality_suite,
     lower_expectation,
-    lower_expectation_witness,
     sublinear_axiom_report,
     upper_expectation,
-    upper_expectation_witness,
 )
 from .functions import (
     AbsPower,
@@ -74,16 +58,8 @@ from .functions import (
     MaxAffine,
     Polynomial,
     ScalarFunction,
-    constant,
-    identity,
 )
-from .models import (
-    SequenceModel,
-    joint_lower_expectation,
-    joint_upper_expectation,
-    product_lower_expectation,
-    product_upper_expectation,
-)
+from .models import SequenceModel
 from .reports import CheckResult
 from .simulate import (
     AdversaryStrategy,
@@ -106,13 +82,9 @@ from .slln import (
     truncation_params,
     validate_schedule,
 )
-from .serialize import (
-    credal_document,
-    dumps_document,
-    loads_document,
-    parse_document,
-    sequence_model_document,
-    sequence_model_from_document,
-)
+from .serialize import parse_document, sequence_model_from_document
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# every public name bound above; the submodules themselves are not exports
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_")
+                 and not isinstance(value, _types.ModuleType))

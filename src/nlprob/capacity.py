@@ -5,46 +5,21 @@ the credal set's measures; the lower probability is the minimum. Both are
 attained because the set is a finite list — no optimization, just exact
 enumeration. The pair is conjugate: upper(A) + lower(complement A) = 1.
 
-A single event is an :class:`~nlprob.core.Event`; an event family is a
-boolean membership matrix of shape (events, size), one row per event, so
-the whole family of a space is one array and no ``Event`` is built for it.
+An event family is a boolean membership matrix of shape (events, size),
+one row per event, so the whole family of a space is one array, and its
+envelopes are the row maxima and minima of one
+:func:`~nlprob.core.event_probability_table`.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .core import CredalSet, Event, event_probability, event_probability_table
+from .core import CredalSet, event_probability_table
 from .errors import DimensionMismatchError
 from .reports import CheckResult, comparison, equality
 
 DEFAULT_TOL = 1e-12
-
-
-def event_probabilities(credal: CredalSet, event: Event) -> np.ndarray:
-    """P_j(A) for every measure j, in credal order."""
-    return np.array([event_probability(m, event) for m in credal.measures])
-
-
-def upper_prob(credal: CredalSet, event: Event) -> float:
-    return float(event_probabilities(credal, event).max())
-
-
-def lower_prob(credal: CredalSet, event: Event) -> float:
-    return float(event_probabilities(credal, event).min())
-
-
-def upper_prob_witness(credal: CredalSet, event: Event) -> tuple[float, int]:
-    """(value, index of a maximizing measure; lowest index on ties)."""
-    p = event_probabilities(credal, event)
-    j = int(p.argmax())
-    return float(p[j]), j
-
-
-def lower_prob_witness(credal: CredalSet, event: Event) -> tuple[float, int]:
-    p = event_probabilities(credal, event)
-    j = int(p.argmin())
-    return float(p[j]), j
 
 
 def capacity_axiom_report(credal: CredalSet, events: np.ndarray,

@@ -149,16 +149,16 @@ def _na_records(run: _Run) -> list[CheckResult]:
 
 
 def _vertical_records(run: _Run) -> list[CheckResult]:
-    config = run.config
-    n = _dependence_horizon(config)
-    funcs = []
-    for i in range(1, n + 1):
-        vals = config.model.variable_at(i).values
-        span = float(vals.max() - vals.min())
+    model = run.config.model
+    n = _dependence_horizon(run.config)
+    ramps = []
+    for var in model.variables:
+        span = float(var.values.max() - var.values.min())
         width = span / 2.0 if span > 0 else 1.0
-        mid = float(vals.min() + vals.max()) / 2.0
-        funcs.append(TestFunction(RAMP, mid - width / 2.0, width))
-    return [check_vertical_independence(config.model, n, funcs, run.tol)]
+        mid = float(var.values.min() + var.values.max()) / 2.0
+        ramps.append(TestFunction(RAMP, mid - width / 2.0, width))
+    # one ramp per variable; the check cycles them as it cycles variables
+    return [check_vertical_independence(model, n, ramps, run.tol)]
 
 
 def _forward_records(run: _Run) -> list[CheckResult]:

@@ -54,7 +54,12 @@ from .errors import (
 from .functions import Exp, ScalarFunction, from_descriptor
 from .models import SequenceModel
 from .serialize import read_number, sequence_model_from_document
-from .simulate import FIXED, AdversaryStrategy, bundled_strategies
+from .simulate import (
+    DEFAULT_EPSILON,
+    FIXED,
+    AdversaryStrategy,
+    bundled_strategies,
+)
 from .slln import WeightSchedule, make_schedule
 
 CHECK_NAMES = ("axioms", "chain", "inequalities", "na", "vertical",
@@ -68,7 +73,6 @@ FAMILIES = {
 }
 
 DEFAULT_TOLERANCE = 1e-9
-DEFAULT_EPSILON = 0.05
 DEFAULT_HORIZON = 4
 SIMULATION_CHECKS = frozenset({"slln", "strassen"})
 # a floor on what a path's PathSummary, TrajectorySample and report entry
@@ -112,9 +116,6 @@ class ExperimentConfig:
     truncation_indices: tuple[int, ...]
     out: str | None
     raw: dict[str, Any]
-
-    def needs_simulation(self) -> bool:
-        return bool(SIMULATION_CHECKS & set(self.checks))
 
 
 def _field_error(name: str, message: str) -> ConfigValidationError:

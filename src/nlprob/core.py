@@ -2,13 +2,13 @@
 
 Conventions
 -----------
-* An outcome space is ``{0, ..., size-1}``; labels are optional decoration.
-* Events are index sets, not predicates, so complements and enumeration are
-  exact.
+* An outcome space is ``{0, ..., size-1}``.
+* An event is a boolean membership row over the outcomes, and an event
+  family a matrix of such rows, so complements and enumeration are exact
+  and every event probability is one sum, :func:`event_probability_table`.
 * A credal set is a nonempty *ordered* list of probability measures on one
   space. Order matters: upper/lower envelopes report maximizer indices, and
-  adversary strategies pick measures by index. Duplicates are permitted but
-  flagged by :func:`CredalSet.duplicate_pairs`.
+  adversary strategies pick measures by index. Duplicates are permitted.
 * All container types are immutable; arrays they hold are read-only views.
   Every operation is a pure function of its inputs.
 
@@ -19,14 +19,13 @@ exact division.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (
     DimensionMismatchError,
     EmptyVectorError,
-    IndexOutOfRangeError,
     NegativeWeightError,
     NonFiniteError,
     NotNormalizedError,
@@ -44,85 +43,13 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class OutcomeSpace:
-    """A finite sample space of ``size`` outcomes, optionally labeled."""
+    """A finite sample space of ``size`` outcomes."""
 
     size: int
-    labels: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
         if not isinstance(self.size, int) or self.size < 1:
             raise EmptyVectorError(f"outcome space needs size >= 1, got {self.size!r}")
-        if self.labels is not None:
-            labels = tuple(self.labels)
-            object.__setattr__(self, "labels", labels)
-            if len(labels) != self.size:
-                raise DimensionMismatchError(
-                    f"{len(labels)} labels for {self.size} outcomes"
-                )
-            if len(set(labels)) != len(labels):
-                raise ValueError("outcome labels must be unique")
-
-    def outcomes(self) -> range:
-        return range(self.size)
-
-
-@dataclass(frozen=True)
-class Event:
-    """A subset of an outcome space, stored as a frozen index set.
-
-    ``size`` pins the ambient space so complements are well defined and
-    dimension checks are possible without carrying the space object around.
-    """
-
-    size: int
-    members: frozenset[int] = field(default_factory=frozenset)
-
-    def __post_init__(self) -> None:
-        members = frozenset(int(i) for i in self.members)
-        object.__setattr__(self, "members", members)
-        if self.size < 1:
-            raise EmptyVectorError("event needs an ambient space of size >= 1")
-        for i in members:
-            if i < 0 or i >= self.size:
-                raise IndexOutOfRangeError(
-                    f"outcome index {i} outside space of size {self.size}"
-                )
-
-    def complement(self) -> "Event":
-        return Event(self.size, frozenset(range(self.size)) - self.members)
-
-    def union(self, other: "Event") -> "Event":
-        _check_same_size(self.size, other.size)
-        return Event(self.size, self.members | other.members)
-
-    def intersection(self, other: "Event") -> "Event":
-        _check_same_size(self.size, other.size)
-        return Event(self.size, self.members & other.members)
-
-    def issubset(self, other: "Event") -> bool:
-        _check_same_size(self.size, other.size)
-        return self.members <= other.members
-
-    def indicator(self) -> np.ndarray:
-        ind = np.zeros(self.size)
-        ind[sorted(self.members)] = 1.0
-        return ind
-
-    @property
-    def is_empty(self) -> bool:
-        return not self.members
-
-    @property
-    def is_full(self) -> bool:
-        return len(self.members) == self.size
-
-    def sorted_members(self) -> list[int]:
-        return sorted(self.members)
-
-
-def _check_same_size(a: int, b: int) -> None:
-    if a != b:
-        raise DimensionMismatchError(f"outcome-space sizes differ: {a} vs {b}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -169,18 +96,6 @@ def make_measure(weights) -> ProbabilityMeasure:
     return ProbabilityMeasure(w / total)
 
 
-def uniform_measure(size: int) -> ProbabilityMeasure:
-    return make_measure(np.full(size, 1.0 / size))
-
-
-def dirac_measure(size: int, outcome: int) -> ProbabilityMeasure:
-    if outcome < 0 or outcome >= size:
-        raise IndexOutOfRangeError(f"outcome {outcome} outside space of size {size}")
-    w = np.zeros(size)
-    w[outcome] = 1.0
-    return ProbabilityMeasure(w)
-
-
 @dataclass(frozen=True, eq=False)
 class RandomVariable:
     """A real-valued map on a finite space, stored as its value vector."""
@@ -198,14 +113,6 @@ class RandomVariable:
     @property
     def size(self) -> int:
         return self.values.shape[0]
-
-    def map(self, fn) -> "RandomVariable":
-        """Pointwise image; ``fn`` must accept an ndarray."""
-        return RandomVariable(np.asarray(fn(self.values), dtype=float))
-
-
-def indicator_variable(event: Event) -> RandomVariable:
-    return RandomVariable(event.indicator())
 
 
 @dataclass(frozen=True, eq=False)
@@ -241,31 +148,13 @@ class CredalSet:
         read-only array, stacked when the set is built."""
         return self._weights
 
-    def duplicate_pairs(self) -> list[tuple[int, int]]:
-        """Index pairs (i < j) of exactly identical measures. Permitted, flagged."""
-        out = []
-        for i in range(len(self.measures)):
-            for j in range(i + 1, len(self.measures)):
-                if np.array_equal(self.measures[i].weights, self.measures[j].weights):
-                    out.append((i, j))
-        return out
 
-
-def credal_set_from_rows(rows, labels: tuple[str, ...] | None = None) -> CredalSet:
+def credal_set_from_rows(rows) -> CredalSet:
     """Build a credal set from an iterable of weight rows (validated per row)."""
     measures = tuple(make_measure(r) for r in rows)
     if not measures:
         raise EmptyVectorError("credal set needs at least one measure")
-    return CredalSet(OutcomeSpace(measures[0].size, labels), measures)
-
-
-def classical_expectation(measure: ProbabilityMeasure, variable: RandomVariable) -> float:
-    """Linear expectation E_P[X] = sum_w P(w) X(w)."""
-    if measure.size != variable.size:
-        raise DimensionMismatchError(
-            f"measure size {measure.size} vs variable size {variable.size}"
-        )
-    return float(measure.weights @ variable.values)
+    return CredalSet(OutcomeSpace(measures[0].size), measures)
 
 
 def event_probability_table(weights: np.ndarray, members: np.ndarray) -> np.ndarray:
@@ -280,17 +169,12 @@ def event_probability_table(weights: np.ndarray, members: np.ndarray) -> np.ndar
     keeps each sum the member-only one bit for bit.
     """
     members = np.asarray(members, dtype=bool)
+    if members.ndim != 2 or members.shape[1] != weights.shape[1]:
+        raise DimensionMismatchError(
+            f"membership rows of shape {members.shape} for "
+            f"{weights.shape[1]} outcomes")
     table = np.zeros((members.shape[0], weights.shape[0]))
     for w in range(weights.shape[1]):
         table += np.multiply.outer(members[:, w], weights[:, w])
     return table
 
-
-def event_probability(measure: ProbabilityMeasure, event: Event) -> float:
-    """P(A), summed in outcome order (see :func:`event_probability_table`)."""
-    if measure.size != event.size:
-        raise DimensionMismatchError(
-            f"measure size {measure.size} vs event size {event.size}"
-        )
-    return float(event_probability_table(measure.weights[None, :],
-                                         event.indicator()[None, :])[0, 0])

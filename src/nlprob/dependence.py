@@ -48,7 +48,7 @@ A sweep never proves a universally quantified property; verdicts are
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
 import numpy as np
@@ -61,21 +61,18 @@ from .errors import (
     MixedMonotonicityError,
     NegativeFunctionValueError,
     NonPositiveWidthError,
-    OracleTooLargeError,
     POutOfRangeError,
 )
+from .functions import DECREASING, INCREASING
+from . import models
 from .models import (
     COMONOTONE_PAIR,
-    DEFAULT_ORACLE_CAP,
     SequenceModel,
+    check_horizon,
     coordinate_expectation_matrix,
-    joint_lower_expectation,
     product_expectation_table,
 )
 from .reports import CheckResult
-
-INCREASING = "increasing"
-DECREASING = "decreasing"
 
 RAMP = "ramp"
 NEGATED_RAMP = "negated-ramp"
@@ -135,7 +132,6 @@ class TestFamily:
 
     functions: tuple[TestFunction, ...]
     direction: str
-    provenance: dict[str, Any] = field(default_factory=dict)
 
     __test__ = False
 
@@ -157,23 +153,6 @@ class TestFamily:
         return np.vstack([f(variable.values) for f in self.functions])
 
 
-def ramp_family(thresholds: Sequence[float], widths: Sequence[float],
-                direction: str = INCREASING) -> TestFamily:
-    """Cartesian ramp grid, thresholds-major then widths, fixed order."""
-    thresholds = [float(t) for t in thresholds]
-    widths = [float(w) for w in widths]
-    if not thresholds or not widths:
-        raise EmptyGridError("ramp family needs nonempty threshold and width grids")
-    for w in widths:
-        if w <= 0.0:
-            raise NonPositiveWidthError(f"ramp width must be > 0, got {w}")
-    kind = RAMP if direction == INCREASING else NEGATED_RAMP
-    funcs = tuple(TestFunction(kind, t, w, direction)
-                  for t in thresholds for w in widths)
-    return TestFamily(funcs, direction,
-                      {"thresholds": thresholds, "widths": widths})
-
-
 def default_families(model: SequenceModel, n_thresholds: int = 9,
                      ) -> tuple[TestFamily, TestFamily]:
     """One increasing and one decreasing family adapted to the model's range.
@@ -193,9 +172,7 @@ def default_families(model: SequenceModel, n_thresholds: int = 9,
         for w in widths:
             for t in np.linspace(lo - w, hi + w, n_thresholds):
                 funcs.append(TestFunction(kind, float(t), float(w), direction))
-        out.append(TestFamily(tuple(funcs), direction,
-                              {"lo": lo, "hi": hi, "widths": list(widths),
-                               "n_thresholds": n_thresholds}))
+        out.append(TestFamily(tuple(funcs), direction))
     return out[0], out[1]
 
 
@@ -234,10 +211,7 @@ def check_negative_association(model: SequenceModel, n: int,
     """
     if n < 2:
         raise ValueError(f"negative-association sweep needs n >= 2, got {n}")
-    model.variable_at(n)  # raises unless coordinate n exists
-    if n > DEFAULT_ORACLE_CAP:  # the joint oracle's cap keeps F^n reportable
-        raise OracleTooLargeError(
-            f"{n} coordinates exceed the enumeration cap {DEFAULT_ORACLE_CAP}")
+    check_horizon(model, n)  # the joint oracle's cap keeps F^n reportable
     families = [family] if family is not None else list(default_families(model))
     sweeps = [_sweep_family(model, fam, n) for fam in families]
     worst, _, witness = max(sweeps, key=lambda sweep: sweep[0])  # first on ties
@@ -249,12 +223,14 @@ def check_negative_association(model: SequenceModel, n: int,
 
 def _as_rows(model: SequenceModel, functions: Sequence[Callable], n: int
              ) -> np.ndarray:
-    if len(functions) < n:
-        raise LengthMismatchError(
-            f"{len(functions)} functions for {n} coordinates")
+    """Rows f_i(X_i), i = 1..n; the functions cycle as the model's variables
+    do, so coordinate i reads function (i - 1) % len(functions)."""
+    if not functions:
+        raise LengthMismatchError(f"no functions for {n} coordinates")
     rows = []
     for i in range(1, n + 1):
-        r = np.asarray(functions[i - 1](model.variable_at(i).values), dtype=float)
+        f = functions[(i - 1) % len(functions)]
+        r = np.asarray(f(model.variable_at(i).values), dtype=float)
         if r.shape != (model.credal.size,):
             raise LengthMismatchError(
                 f"function {i} does not map the outcome grid to scalars")
@@ -266,20 +242,20 @@ def check_vertical_independence(model: SequenceModel, n: int,
                                 functions: Sequence[Callable],
                                 tol: float = DEFAULT_TOL) -> CheckResult:
     """Check the split relations hold with *equality* for one nonnegative
-    function tuple (f_1, ..., f_n). n = 1 passes vacuously."""
+    function tuple (f_1, ..., f_n), the functions cycled as the model's
+    variables are. n = 1 passes vacuously. Long horizons are refused, as in
+    the NA sweep, before any function is read."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     if n == 1:
         return CheckResult("vertical-independence", 0.0, tol, 0.0, True, None,
                            VERDICT_OK, 0)
+    check_horizon(model, n)
     rows = _as_rows(model, functions, n)
     if rows.min() < 0.0:
         i, _ = np.unravel_index(int(rows.argmin()), rows.shape)
         raise NegativeFunctionValueError(
             f"function {i + 1} takes a negative value; all must be nonnegative")
-    if n > DEFAULT_ORACLE_CAP:  # long horizons stay refused, as in the NA sweep
-        raise OracleTooLargeError(
-            f"{n} coordinates exceed the enumeration cap {DEFAULT_ORACLE_CAP}")
     # upper of each prefix product rows[:k], k = 1..n; split k compares
     # entry k-1 with entry k-2 times the marginal upper of coordinate k
     uppers = [float(product_expectation_table(model, rows[:k]).max())
@@ -327,7 +303,8 @@ def forward_factorization_value(model: SequenceModel, g: Callable, f: Callable,
         return np.asarray(g(*xs[:-1]), dtype=float) * (
             np.asarray(f(xs[-1]), dtype=float) - f_low)
 
-    return joint_lower_expectation(model, integrand, n)
+    # looked up in ``models`` at call time, where tracers wrap the oracle
+    return float(models.joint_expectation_table(model, integrand, n).min())
 
 
 def binomial_pair_model(p_values: Sequence[float]) -> SequenceModel:

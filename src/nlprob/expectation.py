@@ -60,21 +60,6 @@ def lower_expectation(credal: CredalSet, variable: RandomVariable) -> float:
     return float(expectation_values(credal, variable).min())
 
 
-def upper_expectation_witness(credal: CredalSet,
-                              variable: RandomVariable) -> tuple[float, int]:
-    """(value, lowest maximizing measure index)."""
-    e = expectation_values(credal, variable)
-    j = int(e.argmax())
-    return float(e[j]), j
-
-
-def lower_expectation_witness(credal: CredalSet,
-                              variable: RandomVariable) -> tuple[float, int]:
-    e = expectation_values(credal, variable)
-    j = int(e.argmin())
-    return float(e[j]), j
-
-
 def choquet_expectation(credal: CredalSet, variable: RandomVariable,
                         side: str = UPPER) -> float:
     """Choquet integral of X against the upper or lower probability envelope.

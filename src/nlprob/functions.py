@@ -90,14 +90,6 @@ class Affine(ScalarFunction):
         return {"kind": "affine", "slope": self.slope, "intercept": self.intercept}
 
 
-def identity() -> Affine:
-    return Affine(1.0, 0.0)
-
-
-def constant(c: float) -> Affine:
-    return Affine(0.0, c)
-
-
 @dataclass(frozen=True, repr=False)
 class Exp(ScalarFunction):
     """x -> exp(rate*x). Convex for every rate; positive everywhere."""

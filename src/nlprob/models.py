@@ -19,11 +19,14 @@ callers ask the model how many ``coordinates`` it defines, whether it has
     is E_j[F(X(w), Y(w))], maximized over j. This is the maximally coupled
     two-coordinate model; it is where dependence checkers find structure.
 
-General integrands (:func:`joint_expectation_table`) are computed by exact
-enumeration, so their coordinate count is capped (default 6) and exceeding it
-raises ``OracleTooLargeError`` instead of silently grinding. Products of
-nonnegative per-coordinate factors (:func:`product_expectation_table`) are
-in closed form and have no cap.
+Both oracles return a table over measure assignments; its ``.max()`` is the
+joint upper expectation and its ``.min()`` the lower one. General integrands
+(:func:`joint_expectation_table`) are computed by exact enumeration, so their
+coordinate count is capped (default 6) and exceeding it raises
+``OracleTooLargeError`` instead of silently grinding; :func:`check_horizon`
+is that refusal, shared with the dependence sweeps. Products of nonnegative
+per-coordinate factors (:func:`product_expectation_table`) are in closed
+form and have no cap.
 """
 
 from __future__ import annotations
@@ -103,11 +106,17 @@ class SequenceModel:
         return values
 
 
-def _check_cap(model: SequenceModel, n: int) -> None:
+def check_horizon(model: SequenceModel, n: int) -> None:
+    """Refuse n coordinates unless the model defines coordinate n and n is
+    within the enumeration cap; the one refusal of every oracle and sweep."""
     model.variable_at(n)  # raises unless coordinate n exists
     if n > DEFAULT_ORACLE_CAP:
         raise OracleTooLargeError(
             f"{n} coordinates exceed the enumeration cap {DEFAULT_ORACLE_CAP}")
+
+
+def _check_cap(model: SequenceModel, n: int) -> None:
+    check_horizon(model, n)
     if model.product_measures:
         cells = (model.credal.size ** n) + (len(model.credal) ** n)
         if cells > _MAX_CELLS:
@@ -151,15 +160,6 @@ def joint_expectation_table(model: SequenceModel, F, n: int) -> np.ndarray:
     return G
 
 
-def joint_upper_expectation(model: SequenceModel, F, n: int) -> float:
-    """max over measure assignments of E[F(X_1, ..., X_n)], exact."""
-    return float(joint_expectation_table(model, F, n).max())
-
-
-def joint_lower_expectation(model: SequenceModel, F, n: int) -> float:
-    return float(joint_expectation_table(model, F, n).min())
-
-
 def coordinate_expectation_matrix(model: SequenceModel,
                                   rows: np.ndarray) -> np.ndarray:
     """E_j[row_i] for factor-value rows over the space: shape (n, |P|).
@@ -192,7 +192,7 @@ def product_expectation_table(model: SequenceModel, rows) -> np.ndarray:
     and max of the full assignment table bit for bit. That needs
     nonnegative rows, so a negative entry raises
     ``NegativeFunctionValueError``; signed product integrands go through
-    :func:`joint_upper_expectation` and :func:`joint_lower_expectation`.
+    :func:`joint_expectation_table`.
 
     Comonotone-pair: one measure j reads both coordinates off the same
     outcome, so the result is ``(E_j[prod_i f_i])_j``, shape ``(|P|,)``.
@@ -208,10 +208,3 @@ def product_expectation_table(model: SequenceModel, rows) -> np.ndarray:
     E = coordinate_expectation_matrix(model, rows)
     return np.array([math.prod(E.min(axis=1)), math.prod(E.max(axis=1))])
 
-
-def product_upper_expectation(model: SequenceModel, rows) -> float:
-    return float(product_expectation_table(model, rows).max())
-
-
-def product_lower_expectation(model: SequenceModel, rows) -> float:
-    return float(product_expectation_table(model, rows).min())

@@ -1,4 +1,5 @@
-"""JSON documents for spaces, credal sets, variables and sequence models.
+"""The reader of JSON documents for credal sets, variables and sequence
+models, and of every number from outside the program.
 
 Schema::
 
@@ -9,15 +10,12 @@ Schema::
       "joint": "rectangular" | "comonotone-pair"   # models only
     }
 
-Field order is irrelevant on input and numbers are plain decimal literals;
-variable listing order (JSON object order) is the coordinate order. The
-round trip document -> objects -> document is the identity up to float
-repr.
+Field order is irrelevant and numbers are plain decimal literals;
+variable listing order (JSON object order) is the coordinate order.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from typing import Any
 
@@ -50,16 +48,6 @@ def read_number(value: Any, name: str, *, optional: bool = False,
     if above is not None and value <= above:
         raise ConfigValidationError(f"{name}: must be > {above}, got {value}")
     return value
-
-
-def credal_document(credal: CredalSet,
-                    variables: dict[str, RandomVariable]) -> dict[str, Any]:
-    return {
-        "space": credal.size,
-        "measures": [[float(w) for w in m.weights] for m in credal.measures],
-        "variables": {name: [float(v) for v in var.values]
-                      for name, var in variables.items()},
-    }
 
 
 def parse_document(doc: dict[str, Any]) -> tuple[OutcomeSpace, CredalSet,
@@ -95,16 +83,6 @@ def parse_document(doc: dict[str, Any]) -> tuple[OutcomeSpace, CredalSet,
     return credal.space, credal, variables
 
 
-def sequence_model_document(model: SequenceModel,
-                            names: list[str] | None = None) -> dict[str, Any]:
-    if names is None:
-        names = [f"X{i + 1}" for i in range(len(model.variables))]
-    doc = credal_document(model.credal,
-                          dict(zip(names, model.variables)))
-    doc["joint"] = model.joint
-    return doc
-
-
 def sequence_model_from_document(doc: dict[str, Any]) -> SequenceModel:
     _, credal, variables = parse_document(doc)
     if not variables:
@@ -114,15 +92,3 @@ def sequence_model_from_document(doc: dict[str, Any]) -> SequenceModel:
         raise ConfigValidationError(f"unknown joint semantics {joint!r}")
     return SequenceModel(credal, tuple(variables.values()), joint)
 
-
-def dumps_document(doc: dict[str, Any]) -> str:
-    return json.dumps(doc, indent=2, allow_nan=False)
-
-
-def loads_document(text: str) -> dict[str, Any]:
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigValidationError(
-            f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
-        ) from exc

@@ -33,7 +33,7 @@ from .errors import (
     POutOfRangeError,
 )
 from .expectation import upper_expectation
-from .models import SequenceModel, product_upper_expectation
+from .models import SequenceModel, product_expectation_table
 from .reports import CheckResult, all_passed, comparison
 
 KOLMOGOROV = "kolmogorov"
@@ -278,7 +278,7 @@ def exp_moment_bound(model: SequenceModel, schedule: WeightSchedule,
         v = model.variable_at(i)
         b = upper_expectation(model.credal, v)
         rows.append(np.exp(scale * float(schedule.a(i)) * (v.values - b)))
-    return product_upper_expectation(model, np.vstack(rows))
+    return float(product_expectation_table(model, np.vstack(rows)).max())
 
 
 def normalized_partial_sums(values, table: tuple[np.ndarray, np.ndarray],

@@ -6,64 +6,56 @@ import numpy as np
 import pytest
 
 import nlprob.capacity as capacity
-from nlprob import (
-    Event,
-    all_events,
-    capacity_axiom_report,
-    credal_set_from_rows,
-    event_probability,
-    lower_prob,
-    lower_prob_witness,
-    upper_prob,
-    upper_prob_witness,
-)
+from nlprob import all_events, capacity_axiom_report, credal_set_from_rows
 from nlprob.core import event_probability_table
 from nlprob.errors import DimensionMismatchError
 from nlprob.reports import CheckResult, all_passed, comparison, equality
 
 
-def as_events(rows):
-    """The Event objects of a membership matrix's rows, in row order."""
-    return [Event(rows.shape[1], frozenset(np.flatnonzero(row).tolist()))
-            for row in rows]
+def envelopes(credal, rows):
+    """The upper and lower probability of each membership row."""
+    table = event_probability_table(credal.weight_matrix(), rows)
+    return table.max(axis=1), table.min(axis=1)
+
+
+def row(size, members):
+    """The membership row of the outcomes ``members`` in a space of ``size``."""
+    return np.isin(np.arange(size), list(members))
 
 
 class TestEnvelopes:
     def test_upper_two_measures(self, two_point_credal):
-        assert upper_prob(two_point_credal, Event(2, frozenset([1]))) == 0.5
+        upper, _ = envelopes(two_point_credal, [row(2, [1])])
+        assert upper[0] == 0.5
 
     def test_lower_two_measures(self, two_point_credal):
-        assert lower_prob(two_point_credal, Event(2, frozenset([1]))) == pytest.approx(0.2, abs=1e-15)
+        _, lower = envelopes(two_point_credal, [row(2, [1])])
+        assert lower[0] == pytest.approx(0.2, abs=1e-15)
 
     def test_full_and_empty(self, make_credal):
         c = make_credal()
         n = c.size
-        assert upper_prob(c, Event(n, frozenset(range(n)))) == pytest.approx(1.0, abs=1e-12)
-        assert lower_prob(c, Event(n, frozenset(range(n)))) == pytest.approx(1.0, abs=1e-12)
-        assert upper_prob(c, Event(n, frozenset())) == 0.0
-        assert lower_prob(c, Event(n, frozenset())) == 0.0
+        upper, lower = envelopes(c, [row(n, range(n)), row(n, [])])
+        assert upper[0] == pytest.approx(1.0, abs=1e-12)
+        assert lower[0] == pytest.approx(1.0, abs=1e-12)
+        assert upper[1] == 0.0
+        assert lower[1] == 0.0
 
     def test_singleton_collapses(self, rng):
         c = credal_set_from_rows([rng.dirichlet(np.ones(4))])
-        a = Event(4, frozenset([0, 2]))
-        assert upper_prob(c, a) == lower_prob(c, a)
-
-    def test_witness_indices(self, two_point_credal):
-        a = Event(2, frozenset([1]))
-        value, idx = upper_prob_witness(two_point_credal, a)
-        assert (value, idx) == (0.5, 0)
-        value, idx = lower_prob_witness(two_point_credal, a)
-        assert idx == 1 and value == pytest.approx(0.2, abs=1e-15)
+        upper, lower = envelopes(c, [row(4, [0, 2])])
+        assert upper[0] == lower[0]
 
     def test_dimension_mismatch(self, two_point_credal):
         with pytest.raises(DimensionMismatchError):
-            upper_prob(two_point_credal, Event(3, frozenset([0])))
+            capacity_axiom_report(two_point_credal, row(3, [0])[None, :])
 
 
 class TestAxiomReport:
     def test_conjugacy_worked_example(self, two_point_credal):
-        a = Event(2, frozenset([1]))
-        total = upper_prob(two_point_credal, a) + lower_prob(two_point_credal, a.complement())
+        a = row(2, [1])
+        upper, lower = envelopes(two_point_credal, [a, ~a])
+        total = upper[0] + lower[1]
         assert total == pytest.approx(1.0, abs=1e-15)
 
     def test_exhaustive_random_credal(self, make_credal):
@@ -74,12 +66,13 @@ class TestAxiomReport:
 
     def test_monotonicity_exact(self, make_credal):
         c = make_credal(size=6)
-        events = as_events(all_events(6))
-        for a in events:
-            for b in events:
-                if a.issubset(b):
-                    assert upper_prob(c, a) <= upper_prob(c, b)
-                    assert lower_prob(c, a) <= lower_prob(c, b)
+        events = all_events(6)
+        upper, lower = envelopes(c, events)
+        for i, a in enumerate(events):
+            for k, b in enumerate(events):
+                if not (a & ~b).any():  # a is a subset of b
+                    assert upper[i] <= upper[k]
+                    assert lower[i] <= lower[k]
 
     def test_singleton_all_gaps_zero(self, rng):
         c = credal_set_from_rows([rng.dirichlet(np.ones(5))])
@@ -89,7 +82,7 @@ class TestAxiomReport:
 
     def test_subset_of_full_space(self, make_credal):
         c = make_credal(size=4)
-        assert upper_prob(c, Event(4, frozenset([1, 2]))) <= 1.0
+        assert envelopes(c, [row(4, [1, 2])])[0][0] <= 1.0
 
     def test_report_record_inventory(self, two_point_credal):
         records = capacity_axiom_report(two_point_credal, all_events(2), tol=1e-12)
@@ -103,11 +96,11 @@ class TestAxiomReport:
         # finite-space surrogate for continuity: a nondecreasing event chain
         # reaches its union and the envelope value stabilizes with it
         c = make_credal(size=5)
-        chain = [Event(5, frozenset(range(k))) for k in range(6)]
-        values = [upper_prob(c, a) for a in chain]
+        chain = [row(5, range(k)) for k in range(6)]
+        values = [envelopes(c, [a])[0][0] for a in chain]
         assert values == sorted(values)
-        assert values[-1] == upper_prob(c, chain[-1])
-        full_twice = [upper_prob(c, chain[-1]) for _ in range(3)]
+        assert values[-1] == envelopes(c, chain)[0][-1]
+        full_twice = [envelopes(c, chain[-1:])[0][0] for _ in range(3)]
         assert len(set(full_twice)) == 1
 
 
@@ -160,26 +153,35 @@ def test_all_events_row_k_holds_the_bits_of_k():
 
 def pairwise_axiom_report(credal, events, tol):
     """The axiom report as an O(E^2) loop over event pairs with per-event
-    witness recomputation: the oracle the closed form must match exactly."""
+    witness recomputation: the oracle the closed form must match exactly.
+    ``events`` is a list of membership rows."""
     size = credal.size
-    empty = Event(size)
-    full = empty.complement()
-    probs = np.array([[event_probability(m, e) for e in events]
-                      for m in credal.measures]) if events else np.zeros((len(credal), 0))
-    upper = probs.max(axis=0) if events else np.zeros(0)
-    lower = probs.min(axis=0) if events else np.zeros(0)
+    W = credal.weight_matrix()
+
+    def probs(members):
+        return event_probability_table(W, members[None, :])[0]
+
+    def members_of(a):
+        return np.flatnonzero(a).tolist()
+
+    empty = np.zeros(size, dtype=bool)
+    full = ~empty
+    table = np.array([probs(e) for e in events]) if events \
+        else np.zeros((0, len(credal)))
+    upper = table.max(axis=1) if events else np.zeros(0)
+    lower = table.min(axis=1) if events else np.zeros(0)
     results = [
-        equality("upper-normalization-empty", upper_prob(credal, empty), 0.0, tol),
-        equality("lower-normalization-empty", lower_prob(credal, empty), 0.0, tol),
-        equality("upper-normalization-full", upper_prob(credal, full), 1.0, tol),
-        equality("lower-normalization-full", lower_prob(credal, full), 1.0, tol),
+        equality("upper-normalization-empty", probs(empty).max(), 0.0, tol),
+        equality("lower-normalization-empty", probs(empty).min(), 0.0, tol),
+        equality("upper-normalization-full", probs(full).max(), 1.0, tol),
+        equality("lower-normalization-full", probs(full).min(), 1.0, tol),
     ]
     worst_u = worst_l = (0.0, None)
     for i, a in enumerate(events):
         for k, b in enumerate(events):
-            if i == k or not a.issubset(b):
+            if i == k or (a & ~b).any():
                 continue
-            pair = {"event": a.sorted_members(), "superset": b.sorted_members()}
+            pair = {"event": members_of(a), "superset": members_of(b)}
             if upper[i] - upper[k] > worst_u[0]:
                 worst_u = (upper[i] - upper[k], pair)
             if lower[i] - lower[k] > worst_l[0]:
@@ -189,14 +191,15 @@ def pairwise_axiom_report(credal, events, tol):
         results.append(CheckResult(name, gap, 0.0, gap, gap <= tol, witness))
     worst_conj = worst_dom = (0.0, None)
     for i, a in enumerate(events):
-        u, ju = upper_prob_witness(credal, a)
-        lc, jl = lower_prob_witness(credal, a.complement())
+        p, q = probs(a), probs(~a)
+        u, ju = float(p.max()), int(p.argmax())
+        lc, jl = float(q.min()), int(q.argmin())
         if abs(u + lc - 1.0) > worst_conj[0]:
-            worst_conj = (abs(u + lc - 1.0), {"event": a.sorted_members(),
+            worst_conj = (abs(u + lc - 1.0), {"event": members_of(a),
                                               "upper_argmax": ju,
                                               "complement_argmin": jl})
         if lower[i] - upper[i] > worst_dom[0]:
-            worst_dom = (lower[i] - upper[i], {"event": a.sorted_members()})
+            worst_dom = (lower[i] - upper[i], {"event": members_of(a)})
     for name, (gap, witness) in (("conjugacy", worst_conj),
                                  ("dominance", worst_dom)):
         results.append(CheckResult(name, gap, 0.0, gap, gap <= tol, witness))
@@ -207,9 +210,10 @@ def pairwise_axiom_report(credal, events, tol):
         return results
     worst = (float("-inf"), None)
     for a, b in zip(events, events[1:] or events[:1]):
-        gap = upper_prob(credal, a.union(b)) - (upper_prob(credal, a) + upper_prob(credal, b))
+        gap = float(probs(a | b).max()) - (float(probs(a).max())
+                                           + float(probs(b).max()))
         if gap > worst[0]:
-            worst = (gap, {"event": a.sorted_members(), "other": b.sorted_members()})
+            worst = (gap, {"event": members_of(a), "other": members_of(b)})
     results.append(CheckResult("upper-subadditivity-spot", worst[0], 0.0,
                                worst[0], worst[0] <= tol, worst[1]))
     return results
@@ -240,7 +244,7 @@ class TestClosedForm:
                 events = events[keep]
             tol = (1e-12, 0.0)[t % 2]
             records = capacity_axiom_report(credal, events, tol)
-            expected = pairwise_axiom_report(credal, as_events(events), tol)
+            expected = pairwise_axiom_report(credal, list(events), tol)
             assert [(r.check, r.lhs, r.rhs, r.gap, r.passed, r.witness)
                     for r in records] == \
                 [(r.check, r.lhs, r.rhs, r.gap, r.passed, r.witness)
@@ -253,7 +257,7 @@ class TestClosedForm:
         for events in (np.zeros((0, 4), dtype=bool),
                        np.array([[False, True, False, True]])):
             assert list(capacity_axiom_report(c, events)) == \
-                pairwise_axiom_report(c, as_events(events), 1e-12)
+                pairwise_axiom_report(c, list(events), 1e-12)
 
     def test_wrong_size_event_raises(self, make_credal):
         c = make_credal(size=4)
@@ -281,12 +285,13 @@ def test_event_probability_is_a_left_to_right_sum(rng):
         kind = ("dirichlet", "decades")[t % 2]
         measure = credal_set_from_rows(
             random_weight_rows(rng, kind, size)).measures[0]
-        members = [i for i in range(size) if rng.random() < 0.6]
+        members = rng.random(size) < 0.6
         total = 0.0
-        for i in members:
+        for i in np.flatnonzero(members):
             total += float(measure.weights[i])
-        assert event_probability(measure, Event(size, frozenset(members))).hex() == \
-            total.hex()
+        table = event_probability_table(measure.weights[None, :],
+                                        members[None, :])
+        assert float(table[0, 0]).hex() == total.hex()
 
 
 def test_event_probability_table_is_a_left_to_right_sum_per_entry(rng):

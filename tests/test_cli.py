@@ -7,6 +7,7 @@ import json
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -448,10 +449,9 @@ def test_hostile_config_keeps_exit_code_contract(node, value):
 WEIGHT_UNITS = 8  # dyadic weights, so every measure sums to exactly 1.0
 
 
-@st.composite
-def scratch_configs(draw):
-    """A dependence-check config built from nothing: 1-4 outcomes, 1-3
-    measures, either joint, horizon 1-9 and any nonempty set of checks."""
+def _scratch_model(draw, joint):
+    """A model document of 1-4 outcomes, 1-3 measures and the joint's
+    variables (1-2 for rectangular), half-integer values."""
     size = draw(st.integers(1, 4))
     measures = []
     for _ in range(draw(st.integers(1, 3))):
@@ -459,22 +459,79 @@ def scratch_configs(draw):
                                     min_size=size - 1, max_size=size - 1)))
         measures.append([(b - a) / WEIGHT_UNITS for a, b in
                          zip([0, *cuts], [*cuts, WEIGHT_UNITS])])
-    joint = draw(st.sampled_from(["rectangular", "comonotone-pair"]))
     n_vars = 2 if joint == "comonotone-pair" else draw(st.integers(1, 2))
     value = st.integers(-4, 4).map(lambda k: k / 2.0)
     variables = {f"X{k}": draw(st.lists(value, min_size=size, max_size=size))
                  for k in range(1, n_vars + 1)}
-    return {"model": {"space": size, "measures": measures,
-                      "variables": variables, "joint": joint},
+    return {"space": size, "measures": measures, "variables": variables,
+            "joint": joint}
+
+
+@st.composite
+def scratch_configs(draw):
+    """A dependence-check config built from nothing: 1-4 outcomes, 1-3
+    measures, either joint, horizon 1-9 and any nonempty set of checks."""
+    joint = draw(st.sampled_from(["rectangular", "comonotone-pair"]))
+    return {"model": _scratch_model(draw, joint),
             "checks": draw(st.lists(st.sampled_from(["na", "vertical", "forward"]),
                                     min_size=1, max_size=3, unique=True)),
             "horizon": draw(st.sampled_from(range(1, 10)))}
 
 
-@seed(20261018)
-@settings(max_examples=120, deadline=None, database=None)
-@given(scratch_configs())
-def test_scratch_config_keeps_exit_code_contract(config):
+def _mostly(draw, valid, invalid):
+    """One of ``valid`` four times in five, otherwise one of ``invalid``."""
+    pool = draw(st.sampled_from([valid] * 4 + [invalid]))
+    return draw(st.sampled_from(pool))
+
+
+STRATEGIES = [{"kind": "fixed", "index": 0}, "cyclic", "iid-random",
+              {"kind": "iid-random", "seed": 7}, "drift-max"]
+# past the 1-3 measures of a scratch model, or past some of them
+BAD_FIXED = [{"kind": "fixed", "index": 5}, {"kind": "fixed", "index": 2}]
+
+
+@st.composite
+def scratch_simulation_configs(draw):
+    """A simulation config built from nothing: a rectangular model as in
+    :func:`scratch_configs`, a kolmogorov or mz schedule whose p and beta
+    fall on either side of their bounds, 1000-2000 steps, 1-3 paths, any
+    strategy subset (with an out-of-range fixed index one time in five),
+    and drawn epsilon, negative_control and phi fields."""
+    kind = draw(st.sampled_from(["kolmogorov", "mz"]))
+    schedule = {"kind": kind,
+                "beta": _mostly(draw, [0.4, 0.9], [0.0, 0.2, 1.0])}
+    if kind == "mz":
+        schedule["p"] = _mostly(draw, [1.0, 1.25, 1.35], [0.5, 2.0])
+    strategies = draw(st.lists(st.sampled_from(STRATEGIES), min_size=1,
+                               max_size=4, unique_by=json.dumps))
+    strategies += _mostly(draw, [[]], [[bad] for bad in BAD_FIXED])
+    config = {
+        "model": _scratch_model(draw, "rectangular"),
+        "checks": draw(st.lists(st.sampled_from(["slln", "strassen",
+                                                 "truncation"]),
+                                min_size=1, max_size=3, unique=True)),
+        "seed": draw(st.integers(0, 2 ** 32)),
+        "schedule": schedule,
+        "simulation": {
+            "n_steps": draw(st.integers(1000, 2000)),
+            "paths_per_strategy": draw(st.integers(1, 3)),
+            "strategies": strategies,
+            "epsilon": _mostly(draw, [0.05, 0.3, 2.0], [0.0, -0.1]),
+            "negative_control": draw(st.booleans()),
+        },
+    }
+    phi = _mostly(draw, [None, {"kind": "exp", "rate": 1.0},
+                         {"kind": "clamp", "lo": -1, "hi": 1}],
+                  [{"kind": "affine", "slope": -1.0},
+                   {"kind": "abs-power", "power": 2}])
+    if phi is not None:
+        config["phi"] = phi
+    return config
+
+
+def _run_all(config):
+    """Run ``all`` on ``config``; the exit code is 0, 1 or 2, and an exit 2
+    prints exactly one ``error:`` line. Returns the code and stderr."""
     with tempfile.TemporaryDirectory() as tmp:
         (Path(tmp) / "config.json").write_text(json.dumps(config))
         out, err = io.StringIO(), io.StringIO()
@@ -485,9 +542,45 @@ def test_scratch_config_keeps_exit_code_contract(config):
     if code == 2:
         lines = err.getvalue().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
+    return code, err.getvalue()
+
+
+@seed(20261018)
+@settings(max_examples=120, deadline=None, database=None)
+@given(scratch_configs())
+def test_scratch_config_keeps_exit_code_contract(config):
+    code, err = _run_all(config)
     if (config["model"]["joint"] == "rectangular" and config["horizon"] > 6
             and {"na", "vertical"} & set(config["checks"])):
-        assert code == 2 and "enumeration cap" in err.getvalue()
+        assert code == 2 and "enumeration cap" in err
+
+
+@seed(20261019)
+@settings(max_examples=150, deadline=None, database=None)
+@given(scratch_simulation_configs())
+def test_scratch_simulation_config_keeps_exit_code_contract(config):
+    _run_all(config)
+
+
+def test_long_vertical_horizon_is_refused_before_any_work(tmp_path):
+    config = tmp_path / "long.json"
+    config.write_text(json.dumps({
+        "model": json.loads(Path(DEMO).read_text())["model"],
+        "checks": ["vertical"], "horizon": 100_000}))
+    err = io.StringIO()
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err):
+            code = main(["all", "--config", str(config),
+                         "--out", str(tmp_path / "out")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert err.getvalue() == \
+        "error: 100000 coordinates exceed the enumeration cap 6\n"
+    assert peak < 1 << 20
 
 
 def test_import_builds_no_parser():

@@ -38,7 +38,7 @@ class TestMinimalConfig:
         assert config.truncation_indices == (1, 2, 3, 5, 8)
         assert config.horizon == 4  # rectangular default
         assert isinstance(config.phi, Exp)
-        assert not config.needs_simulation()
+        assert not {"slln", "strassen"} & set(config.checks)
         assert config.expected_violations == frozenset()
 
     def test_pair_model_shrinks_default_horizon(self):

@@ -1,4 +1,4 @@
-"""Core types: measures, events, variables, credal sets."""
+"""Core types: measures, event probabilities, variables, credal sets."""
 
 from __future__ import annotations
 
@@ -10,24 +10,19 @@ from hypothesis import strategies as st
 import nlprob
 from nlprob import (
     CredalSet,
-    Event,
     OutcomeSpace,
     RandomVariable,
-    classical_expectation,
     credal_set_from_rows,
-    dirac_measure,
-    event_probability,
-    indicator_variable,
     make_measure,
-    uniform_measure,
 )
+from nlprob.core import event_probability_table
 from nlprob.errors import (
     DimensionMismatchError,
     EmptyVectorError,
-    IndexOutOfRangeError,
     NegativeWeightError,
     NotNormalizedError,
 )
+from nlprob.expectation import expectation_values
 
 
 class TestMeasureConstruction:
@@ -66,87 +61,71 @@ class TestMeasureConstruction:
         with pytest.raises(ValueError):
             make_measure([np.nan, 1.0])
 
-    def test_uniform_and_dirac(self):
-        assert np.array_equal(uniform_measure(4).weights, np.full(4, 0.25))
-        assert np.array_equal(dirac_measure(3, 1).weights, [0.0, 1.0, 0.0])
-        with pytest.raises(IndexOutOfRangeError):
-            dirac_measure(3, 3)
-
-
-class TestEvent:
-    def test_membership_validation(self):
-        with pytest.raises(IndexOutOfRangeError):
-            Event(3, frozenset([3]))
-        with pytest.raises(IndexOutOfRangeError):
-            Event(3, frozenset([-1]))
-
-    def test_complement_partition(self):
-        a = Event(5, frozenset([0, 2]))
-        c = a.complement()
-        assert a.union(c).is_full
-        assert a.intersection(c).is_empty
-
-    def test_indicator(self):
-        a = Event(4, frozenset([1, 3]))
-        assert np.array_equal(a.indicator(), [0.0, 1.0, 0.0, 1.0])
-
-    def test_subset(self):
-        a = Event(4, frozenset([1]))
-        b = Event(4, frozenset([1, 2]))
-        assert a.issubset(b) and not b.issubset(a)
-
 
 class TestClassicalExpectation:
+    # the linear expectation of each measure, read off a one-measure set
     def test_uniform_two_point(self, x01):
-        assert classical_expectation(make_measure([0.5, 0.5]), x01) == 0.5
+        assert expectation_values(credal_set_from_rows([[0.5, 0.5]]), x01) == [0.5]
 
     def test_skewed_two_point(self, x01):
-        assert classical_expectation(make_measure([0.8, 0.2]), x01) == pytest.approx(0.2, abs=1e-15)
+        e = expectation_values(credal_set_from_rows([[0.8, 0.2]]), x01)
+        assert e == pytest.approx([0.2], abs=1e-15)
 
     def test_constant_preserved(self, rng):
-        p = make_measure(rng.dirichlet(np.ones(6)))
+        credal = credal_set_from_rows([rng.dirichlet(np.ones(6))])
         c = RandomVariable(np.full(6, 3.25))
-        assert classical_expectation(p, c) == pytest.approx(3.25, abs=1e-12)
+        assert expectation_values(credal, c) == pytest.approx([3.25], abs=1e-12)
 
     def test_dimension_mismatch(self, x01):
         with pytest.raises(DimensionMismatchError):
-            classical_expectation(make_measure([1.0]), x01)
+            expectation_values(credal_set_from_rows([[1.0]]), x01)
 
     def test_linearity(self, rng, make_variable):
-        p = make_measure(rng.dirichlet(np.ones(7)))
+        credal = credal_set_from_rows([rng.dirichlet(np.ones(7))])
         x, y = make_variable(7), make_variable(7)
         for _ in range(50):
             a, b = rng.uniform(-5, 5, 2)
             combo = RandomVariable(a * x.values + b * y.values)
-            lhs = classical_expectation(p, combo)
-            rhs = a * classical_expectation(p, x) + b * classical_expectation(p, y)
+            lhs = expectation_values(credal, combo)
+            rhs = (a * expectation_values(credal, x)
+                   + b * expectation_values(credal, y))
             assert lhs == pytest.approx(rhs, abs=1e-12)
 
     def test_indicator_bridge(self, rng):
-        p = make_measure(rng.dirichlet(np.ones(6)))
+        credal = credal_set_from_rows([rng.dirichlet(np.ones(6))])
         for _ in range(20):
-            members = frozenset(int(i) for i in rng.choice(6, size=3, replace=False))
-            a = Event(6, members)
-            assert classical_expectation(p, indicator_variable(a)) == pytest.approx(
-                event_probability(p, a), abs=1e-15)
+            members = np.isin(np.arange(6), rng.choice(6, size=3, replace=False))
+            indicator = RandomVariable(members.astype(float))
+            assert expectation_values(credal, indicator) == pytest.approx(
+                event_probability_table(credal.weight_matrix(), members[None, :])[0],
+                abs=1e-15)
 
 
 class TestEventProbability:
     def test_single_weight(self):
-        assert event_probability(make_measure([0.5, 0.5]), Event(2, frozenset([1]))) == 0.5
+        table = event_probability_table(np.array([[0.5, 0.5]]),
+                                        np.array([[False, True]]))
+        assert table[0, 0] == 0.5
 
     def test_empty_and_full(self, rng):
-        p = make_measure(rng.dirichlet(np.ones(5)))
-        assert event_probability(p, Event(5, frozenset())) == 0.0
-        assert event_probability(p, Event(5, frozenset(range(5)))) == pytest.approx(1.0, abs=1e-15)
+        weights = make_measure(rng.dirichlet(np.ones(5))).weights[None, :]
+        table = event_probability_table(weights, np.array([[False] * 5, [True] * 5]))
+        assert table[0, 0] == 0.0
+        assert table[1, 0] == pytest.approx(1.0, abs=1e-15)
 
     def test_complement_sums_to_one(self, rng):
-        p = make_measure(rng.dirichlet(np.ones(8)))
+        weights = make_measure(rng.dirichlet(np.ones(8))).weights[None, :]
         for _ in range(30):
-            members = frozenset(int(i) for i in np.nonzero(rng.integers(0, 2, 8))[0])
-            a = Event(8, members)
-            total = event_probability(p, a) + event_probability(p, a.complement())
-            assert total == pytest.approx(1.0, abs=1e-12)
+            members = rng.integers(0, 2, 8) > 0
+            table = event_probability_table(weights, np.vstack([members, ~members]))
+            assert table.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+    def test_row_width_must_match_the_weights(self):
+        weights = np.array([[0.5, 0.5]])
+        for members in ([[True, False, True]], [[True]], [True, False]):
+            with pytest.raises(DimensionMismatchError):
+                event_probability_table(weights, members)
 
 
 class TestCredalSet:
@@ -169,19 +148,11 @@ class TestCredalSet:
         with pytest.raises(ValueError):
             m[0, 0] = 1.0
 
-    def test_duplicate_pairs(self):
-        c = credal_set_from_rows([[0.5, 0.5], [0.5, 0.5], [0.8, 0.2]])
-        assert c.duplicate_pairs() == [(0, 1)]
-
 
 class TestRandomVariable:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             RandomVariable(np.array([1.0, np.inf]))
-
-    def test_map(self, x01):
-        y = x01.map(lambda v: v * 2 + 1)
-        assert np.array_equal(y.values, [1.0, 3.0])
 
     def test_values_read_only(self, x01):
         with pytest.raises(ValueError):

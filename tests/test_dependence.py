@@ -19,12 +19,12 @@ from nlprob import (
     exp_product_bound_gap,
     forward_factorization_value,
     lower_expectation,
-    ramp_family,
 )
 from nlprob.dependence import CONSTANT, TestFamily, TestFunction
 from nlprob.errors import (
     EmptyGridError,
     EmptyVectorError,
+    LengthMismatchError,
     MixedMonotonicityError,
     NegativeFunctionValueError,
     NonPositiveWidthError,
@@ -65,26 +65,18 @@ class TestTestFunction:
 
 class TestRampFamily:
     def test_singleton(self):
-        fam = ramp_family([0.0], [1.0])
+        fam = TestFamily((TestFunction("ramp", 0.0, 1.0),), "increasing")
         assert len(fam) == 1
         f = fam.functions[0]
         assert f(0.5) == 0.5 and f(-1.0) == 0.0 and f(2.0) == 1.0
 
-    def test_cardinality_and_order(self):
-        fam = ramp_family([0, 1, 2, 3, 4], [1.0, 2.0, 3.0])
-        assert len(fam) == 15
-        # thresholds-major ordering
-        assert fam.functions[0].threshold == 0 and fam.functions[0].width == 1.0
-        assert fam.functions[2].width == 3.0
-        assert fam.functions[3].threshold == 1
-
     def test_empty_grid(self):
         with pytest.raises(EmptyGridError):
-            ramp_family([], [1.0])
+            TestFamily((), "increasing")
 
     def test_bad_width(self):
         with pytest.raises(NonPositiveWidthError):
-            ramp_family([0.0], [-1.0])
+            TestFunction("ramp", 0.0, -1.0)
 
     def test_mixed_family_rejected(self):
         with pytest.raises(MixedMonotonicityError):
@@ -124,7 +116,9 @@ class TestNegativeAssociation:
             check_negative_association(pair_model, 1)
 
     def test_explicit_family(self, pair_model):
-        fam = ramp_family([-0.5, 0.0, 0.5], [0.5, 1.0])
+        fam = TestFamily(tuple(TestFunction("ramp", t, w)
+                               for t in (-0.5, 0.0, 0.5) for w in (0.5, 1.0)),
+                         "increasing")
         report = check_negative_association(pair_model, 2, family=fam)
         assert report.passed
         assert report.checked == 36  # 6 functions, one split, 6*6 pairs
@@ -279,6 +273,22 @@ class TestVerticalIndependence:
         assert check_vertical_independence(model, 6, [UNIT_RAMP] * 6).checked == 5
         with pytest.raises(OracleTooLargeError):
             check_vertical_independence(model, 7, [UNIT_RAMP] * 7)
+
+    def test_long_horizon_refused_before_any_function_is_read(
+            self, make_rectangular):
+        with pytest.raises(OracleTooLargeError, match="7 coordinates exceed"):
+            check_vertical_independence(make_rectangular(n_vars=2), 7, [])
+
+    def test_functions_cycle_like_the_variables(self, make_rectangular):
+        # coordinate i reads function (i - 1) % len, as it reads variable
+        # (i - 1) % len, so one function per variable is the full tuple
+        model = make_rectangular(n_vars=2)
+        ramps = [TestFunction("ramp", 0.0, 1.0), TestFunction("ramp", 1.0, 2.0)]
+        short = check_vertical_independence(model, 5, ramps)
+        full = check_vertical_independence(model, 5, [*ramps, *ramps, ramps[0]])
+        assert short == full
+        with pytest.raises(LengthMismatchError):
+            check_vertical_independence(model, 5, [])
 
     def test_identical_pair_fails(self, x01):
         credal = credal_set_from_rows([[0.5, 0.5]])

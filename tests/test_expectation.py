@@ -16,23 +16,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nlprob import (
-    Event,
     RandomVariable,
     choquet_expectation,
     credal_set_from_rows,
-    dirac_measure,
     expectation_chain,
-    indicator_variable,
     inequality_suite,
     lower_expectation,
-    lower_expectation_witness,
-    lower_prob,
     sublinear_axiom_report,
     upper_expectation,
-    upper_expectation_witness,
-    upper_prob,
 )
-from nlprob.core import CredalSet, OutcomeSpace
+from nlprob.core import event_probability_table
 from nlprob.errors import (
     BadExponentsError,
     ChainViolationError,
@@ -49,16 +42,15 @@ def riemann_choquet(credal, x, side, cells_per_gap=64):
     lo = min(float(vals[0]), 0.0) - 1.0
     hi = max(float(vals[-1]), 0.0) + 1.0
     knots = np.unique(np.concatenate([[lo, 0.0, hi], vals]))
-    kappa = upper_prob if side == "upper" else lower_prob
+    W = credal.weight_matrix()
+    kappa = np.max if side == "upper" else np.min
     total = 0.0
     for a, b in zip(knots[:-1], knots[1:]):
         edges = np.linspace(a, b, cells_per_gap + 1)
         mids = (edges[:-1] + edges[1:]) / 2
         widths = np.diff(edges)
         for m, w in zip(mids, widths):
-            event = Event(credal.size,
-                          frozenset(int(i) for i in np.nonzero(x.values >= m)[0]))
-            surv = kappa(credal, event)
+            surv = float(kappa(event_probability_table(W, [x.values >= m])))
             total += w * surv if m > 0 else w * (surv - 1.0)
     return total
 
@@ -87,11 +79,6 @@ class TestSublinearExpectation:
             neg = RandomVariable(-x.values)
             assert lower_expectation(c, x) == -upper_expectation(c, neg)
 
-    def test_witnesses(self, two_point_credal, x01):
-        assert upper_expectation_witness(two_point_credal, x01) == (0.5, 0)
-        value, idx = lower_expectation_witness(two_point_credal, x01)
-        assert idx == 1 and value == pytest.approx(0.2, abs=1e-15)
-
 
 class TestChoquet:
     def test_pinned_three_point(self, size3_credal, x012):
@@ -105,17 +92,18 @@ class TestChoquet:
 
     def test_indicator_is_upper_prob(self, make_credal, rng):
         c = make_credal(size=6)
-        a = Event(6, frozenset([1, 4]))
-        x = indicator_variable(a)
+        a = np.isin(np.arange(6), [1, 4])
+        x = RandomVariable(a.astype(float))
         assert choquet_expectation(c, x, "upper") == pytest.approx(
-            upper_prob(c, a), abs=1e-15)
+            event_probability_table(c.weight_matrix(), [a]).max(), abs=1e-15)
 
     def test_tied_values_merged(self):
         # (1, 1, 0) must behave exactly like a two-point variable
         credal = credal_set_from_rows([[0.2, 0.3, 0.5], [0.6, 0.2, 0.2]])
         x = RandomVariable(np.array([1.0, 1.0, 0.0]))
         # layer cake by hand: v1=0 + (1-0)*kappa(X >= 1), X>=1 on {0,1}
-        expected_upper = upper_prob(credal, Event(3, frozenset([0, 1])))
+        expected_upper = event_probability_table(
+            credal.weight_matrix(), [[True, True, False]]).max()
         assert choquet_expectation(credal, x, "upper") == pytest.approx(
             expected_upper, abs=1e-15)
 

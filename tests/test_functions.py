@@ -15,9 +15,7 @@ from nlprob.functions import (
     Exp,
     MaxAffine,
     Polynomial,
-    constant,
     from_descriptor,
-    identity,
 )
 
 
@@ -38,9 +36,10 @@ class TestAffine:
             Affine(-1.0, 0.0).sup_on_nonpositive()
 
     def test_identity_and_constant(self):
-        assert identity()(4.5) == 4.5
-        assert identity().sup_on_nonpositive() == 0.0
-        assert constant(3.0)(-100.0) == 3.0
+        identity, constant = Affine(1.0, 0.0), Affine(0.0, 3.0)
+        assert identity(4.5) == 4.5
+        assert identity.sup_on_nonpositive() == 0.0
+        assert constant(-100.0) == 3.0
 
 
 class TestExp:

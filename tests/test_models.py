@@ -13,11 +13,7 @@ from nlprob import (
     RandomVariable,
     SequenceModel,
     credal_set_from_rows,
-    joint_lower_expectation,
-    joint_upper_expectation,
     lower_expectation,
-    product_lower_expectation,
-    product_upper_expectation,
     upper_expectation,
 )
 from nlprob.errors import (
@@ -79,20 +75,21 @@ class TestModelValidation:
 class TestJointOracle:
     def test_product_pinned(self, marginal_model):
         # max over 4 assignments of E_j[X] * E_k[X] = 0.5 * 0.5
-        value = joint_upper_expectation(marginal_model, lambda a, b: a * b, 2)
+        value = joint_expectation_table(marginal_model, lambda a, b: a * b, 2).max()
         assert value == pytest.approx(0.25, abs=1e-15)
 
     def test_constant_one(self, marginal_model):
-        assert joint_upper_expectation(marginal_model, lambda a, b: a * 0 + 1.0, 2) == pytest.approx(1.0, abs=1e-15)
+        table = joint_expectation_table(marginal_model, lambda a, b: a * 0 + 1.0, 2)
+        assert table.max() == pytest.approx(1.0, abs=1e-15)
 
     def test_marginal_consistency(self, marginal_model, two_point_credal, x01):
-        assert joint_upper_expectation(marginal_model, lambda a: a, 1) == (
+        assert joint_expectation_table(marginal_model, lambda a: a, 1).max() == (
             upper_expectation(two_point_credal, x01))
 
     def test_difference_splits_envelopes(self, make_rectangular):
         model = make_rectangular(n_vars=2)
         x1, x2 = model.variables
-        value = joint_upper_expectation(model, lambda a, b: a - b, 2)
+        value = joint_expectation_table(model, lambda a, b: a - b, 2).max()
         expected = (upper_expectation(model.credal, x1)
                     - lower_expectation(model.credal, x2))
         assert value == pytest.approx(expected, abs=1e-12)
@@ -108,27 +105,28 @@ class TestJointOracle:
 
     def test_cap_enforced(self, marginal_model):
         with pytest.raises(OracleTooLargeError):
-            joint_upper_expectation(marginal_model, lambda *xs: sum(xs), 7)
+            joint_expectation_table(marginal_model, lambda *xs: sum(xs), 7)
 
     def test_non_broadcastable_integrand_falls_back(self, marginal_model):
         def scalar_only(a, b):
             if isinstance(a, np.ndarray):
                 raise TypeError("scalars only")
             return max(a, b)
-        value = joint_upper_expectation(marginal_model, scalar_only, 2)
-        vec = joint_upper_expectation(marginal_model, lambda a, b: np.maximum(a, b), 2)
+        value = joint_expectation_table(marginal_model, scalar_only, 2).max()
+        vec = joint_expectation_table(marginal_model,
+                                      lambda a, b: np.maximum(a, b), 2).max()
         assert value == pytest.approx(vec, abs=1e-15)
 
     def test_comonotone_shared_outcome(self, pair_model):
         # (Y, X) = (-X, X) on one copy of the space: Y*X = -X pointwise,
         # so the upper value is max_j E_j[-X] = -0.3
-        value = joint_upper_expectation(pair_model, lambda y, x: y * x, 2)
+        value = joint_expectation_table(pair_model, lambda y, x: y * x, 2).max()
         assert value == pytest.approx(-0.3, abs=1e-15)
 
     def test_lower_is_negated_upper_of_negation(self, make_rectangular):
         model = make_rectangular(n_vars=3)
-        value_lo = joint_lower_expectation(model, lambda a, b, c: a * b - c, 3)
-        value_up = joint_upper_expectation(model, lambda a, b, c: -(a * b - c), 3)
+        value_lo = joint_expectation_table(model, lambda a, b, c: a * b - c, 3).min()
+        value_up = joint_expectation_table(model, lambda a, b, c: -(a * b - c), 3).max()
         assert value_lo == pytest.approx(-value_up, abs=1e-12)
 
 
@@ -160,10 +158,10 @@ class TestProductFastPath:
                 return (value_to_row[0][float(a)] * value_to_row[1][float(b)]
                         * value_to_row[2][float(c)])
 
-            fast_up = product_upper_expectation(model, rows)
-            fast_lo = product_lower_expectation(model, rows)
-            slow_up = joint_upper_expectation(model, direct, 3)
-            slow_lo = joint_lower_expectation(model, direct, 3)
+            fast_up = product_expectation_table(model, rows).max()
+            fast_lo = product_expectation_table(model, rows).min()
+            slow_up = joint_expectation_table(model, direct, 3).max()
+            slow_lo = joint_expectation_table(model, direct, 3).min()
             assert fast_up == pytest.approx(slow_up, abs=1e-12)
             assert fast_lo == pytest.approx(slow_lo, abs=1e-12)
 
@@ -172,7 +170,7 @@ class TestProductFastPath:
             np.clip(pair_model.variables[0].values + 1.0, 0.0, 1.0),  # f1(Y)
             np.clip(pair_model.variables[1].values, 0.0, 1.0),        # f2(X)
         ])
-        fast = product_upper_expectation(pair_model, rows)
+        fast = product_expectation_table(pair_model, rows).max()
         lookup = {0.0: {0.0: rows[0][0] * rows[1][0]}, -1.0: {1.0: rows[0][1] * rows[1][1]}}
 
         def direct(y, x):
@@ -180,7 +178,7 @@ class TestProductFastPath:
                 raise TypeError
             return lookup[float(y)][float(x)]
 
-        slow = joint_upper_expectation(pair_model, direct, 2)
+        slow = joint_expectation_table(pair_model, direct, 2).max()
         assert fast == pytest.approx(slow, abs=1e-15)
 
     def test_rectangular_factorization_bridge(self, make_rectangular, rng):
@@ -189,7 +187,7 @@ class TestProductFastPath:
         for _ in range(20):
             model = make_rectangular(n_vars=2)
             rows = self._ramp_rows(model, 2, rng)
-            joint = product_upper_expectation(model, rows)
+            joint = product_expectation_table(model, rows).max()
             split = (upper_expectation(model.credal, RandomVariable(rows[0]))
                      * upper_expectation(model.credal, RandomVariable(rows[1])))
             assert joint == pytest.approx(split, abs=1e-12)

@@ -15,10 +15,11 @@ from pathlib import Path
 
 import numpy as np
 
-from nlprob import dependence
+from nlprob import cli, dependence
 from nlprob.dependence import TestFunction
 
-SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+ROOT = Path(__file__).resolve().parent.parent
+SPANS = ROOT / "perfbench" / "spans.py"
 
 
 def _load_spans():
@@ -67,3 +68,27 @@ def test_cell_counter_reads_product_tables(make_rectangular, pair_model):
         table = dependence.product_expectation_table(model, rows)
         assert spans._count_cells((model, rows), {}, table) == {
             "models.cells": cells}
+
+
+def test_traced_shipped_configs_reach_every_probe(tmp_path, capsys):
+    # a probe wraps the name its caller looks up; a caller that imports the
+    # function under its own name instead runs unseen and reads 0 calls
+    calls = {}
+    for config in ("pair-counterexample", "rectangular-demo"):
+        tracer = spans.Tracer()
+        tracer.install()
+        try:
+            code = cli.main(["all", "--config", str(ROOT / "configs" / f"{config}.json"),
+                             "--out", str(tmp_path / config)])
+        finally:
+            tracer.remove()
+        assert code == 0
+        calls[config] = {layer: totals["calls"] for layer, totals
+                         in spans.layer_totals(tracer.spans).items()}
+    capsys.readouterr()
+    pair = calls["pair-counterexample"]
+    assert pair["dependence.forward"] == 1
+    assert pair["models.joint_expectation_table"] == 1
+    # the reference path sampler is the tests' oracle; the CLI never calls it
+    for layer in set(spans.LAYERS) - {"simulate.sample_path"}:
+        assert any(c.get(layer, 0) > 0 for c in calls.values()), layer
