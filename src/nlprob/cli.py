@@ -11,8 +11,9 @@ everything the config selects. Outputs land in the chosen directory:
 * ``summary.txt``   — one PASS/FAIL line per record
 
 Exit codes: 0 all selected checks pass, 1 at least one fails (first failure
-on stderr), 2 configuration problems. Reruns with the same config and seed
-produce byte-identical report.json and trajectories.csv for any --jobs.
+on stderr), 2 configuration problems. Everything runs on one thread; reruns
+with the same config and seed produce byte-identical report.json and
+trajectories.csv. ``--jobs`` is still accepted and changes nothing.
 """
 
 from __future__ import annotations
@@ -53,7 +54,12 @@ from .expectation import (
 from .functions import AbsPower, Affine, Exp
 from .reports import CheckResult, comparison, dumps, equality
 from .serialize import read_number
-from .simulate import DRIFT_MAX, AdversaryStrategy, run_slln_experiment
+from .simulate import (
+    DRIFT_MAX,
+    AdversaryStrategy,
+    ExperimentResult,
+    run_slln_experiment,
+)
 from .slln import truncate, truncation_params
 
 import math
@@ -70,17 +76,15 @@ class ExecutionOutcome:
 
 @dataclass
 class _Run:
-    """What the runners of one execution share; the simulation runner leaves
-    its experiment payloads and trajectory samples here."""
+    """What the runners of one execution share; the simulation runners
+    leave their experiment and the control's payload here."""
 
     config: ExperimentConfig
     tol: float
     seed: int | None
-    jobs: int
     selected: list[str]
-    experiment: dict[str, Any] | None = None
+    result: ExperimentResult | None = None
     control: dict[str, Any] | None = None
-    samples: tuple = ()
 
 
 def _var_names(config: ExperimentConfig) -> list[str]:
@@ -197,60 +201,59 @@ def _truncation_records(run: _Run) -> list[CheckResult]:
     return records
 
 
-def _simulation_records(run: _Run) -> list[CheckResult]:
-    """Records of slln and strassen together, from one experiment: the first
-    of the two names to run produces them all, the second adds none."""
-    if run.experiment is not None:
-        return []
-    config, seed, jobs = run.config, run.seed, run.jobs
-    want_slln = "slln" in run.selected
-    want_strassen = "strassen" in run.selected
-    sim = config.simulation
-    phi = config.phi if want_strassen else None
-    result = _experiment(
-        sim, config.model, config.schedule, sim.strategies, sim.n_steps,
-        sim.paths_per_strategy, seed, n_start=sim.n_start,
-        epsilon=sim.epsilon, phi=phi, jobs=jobs, grid_points=sim.grid_points)
-    records: list[CheckResult] = []
-    if want_slln:
-        for name, frac in (("slln-upper-exceedance",
-                            result.upper_exceedance_fraction),
-                           ("slln-lower-undershoot",
-                            result.lower_undershoot_fraction)):
-            records.append(comparison(
-                name, frac, sim.max_exceedance_fraction, 0.0,
-                {"per_strategy": result.per_strategy}))
-    if want_slln and sim.negative_control:
-        control = _experiment(
-            sim, config.model, config.schedule, (AdversaryStrategy(DRIFT_MAX),),
-            sim.n_steps, sim.paths_per_strategy, seed, n_start=sim.n_start,
-            epsilon=sim.epsilon, swap_centers=True, jobs=jobs,
-            grid_points=sim.grid_points)
+def _simulation(run: _Run) -> ExperimentResult:
+    """The one experiment that slln and strassen read, run on first use;
+    it carries phi when strassen is selected."""
+    if run.result is None:
+        phi = run.config.phi if "strassen" in run.selected else None
+        run.result = _experiment(run, run.config.simulation.strategies,
+                                 phi=phi)
+    return run.result
+
+
+def _slln_records(run: _Run) -> list[CheckResult]:
+    sim = run.config.simulation
+    result = _simulation(run)
+    records = [comparison(name, frac, sim.max_exceedance_fraction, 0.0,
+                          {"per_strategy": result.per_strategy})
+               for name, frac in (("slln-upper-exceedance",
+                                   result.upper_exceedance_fraction),
+                                  ("slln-lower-undershoot",
+                                   result.lower_undershoot_fraction))]
+    if sim.negative_control:
+        control = _experiment(run, (AdversaryStrategy(DRIFT_MAX),),
+                              swap_centers=True)
         frac = control.upper_exceedance_fraction
         records.append(CheckResult(
             "slln-negative-control", frac, sim.min_control_fraction,
             sim.min_control_fraction - frac, frac >= sim.min_control_fraction,
             {"swapped_centers": True, "strategy": "drift-max"}))
         run.control = _experiment_payload(control)
-    if want_strassen:
-        sups = [s.phi_tail_sup for s in result.path_summaries]
-        worst = max(sups)
-        lip = config.phi.lipschitz_on_ray(1.0)
-        limit = result.phi_bound + lip * sim.epsilon
-        records.append(comparison(
-            "strassen-bound", worst, limit, 0.0,
-            {"phi": config.phi.descriptor, "phi_bound": result.phi_bound,
-             "lipschitz": lip, "epsilon": sim.epsilon}))
-    run.experiment = _experiment_payload(result)
-    run.samples = result.trajectory_samples
     return records
 
 
-def _experiment(sim, *args, **kwargs):
-    """``run_slln_experiment``, with an experiment too large for the
+def _strassen_records(run: _Run) -> list[CheckResult]:
+    config, sim = run.config, run.config.simulation
+    result = _simulation(run)
+    worst = max(s.phi_tail_sup for s in result.path_summaries)
+    lip = config.phi.lipschitz_on_ray(1.0)
+    limit = result.phi_bound + lip * sim.epsilon
+    return [comparison(
+        "strassen-bound", worst, limit, 0.0,
+        {"phi": config.phi.descriptor, "phi_bound": result.phi_bound,
+         "lipschitz": lip, "epsilon": sim.epsilon})]
+
+
+def _experiment(run: _Run, strategies, **kwargs) -> ExperimentResult:
+    """``run_slln_experiment`` of ``strategies`` on the config's model,
+    schedule and simulation settings, with an experiment too large for the
     machine's memory reported as the configuration error it is."""
+    config, sim = run.config, run.config.simulation
     try:
-        return run_slln_experiment(*args, **kwargs)
+        return run_slln_experiment(
+            config.model, config.schedule, strategies, sim.n_steps,
+            sim.paths_per_strategy, run.seed, n_start=sim.n_start,
+            epsilon=sim.epsilon, grid_points=sim.grid_points, **kwargs)
     except MemoryError as exc:
         raise too_large(sim) from exc
 
@@ -308,13 +311,13 @@ RUNNERS = {
     "vertical": _vertical_records,
     "forward": _forward_records,
     "truncation": _truncation_records,
-    "slln": _simulation_records,
-    "strassen": _simulation_records,
+    "slln": _slln_records,
+    "strassen": _strassen_records,
 }
 
 
 def execute(config: ExperimentConfig, subcommand: str = "all",
-            out_dir: str | Path | None = None, jobs: int = 1,
+            out_dir: str | Path | None = None,
             seed_override: int | None = None,
             tolerance_override: float | None = None) -> ExecutionOutcome:
     """Run the selected check families and write the report bundle."""
@@ -333,7 +336,7 @@ def execute(config: ExperimentConfig, subcommand: str = "all",
         flag = "--out" if out_dir is not None else "out"
         raise ConfigValidationError(f"{flag}: cannot create {out}: "
                                     f"{exc.strerror}") from exc
-    run = _Run(config, tol, seed, jobs, selected)
+    run = _Run(config, tol, seed, selected)
     by_check = {check: RUNNERS[check](run) for check in selected}
 
     failures, flat_records = [], []
@@ -360,15 +363,16 @@ def execute(config: ExperimentConfig, subcommand: str = "all",
         "seed": seed,
         "expected_violations": sorted(config.expected_violations),
         "checks": flat_records,
-        "experiment": run.experiment,
+        "experiment": (None if run.result is None
+                       else _experiment_payload(run.result)),
         "negative_control": run.control,
         "passed": passed,
         "config": config.raw,
     }
 
     (out / "report.json").write_text(dumps(report) + "\n")
-    if run.samples:
-        _write_csv(out / "trajectories.csv", run.samples)
+    if run.result is not None:
+        _write_csv(out / "trajectories.csv", run.result.trajectory_samples)
         (out / "plot.gp").write_text(_PLOT_SCRIPT)
     lines = []
     for rec in flat_records:
@@ -407,7 +411,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None,
                        help="override the config seed")
         p.add_argument("--jobs", type=int, default=1,
-                       help="worker threads for path simulation")
+                       help="accepted for compatibility; changes nothing")
         p.add_argument("--tolerance", type=float, default=None,
                        help="override the config tolerance")
     return parser
@@ -427,8 +431,7 @@ def main(argv: list[str] | None = None) -> int:
         config = parse_config(read_text(config_path, "config"),
                               base_dir=config_path.parent)
         outcome = execute(config, subcommand=args.command, out_dir=args.out,
-                          jobs=max(1, args.jobs), seed_override=seed,
-                          tolerance_override=tolerance)
+                          seed_override=seed, tolerance_override=tolerance)
     except NlprobError as exc:  # configuration errors included
         print(f"error: {exc}", file=sys.stderr)
         return 2

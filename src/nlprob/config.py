@@ -57,6 +57,7 @@ from .serialize import read_number, sequence_model_from_document
 from .simulate import (
     DEFAULT_EPSILON,
     FIXED,
+    GRID_POINTS,
     AdversaryStrategy,
     bundled_strategies,
 )
@@ -95,7 +96,10 @@ class SimulationSettings:
     negative_control: bool = True
     max_exceedance_fraction: float = 0.0
     min_control_fraction: float = 0.95
-    grid_points: int = 160
+    grid_points: int = GRID_POINTS
+
+
+_DEFAULT_SIMULATION = SimulationSettings()
 
 
 @dataclass(frozen=True)
@@ -197,7 +201,7 @@ def _parse_simulation(doc: Any, simulated: bool) -> SimulationSettings:
     """The simulation settings; when ``simulated``, refused as too large
     if :func:`simulation_bytes` exceeds :func:`physical_memory`."""
     if doc is None:
-        return SimulationSettings()
+        return _DEFAULT_SIMULATION
     if not isinstance(doc, dict):
         raise _field_error("simulation", "must be an object")
     strategies_doc = doc.get("strategies")
@@ -209,25 +213,25 @@ def _parse_simulation(doc: Any, simulated: bool) -> SimulationSettings:
         strategies = tuple(_parse_strategy(s, f"simulation.strategies[{k}]")
                            for k, s in enumerate(strategies_doc))
 
-    def number(key: str, default: Any, **bounds: Any) -> Any:
-        return read_number(doc.get(key, default), f"simulation.{key}",
-                           **bounds)
+    def number(key: str, **bounds: Any) -> Any:
+        return read_number(doc.get(key, getattr(_DEFAULT_SIMULATION, key)),
+                           f"simulation.{key}", **bounds)
 
-    n_steps = number("n_steps", 100_000, integer=True, low=1000)
+    n_steps = number("n_steps", integer=True, low=1000)
     sim = SimulationSettings(
         n_steps=n_steps,
-        paths_per_strategy=number("paths_per_strategy", 50, integer=True,
-                                  low=1),
+        paths_per_strategy=number("paths_per_strategy", integer=True, low=1),
         strategies=strategies,
-        n_start=number("n_start", None, optional=True, integer=True, low=100,
+        n_start=number("n_start", optional=True, integer=True, low=100,
                        high=n_steps - 1),
-        epsilon=number("epsilon", DEFAULT_EPSILON, above=0.0),
-        negative_control=bool(doc.get("negative_control", True)),
-        max_exceedance_fraction=number("max_exceedance_fraction", 0.0,
-                                       low=0.0, high=1.0),
-        min_control_fraction=number("min_control_fraction", 0.95, low=0.0,
+        epsilon=number("epsilon", above=0.0),
+        negative_control=bool(doc.get("negative_control",
+                                      _DEFAULT_SIMULATION.negative_control)),
+        max_exceedance_fraction=number("max_exceedance_fraction", low=0.0,
+                                       high=1.0),
+        min_control_fraction=number("min_control_fraction", low=0.0,
                                     high=1.0),
-        grid_points=number("grid_points", 160, integer=True, low=2),
+        grid_points=number("grid_points", integer=True, low=2),
     )
     if simulated and simulation_bytes(sim) > physical_memory():
         raise too_large(sim)

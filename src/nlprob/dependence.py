@@ -82,6 +82,8 @@ VERDICT_OK = "no-counterexample-found"
 VERDICT_VIOLATED = "violated"
 
 DEFAULT_TOL = 1e-9
+# thresholds per width in each default ramp family
+FAMILY_THRESHOLDS = 9
 
 
 @dataclass(frozen=True)
@@ -153,12 +155,11 @@ class TestFamily:
         return np.vstack([f(variable.values) for f in self.functions])
 
 
-def default_families(model: SequenceModel, n_thresholds: int = 9,
-                     ) -> tuple[TestFamily, TestFamily]:
+def default_families(model: SequenceModel) -> tuple[TestFamily, TestFamily]:
     """One increasing and one decreasing family adapted to the model's range.
 
     Three widths tied to the realized value span (span/4, span/2, span; unit
-    widths if the span is degenerate), with ``n_thresholds`` thresholds
+    widths if the span is degenerate), with ``FAMILY_THRESHOLDS`` thresholds
     covering [lo - w, hi + w] for each width w.
     """
     lo = min(float(v.values.min()) for v in model.variables)
@@ -170,7 +171,7 @@ def default_families(model: SequenceModel, n_thresholds: int = 9,
         kind = RAMP if direction == INCREASING else NEGATED_RAMP
         funcs = []
         for w in widths:
-            for t in np.linspace(lo - w, hi + w, n_thresholds):
+            for t in np.linspace(lo - w, hi + w, FAMILY_THRESHOLDS):
                 funcs.append(TestFunction(kind, float(t), float(w), direction))
         out.append(TestFamily(tuple(funcs), direction))
     return out[0], out[1]

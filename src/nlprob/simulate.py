@@ -37,19 +37,18 @@ path keeps only its running sums, tail max and min, phi sup and grid
 samples, so no per-path array grows with the horizon, and the block
 buffers are bounded by the module constants.
 
-Determinism: each path's generators are derived from (master seed, strategy
-index, path index) via seed-sequence spawn keys and drawn in step order,
-the uniforms block by block and iid-random's choices ``CHOICE_BLOCKS``
-blocks at a time, which gives the same streams as drawing the whole path
-at once. The carried sums are the one-pass sums to the bit, and results
-are collected in path order, so they are bit-identical for any worker
-count and any grouping of paths into blocks.
+Determinism: the engine runs on one thread. Each path's generators are
+derived from (master seed, strategy index, path index) via seed-sequence
+spawn keys and drawn in step order, the uniforms block by block and
+iid-random's choices ``CHOICE_BLOCKS`` blocks at a time, which gives the
+same streams as drawing the whole path at once. The carried sums are the
+one-pass sums to the bit, so results are bit-identical for any grouping
+of paths into blocks.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Sequence
 
@@ -87,6 +86,8 @@ STEP_BLOCK = 1024
 # measure index: with at most 256 measures, (PATH_BLOCK, CHOICE_BLOCKS *
 # STEP_BLOCK) bytes, 256 KB.
 CHOICE_BLOCKS = 8
+# points of the geometric grid a path's trajectories are sampled on
+GRID_POINTS = 160
 
 
 @dataclass(frozen=True)
@@ -416,9 +417,6 @@ class TrajectorySample:
 @dataclass(frozen=True, eq=False)
 class ExperimentResult:
     config: dict[str, Any]
-    n_steps: int
-    n_start: int
-    epsilon: float
     path_summaries: tuple[PathSummary, ...]
     trajectory_samples: tuple[TrajectorySample, ...]
     upper_exceedance_fraction: float
@@ -426,15 +424,8 @@ class ExperimentResult:
     per_strategy: dict[str, dict[str, float]]
     phi_bound: float | None = None
 
-    def __post_init__(self) -> None:
-        for frac in (self.upper_exceedance_fraction, self.lower_undershoot_fraction):
-            if not 0.0 <= frac <= 1.0:
-                raise ValueError(f"fraction {frac} outside [0, 1]")
-        if not self.n_start < self.n_steps:
-            raise ValueError("n_start must be below the horizon")
 
-
-def sample_grid(n_steps: int, n_start: int, points: int = 160) -> np.ndarray:
+def sample_grid(n_steps: int, n_start: int, points: int = GRID_POINTS) -> np.ndarray:
     """Geometric step grid including n_start and the horizon, 1-based."""
     g = np.geomspace(1, n_steps, num=min(points, n_steps)).astype(np.int64)
     return np.unique(np.concatenate([g, [n_start, n_steps]]))
@@ -448,7 +439,7 @@ def run_slln_experiment(model: SequenceModel, schedule: WeightSchedule,
                         swap_centers: bool = False,
                         phi: ScalarFunction | None = None,
                         jobs: int = 1,
-                        grid_points: int = 160) -> ExperimentResult:
+                        grid_points: int = GRID_POINTS) -> ExperimentResult:
     """Run paths for every strategy and measure envelope exceedances.
 
     The upper-centered trajectory uses coordinate upper means, the
@@ -463,9 +454,9 @@ def run_slln_experiment(model: SequenceModel, schedule: WeightSchedule,
     (see the module docstring), so a zero-crossing demand needs an
     ``epsilon`` above the fluctuation scale of the sums at ``n_start``.
 
-    Each strategy's paths run in groups of at most ``PATH_BLOCK``, block by
-    block (see the module docstring); ``jobs > 1`` runs the groups on that
-    many threads. A path's results do not depend on its group.
+    The strategies run in turn, each one's paths in groups of at most
+    ``PATH_BLOCK``, block by block (see the module docstring), in path
+    order. ``jobs`` is accepted and ignored: the engine runs on one thread.
     """
     validation = validate_schedule(schedule, n_steps)
     if not validation.passed:
@@ -490,74 +481,60 @@ def run_slln_experiment(model: SequenceModel, schedule: WeightSchedule,
     grid = sample_grid(n_steps, n_start, grid_points)
     phi_bound = phi.sup_on_nonpositive() if phi is not None else None
     block = min(STEP_BLOCK, n_steps)
-    samplers = [_BlockSampler(model, strat, block, (upper_c, lower_c))
-                for strat in strategies]
+    buf = _Buffers(min(PATH_BLOCK, paths_per_strategy), block)
+    summaries: list[PathSummary] = []
+    samples: list[TrajectorySample] = []
+    for si, strat in enumerate(strategies):
+        sampler = _BlockSampler(model, strat, block, (upper_c, lower_c))
+        for first in range(0, paths_per_strategy, PATH_BLOCK):
+            count = min(PATH_BLOCK, paths_per_strategy - first)
+            seeds = [_seed_sequence(seed, si, first + i) for i in range(count)]
+            streams = sampler.streams(seeds, n_steps)
+            # the running pair sums; see normalized_partial_sums
+            carry = np.full(count, complex(-0.0, -0.0))
+            tail_max = np.full(count, -np.inf)
+            tail_min = np.full(count, np.inf)
+            phi_sup = np.full(count, -np.inf)
+            grid_up = np.empty((count, grid.size))
+            grid_low = np.empty((count, grid.size))
+            for start in range(0, n_steps, STEP_BLOCK):
+                stop = min(start + STEP_BLOCK, n_steps)
+                steps = stop - start
+                pos = sampler.draw(streams, start, steps, buf)
+                terms = _shaped(buf.pairs, count, steps)
+                np.take(sampler.pairs, pos, out=terms, mode="clip")
+                # the block's uniforms and probes are spent, so their
+                # buffers take the two trajectories
+                s_up, s_low = normalized_partial_sums(
+                    terms, (table[0][start:stop], table[1][start:stop]),
+                    carry=carry, out=(_shaped(buf.u, count, steps),
+                                      _shaped(buf.seen, count, steps)))
+                if not swap_centers and (s_up - s_low).max() > _ORDER_SLACK:
+                    raise SimulationOrderError(
+                        "upper-centered sums exceeded lower-centered sums")
+                if stop >= n_start:
+                    tail = max(n_start - 1 - start, 0)
+                    tail_up, tail_low = s_up[:, tail:], s_low[:, tail:]
+                    np.maximum(tail_max, tail_up.max(axis=1), out=tail_max)
+                    np.minimum(tail_min, tail_low.min(axis=1), out=tail_min)
+                    if phi is not None:
+                        # an inf sup is NonFiniteError later
+                        with np.errstate(over="ignore"):
+                            np.maximum(phi_sup, phi(tail_up).max(axis=1),
+                                       out=phi_sup)
+                lo, hi = np.searchsorted(grid, (start + 1, stop + 1))
+                if hi > lo:
+                    grid_up[:, lo:hi] = s_up[:, grid[lo:hi] - 1 - start]
+                    grid_low[:, lo:hi] = s_low[:, grid[lo:hi] - 1 - start]
+            for i in range(count):
+                summaries.append(PathSummary(
+                    strat.label, first + i, float(s_up[i, -1]),
+                    float(s_low[i, -1]), float(tail_max[i]),
+                    float(tail_min[i]),
+                    None if phi is None else float(phi_sup[i])))
+                samples.append(TrajectorySample(strat.label, first + i, grid,
+                                                grid_up[i], grid_low[i]))
 
-    def one_group(task: tuple[int, int, int]
-                  ) -> list[tuple[PathSummary, TrajectorySample]]:
-        """Paths first..first+count-1 of strategy si, through every block."""
-        si, first, count = task
-        sampler, label = samplers[si], strategies[si].label
-        streams = sampler.streams([_seed_sequence(seed, si, pi)
-                                   for pi in range(first, first + count)],
-                                  n_steps)
-        buf = _Buffers(count, block)
-        # the running pair sums; see normalized_partial_sums
-        carry = np.full(count, complex(-0.0, -0.0))
-        tail_max = np.full(count, -np.inf)
-        tail_min = np.full(count, np.inf)
-        phi_sup = np.full(count, -np.inf)
-        grid_up = np.empty((count, grid.size))
-        grid_low = np.empty((count, grid.size))
-        for start in range(0, n_steps, STEP_BLOCK):
-            stop = min(start + STEP_BLOCK, n_steps)
-            steps = stop - start
-            pos = sampler.draw(streams, start, steps, buf)
-            terms = _shaped(buf.pairs, count, steps)
-            np.take(sampler.pairs, pos, out=terms, mode="clip")
-            # the block's uniforms and probes are spent, so their buffers
-            # take the two trajectories
-            s_up, s_low = normalized_partial_sums(
-                terms, (table[0][start:stop], table[1][start:stop]),
-                carry=carry, out=(_shaped(buf.u, count, steps),
-                                  _shaped(buf.seen, count, steps)))
-            if not swap_centers and (s_up - s_low).max() > _ORDER_SLACK:
-                raise SimulationOrderError(
-                    "upper-centered sums exceeded lower-centered sums")
-            if stop >= n_start:
-                tail = max(n_start - 1 - start, 0)
-                tail_up, tail_low = s_up[:, tail:], s_low[:, tail:]
-                np.maximum(tail_max, tail_up.max(axis=1), out=tail_max)
-                np.minimum(tail_min, tail_low.min(axis=1), out=tail_min)
-                if phi is not None:
-                    # an inf sup is NonFiniteError later
-                    with np.errstate(over="ignore"):
-                        np.maximum(phi_sup, phi(tail_up).max(axis=1),
-                                   out=phi_sup)
-            lo, hi = np.searchsorted(grid, (start + 1, stop + 1))
-            if hi > lo:
-                grid_up[:, lo:hi] = s_up[:, grid[lo:hi] - 1 - start]
-                grid_low[:, lo:hi] = s_low[:, grid[lo:hi] - 1 - start]
-        return [(PathSummary(label, first + i, float(s_up[i, -1]),
-                             float(s_low[i, -1]), float(tail_max[i]),
-                             float(tail_min[i]),
-                             None if phi is None else float(phi_sup[i])),
-                 TrajectorySample(label, first + i, grid, grid_up[i],
-                                  grid_low[i]))
-                for i in range(count)]
-
-    tasks = [(si, first, min(PATH_BLOCK, paths_per_strategy - first))
-             for si in range(len(strategies))
-             for first in range(0, paths_per_strategy, PATH_BLOCK)]
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            groups = list(pool.map(one_group, tasks))
-    else:
-        groups = [one_group(t) for t in tasks]
-    outputs = [o for group in groups for o in group]
-
-    summaries = tuple(o[0] for o in outputs)
-    samples = tuple(o[1] for o in outputs)
     exceed = np.array([s.tail_max_upper > epsilon for s in summaries])
     undershoot = np.array([s.tail_min_lower < -epsilon for s in summaries])
     per_strategy: dict[str, dict[str, float]] = {}
@@ -578,6 +555,6 @@ def run_slln_experiment(model: SequenceModel, schedule: WeightSchedule,
         "swap_centers": swap_centers,
         "phi": phi.descriptor if phi is not None else None,
     }
-    return ExperimentResult(config, n_steps, n_start, epsilon, summaries,
-                            samples, float(exceed.mean()),
-                            float(undershoot.mean()), per_strategy, phi_bound)
+    return ExperimentResult(config, tuple(summaries), tuple(samples),
+                            float(exceed.mean()), float(undershoot.mean()),
+                            per_strategy, phi_bound)

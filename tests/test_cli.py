@@ -7,6 +7,7 @@ import json
 import subprocess
 import sys
 import tempfile
+import threading
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -104,15 +105,48 @@ class TestDemoConfig:
         ids = [int(line.split(",")[0]) for line in lines[1:]]
         assert ids == sorted(ids)
 
-    def test_byte_identical_across_jobs(self, tmp_path):
+    def test_byte_identical_across_jobs(self, tmp_path, monkeypatch):
         _, out1, _ = run(tmp_path / "a", "simulate", "--config", DEMO,
                          "--jobs", "1")
-        _, out2, _ = run(tmp_path / "b", "simulate", "--config", DEMO,
-                         "--jobs", "4")
-        assert (out1 / "report.json").read_bytes() == \
-            (out2 / "report.json").read_bytes()
-        assert (out1 / "trajectories.csv").read_bytes() == \
-            (out2 / "trajectories.csv").read_bytes()
+
+        def refuse(thread):
+            raise AssertionError(f"thread {thread.name} started")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        for jobs in ("2", "4"):
+            code, out2, _ = run(tmp_path / jobs, "simulate", "--config", DEMO,
+                                "--jobs", jobs)
+            assert code == 0
+            for name in ("report.json", "summary.txt", "trajectories.csv",
+                         "plot.gp"):
+                assert (out1 / name).read_bytes() == \
+                    (out2 / name).read_bytes()
+
+    @pytest.mark.parametrize("expected, inverted", [
+        ("strassen", ["strassen-bound"]),
+        ("slln", ["slln-upper-exceedance", "slln-lower-undershoot"]),
+    ])
+    def test_expected_violation_inverts_its_own_records(self, tmp_path,
+                                                        expected, inverted):
+        doc = json.loads(Path(DEMO).read_text())
+        runs = []
+        for order in (["slln", "strassen"], ["strassen", "slln"]):
+            config = tmp_path / f"{order[0]}.json"
+            config.write_text(json.dumps(dict(
+                doc, checks=order, expected_violations=[expected])))
+            runs.append(run(tmp_path / order[0], "simulate", "--config",
+                            str(config)))
+        (code_a, out_a, a), (code_b, out_b, b) = runs
+        assert code_a == code_b
+        assert (out_a / "summary.txt").read_bytes() == \
+            (out_b / "summary.txt").read_bytes()
+        # the report echoes the config's check order; the rest is the same
+        for report in (a, b):
+            assert report.pop("selected_checks") == \
+                report.pop("config")["checks"]
+        assert a == b
+        assert [r["check"] for r in a["checks"]
+                if r["expected_violation"]] == inverted
 
     def test_byte_identical_across_reruns(self, tmp_path):
         _, out1, _ = run(tmp_path / "a", "all", "--config", DEMO)

@@ -5,7 +5,7 @@ import re
 
 import pytest
 
-from nlprob import Exp, config as config_module, parse_config
+from nlprob import Exp, SimulationSettings, config as config_module, parse_config
 from nlprob.config import (
     DEFAULT_EPSILON,
     DEFAULT_TOLERANCE,
@@ -221,6 +221,11 @@ class TestScheduleRequirements:
 
 
 class TestSimulationSettings:
+    def test_an_empty_object_takes_the_dataclass_defaults(self):
+        parsed = parse_config(config_text(simulation={})).simulation
+        assert parsed == SimulationSettings()
+        assert parse_config(config_text()).simulation == SimulationSettings()
+
     def test_bounds(self):
         with pytest.raises(ConfigValidationError, match="n_steps"):
             parse_config(config_text(simulation={"n_steps": 10}))

@@ -1,6 +1,7 @@
 """Adversarial path sampling and envelope-convergence experiments."""
 
 import math
+import threading
 from typing import NamedTuple
 
 import numpy as np
@@ -384,20 +385,18 @@ def test_block_engine_matches_the_path_oracle(rng):
             grid_points=int(rng.integers(2, 200)))
         schedule = schedules[trial % len(schedules)]
         want = _path_oracle(model, schedule, strategies, **kwargs)
-        for jobs in (1, 3):
-            got = run_slln_experiment(model, schedule, strategies, jobs=jobs,
-                                      **kwargs)
-            assert len(got.path_summaries) == len(want)
-            for summary, sample, (want_summary, want_sample) in zip(
-                    got.path_summaries, got.trajectory_samples, want):
-                # repr prints every float to the last bit and its sign
-                assert repr(summary) == repr(want_summary)
-                assert (sample.strategy, sample.path_index) == (
-                    want_sample.strategy, want_sample.path_index)
-                for field in ("steps", "upper", "lower"):
-                    a = getattr(sample, field)
-                    b = getattr(want_sample, field)
-                    assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        got = run_slln_experiment(model, schedule, strategies, **kwargs)
+        assert len(got.path_summaries) == len(want)
+        for summary, sample, (want_summary, want_sample) in zip(
+                got.path_summaries, got.trajectory_samples, want):
+            # repr prints every float to the last bit and its sign
+            assert repr(summary) == repr(want_summary)
+            assert (sample.strategy, sample.path_index) == (
+                want_sample.strategy, want_sample.path_index)
+            for field in ("steps", "upper", "lower"):
+                a = getattr(sample, field)
+                b = getattr(want_sample, field)
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 @pytest.mark.parametrize("choice_blocks", [1, 3, nlprob.simulate.CHOICE_BLOCKS])
@@ -437,8 +436,8 @@ def test_block_buffers_do_not_grow_with_the_horizon(marginal_model,
     monkeypatch.setattr(nlprob.simulate._Buffers, "__init__", record)
     run_slln_experiment(marginal_model, kolmogorov, bundled_strategies(),
                         n_steps=5000, paths_per_strategy=40, seed=3)
-    assert sizes and max(sizes) == (nlprob.simulate.PATH_BLOCK,
-                                    nlprob.simulate.STEP_BLOCK)
+    # one buffer set serves every group of every strategy
+    assert sizes == [(nlprob.simulate.PATH_BLOCK, nlprob.simulate.STEP_BLOCK)]
 
 
 class TestSampleGrid:
@@ -519,17 +518,25 @@ class TestRunExperiment:
                                      swap_centers=True)
         assert result.upper_exceedance_fraction == 1.0
 
-    def test_jobs_do_not_change_results(self, marginal_model, kolmogorov):
-        kwargs = dict(n_steps=1500, paths_per_strategy=2, seed=13,
+    def test_jobs_do_not_change_results(self, marginal_model, kolmogorov,
+                                        monkeypatch):
+        # 40 paths per strategy make two groups of each
+        kwargs = dict(n_steps=1500, paths_per_strategy=40, seed=13,
                       n_start=150, epsilon=0.2)
         a = run_slln_experiment(marginal_model, kolmogorov,
                                 bundled_strategies(), jobs=1, **kwargs)
+
+        def refuse(thread):
+            raise AssertionError(f"thread {thread.name} started")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
         b = run_slln_experiment(marginal_model, kolmogorov,
-                                bundled_strategies(), jobs=3, **kwargs)
-        assert a.path_summaries == b.path_summaries
-        for ta, tb in zip(a.trajectory_samples, b.trajectory_samples):
-            assert np.array_equal(ta.upper, tb.upper)
-            assert np.array_equal(ta.lower, tb.lower)
+                                bundled_strategies(), jobs=4, **kwargs)
+        assert repr(a.path_summaries) == repr(b.path_summaries)
+        for ta, tb in zip(a.trajectory_samples, b.trajectory_samples,
+                          strict=True):
+            assert ta.upper.tobytes() == tb.upper.tobytes()
+            assert ta.lower.tobytes() == tb.lower.tobytes()
 
     def test_invalid_schedule_is_refused(self, marginal_model):
         boundary = make_schedule("custom", alpha=1.0, beta=0.5,
