@@ -181,13 +181,13 @@ def physical_memory() -> float:
 
 
 def simulation_bytes(sim: SimulationSettings) -> int:
-    """A floor on the memory a simulation keeps: the weight table (a_n and
-    A_n, 16 bytes a step) and, for every path, the negative control's
-    included, its two grid samples and its summaries."""
+    """A floor on the memory a simulation keeps: for every path, the
+    negative control's included, its two grid samples and its summaries.
+    The weights are evaluated block by block, so the horizon costs time,
+    not memory."""
     paths = sim.paths_per_strategy * (len(sim.strategies)
                                       + sim.negative_control)
-    per_path = 16 * min(sim.grid_points, sim.n_steps) + _SUMMARY_BYTES
-    return 16 * sim.n_steps + paths * per_path
+    return paths * (16 * min(sim.grid_points, sim.n_steps) + _SUMMARY_BYTES)
 
 
 def too_large(sim: SimulationSettings) -> ConfigValidationError:

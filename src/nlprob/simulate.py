@@ -19,9 +19,10 @@ sums at n0, which depends on A_n and n0: with A_n = n^0.8 and n0 = 1e4 that
 scale is about 0.029 and a driftless path crosses eps = 0.05 about one time
 in ten, while with A_n = n the same eps sits near 11 sigma.
 
-The experiment runner is a step-major block engine. The weight table
-(a_i, A_n) is evaluated once per experiment, and each strategy's sampler
-tables once. The paths of one strategy advance together, at most
+The experiment runner is a step-major block engine. Each strategy's
+sampler tables are built once, and a block's weights (a_i, A_i) come from
+the schedule's rules when the block is summed, so no array has the
+horizon's length. The paths of one strategy advance together, at most
 ``PATH_BLOCK`` of them, through blocks of ``STEP_BLOCK`` steps. A block
 draws one uniform per path and step into a preallocated (paths x steps)
 buffer and inverts the chosen measure's CDF by bisecting for the count of
@@ -477,7 +478,6 @@ def run_slln_experiment(model: SequenceModel, schedule: WeightSchedule,
                         for v in model.variables])
     if swap_centers:
         upper_c, lower_c = lower_c, upper_c
-    table = schedule.table(n_steps)
     grid = sample_grid(n_steps, n_start, grid_points)
     phi_bound = phi.sup_on_nonpositive() if phi is not None else None
     block = min(STEP_BLOCK, n_steps)
@@ -506,9 +506,9 @@ def run_slln_experiment(model: SequenceModel, schedule: WeightSchedule,
                 # the block's uniforms and probes are spent, so their
                 # buffers take the two trajectories
                 s_up, s_low = normalized_partial_sums(
-                    terms, (table[0][start:stop], table[1][start:stop]),
-                    carry=carry, out=(_shaped(buf.u, count, steps),
-                                      _shaped(buf.seen, count, steps)))
+                    terms, schedule.table(stop, start), carry=carry,
+                    out=(_shaped(buf.u, count, steps),
+                         _shaped(buf.seen, count, steps)))
                 if not swap_centers and (s_up - s_low).max() > _ORDER_SLACK:
                     raise SimulationOrderError(
                         "upper-centered sums exceeded lower-centered sums")

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -50,10 +51,19 @@ ELEMENTARY_SLACK = 1e-12
 
 
 def _as_index_array(i) -> np.ndarray:
-    ii = np.asarray(i)
-    if np.any(ii < 1):
+    ii = np.asarray(i, dtype=float)
+    if ii.size and ii.min() < 1:
         raise IndexOutOfRangeError("step indices are 1-based")
-    return ii.astype(float)
+    return ii
+
+
+def _lookup(table: np.ndarray, ii: np.ndarray, what: str) -> np.ndarray:
+    idx = ii.astype(int) - 1
+    if idx.size and idx.max() >= table.size:
+        raise LengthMismatchError(
+            f"{what} table has {table.size} entries, asked for index "
+            f"{int(idx.max()) + 1}")
+    return table[idx]
 
 
 @dataclass(frozen=True)
@@ -83,34 +93,32 @@ class WeightSchedule:
         if self.a_kind == "harmonic":
             return 1.0 + 1.0 / ii
         if self.a_kind == "table":
-            table = np.asarray(self.a_param, dtype=float)
-            idx = ii.astype(int) - 1
-            if idx.size and idx.max() >= table.size:
-                raise LengthMismatchError(
-                    f"weight table has {table.size} entries, asked for index "
-                    f"{int(idx.max()) + 1}")
-            return table[idx]
+            return _lookup(self._tables[0], ii, "weight")
         raise ValueError(f"unknown weight rule {self.a_kind!r}")
 
     def A(self, n) -> np.ndarray:
         nn = _as_index_array(n)
         if self.A_kind == "linear":
-            return nn
+            return nn.copy()  # never the caller's own array
         if self.A_kind == "power":
             return nn ** float(self.A_param)
         if self.A_kind == "table":
-            table = np.asarray(self.A_param, dtype=float)
-            idx = nn.astype(int) - 1
-            if idx.size and idx.max() >= table.size:
-                raise LengthMismatchError(
-                    f"normalizer table has {table.size} entries, asked for "
-                    f"index {int(idx.max()) + 1}")
-            return table[idx]
+            return _lookup(self._tables[1], nn, "normalizer")
         raise ValueError(f"unknown normalizer rule {self.A_kind!r}")
 
-    def table(self, n: int) -> tuple[np.ndarray, np.ndarray]:
-        """The arrays (a_1..a_n, A_1..A_n), evaluated once for a horizon n."""
-        ii = np.arange(1, n + 1)
+    @cached_property
+    def _tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """The "table" rules' tuples as arrays, converted once."""
+        return (np.asarray(self.a_param, dtype=float),
+                np.asarray(self.A_param, dtype=float))
+
+    def table(self, stop: int, start: int = 0
+              ) -> tuple[np.ndarray, np.ndarray]:
+        """The arrays (a_i, A_i) for i = start+1..stop, so ``table(n)`` is
+        the whole table to a horizon n. Every rule is elementwise, so a
+        block's ``table(stop, start)`` is bit for bit ``table(stop)``'s
+        slice [start:stop]."""
+        ii = np.arange(start + 1, stop + 1, dtype=float)
         return self.a(ii), self.A(ii)
 
     @property
@@ -286,10 +294,10 @@ def normalized_partial_sums(values, table: tuple[np.ndarray, np.ndarray],
                             out: tuple[np.ndarray, np.ndarray] | None = None):
     """S_n = sum_{i<=n} a_i (x_i - center_i) / A_n for n = 1..N along the
     last axis of ``values`` (one path, or a block of paths by steps), one
-    prefix-sum pass. ``table`` is ``WeightSchedule.table(m)`` for some
-    m >= N, or its slice over a block's steps; the steps run in one buffer,
-    in the order subtract, scale, cumsum, divide, so the result is bit for
-    bit ``np.cumsum(a * (x - c)) / A``.
+    prefix-sum pass. ``table`` is ``WeightSchedule.table(m)`` for m >= N,
+    or ``table(stop, start)`` for a block's steps; the steps run in one
+    buffer, in the order subtract, scale, cumsum, divide, so the result is
+    bit for bit ``np.cumsum(a * (x - c)) / A``.
 
     The paired form takes no ``centers``: ``values`` is a complex128 array
     of terms already centred twice, x_i - c_i in the real part and

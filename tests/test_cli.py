@@ -302,18 +302,19 @@ class TestFailureModes:
 
     def test_experiment_too_large_for_memory_exits_two(self, tmp_path,
                                                        capsys):
-        # 1e15 steps ask numpy for a 7 PiB weight table, which it refuses
-        # before any page is mapped: a configuration error, not a crash
+        # 1e12 paths a strategy keep far more grid samples and summaries
+        # than any machine holds: a configuration error, not a crash
         config = json.loads(Path(DEMO).read_text())
         config["checks"] = ["slln"]
-        config["simulation"].update(n_steps=10**15, n_start=10**14)
+        config["simulation"].update(paths_per_strategy=10**12)
         path = tmp_path / "huge.json"
         path.write_text(json.dumps(config))
         code, out, report = run(tmp_path, "simulate", "--config", str(path))
         assert code == 2 and report is None
         err = capsys.readouterr().err
-        assert err.startswith("error: simulation: n_steps=1000000000000000")
-        assert "paths_per_strategy=2" in err and "Traceback" not in err
+        assert err.startswith("error: simulation: n_steps=")
+        assert "paths_per_strategy=1000000000000" in err
+        assert "Traceback" not in err
 
     def test_stdout_is_the_summary_file(self, tmp_path, capsys):
         for config in (PAIR, DEMO):

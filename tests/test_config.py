@@ -312,12 +312,12 @@ class TestSimulationMemoryBound:
         return config_text(checks=list(checks), seed=1, schedule=self.SCHEDULE,
                            simulation=simulation)
 
-    def test_estimate_counts_table_grid_summaries_and_control(self):
+    def test_estimate_counts_grid_summaries_and_control(self):
         sim = parse_config(self.text(
             n_steps=10_000, paths_per_strategy=3, grid_points=50,
             strategies=["cyclic", "drift-max"])).simulation
         per_path = 16 * 50 + config_module._SUMMARY_BYTES
-        assert simulation_bytes(sim) == 16 * 10_000 + 3 * 3 * per_path
+        assert simulation_bytes(sim) == 3 * 3 * per_path
         no_control = parse_config(self.text(
             n_steps=10_000, paths_per_strategy=3, grid_points=50,
             strategies=["cyclic", "drift-max"],
@@ -339,7 +339,7 @@ class TestSimulationMemoryBound:
             "grid_points=160 need more memory than this machine has")
 
     @pytest.mark.parametrize("simulation", [
-        {"n_steps": 10**10},                  # two 80 GB weight arrays
+        {"n_steps": 10**10, "paths_per_strategy": 10**8},
         {"n_steps": 1000, "paths_per_strategy": 10**9},
         {"n_steps": 10**9, "grid_points": 10**9},
     ])
@@ -351,6 +351,16 @@ class TestSimulationMemoryBound:
             parse_config(self.text(**simulation))
         with pytest.raises(ConfigValidationError, match="more memory"):
             parse_config(self.text(checks=["strassen"], **simulation))
+
+    def test_long_horizon_costs_no_memory(self, monkeypatch):
+        # the weights are evaluated block by block, so 1e10 steps of two
+        # paths a strategy keep no more than 1e3 steps do
+        monkeypatch.setattr(config_module, "physical_memory", lambda: 2**20)
+        config = parse_config(self.text(n_steps=10**10, paths_per_strategy=2))
+        assert config.simulation.n_steps == 10**10
+        assert simulation_bytes(config.simulation) == simulation_bytes(
+            parse_config(self.text(n_steps=1000,
+                                   paths_per_strategy=2)).simulation)
 
     def test_unsimulated_config_is_not_bounded(self, monkeypatch):
         monkeypatch.setattr(config_module, "physical_memory", lambda: 0)

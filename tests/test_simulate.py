@@ -2,6 +2,7 @@
 
 import math
 import threading
+import tracemalloc
 from typing import NamedTuple
 
 import numpy as np
@@ -34,7 +35,7 @@ from nlprob.errors import (
 from nlprob.expectation import expectation_values
 from nlprob.functions import ScalarFunction
 from nlprob.simulate import PathSummary, TrajectorySample
-from nlprob.slln import normalized_partial_sums
+from nlprob.slln import normalized_partial_sums, validate_schedule
 
 
 class StrassenEvaluation(NamedTuple):
@@ -363,12 +364,22 @@ def test_block_engine_matches_the_path_oracle(rng):
     strategies = (AdversaryStrategy("fixed", 0), AdversaryStrategy("cyclic"),
                   AdversaryStrategy("iid-random", salt=2),
                   AdversaryStrategy("drift-max"))
+    horizons = (101, 700, block - 1, block, block + 1, 2 * block,
+                2 * block + 300)
+    # table weights in (0.5, 1.5) and their running sums as a table
+    # normalizer, A_n = a_1 + ... + a_n
+    weights = 1.0 + 0.5 * np.sin(np.arange(1.0, horizons[-1] + 1))
     schedules = (make_schedule("kolmogorov", alpha=1.0, beta=0.5),
                  make_schedule("mz", alpha=1.0, beta=0.5, p=1.25),
                  make_schedule("custom", alpha=1.0, beta=0.5,
-                               a_rule=("harmonic", None)))
-    horizons = (101, 700, block - 1, block, block + 1, 2 * block,
-                2 * block + 300)
+                               a_rule=("harmonic", None)),
+                 make_schedule("custom", alpha=1.0, beta=0.5,
+                               a_rule=("table", tuple(weights))),
+                 make_schedule("custom", alpha=1.0, beta=0.5,
+                               a_rule=("table", tuple(weights)),
+                               A_rule=("table", tuple(np.cumsum(weights)))))
+    assert all(validate_schedule(s, n).passed
+               for s in schedules for n in horizons)
     for trial in range(60):
         model = _random_rectangular_model(rng)
         n_steps = horizons[trial % len(horizons)]
@@ -438,6 +449,24 @@ def test_block_buffers_do_not_grow_with_the_horizon(marginal_model,
                         n_steps=5000, paths_per_strategy=40, seed=3)
     # one buffer set serves every group of every strategy
     assert sizes == [(nlprob.simulate.PATH_BLOCK, nlprob.simulate.STEP_BLOCK)]
+
+
+def test_experiment_memory_does_not_grow_with_the_horizon(marginal_model):
+    # a tenfold horizon adds no array: the weights, like the buffers, are
+    # evaluated one block at a time
+    schedule = make_schedule("mz", alpha=1.0, beta=0.5, p=1.25)
+
+    def peak(n_steps):
+        tracemalloc.start()
+        try:
+            run_slln_experiment(marginal_model, schedule, bundled_strategies(),
+                                n_steps=n_steps, paths_per_strategy=1, seed=4)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(100_000)  # warm-up: lazy imports and caches are not the horizon's
+    assert abs(peak(1_000_000) - peak(100_000)) < 64 * 1024
 
 
 class TestSampleGrid:

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nlprob import (
     RandomVariable,
@@ -116,6 +118,14 @@ class TestMakeSchedule:
         with pytest.raises(POutOfRangeError):
             make_schedule("custom", alpha=1.0, beta=0.5,
                           A_rule=("power", 1.5))
+
+    def test_rules_never_return_the_callers_array(self, kolmogorov):
+        # indices are read without a copy, so a rule must not hand them back
+        x = np.arange(1.0, 5.0)
+        for sched in (kolmogorov, make_schedule("mz", alpha=1.0, beta=0.5,
+                                                p=1.25)):
+            for values in (sched.a(x), sched.A(x)):
+                assert not np.shares_memory(values, x)
 
     def test_indices_are_one_based(self, kolmogorov):
         with pytest.raises(IndexOutOfRangeError):
@@ -412,6 +422,35 @@ class TestNormalizedPartialSums:
             assert np.array_equal(
                 normalized_partial_sums(x, sched.table(n), c), want)
 
+    @given(st.sampled_from(["constant", "harmonic", "table"]),
+           st.sampled_from(["linear", "power", "table"]),
+           st.integers(1, 3 * 1024 + 9), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_block_table_is_the_one_shot_slice_bit_for_bit(self, a_kind,
+                                                           A_kind, stop, data):
+        # the simulator evaluates the weights block by block; at any start,
+        # on a block edge or off every multiple of 8 where numpy's vector
+        # loops would align differently, they are the one-shot table's bytes
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        a_param = {"constant": data.draw(st.floats(0.01, 10.0)),
+                   "harmonic": None,
+                   "table": tuple(rng.uniform(0.25, 4.0, stop + 3))}[a_kind]
+        A_param = {"linear": 1.0,
+                   "power": data.draw(st.one_of(st.just(0.8),
+                                                st.floats(0.01, 1.0))),
+                   "table": tuple(np.cumsum(rng.uniform(0.25, 4.0, stop)))
+                   }[A_kind]
+        sched = make_schedule("custom", alpha=1.0, beta=0.5,
+                              a_rule=(a_kind, a_param),
+                              A_rule=(A_kind, A_param))
+        want = sched.table(stop)
+        starts = data.draw(st.lists(st.integers(0, stop), max_size=4))
+        for start in starts + [s for s in (0, 1, 7, 1023, 1024, 1025, 2053)
+                               if s <= stop]:
+            got = sched.table(stop, start)
+            for g, w in zip(got, want, strict=True):
+                assert g.dtype == w.dtype and g.size == stop - start
+                assert g.tobytes() == w[start:].tobytes()
 
     def test_blocks_with_a_carry_match_one_pass_bit_for_bit(self, rng):
         # a (paths, steps) array cut into blocks at random edges, each block
