@@ -1,10 +1,10 @@
 """Exact imprecise probability on finite outcome spaces.
 
-Measures live on a finite outcome space; a credal set is a finite list of
-them. Everything downstream is exact, by enumeration or in closed form:
-capacity envelopes, sublinear and Choquet expectations, dependence sweeps,
-and a deterministic Monte Carlo laboratory for weighted strong laws under
-adversarial measure selection.
+A credal set is a finite, ordered family of probability measures on a
+finite outcome space, held as one weight matrix. Everything downstream is
+exact, by enumeration or in closed form: capacity envelopes, sublinear and
+Choquet expectations, dependence sweeps, and a deterministic Monte Carlo
+laboratory for weighted strong laws under adversarial measure selection.
 """
 
 import types as _types
@@ -13,14 +13,7 @@ __version__ = "0.1.0"
 
 from .capacity import all_events, capacity_axiom_report
 from .config import ExperimentConfig, SimulationSettings, parse_config
-from .core import (
-    CredalSet,
-    OutcomeSpace,
-    ProbabilityMeasure,
-    RandomVariable,
-    credal_set_from_rows,
-    make_measure,
-)
+from .core import CredalSet, RandomVariable, credal_set_from_rows
 from .dependence import (
     TestFamily,
     TestFunction,

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -61,8 +62,6 @@ from .simulate import (
     run_slln_experiment,
 )
 from .slln import truncate, truncation_params
-
-import math
 
 
 @dataclass(frozen=True)

@@ -1,15 +1,16 @@
-"""Finite outcome spaces, measures, credal sets, random variables.
+"""Credal sets, random variables and event probabilities on finite spaces.
 
 Conventions
 -----------
-* An outcome space is ``{0, ..., size-1}``.
+* An outcome space is ``{0, ..., size-1}``; it is named by its size alone.
 * An event is a boolean membership row over the outcomes, and an event
   family a matrix of such rows, so complements and enumeration are exact
   and every event probability is one sum, :func:`event_probability_table`.
-* A credal set is a nonempty *ordered* list of probability measures on one
-  space. Order matters: upper/lower envelopes report maximizer indices, and
-  adversary strategies pick measures by index. Duplicates are permitted.
-* All container types are immutable; arrays they hold are read-only views.
+* A credal set is an *ordered*, read-only weight matrix of shape
+  ``(measures, size)``: row j is probability measure j, and there is at
+  least one. Order matters: upper/lower envelopes report maximizer indices,
+  and adversary strategies pick measures by index. Duplicates are permitted.
+* All container types are immutable; arrays they hold are read-only.
   Every operation is a pure function of its inputs.
 
 Tolerances: weights may undershoot zero by at most ``1e-15`` (clamped), and
@@ -35,39 +36,8 @@ WEIGHT_FLOOR = -1e-15
 NORMALIZATION_TOL = 1e-12
 
 
-def _readonly(a: np.ndarray) -> np.ndarray:
-    a = np.array(a, dtype=float, copy=True)
-    a.setflags(write=False)
-    return a
-
-
-@dataclass(frozen=True)
-class OutcomeSpace:
-    """A finite sample space of ``size`` outcomes."""
-
-    size: int
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.size, int) or self.size < 1:
-            raise EmptyVectorError(f"outcome space needs size >= 1, got {self.size!r}")
-
-
-@dataclass(frozen=True, eq=False)
-class ProbabilityMeasure:
-    """A probability vector on a finite space. Build via :func:`make_measure`."""
-
-    weights: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "weights", _readonly(self.weights))
-
-    @property
-    def size(self) -> int:
-        return self.weights.shape[0]
-
-
-def make_measure(weights) -> ProbabilityMeasure:
-    """Validate and exactly renormalize a weight vector.
+def _measure_row(weights) -> np.ndarray:
+    """One validated, exactly renormalized weight row.
 
     Parameters
     ----------
@@ -93,7 +63,7 @@ def make_measure(weights) -> ProbabilityMeasure:
     total = float(w.sum())
     if abs(total - 1.0) >= NORMALIZATION_TOL:
         raise NotNormalizedError(f"weights sum to {total!r}, not 1 within 1e-12")
-    return ProbabilityMeasure(w / total)
+    return w / total
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,12 +73,13 @@ class RandomVariable:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        v = np.asarray(self.values, dtype=float)
+        v = np.array(self.values, dtype=float)  # a copy no caller holds
         if v.ndim != 1 or v.size == 0:
             raise EmptyVectorError("random variable needs a nonempty value vector")
         if not np.all(np.isfinite(v)):
             raise NonFiniteError("random variable values must be finite")
-        object.__setattr__(self, "values", _readonly(v))
+        v.setflags(write=False)
+        object.__setattr__(self, "values", v)
 
     @property
     def size(self) -> int:
@@ -117,44 +88,41 @@ class RandomVariable:
 
 @dataclass(frozen=True, eq=False)
 class CredalSet:
-    """An ordered, nonempty family of measures on one outcome space."""
+    """An ordered, nonempty family of measures on one outcome space, held as
+    its weight matrix: row j is measure j. Built from any iterable of weight
+    rows, each validated and renormalized by itself."""
 
-    space: OutcomeSpace
-    measures: tuple[ProbabilityMeasure, ...]
+    weights: np.ndarray
 
     def __post_init__(self) -> None:
-        measures = tuple(self.measures)
-        object.__setattr__(self, "measures", measures)
-        if not measures:
+        rows = [_measure_row(r) for r in self.weights]
+        if not rows:
             raise EmptyVectorError("credal set needs at least one measure")
-        for j, m in enumerate(measures):
-            if m.size != self.space.size:
+        for j, row in enumerate(rows):
+            if row.shape != rows[0].shape:
                 raise DimensionMismatchError(
-                    f"measure {j} has size {m.size}, space has {self.space.size}"
-                )
-        weights = np.vstack([m.weights for m in measures])
+                    f"measure {j} has size {row.shape[0]}, "
+                    f"measure 0 has {rows[0].shape[0]}")
+        weights = np.vstack(rows)
         weights.setflags(write=False)
-        object.__setattr__(self, "_weights", weights)
+        object.__setattr__(self, "weights", weights)
 
     def __len__(self) -> int:
-        return len(self.measures)
+        return self.weights.shape[0]
 
     @property
     def size(self) -> int:
-        return self.space.size
+        return self.weights.shape[1]
 
     def weight_matrix(self) -> np.ndarray:
-        """Measures stacked as rows; shape (len(self), space.size). One
-        read-only array, stacked when the set is built."""
-        return self._weights
+        """The measures as rows; shape (len(self), size). One read-only
+        array, stacked when the set is built."""
+        return self.weights
 
 
 def credal_set_from_rows(rows) -> CredalSet:
     """Build a credal set from an iterable of weight rows (validated per row)."""
-    measures = tuple(make_measure(r) for r in rows)
-    if not measures:
-        raise EmptyVectorError("credal set needs at least one measure")
-    return CredalSet(OutcomeSpace(measures[0].size), measures)
+    return CredalSet(rows)
 
 
 def event_probability_table(weights: np.ndarray, members: np.ndarray) -> np.ndarray:

@@ -225,9 +225,6 @@ def inequality_suite(credal: CredalSet, x: RandomVariable, y: RandomVariable,
     if not f.is_convex:
         raise ValueError(f"Jensen needs a convex f, got {f.describe()}")
     ex = upper_expectation(credal, x)
-    results.append(comparison(
-        "jensen", float(f(ex)),
-        upper_expectation(credal, RandomVariable(np.asarray(f(x.values), dtype=float))),
-        tol))
+    results.append(comparison("jensen", float(f(ex)), float(f_mean.max()), tol))
 
     return tuple(results)

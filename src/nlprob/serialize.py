@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from typing import Any
 
-from .core import CredalSet, OutcomeSpace, RandomVariable, credal_set_from_rows
+from .core import CredalSet, RandomVariable, credal_set_from_rows
 from .errors import ConfigValidationError
 from .models import JOINT_KINDS, RECTANGULAR, SequenceModel
 
@@ -50,7 +50,7 @@ def read_number(value: Any, name: str, *, optional: bool = False,
     return value
 
 
-def parse_document(doc: dict[str, Any]) -> tuple[OutcomeSpace, CredalSet,
+def parse_document(doc: dict[str, Any]) -> tuple[CredalSet,
                                                  dict[str, RandomVariable]]:
     if not isinstance(doc, dict):
         raise ConfigValidationError("document must be a JSON object")
@@ -80,11 +80,11 @@ def parse_document(doc: dict[str, Any]) -> tuple[OutcomeSpace, CredalSet,
                 f"'variables[{name!r}]' must be a list of {size} values")
         variables[name] = RandomVariable(
             [read_number(v, f"variables[{name!r}][{i}]") for i, v in enumerate(values)])
-    return credal.space, credal, variables
+    return credal, variables
 
 
 def sequence_model_from_document(doc: dict[str, Any]) -> SequenceModel:
-    _, credal, variables = parse_document(doc)
+    credal, variables = parse_document(doc)
     if not variables:
         raise ConfigValidationError("model document needs at least one variable")
     joint = doc.get("joint", RECTANGULAR)

@@ -196,8 +196,8 @@ def validate_schedule(schedule: WeightSchedule, horizon: int) -> ScheduleValidat
     """Probe the divergence surrogate r_n = A_n / n^{1/(beta+1)} at
     n in {N/100, N/10, N}: r must be strictly increasing with
     r_N > GROWTH_FACTOR * r_{N/100}. Also samples a_i for positivity and a
-    finite sup, and A for strict increase. Report-only; see the simulator
-    for the enforcing path."""
+    finite sup, and A for positivity and strict increase. Report-only; see
+    the simulator for the enforcing path."""
     if horizon < 100:
         raise ValueError(f"validation horizon must be >= 100, got {horizon}")
     probes = (max(1, horizon // 100), max(1, horizon // 10), horizon)
@@ -215,6 +215,8 @@ def validate_schedule(schedule: WeightSchedule, horizon: int) -> ScheduleValidat
                    {"ratio": ratio, "required": GROWTH_FACTOR}),
         comparison("weights-positive", 0.0 if a_vals.min() > 0 else 1.0, 0.0, 0.0,
                    {"min": float(a_vals.min())}),
+        comparison("normalizer-positive", 0.0 if A_vals.min() > 0 else 1.0, 0.0, 0.0,
+                   {"min": float(A_vals.min())}),
         comparison("normalizer-increasing",
                    0.0 if np.all(np.diff(A_vals) > 0) else 1.0, 0.0, 0.0),
     )

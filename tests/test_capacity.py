@@ -283,14 +283,13 @@ def test_event_probability_is_a_left_to_right_sum(rng):
     for t in range(300):
         size = int(rng.integers(1, 16))
         kind = ("dirichlet", "decades")[t % 2]
-        measure = credal_set_from_rows(
-            random_weight_rows(rng, kind, size)).measures[0]
+        weights = credal_set_from_rows(
+            random_weight_rows(rng, kind, size)).weight_matrix()[:1]
         members = rng.random(size) < 0.6
         total = 0.0
         for i in np.flatnonzero(members):
-            total += float(measure.weights[i])
-        table = event_probability_table(measure.weights[None, :],
-                                        members[None, :])
+            total += float(weights[0, i])
+        table = event_probability_table(weights, members[None, :])
         assert float(table[0, 0]).hex() == total.hex()
 
 

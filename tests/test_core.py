@@ -1,4 +1,5 @@
-"""Core types: measures, event probabilities, variables, credal sets."""
+"""Core types: credal sets and their weight rows, event probabilities,
+variables."""
 
 from __future__ import annotations
 
@@ -8,13 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nlprob
-from nlprob import (
-    CredalSet,
-    OutcomeSpace,
-    RandomVariable,
-    credal_set_from_rows,
-    make_measure,
-)
+from nlprob import CredalSet, RandomVariable, credal_set_from_rows
 from nlprob.core import event_probability_table
 from nlprob.errors import (
     DimensionMismatchError,
@@ -25,41 +20,46 @@ from nlprob.errors import (
 from nlprob.expectation import expectation_values
 
 
+def one_row(weights) -> np.ndarray:
+    """The single row of the credal set built from ``weights``."""
+    return credal_set_from_rows([weights]).weight_matrix()[0]
+
+
 class TestMeasureConstruction:
     def test_valid(self):
-        p = make_measure([0.5, 0.5])
-        assert p.size == 2
-        assert p.weights.sum() == 1.0
+        credal = credal_set_from_rows([[0.5, 0.5]])
+        assert credal.size == 2
+        assert credal.weight_matrix()[0].sum() == 1.0
 
     def test_weights_read_only(self):
-        p = make_measure([0.5, 0.5])
+        p = one_row([0.5, 0.5])
         with pytest.raises(ValueError):
-            p.weights[0] = 0.9
+            p[0] = 0.9
 
     def test_empty(self):
         with pytest.raises(EmptyVectorError):
-            make_measure([])
+            one_row([])
 
     def test_negative(self):
         with pytest.raises(NegativeWeightError):
-            make_measure([1.2, -0.2])
+            one_row([1.2, -0.2])
 
     def test_tiny_negative_clamped(self):
-        p = make_measure([1.0 + 5e-16, -5e-16])
-        assert p.weights[1] == 0.0
-        assert p.weights.sum() == 1.0
+        p = one_row([1.0 + 5e-16, -5e-16])
+        assert p[1] == 0.0
+        assert p.sum() == 1.0
 
     def test_not_normalized(self):
         with pytest.raises(NotNormalizedError):
-            make_measure([0.5, 0.6])
+            one_row([0.5, 0.6])
 
     def test_renormalizes_within_tolerance(self):
-        p = make_measure([0.5, 0.5 + 1e-13])
-        assert p.weights.sum() == 1.0
+        p = one_row([0.5, 0.5 + 1e-13])
+        assert p.sum() == 1.0
 
     def test_non_finite(self):
         with pytest.raises(ValueError):
-            make_measure([np.nan, 1.0])
+            one_row([np.nan, 1.0])
 
 
 class TestClassicalExpectation:
@@ -108,13 +108,13 @@ class TestEventProbability:
         assert table[0, 0] == 0.5
 
     def test_empty_and_full(self, rng):
-        weights = make_measure(rng.dirichlet(np.ones(5))).weights[None, :]
+        weights = credal_set_from_rows([rng.dirichlet(np.ones(5))]).weight_matrix()
         table = event_probability_table(weights, np.array([[False] * 5, [True] * 5]))
         assert table[0, 0] == 0.0
         assert table[1, 0] == pytest.approx(1.0, abs=1e-15)
 
     def test_complement_sums_to_one(self, rng):
-        weights = make_measure(rng.dirichlet(np.ones(8))).weights[None, :]
+        weights = credal_set_from_rows([rng.dirichlet(np.ones(8))]).weight_matrix()
         for _ in range(30):
             members = rng.integers(0, 2, 8) > 0
             table = event_probability_table(weights, np.vstack([members, ~members]))
@@ -135,7 +135,9 @@ class TestCredalSet:
 
     def test_size_consistency(self):
         with pytest.raises(DimensionMismatchError):
-            CredalSet(OutcomeSpace(2), (make_measure([0.5, 0.5]), make_measure([1.0])))
+            credal_set_from_rows([[0.5, 0.5], [1.0]])
+        with pytest.raises(DimensionMismatchError):
+            CredalSet([[1.0], [0.5, 0.5]])
 
     def test_empty(self):
         with pytest.raises(EmptyVectorError):
@@ -163,9 +165,41 @@ class TestRandomVariable:
 @settings(max_examples=60, deadline=None)
 def test_measure_from_any_positive_vector_normalizes(raw):
     total = sum(raw)
-    p = make_measure([w / total for w in raw])
-    assert abs(float(p.weights.sum()) - 1.0) <= 1e-12
-    assert (p.weights >= 0).all()
+    p = one_row([w / total for w in raw])
+    assert abs(float(p.sum()) - 1.0) <= 1e-12
+    assert (p >= 0).all()
+
+
+@st.composite
+def near_stochastic_rows(draw):
+    """1-12 outcomes, 1-6 rows; entries down to -1e-15, each row's sum
+    within 1e-12 of 1."""
+    size = draw(st.integers(1, 12))
+    entry = st.one_of(st.floats(0.01, 1.0), st.floats(-1e-15, 0.0))
+    rows = []
+    for _ in range(draw(st.integers(1, 6))):
+        raw = draw(st.lists(entry, min_size=size, max_size=size))
+        if not any(w > 0 for w in raw):
+            raw[0] = 1.0
+        scale = (1.0 + draw(st.floats(-5e-13, 5e-13))) / sum(w for w in raw if w > 0)
+        rows.append([w * scale if w > 0 else w for w in raw])
+    return rows
+
+
+@given(near_stochastic_rows())
+@settings(max_examples=100, deadline=None)
+def test_weight_matrix_is_the_clamped_renormalized_rows(rows):
+    expected = []
+    for row in rows:
+        w = np.asarray(row, dtype=float)
+        w = np.where(w < 0, 0.0, w)
+        expected.append(w / w.sum())
+    credal = credal_set_from_rows(rows)
+    m = credal.weight_matrix()
+    assert m.tobytes() == np.vstack(expected).tobytes()
+    assert m.shape == (len(rows), len(rows[0]))
+    assert not m.flags.writeable
+    assert credal.weight_matrix() is m
 
 
 def test_version_exposed():

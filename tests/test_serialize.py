@@ -25,18 +25,18 @@ def holds(doc, credal, variables):
 
 class TestParseDocument:
     def test_round_trip_is_identity(self, doc):
-        space, credal, variables = parse_document(doc)
-        assert space.size == doc["space"]
+        credal, variables = parse_document(doc)
+        assert credal.size == doc["space"]
         assert holds(doc, credal, variables)
 
     def test_field_order_is_irrelevant(self, doc):
         shuffled = {"variables": doc["variables"], "space": doc["space"],
                     "measures": doc["measures"]}
-        _, credal, variables = parse_document(shuffled)
+        credal, variables = parse_document(shuffled)
         assert holds(doc, credal, variables)
 
     def test_variable_order_follows_listing_order(self, doc):
-        _, _, variables = parse_document(doc)
+        _, variables = parse_document(doc)
         assert list(variables) == ["X", "Y"]
         assert variables["Y"].values.tolist() == [3.0, -1.0]
 
@@ -67,7 +67,7 @@ class TestParseDocument:
 
     def test_variables_are_optional(self, doc):
         slim = {"space": doc["space"], "measures": doc["measures"]}
-        _, _, variables = parse_document(slim)
+        _, variables = parse_document(slim)
         assert variables == {}
 
 

@@ -574,6 +574,14 @@ class TestRunExperiment:
             run_slln_experiment(marginal_model, boundary, bundled_strategies(),
                                 n_steps=1000, paths_per_strategy=1, seed=1)
 
+    @pytest.mark.filterwarnings("error")
+    def test_zero_normalizer_is_refused_before_any_division(self, marginal_model):
+        zero_first = make_schedule("custom", alpha=1.0, beta=0.5,
+                                   A_rule=("table", tuple(range(1000))))
+        with pytest.raises(ScheduleInvalidError, match="normalizer-positive"):
+            run_slln_experiment(marginal_model, zero_first, bundled_strategies(),
+                                n_steps=1000, paths_per_strategy=1, seed=1)
+
     def test_parameter_guards(self, marginal_model, kolmogorov):
         with pytest.raises(ValueError, match="epsilon"):
             run_slln_experiment(marginal_model, kolmogorov,

@@ -184,7 +184,16 @@ class TestValidateSchedule:
         report = validate_schedule(kolmogorov, 100)
         assert [r.check for r in report.results] == [
             "r-strictly-increasing", "r-growth", "weights-positive",
-            "normalizer-increasing"]
+            "normalizer-positive", "normalizer-increasing"]
+
+    def test_zero_normalizer_fails(self):
+        # A = (0, 1, 2, ...) increases and grows fast enough, but A_1 = 0
+        sched = make_schedule("custom", alpha=1.0, beta=0.5,
+                              A_rule=("table", tuple(range(1000))))
+        report = validate_schedule(sched, 1000)
+        failed = [r for r in report.results if not r.passed]
+        assert [r.check for r in failed] == ["normalizer-positive"]
+        assert failed[0].witness == {"min": 0.0}
 
 
 class TestTruncation:
