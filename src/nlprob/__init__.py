@@ -12,7 +12,13 @@ import types as _types
 __version__ = "0.1.0"
 
 from .capacity import all_events, capacity_axiom_report
-from .config import ExperimentConfig, SimulationSettings, parse_config
+from .config import (
+    ExperimentConfig,
+    SimulationSettings,
+    parse_config,
+    parse_document,
+    sequence_model_from_document,
+)
 from .core import CredalSet, RandomVariable, credal_set_from_rows
 from .dependence import (
     TestFamily,
@@ -75,7 +81,6 @@ from .slln import (
     truncation_params,
     validate_schedule,
 )
-from .serialize import parse_document, sequence_model_from_document
 
 # every public name bound above; the submodules themselves are not exports
 __all__ = sorted(name for name, value in globals().items()

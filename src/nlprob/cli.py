@@ -35,6 +35,7 @@ from .config import (
     FAMILIES,
     ExperimentConfig,
     parse_config,
+    read_number,
     read_text,
     too_large,
 )
@@ -54,7 +55,6 @@ from .expectation import (
 )
 from .functions import AbsPower, Affine, Exp
 from .reports import CheckResult, comparison, dumps, equality
-from .serialize import read_number
 from .simulate import (
     DRIFT_MAX,
     AdversaryStrategy,
@@ -62,15 +62,6 @@ from .simulate import (
     run_slln_experiment,
 )
 from .slln import truncate, truncation_params
-
-
-@dataclass(frozen=True)
-class ExecutionOutcome:
-    exit_code: int
-    passed: bool
-    report: dict[str, Any]
-    failures: tuple[str, ...]
-    summary: str
 
 
 @dataclass
@@ -87,7 +78,7 @@ class _Run:
 
 
 def _var_names(config: ExperimentConfig) -> list[str]:
-    return list(config.model_doc.get("variables", {}).keys())
+    return list(config.raw["model"].get("variables", {}).keys())
 
 
 def _axiom_records(run: _Run) -> list[CheckResult]:
@@ -142,18 +133,13 @@ def _inequality_records(run: _Run) -> list[CheckResult]:
     return records
 
 
-def _dependence_horizon(config: ExperimentConfig) -> int:
-    return min(max(2, config.horizon), config.model.coordinates or math.inf)
-
-
 def _na_records(run: _Run) -> list[CheckResult]:
-    n = _dependence_horizon(run.config)
-    return [check_negative_association(run.config.model, n, tol=run.tol)]
+    return [check_negative_association(run.config.model, run.config.horizon,
+                                       tol=run.tol)]
 
 
 def _vertical_records(run: _Run) -> list[CheckResult]:
     model = run.config.model
-    n = _dependence_horizon(run.config)
     ramps = []
     for var in model.variables:
         span = float(var.values.max() - var.values.min())
@@ -161,17 +147,17 @@ def _vertical_records(run: _Run) -> list[CheckResult]:
         mid = float(var.values.min() + var.values.max()) / 2.0
         ramps.append(TestFunction(RAMP, mid - width / 2.0, width))
     # one ramp per variable; the check cycles them as it cycles variables
-    return [check_vertical_independence(model, n, ramps, run.tol)]
+    return [check_vertical_independence(model, run.config.horizon, ramps,
+                                        run.tol)]
 
 
 def _forward_records(run: _Run) -> list[CheckResult]:
     config, tol = run.config, run.tol
     value = forward_factorization_value(config.model, config.forward_g,
                                         config.forward_f, n=2)
-    g_desc = getattr(config.forward_g, "descriptor", str(config.forward_g))
-    f_desc = getattr(config.forward_f, "descriptor", str(config.forward_f))
     records = [CheckResult("forward-factorization", value, 0.0, -value,
-                           value >= -tol, {"g": g_desc, "f": f_desc})]
+                           value >= -tol, {"g": config.forward_g.descriptor,
+                                           "f": config.forward_f.descriptor})]
     if config.forward_expected is not None:
         records.append(equality("forward-expected", value,
                                 config.forward_expected, max(tol, 1e-12)))
@@ -318,15 +304,12 @@ RUNNERS = {
 def execute(config: ExperimentConfig, subcommand: str = "all",
             out_dir: str | Path | None = None,
             seed_override: int | None = None,
-            tolerance_override: float | None = None) -> ExecutionOutcome:
-    """Run the selected check families and write the report bundle."""
-    if subcommand not in FAMILIES:
-        raise ConfigValidationError(f"subcommand: unknown {subcommand!r}")
+            tolerance_override: float | None = None) -> tuple[str, list[str]]:
+    """Run the selected check families and write the report bundle; return
+    the summary text and the names of the failing records."""
     tol = tolerance_override if tolerance_override is not None else config.tolerance
     seed = seed_override if seed_override is not None else config.seed
     selected = [c for c in config.checks if c in FAMILIES[subcommand]]
-    if {"slln", "strassen"} & set(selected) and seed is None:
-        raise ConfigValidationError("seed: required when simulation checks run")
 
     out = Path(out_dir if out_dir is not None else (config.out or "out"))
     try:  # before the checks run, so a bad --out costs no work
@@ -384,8 +367,7 @@ def execute(config: ExperimentConfig, subcommand: str = "all",
     summary = "\n".join(lines) + "\n"
     (out / "summary.txt").write_text(summary)
 
-    return ExecutionOutcome(0 if passed else 1, passed, report,
-                            tuple(failures), summary)
+    return summary, failures
 
 
 @functools.cache
@@ -429,16 +411,15 @@ def main(argv: list[str] | None = None) -> int:
                                 above=0.0)
         config = parse_config(read_text(config_path, "config"),
                               base_dir=config_path.parent)
-        outcome = execute(config, subcommand=args.command, out_dir=args.out,
-                          seed_override=seed, tolerance_override=tolerance)
+        summary, failures = execute(config, args.command, args.out, seed,
+                                    tolerance)
     except NlprobError as exc:  # configuration errors included
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    for line in outcome.summary.splitlines():
-        print(line)
-    if not outcome.passed:
-        print(f"first failing check: {outcome.failures[0]}", file=sys.stderr)
-    return outcome.exit_code
+    print(summary, end="")
+    if failures:
+        print(f"first failing check: {failures[0]}", file=sys.stderr)
+    return 1 if failures else 0
 
 
 if __name__ == "__main__":  # pragma: no cover

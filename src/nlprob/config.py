@@ -1,11 +1,15 @@
-"""Experiment configuration: JSON schema, parsing, validation.
+"""The reader of every input from outside the program: experiment configs,
+the model documents and function descriptors they hold, and every number.
 
 A config names a model (inline document or a path to one), an optional
 weight schedule, the list of checks to run, simulation parameters and
 reporting knobs::
 
     {
-      "model": {...} | "relative/path.json",
+      "model": {"space": <outcome count>, "measures": [[w, ...], ...],
+                "variables": {"name": [v, ...], ...},
+                "joint": "rectangular" | "comonotone-pair"}
+               | "relative/path.json",
       "schedule": {"kind": "kolmogorov"|"mz", "p": ..., "alpha": ...,
                    "beta": ..., "C": ..., "m": ...},
       "checks": ["axioms", "chain", "inequalities", "na", "vertical",
@@ -30,9 +34,14 @@ reporting knobs::
 Parsing is strict: unknown check names, missing files, bad schedules and
 malformed descriptors raise ConfigValidationError naming the field;
 non-JSON text raises ConfigParseError with the position. Scalar fields
-take finite JSON numbers only (no bool, string or NaN). Defaults: tolerance
+take finite JSON numbers only (no bool, string or NaN), and
+``negative_control`` takes ``true`` or ``false`` only. Defaults: tolerance
 1e-9, epsilon 0.05, n_start = n_steps // 10, horizon = the model's
 coordinate count, or 4 where it is unbounded.
+Function fields (``forward.g``, ``forward.f``, ``phi``) read one descriptor
+table, :func:`from_descriptor`. Checks that cannot give a finite answer are
+refused here, before any work: ``na`` or ``vertical`` past the enumeration
+cap, and ``strassen`` with a ``phi`` whose limit is not finite.
 """
 
 from __future__ import annotations
@@ -44,6 +53,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable
 
+from .core import CredalSet, RandomVariable, credal_set_from_rows
 from .dependence import CONSTANT, NEGATED_RAMP, RAMP, TestFunction
 from .errors import (
     ConfigParseError,
@@ -51,9 +61,18 @@ from .errors import (
     NlprobError,
     UnboundedPhiError,
 )
-from .functions import Exp, ScalarFunction, from_descriptor
-from .models import SequenceModel
-from .serialize import read_number, sequence_model_from_document
+from .functions import (
+    DECREASING,
+    INCREASING,
+    AbsPower,
+    Affine,
+    Clamp,
+    Exp,
+    MaxAffine,
+    Polynomial,
+    ScalarFunction,
+)
+from .models import JOINT_KINDS, RECTANGULAR, SequenceModel, check_horizon
 from .simulate import (
     DEFAULT_EPSILON,
     FIXED,
@@ -81,8 +100,7 @@ SIMULATION_CHECKS = frozenset({"slln", "strassen"})
 _SUMMARY_BYTES = 200
 
 # the pair-model counterexample functions double as sensible defaults
-DEFAULT_FORWARD_F = TestFunction(RAMP, 0.0, 1.0)
-DEFAULT_FORWARD_G = TestFunction(RAMP, -1.0, 1.0)
+_DEFAULT_FORWARD = {"g": {"kind": RAMP, "threshold": -1.0}, "f": {"kind": RAMP}}
 
 
 @dataclass(frozen=True)
@@ -105,7 +123,6 @@ _DEFAULT_SIMULATION = SimulationSettings()
 @dataclass(frozen=True)
 class ExperimentConfig:
     model: SequenceModel
-    model_doc: dict[str, Any]
     checks: tuple[str, ...]
     tolerance: float
     seed: int | None
@@ -116,7 +133,7 @@ class ExperimentConfig:
     forward_expected: float | None
     phi: ScalarFunction
     expected_violations: frozenset[str]
-    horizon: int
+    horizon: int  # the coordinates the dependence checks use
     truncation_indices: tuple[int, ...]
     out: str | None
     raw: dict[str, Any]
@@ -126,19 +143,119 @@ def _field_error(name: str, message: str) -> ConfigValidationError:
     return ConfigValidationError(f"{name}: {message}")
 
 
-def _function_from_any(desc: Any, name: str) -> Callable:
-    """A ramp descriptor or a scalar-function descriptor."""
-    if not isinstance(desc, dict) or "kind" not in desc:
-        raise _field_error(name, f"needs an object with a 'kind', got {desc!r}")
-    kind = desc["kind"]
-    try:  # errors below name the field, e.g. "forward.g: width: ..."
-        if kind not in (RAMP, NEGATED_RAMP, CONSTANT):
-            return from_descriptor(desc)
-        return TestFunction(
-            kind, read_number(desc.get("threshold", 0.0), "threshold"),
-            read_number(desc.get("width", 1.0), "width"),
-            desc.get("direction",
-                     "decreasing" if kind == NEGATED_RAMP else "increasing"))
+def read_number(value: Any, name: str, *, optional: bool = False,
+                integer: bool = False, low: float | None = None,
+                high: float | None = None, above: float | None = None) -> Any:
+    """The reader of every number from outside the program: a finite JSON
+    number (not a bool), integral if ``integer``, within ``[low, high]`` and
+    ``> above``; None if ``optional`` and null. Else ConfigValidationError
+    naming ``name``."""
+    if value is None and optional:
+        return None
+    try:
+        ok = not isinstance(value, bool) and math.isfinite(value)
+    except (TypeError, OverflowError):  # not a number, or an int past floats
+        ok = False
+    if not ok or (integer and value != int(value)):
+        kind = "an integer" if integer else "a finite number"
+        raise ConfigValidationError(f"{name}: must be {kind}, got {value!r}")
+    value = int(value) if integer else float(value)
+    if low is not None and value < low:
+        raise ConfigValidationError(f"{name}: must be >= {low}, got {value}")
+    if high is not None and value > high:
+        raise ConfigValidationError(f"{name}: must be <= {high}, got {value}")
+    if above is not None and value <= above:
+        raise ConfigValidationError(f"{name}: must be > {above}, got {value}")
+    return value
+
+
+def parse_document(doc: dict[str, Any]) -> tuple[CredalSet,
+                                                 dict[str, RandomVariable]]:
+    """The credal set and the named variables of a model document (the
+    config's ``model``); variable listing order is the coordinate order."""
+    if not isinstance(doc, dict):
+        raise ConfigValidationError("document must be a JSON object")
+    for field in ("space", "measures"):
+        if field not in doc:
+            raise ConfigValidationError(f"document misses field '{field}'")
+    size = doc["space"]
+    if not isinstance(size, int) or size < 1:
+        raise ConfigValidationError(f"'space' must be a positive integer, got {size!r}")
+    rows = doc["measures"]
+    if not isinstance(rows, list) or not rows:
+        raise ConfigValidationError("'measures' must be a nonempty list of rows")
+    for k, row in enumerate(rows):
+        if not isinstance(row, list) or len(row) != size:
+            raise ConfigValidationError(
+                f"'measures[{k}]' must be a list of {size} weights")
+    credal = credal_set_from_rows(
+        [read_number(w, f"measures[{k}][{i}]") for i, w in enumerate(row)]
+        for k, row in enumerate(rows))
+    variables_doc = doc.get("variables") or {}
+    if not isinstance(variables_doc, dict):
+        raise ConfigValidationError("'variables' must be an object of value lists")
+    variables: dict[str, RandomVariable] = {}
+    for name, values in variables_doc.items():
+        if not isinstance(values, list) or len(values) != size:
+            raise ConfigValidationError(
+                f"'variables[{name!r}]' must be a list of {size} values")
+        variables[name] = RandomVariable(
+            [read_number(v, f"variables[{name!r}][{i}]") for i, v in enumerate(values)])
+    return credal, variables
+
+
+def sequence_model_from_document(doc: dict[str, Any]) -> SequenceModel:
+    credal, variables = parse_document(doc)
+    if not variables:
+        raise ConfigValidationError("model document needs at least one variable")
+    joint = doc.get("joint", RECTANGULAR)
+    if joint not in JOINT_KINDS:
+        raise ConfigValidationError(f"unknown joint semantics {joint!r}")
+    return SequenceModel(credal, tuple(variables.values()), joint)
+
+
+def _kind(doc: Any, name: str) -> Any:
+    """The ``kind`` of a descriptor object, or an error naming ``name``."""
+    if not isinstance(doc, dict) or "kind" not in doc:
+        raise _field_error(name, f"needs an object with a 'kind', got {doc!r}")
+    return doc["kind"]
+
+
+def _ramp(d: dict[str, Any]) -> TestFunction:
+    kind = d["kind"]
+    return TestFunction(
+        kind, read_number(d.get("threshold", 0.0), "threshold"),
+        read_number(d.get("width", 1.0), "width"),
+        d.get("direction", DECREASING if kind == NEGATED_RAMP else INCREASING))
+
+
+_KINDS = {
+    **dict.fromkeys((RAMP, NEGATED_RAMP, CONSTANT), _ramp),
+    "affine": lambda d: Affine(read_number(d.get("slope", 1.0), "slope"),
+                               read_number(d.get("intercept", 0.0), "intercept")),
+    "exp": lambda d: Exp(read_number(d.get("rate", 1.0), "rate")),
+    "abs-power": lambda d: AbsPower(read_number(d.get("power", 2.0), "power")),
+    "abs": lambda d: AbsPower(1.0),
+    "clamp": lambda d: Clamp(read_number(d["lo"], "lo"), read_number(d["hi"], "hi")),
+    "max-affine": lambda d: MaxAffine(tuple(
+        (read_number(a, "pieces"), read_number(b, "pieces")) for a, b in d["pieces"])),
+    "polynomial": lambda d: Polynomial(tuple(
+        read_number(c, "coeffs") for c in d["coeffs"])),
+}
+
+
+def from_descriptor(desc: Any, name: str = "function") -> Callable:
+    """The test function or scalar function a ``{"kind": ...}`` descriptor
+    names; the inverse of their ``descriptor``. Errors name the field
+    ``name``, e.g. "forward.g: width: ..."."""
+    kind = _kind(desc, name)
+    try:
+        if kind not in _KINDS:
+            raise ConfigValidationError(
+                f"unknown function kind {kind!r}; known: {sorted(_KINDS)}")
+        return _KINDS[kind](desc)
+    except KeyError as exc:
+        raise _field_error(name, f"function {kind!r} misses field {exc}") from exc
     except (NlprobError, ValueError, TypeError) as exc:
         raise _field_error(name, str(exc)) from exc
 
@@ -146,9 +263,7 @@ def _function_from_any(desc: Any, name: str) -> Callable:
 def _parse_strategy(entry: Any, name: str) -> AdversaryStrategy:
     if isinstance(entry, str):
         entry = {"kind": entry}
-    if not isinstance(entry, dict) or "kind" not in entry:
-        raise _field_error(name, f"needs a kind, got {entry!r}")
-    kind = entry["kind"]
+    kind = _kind(entry, name)
     try:  # errors below name the field, e.g. "...strategies[0]: index: ..."
         if kind == FIXED:
             return AdversaryStrategy(FIXED, read_number(
@@ -160,14 +275,13 @@ def _parse_strategy(entry: Any, name: str) -> AdversaryStrategy:
 
 
 def _parse_schedule(doc: Any) -> WeightSchedule:
-    if not isinstance(doc, dict) or "kind" not in doc:
-        raise _field_error("schedule", f"needs an object with a 'kind', got {doc!r}")
+    kind = _kind(doc, "schedule")
     numbers = {key: read_number(doc.get(key, default), f"schedule.{key}",
                                 optional=default is None)
                for key, default in (("alpha", 1.0), ("beta", 0.5), ("C", 1.0),
                                     ("m", 2.0), ("p", None))}
     try:
-        return make_schedule(doc["kind"], **numbers)
+        return make_schedule(kind, **numbers)
     except (NlprobError, ValueError, TypeError) as exc:
         raise _field_error("schedule", str(exc)) from exc
 
@@ -218,6 +332,10 @@ def _parse_simulation(doc: Any, simulated: bool) -> SimulationSettings:
                            f"simulation.{key}", **bounds)
 
     n_steps = number("n_steps", integer=True, low=1000)
+    control = doc.get("negative_control", _DEFAULT_SIMULATION.negative_control)
+    if not isinstance(control, bool):
+        raise _field_error("simulation.negative_control",
+                           f"must be true or false, got {control!r}")
     sim = SimulationSettings(
         n_steps=n_steps,
         paths_per_strategy=number("paths_per_strategy", integer=True, low=1),
@@ -225,8 +343,7 @@ def _parse_simulation(doc: Any, simulated: bool) -> SimulationSettings:
         n_start=number("n_start", optional=True, integer=True, low=100,
                        high=n_steps - 1),
         epsilon=number("epsilon", above=0.0),
-        negative_control=bool(doc.get("negative_control",
-                                      _DEFAULT_SIMULATION.negative_control)),
+        negative_control=control,
         max_exceedance_fraction=number("max_exceedance_fraction", low=0.0,
                                        high=1.0),
         min_control_fraction=number("min_control_fraction", low=0.0,
@@ -319,22 +436,25 @@ def parse_config(text: str, base_dir: str | Path | None = None) -> ExperimentCon
     forward_doc = raw.get("forward") or {}
     if not isinstance(forward_doc, dict):
         raise _field_error("forward", "must be an object")
-    forward_g = (_function_from_any(forward_doc["g"], "forward.g")
-                 if "g" in forward_doc else DEFAULT_FORWARD_G)
-    forward_f = (_function_from_any(forward_doc["f"], "forward.f")
-                 if "f" in forward_doc else DEFAULT_FORWARD_F)
+    forward_g, forward_f = (
+        from_descriptor(forward_doc.get(key, _DEFAULT_FORWARD[key]),
+                        f"forward.{key}") for key in "gf")
     forward_expected = read_number(forward_doc.get("expected"),
                                    "forward.expected", optional=True)
 
-    phi = (_function_from_any(raw["phi"], "phi")
+    phi = (from_descriptor(raw["phi"], "phi")
            if raw.get("phi") is not None else Exp(1.0))
     if not isinstance(phi, ScalarFunction):
         raise _field_error("phi", "must be a scalar-function descriptor")
-    if "strassen" in checks:
+    if "strassen" in checks:  # the limit the strassen-bound record reports
         try:
-            phi.sup_on_nonpositive()
+            sup, lip = phi.sup_on_nonpositive(), phi.lipschitz_on_ray(1.0)
         except UnboundedPhiError as exc:
             raise _field_error("phi", str(exc)) from exc
+        if not math.isfinite(sup + lip * simulation.epsilon):
+            raise _field_error("phi", f"strassen limit sup + lipschitz * "
+                                      f"epsilon = {sup!r} + {lip!r} * "
+                                      f"{simulation.epsilon} is not finite")
 
     expected = raw.get("expected_violations", [])
     if not isinstance(expected, list):
@@ -346,6 +466,9 @@ def parse_config(text: str, base_dir: str | Path | None = None) -> ExperimentCon
 
     horizon = read_number(raw.get("horizon", model.coordinates or DEFAULT_HORIZON),
                           "horizon", integer=True, low=1)
+    horizon = min(max(2, horizon), model.coordinates or math.inf)
+    if {"na", "vertical"} & set(checks):
+        check_horizon(model, horizon)
 
     indices = raw.get("truncation_indices", [1, 2, 3, 5, 8])
     if not isinstance(indices, list) or not indices:
@@ -363,7 +486,7 @@ def parse_config(text: str, base_dir: str | Path | None = None) -> ExperimentCon
     echo.pop("out", None)
 
     return ExperimentConfig(
-        model=model, model_doc=model_doc, checks=checks, tolerance=tolerance,
+        model=model, checks=checks, tolerance=tolerance,
         seed=seed, schedule=schedule, simulation=simulation,
         forward_g=forward_g, forward_f=forward_f,
         forward_expected=forward_expected, phi=phi,

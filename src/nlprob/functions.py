@@ -7,8 +7,9 @@ monotone direction, evenness) so that preconditions are machine-checkable,
 and can report its supremum over the closed nonpositive half-line, which
 some transforms do not have (``UnboundedPhiError``).
 
-Members serialize to plain descriptors ``{"kind": ..., <params>}`` for use in
-experiment configs; :func:`from_descriptor` inverts :attr:`descriptor`.
+Members describe themselves as plain descriptors ``{"kind": ..., <params>}``;
+:func:`nlprob.config.from_descriptor`, the reader of experiment configs,
+inverts :attr:`descriptor`. The catalog reads no outside input itself.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from typing import Any
 import numpy as np
 
 from .errors import ConfigValidationError, UnboundedPhiError
-from .serialize import read_number
 
 INCREASING = "increasing"
 DECREASING = "decreasing"
@@ -264,31 +264,3 @@ class Polynomial(ScalarFunction):
     def descriptor(self):
         return {"kind": "polynomial", "coeffs": list(self.coeffs)}
 
-
-_KINDS = {
-    "affine": lambda d: Affine(read_number(d.get("slope", 1.0), "slope"),
-                               read_number(d.get("intercept", 0.0), "intercept")),
-    "exp": lambda d: Exp(read_number(d.get("rate", 1.0), "rate")),
-    "abs-power": lambda d: AbsPower(read_number(d.get("power", 2.0), "power")),
-    "abs": lambda d: AbsPower(1.0),
-    "clamp": lambda d: Clamp(read_number(d["lo"], "lo"), read_number(d["hi"], "hi")),
-    "max-affine": lambda d: MaxAffine(tuple(
-        (read_number(a, "pieces"), read_number(b, "pieces")) for a, b in d["pieces"])),
-    "polynomial": lambda d: Polynomial(tuple(
-        read_number(c, "coeffs") for c in d["coeffs"])),
-}
-
-
-def from_descriptor(desc: dict[str, Any]) -> ScalarFunction:
-    """Rebuild a catalog member from its ``{"kind": ...}`` descriptor."""
-    if not isinstance(desc, dict) or "kind" not in desc:
-        raise ConfigValidationError(f"function descriptor needs a 'kind': {desc!r}")
-    kind = desc["kind"]
-    builder = _KINDS.get(kind)
-    if builder is None:
-        raise ConfigValidationError(
-            f"unknown function kind {kind!r}; known: {sorted(_KINDS)}")
-    try:
-        return builder(desc)
-    except KeyError as exc:
-        raise ConfigValidationError(f"function {kind!r} misses field {exc}") from exc

@@ -135,7 +135,6 @@ class SamplePath:
     reproduce identical arrays, bit for bit.
     """
 
-    seed_key: tuple[int, ...]
     choices: np.ndarray
     outcomes: np.ndarray
     values: np.ndarray
@@ -388,9 +387,7 @@ def sample_path(model: SequenceModel, strategy: AdversaryStrategy,
     pos = sampler.draw(sampler.streams([seed], n_steps), 0, n_steps,
                        _Buffers(1, n_steps))[0]
     rows, outcomes = np.divmod(pos, sampler.width)
-    base = _seed_sequence(seed)
-    return SamplePath(tuple(int(k) for k in base.spawn_key),
-                      rows % sampler.measures, outcomes, sampler.values[pos])
+    return SamplePath(rows % sampler.measures, outcomes, sampler.values[pos])
 
 
 @dataclass(frozen=True)

@@ -597,6 +597,32 @@ def test_scratch_simulation_config_keeps_exit_code_contract(config):
     _run_all(config)
 
 
+DEMO_DOC = json.loads(Path(DEMO).read_text())
+
+# (config overrides on the demo config, the one stderr line)
+REFUSED_AT_PARSE = {
+    "horizon": ({"checks": ["axioms", "chain", "na"], "horizon": 7},
+                "error: 7 coordinates exceed the enumeration cap 6\n"),
+    "phi": ({"phi": {"kind": "polynomial", "coeffs": [0, 1]}},
+            "error: phi: strassen limit sup + lipschitz * epsilon = "
+            "0.0 + inf * 0.3 is not finite\n"),
+    "negative-control": (
+        {"simulation": {**DEMO_DOC["simulation"], "negative_control": "false"}},
+        "error: simulation.negative_control: must be true or false, "
+        "got 'false'\n"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSED_AT_PARSE))
+def test_refused_before_the_output_directory_exists(tmp_path, capsys, case):
+    overrides, err = REFUSED_AT_PARSE[case]
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({**DEMO_DOC, **overrides}))
+    code, out, _ = run(tmp_path, "all", "--config", str(config))
+    assert code == 2 and capsys.readouterr().err == err
+    assert not out.exists()
+
+
 def test_long_vertical_horizon_is_refused_before_any_work(tmp_path):
     config = tmp_path / "long.json"
     config.write_text(json.dumps({

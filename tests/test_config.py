@@ -12,7 +12,11 @@ from nlprob.config import (
     FAMILIES,
     simulation_bytes,
 )
-from nlprob.errors import ConfigParseError, ConfigValidationError
+from nlprob.errors import (
+    ConfigParseError,
+    ConfigValidationError,
+    OracleTooLargeError,
+)
 
 MODEL_DOC = {
     "space": 2,
@@ -293,6 +297,51 @@ class TestFunctionFields:
     def test_phi_must_be_scalar_function(self):
         with pytest.raises(ConfigValidationError, match="phi"):
             parse_config(config_text(phi={"kind": "ramp"}))
+
+
+class TestRefusedAtParse:
+    """Configs whose selected checks cannot give a finite answer are refused
+    while parsing, before any check runs."""
+
+    SCHEDULE = {"kind": "kolmogorov", "alpha": 1.0, "beta": 0.5}
+
+    @pytest.mark.parametrize("phi", [
+        {"kind": "polynomial", "coeffs": [0, 1]},
+        {"kind": "polynomial", "coeffs": [1, 0, -1]},
+        {"kind": "exp", "rate": 709},
+    ])
+    def test_strassen_refuses_a_phi_with_no_finite_limit(self, phi):
+        with pytest.raises(ConfigValidationError,
+                           match=r"^phi: strassen limit .* is not finite$"):
+            parse_config(config_text(checks=["strassen"], seed=1,
+                                     schedule=self.SCHEDULE, phi=phi))
+        assert parse_config(config_text(phi=phi)).phi.descriptor["kind"] \
+            == phi["kind"]  # only strassen reads the limit
+
+    @pytest.mark.parametrize("value", ["false", 1, None])
+    def test_negative_control_is_a_json_boolean(self, value):
+        with pytest.raises(ConfigValidationError,
+                           match=r"^simulation\.negative_control: must be "
+                                 r"true or false, got "):
+            parse_config(config_text(simulation={"negative_control": value}))
+
+    @pytest.mark.parametrize("checks", [["na"], ["vertical"],
+                                        ["chain", "na", "vertical"]])
+    def test_dependence_horizon_past_the_cap(self, checks):
+        with pytest.raises(OracleTooLargeError,
+                           match="^7 coordinates exceed the enumeration cap 6$"):
+            parse_config(config_text(checks=checks, horizon=7))
+
+    def test_dependence_horizon_is_resolved(self):
+        for given, used in ((1, 2), (2, 2), (5, 5), (6, 6)):
+            config = parse_config(config_text(checks=["na", "vertical"],
+                                              horizon=given))
+            assert config.horizon == used
+        assert parse_config(config_text(horizon=7)).horizon == 7
+        pair = {**MODEL_DOC, "joint": "comonotone-pair",
+                "variables": {"Y": [0.0, -1.0], "X": [0.0, 1.0]}}
+        assert parse_config(config_text(model=pair, checks=["na"],
+                                        horizon=9)).horizon == 2
 
 
 class TestTextErrors:

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from nlprob.config import from_descriptor
 from nlprob.errors import ConfigValidationError, UnboundedPhiError
 from nlprob.functions import (
     AbsPower,
@@ -15,7 +16,6 @@ from nlprob.functions import (
     Exp,
     MaxAffine,
     Polynomial,
-    from_descriptor,
 )
 
 

@@ -2,9 +2,12 @@
 
 (a) Every name a module under ``src/nlprob/`` or ``tests/`` imports is used
 in that module (``__init__.py`` re-exports, so it is exempt).
-(b) Every public name of the package has a reader: code in ``src/`` uses
-it, README.md names it, ``perfbench/spans.py`` probes it, or the
-acceptance tests call it.
+(b) Every public name of the package has a reader: code in ``src/`` or
+``tests/`` uses it, or ``perfbench/spans.py`` probes it. README.md does not
+count, since ``tests/test_readme.py`` pins its API list to the exports.
+(c) ``config`` is the one reader of outside input: only it and the CLI,
+which reads ``--seed`` and ``--tolerance``, call ``read_number``, and the
+function catalog imports nothing from the package but ``errors``.
 """
 
 from __future__ import annotations
@@ -61,15 +64,32 @@ def test_every_import_is_used():
 
 
 def test_every_public_name_has_a_reader():
-    in_src = set().union(*(_used(_tree(p)) for p in PACKAGE.glob("*.py")
-                           if p.name != "__init__.py"))
-    acceptance = _used(_tree(ROOT / "tests" / "test_acceptance.py"))
-    named = {path: set(re.findall(r"\w+", (ROOT / path).read_text(encoding="utf-8")))
-             for path in ("README.md", "perfbench/spans.py")}
-    unread = [name for name in nlprob.__all__
-              if name not in in_src | acceptance
-              and not any(name in words for words in named.values())]
+    in_code = set().union(*(_used(_tree(p)) for p in MODULES))
+    probed = set(re.findall(r"\w+", (ROOT / "perfbench" / "spans.py")
+                            .read_text(encoding="utf-8")))
+    unread = [name for name in nlprob.__all__ if name not in in_code | probed]
     assert not unread, f"public names nothing reads: {unread}"
+
+
+def test_only_config_and_the_cli_read_numbers():
+    readers = {p.name for p in PACKAGE.glob("*.py")
+               if any(isinstance(node, ast.Call)
+                      and "read_number" in _used(node.func)
+                      for node in ast.walk(_tree(p)))}
+    assert readers <= {"config.py", "cli.py"}, readers
+
+
+def test_function_catalog_imports_only_errors():
+    imports = [node for node in ast.walk(_tree(PACKAGE / "functions.py"))
+               if isinstance(node, (ast.Import, ast.ImportFrom))]
+    relative = {node.module for node in imports
+                if isinstance(node, ast.ImportFrom) and node.level}
+    absolute = [alias.name for node in imports if isinstance(node, ast.Import)
+                for alias in node.names]
+    absolute += [node.module for node in imports
+                 if isinstance(node, ast.ImportFrom) and not node.level]
+    assert relative == {"errors"}
+    assert not [name for name in absolute if name.split(".")[0] == "nlprob"]
 
 
 def test_star_import_binds_no_module():
