@@ -410,7 +410,7 @@ def main(argv: list[str] | None = None) -> int:
         tolerance = read_number(args.tolerance, "--tolerance", optional=True,
                                 above=0.0)
         config = parse_config(read_text(config_path, "config"),
-                              base_dir=config_path.parent)
+                              config_path.parent, args.command)
         summary, failures = execute(config, args.command, args.out, seed,
                                     tolerance)
     except NlprobError as exc:  # configuration errors included

@@ -39,9 +39,10 @@ take finite JSON numbers only (no bool, string or NaN), and
 1e-9, epsilon 0.05, n_start = n_steps // 10, horizon = the model's
 coordinate count, or 4 where it is unbounded.
 Function fields (``forward.g``, ``forward.f``, ``phi``) read one descriptor
-table, :func:`from_descriptor`. Checks that cannot give a finite answer are
-refused here, before any work: ``na`` or ``vertical`` past the enumeration
-cap, and ``strassen`` with a ``phi`` whose limit is not finite.
+table, :func:`from_descriptor`. Checks that the subcommand runs and that
+cannot give a finite answer are refused here, before any work: ``na`` or
+``vertical`` past the enumeration cap, and ``strassen`` with a ``phi``
+whose limit is not finite.
 """
 
 from __future__ import annotations
@@ -376,11 +377,14 @@ def _load_json(text: str, what: str) -> Any:
         raise ConfigParseError(f"{what} is not valid JSON: {exc}") from exc
 
 
-def parse_config(text: str, base_dir: str | Path | None = None) -> ExperimentConfig:
-    """Parse and validate configuration text.
+def parse_config(text: str, base_dir: str | Path | None = None,
+                 subcommand: str = "all") -> ExperimentConfig:
+    """Parse and validate configuration text for ``subcommand``.
 
     ``base_dir`` anchors relative model paths (defaults to the working
-    directory); referenced files must exist at parse time.
+    directory); referenced files must exist at parse time. The checks of
+    ``subcommand``'s family (``FAMILIES``) that cannot give a finite answer
+    are refused.
     """
     raw = _load_json(text, "config")
     if not isinstance(raw, dict):
@@ -411,6 +415,7 @@ def parse_config(text: str, base_dir: str | Path | None = None) -> ExperimentCon
             raise _field_error(f"checks[{k}]",
                                f"unknown check {name!r}; known: {list(CHECK_NAMES)}")
     checks = tuple(dict.fromkeys(checks_doc))  # dedupe, keep order
+    selected = set(checks) & set(FAMILIES[subcommand])
     simulated = sorted(SIMULATION_CHECKS & set(checks))
     if simulated and not model.product_measures:
         raise _field_error("checks", f"{simulated} need a rectangular model, "
@@ -446,7 +451,7 @@ def parse_config(text: str, base_dir: str | Path | None = None) -> ExperimentCon
            if raw.get("phi") is not None else Exp(1.0))
     if not isinstance(phi, ScalarFunction):
         raise _field_error("phi", "must be a scalar-function descriptor")
-    if "strassen" in checks:  # the limit the strassen-bound record reports
+    if "strassen" in selected:  # the limit the strassen-bound record reports
         try:
             sup, lip = phi.sup_on_nonpositive(), phi.lipschitz_on_ray(1.0)
         except UnboundedPhiError as exc:
@@ -467,7 +472,7 @@ def parse_config(text: str, base_dir: str | Path | None = None) -> ExperimentCon
     horizon = read_number(raw.get("horizon", model.coordinates or DEFAULT_HORIZON),
                           "horizon", integer=True, low=1)
     horizon = min(max(2, horizon), model.coordinates or math.inf)
-    if {"na", "vertical"} & set(checks):
+    if {"na", "vertical"} & selected:
         check_horizon(model, horizon)
 
     indices = raw.get("truncation_indices", [1, 2, 3, 5, 8])

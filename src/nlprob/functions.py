@@ -260,6 +260,13 @@ class Polynomial(ScalarFunction):
                         float(np.polynomial.polynomial.polyval(r.real, np.array(c))))
         return max(candidates)
 
+    def lipschitz_on_ray(self, upper: float) -> float:
+        # a line's slope (0 for a constant); a higher degree has none
+        c = self._trimmed()
+        if len(c) > 2:
+            return float("inf")
+        return abs(c[1]) if len(c) == 2 else 0.0
+
     @property
     def descriptor(self):
         return {"kind": "polynomial", "coeffs": list(self.coeffs)}

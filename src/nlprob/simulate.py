@@ -20,9 +20,9 @@ scale is about 0.029 and a driftless path crosses eps = 0.05 about one time
 in ten, while with A_n = n the same eps sits near 11 sigma.
 
 The experiment runner is a step-major block engine. Each strategy's
-sampler tables are built once, and a block's weights (a_i, A_i) come from
-the schedule's rules when the block is summed, so no array has the
-horizon's length. The paths of one strategy advance together, at most
+sampler tables are built once, and a block's weights come from the
+schedule's rules when the block is summed, so no array has the horizon's
+length. The paths of one strategy advance together, at most
 ``PATH_BLOCK`` of them, through blocks of ``STEP_BLOCK`` steps. A block
 draws one uniform per path and step into a preallocated (paths x steps)
 buffer and inverts the chosen measure's CDF by bisecting for the count of
@@ -30,13 +30,22 @@ cumulative weights at or below it (see ``sample_path``). The final
 position indexes a table of pre-centred pairs, the outcome's value minus
 the upper mean in the real part and minus the lower mean in the
 imaginary part, so one complex gather gives each step's two centred
-terms, and the paired form of ``normalized_partial_sums`` forms both
-trajectories in one complex prefix sum, carrying each path's running
-pair from block to block. numpy adds complex numbers part by part, so
-each trajectory has the bits of its own real prefix sum. Between blocks a
-path keeps only its running sums, tail max and min, phi sup and grid
-samples, so no per-path array grows with the horizon, and the block
-buffers are bounded by the module constants.
+terms. A constant weight a (kolmogorov, mz) is folded into that table
+when it is built, fl(fl(x - c) * a), the float a per-step scaling makes;
+other weights a_i scale a block's terms part by part. The paired form of
+``normalized_partial_sums`` then forms both trajectories from the
+weighted terms and the block's normalizers A_i in one complex prefix
+sum, carrying each path's running pair from block to block. numpy adds
+complex numbers part by part, so each trajectory has the bits of its own
+real prefix sum. Between blocks a path keeps only its running sums, tail
+max and min, grid samples and, for a phi that is not nondecreasing, its
+phi sup, so no per-path array grows with the horizon, and the block
+buffers are bounded by the module constants. A nondecreasing phi has
+sup_n phi(S_n) = phi(sup_n S_n), so it is evaluated once per path, at the
+tail max, after the path's last block. That holds in floats too, as the
+catalog's nondecreasing members round monotonically; only the sign of a
+zero result can differ, since numpy's max picks among zeros of both signs
+by position.
 
 Determinism: the engine runs on one thread. Each path's generators are
 derived from (master seed, strategy index, path index) via seed-sequence
@@ -63,7 +72,7 @@ from .errors import (
     UnsupportedModelError,
 )
 from .expectation import expectation_values
-from .functions import ScalarFunction
+from .functions import INCREASING, ScalarFunction
 from .models import SequenceModel
 from .slln import WeightSchedule, normalized_partial_sums, validate_schedule
 
@@ -279,13 +288,15 @@ class _BlockSampler:
     bisection position is also the flat index of its value and of its
     centred pair, and a strategy that plays the same measure on every path
     has one row sequence for all of them, built once for blocks of at most
-    ``steps`` steps.
+    ``steps`` steps. Given a constant ``weight`` a as well, each part is
+    scaled by it once here, fl(fl(value - centre) * a), the float the
+    partial sums would make at every step.
     """
 
     def __init__(self, model: SequenceModel, strategy: AdversaryStrategy,
                  steps: int,
-                 centers: tuple[np.ndarray, np.ndarray] | None = None
-                 ) -> None:
+                 centers: tuple[np.ndarray, np.ndarray] | None = None,
+                 weight: float | None = None) -> None:
         if not model.product_measures:
             raise UnsupportedModelError(
                 f"sampling needs a rectangular-product model, not "
@@ -304,6 +315,8 @@ class _BlockSampler:
             for part, c in zip((self.pairs.real, self.pairs.imag), centers):
                 np.subtract(self.values,
                             np.repeat(c, self.measures * self.width), out=part)
+                if weight is not None:
+                    part *= weight
         self.steps = steps
         self.salt = strategy.salt
         pattern = _choice_pattern(model, strategy)
@@ -444,7 +457,8 @@ def run_slln_experiment(model: SequenceModel, schedule: WeightSchedule,
     lower-centered one lower means; ``swap_centers=True`` deliberately
     exchanges them, which must wreck convergence (negative control). When
     ``phi`` is given, each path also records sup phi(S_n^upper) over the
-    tail, against phi's sup on the nonpositive axis.
+    tail, against phi's sup on the nonpositive axis; a ``phi`` whose
+    ``monotonicity`` is increasing is evaluated at the tail max alone.
 
     The exceedance and undershoot fractions are finite-horizon proxies, not
     the almost-sure limits: their false-alarm rate at a given ``epsilon``
@@ -477,12 +491,17 @@ def run_slln_experiment(model: SequenceModel, schedule: WeightSchedule,
         upper_c, lower_c = lower_c, upper_c
     grid = sample_grid(n_steps, n_start, grid_points)
     phi_bound = phi.sup_on_nonpositive() if phi is not None else None
+    # sup phi(S_n) = phi(sup S_n) for a nondecreasing phi, so such a phi
+    # is evaluated once per path, at its tail max
+    phi_per_block = phi is not None and phi.monotonicity != INCREASING
+    weight = schedule.constant_weight
     block = min(STEP_BLOCK, n_steps)
     buf = _Buffers(min(PATH_BLOCK, paths_per_strategy), block)
     summaries: list[PathSummary] = []
     samples: list[TrajectorySample] = []
     for si, strat in enumerate(strategies):
-        sampler = _BlockSampler(model, strat, block, (upper_c, lower_c))
+        sampler = _BlockSampler(model, strat, block, (upper_c, lower_c),
+                                weight)
         for first in range(0, paths_per_strategy, PATH_BLOCK):
             count = min(PATH_BLOCK, paths_per_strategy - first)
             seeds = [_seed_sequence(seed, si, first + i) for i in range(count)]
@@ -500,10 +519,15 @@ def run_slln_experiment(model: SequenceModel, schedule: WeightSchedule,
                 pos = sampler.draw(streams, start, steps, buf)
                 terms = _shaped(buf.pairs, count, steps)
                 np.take(sampler.pairs, pos, out=terms, mode="clip")
+                ii = np.arange(start + 1, stop + 1, dtype=float)
+                if weight is None:  # weight each float part
+                    parts = terms.view(np.float64)
+                    np.multiply(parts, np.repeat(schedule.a(ii), 2),
+                                out=parts)
                 # the block's uniforms and probes are spent, so their
                 # buffers take the two trajectories
                 s_up, s_low = normalized_partial_sums(
-                    terms, schedule.table(stop, start), carry=carry,
+                    terms, schedule.A(ii), carry=carry,
                     out=(_shaped(buf.u, count, steps),
                          _shaped(buf.seen, count, steps)))
                 if not swap_centers and (s_up - s_low).max() > _ORDER_SLACK:
@@ -514,7 +538,7 @@ def run_slln_experiment(model: SequenceModel, schedule: WeightSchedule,
                     tail_up, tail_low = s_up[:, tail:], s_low[:, tail:]
                     np.maximum(tail_max, tail_up.max(axis=1), out=tail_max)
                     np.minimum(tail_min, tail_low.min(axis=1), out=tail_min)
-                    if phi is not None:
+                    if phi_per_block:
                         # an inf sup is NonFiniteError later
                         with np.errstate(over="ignore"):
                             np.maximum(phi_sup, phi(tail_up).max(axis=1),
@@ -523,6 +547,9 @@ def run_slln_experiment(model: SequenceModel, schedule: WeightSchedule,
                 if hi > lo:
                     grid_up[:, lo:hi] = s_up[:, grid[lo:hi] - 1 - start]
                     grid_low[:, lo:hi] = s_low[:, grid[lo:hi] - 1 - start]
+            if phi is not None and not phi_per_block:
+                with np.errstate(over="ignore"):
+                    phi_sup = phi(tail_max)
             for i in range(count):
                 summaries.append(PathSummary(
                     strat.label, first + i, float(s_up[i, -1]),

@@ -106,6 +106,12 @@ class WeightSchedule:
             return _lookup(self._tables[1], nn, "normalizer")
         raise ValueError(f"unknown normalizer rule {self.A_kind!r}")
 
+    @property
+    def constant_weight(self) -> float | None:
+        """The weight a_i when the rule gives every i the same one (the
+        value ``a`` returns at each index), else None."""
+        return float(self.a_param) if self.a_kind == "constant" else None
+
     @cached_property
     def _tables(self) -> tuple[np.ndarray, np.ndarray]:
         """The "table" rules' tuples as arrays, converted once."""
@@ -291,7 +297,8 @@ def exp_moment_bound(model: SequenceModel, schedule: WeightSchedule,
     return float(product_expectation_table(model, np.vstack(rows)).max())
 
 
-def normalized_partial_sums(values, table: tuple[np.ndarray, np.ndarray],
+def normalized_partial_sums(values,
+                            table: tuple[np.ndarray, np.ndarray] | np.ndarray,
                             centers=None, carry: np.ndarray | None = None,
                             out: tuple[np.ndarray, np.ndarray] | None = None):
     """S_n = sum_{i<=n} a_i (x_i - center_i) / A_n for n = 1..N along the
@@ -301,16 +308,18 @@ def normalized_partial_sums(values, table: tuple[np.ndarray, np.ndarray],
     buffer, in the order subtract, scale, cumsum, divide, so the result is
     bit for bit ``np.cumsum(a * (x - c)) / A``.
 
-    The paired form takes no ``centers``: ``values`` is a complex128 array
-    of terms already centred twice, x_i - c_i in the real part and
-    x_i - d_i in the imaginary part, and the result is the pair of real
+    The paired form takes no ``centers`` and takes weighted terms:
+    ``values`` is a complex128 array holding a_i (x_i - c_i) in the real
+    part and a_i (x_i - d_i) in the imaginary part, each part the float
+    product fl(fl(x_i - c_i) * a_i) that the one-centre form makes, and
+    ``table`` is the normalizers A alone. The result is the pair of real
     trajectories (centred on c, centred on d). numpy adds complex numbers
     part by part, so one complex cumsum makes both prefix sums, each bit
-    for bit its float64 cumsum. ``a`` scales the float parts: a complex
-    times a real would promote a to a + 0j, and x * a - y * 0 can flip the
-    sign of a zero. The terms are summed in place, so ``values`` ends
-    holding the running sums, and each part divided by A is written to the
-    two float arrays of ``out`` (new ones when it is None).
+    for bit its float64 cumsum. Weight the terms part by part as well: a
+    complex times a real would promote a to a + 0j, and x * a - y * 0 can
+    flip the sign of a zero. The terms are summed in place, so ``values``
+    ends holding the running sums, and each part divided by A is written
+    to the two float arrays of ``out`` (new ones when it is None).
 
     ``carry``, when given, holds each path's running sum
     sum_{i<t0} a_i (x_i - c_i) of the steps before the block (complex in
@@ -322,18 +331,18 @@ def normalized_partial_sums(values, table: tuple[np.ndarray, np.ndarray],
     so an empty prefix changes no bit, not even a sign of zero.
     """
     paired = centers is None
-    a, A = table
     n = np.shape(values)[-1]
-    n_centers = n if paired else np.size(centers)
-    if min(n_centers, len(a), len(A)) < n:
-        raise LengthMismatchError(
-            f"{n_centers} centers, {len(a)} weights and {len(A)} normalizers "
-            f"for {n} steps; need at least as many of each")
     if paired:
-        terms = values
-        parts = terms.view(np.float64)  # (re, im) of each term, interleaved
-        np.multiply(parts, np.repeat(a[:n], 2), out=parts)
+        terms, A = values, table
+        if len(A) < n:
+            raise LengthMismatchError(
+                f"{len(A)} normalizers for {n} steps; need at least as many")
     else:
+        a, A = table
+        if min(np.size(centers), len(a), len(A)) < n:
+            raise LengthMismatchError(
+                f"{np.size(centers)} centers, {len(a)} weights and {len(A)} "
+                f"normalizers for {n} steps; need at least as many of each")
         terms = np.subtract(np.asarray(values, dtype=float),
                             np.asarray(centers, dtype=float)[:n])
         terms *= a[:n]

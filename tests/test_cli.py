@@ -603,7 +603,7 @@ DEMO_DOC = json.loads(Path(DEMO).read_text())
 REFUSED_AT_PARSE = {
     "horizon": ({"checks": ["axioms", "chain", "na"], "horizon": 7},
                 "error: 7 coordinates exceed the enumeration cap 6\n"),
-    "phi": ({"phi": {"kind": "polynomial", "coeffs": [0, 1]}},
+    "phi": ({"phi": {"kind": "polynomial", "coeffs": [0, 0, -1]}},
             "error: phi: strassen limit sup + lipschitz * epsilon = "
             "0.0 + inf * 0.3 is not finite\n"),
     "negative-control": (
@@ -621,6 +621,43 @@ def test_refused_before_the_output_directory_exists(tmp_path, capsys, case):
     code, out, _ = run(tmp_path, "all", "--config", str(config))
     assert code == 2 and capsys.readouterr().err == err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("case, refused_by, runs", [
+    ("horizon", ("check-deps",), ("verify", "simulate")),
+    ("phi", ("simulate",), ("verify", "check-deps")),
+])
+def test_refusals_follow_the_subcommand(tmp_path, capsys, case, refused_by,
+                                        runs):
+    # a refusal concerns the checks a subcommand runs, not the others
+    overrides, err = REFUSED_AT_PARSE[case]
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({**DEMO_DOC, **overrides}))
+    for subcommand in refused_by:
+        code, out, _ = run(tmp_path / subcommand, subcommand,
+                           "--config", str(config))
+        assert code == 2 and capsys.readouterr().err == err
+        assert not out.exists()
+    for subcommand in runs:
+        code, _, report = run(tmp_path / subcommand, subcommand,
+                              "--config", str(config))
+        assert code == 0 and report["subcommand"] == subcommand
+
+
+def test_a_linear_polynomial_phi_is_the_affine_one(tmp_path):
+    # the same line as a polynomial and as an affine phi: both run, with
+    # the same strassen bound
+    bounds = []
+    for phi in ({"kind": "polynomial", "coeffs": [0, 1]},
+                {"kind": "affine", "slope": 1.0, "intercept": 0.0}):
+        config = tmp_path / f"{phi['kind']}.json"
+        config.write_text(json.dumps({**DEMO_DOC, "phi": phi}))
+        code, _, report = run(tmp_path / phi["kind"], "simulate",
+                              "--config", str(config))
+        rec = record(report, "strassen-bound")
+        assert code == 0 and rec["pass"]
+        bounds.append((rec["lhs"], rec["rhs"], rec["gap"]))
+    assert bounds[0] == bounds[1]
 
 
 def test_long_vertical_horizon_is_refused_before_any_work(tmp_path):

@@ -10,6 +10,7 @@ from nlprob.config import (
     DEFAULT_EPSILON,
     DEFAULT_TOLERANCE,
     FAMILIES,
+    from_descriptor,
     simulation_bytes,
 )
 from nlprob.errors import (
@@ -306,17 +307,30 @@ class TestRefusedAtParse:
     SCHEDULE = {"kind": "kolmogorov", "alpha": 1.0, "beta": 0.5}
 
     @pytest.mark.parametrize("phi", [
-        {"kind": "polynomial", "coeffs": [0, 1]},
+        {"kind": "polynomial", "coeffs": [0, 0, -1]},
         {"kind": "polynomial", "coeffs": [1, 0, -1]},
         {"kind": "exp", "rate": 709},
     ])
     def test_strassen_refuses_a_phi_with_no_finite_limit(self, phi):
-        with pytest.raises(ConfigValidationError,
-                           match=r"^phi: strassen limit .* is not finite$"):
-            parse_config(config_text(checks=["strassen"], seed=1,
-                                     schedule=self.SCHEDULE, phi=phi))
+        text = config_text(checks=["strassen"], seed=1,
+                           schedule=self.SCHEDULE, phi=phi)
+        for subcommand in ("simulate", "all"):
+            with pytest.raises(ConfigValidationError,
+                               match=r"^phi: strassen limit .* is not finite$"):
+                parse_config(text, subcommand=subcommand)
+        # only strassen reads the limit, and only the subcommands that run it
         assert parse_config(config_text(phi=phi)).phi.descriptor["kind"] \
-            == phi["kind"]  # only strassen reads the limit
+            == phi["kind"]
+        for subcommand in ("verify", "check-deps"):
+            assert parse_config(text, subcommand=subcommand).phi.descriptor \
+                == from_descriptor(phi).descriptor
+
+    @pytest.mark.parametrize("coeffs", [[0, 1], [2, 0.5], [3]])
+    def test_strassen_takes_a_polynomial_of_degree_one(self, coeffs):
+        phi = {"kind": "polynomial", "coeffs": coeffs}
+        config = parse_config(config_text(checks=["strassen"], seed=1,
+                                          schedule=self.SCHEDULE, phi=phi))
+        assert config.phi.lipschitz_on_ray(1.0) == abs((coeffs + [0])[1])
 
     @pytest.mark.parametrize("value", ["false", 1, None])
     def test_negative_control_is_a_json_boolean(self, value):
@@ -328,9 +342,15 @@ class TestRefusedAtParse:
     @pytest.mark.parametrize("checks", [["na"], ["vertical"],
                                         ["chain", "na", "vertical"]])
     def test_dependence_horizon_past_the_cap(self, checks):
-        with pytest.raises(OracleTooLargeError,
-                           match="^7 coordinates exceed the enumeration cap 6$"):
-            parse_config(config_text(checks=checks, horizon=7))
+        text = config_text(checks=checks, horizon=7)
+        for subcommand in ("check-deps", "all"):
+            with pytest.raises(OracleTooLargeError,
+                               match="^7 coordinates exceed the enumeration "
+                                     "cap 6$"):
+                parse_config(text, subcommand=subcommand)
+        # verify and simulate run no dependence check
+        for subcommand in ("verify", "simulate"):
+            assert parse_config(text, subcommand=subcommand).horizon == 7
 
     def test_dependence_horizon_is_resolved(self):
         for given, used in ((1, 2), (2, 2), (5, 5), (6, 6)):

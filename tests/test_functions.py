@@ -6,10 +6,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nlprob.config import from_descriptor
 from nlprob.errors import ConfigValidationError, UnboundedPhiError
 from nlprob.functions import (
+    INCREASING,
     AbsPower,
     Affine,
     Clamp,
@@ -118,6 +121,58 @@ class TestPolynomial:
     def test_unbounded(self):
         with pytest.raises(UnboundedPhiError):
             Polynomial((0.0, 0.0, 1.0)).sup_on_nonpositive()  # x^2
+
+    def test_lipschitz_on_ray(self):
+        # a line has its slope; the trimmed degree decides
+        assert Polynomial((0.0, 1.0)).lipschitz_on_ray(1.0) == 1.0
+        assert Polynomial((2.0, -3.0, 0.0)).lipschitz_on_ray(1.0) == 3.0
+        assert Polynomial((5.0, 0.0)).lipschitz_on_ray(1.0) == 0.0
+        assert Polynomial((0.0, 0.0, -1.0)).lipschitz_on_ray(1.0) == math.inf
+
+
+_PARAM = st.floats(-1e3, 1e3)
+_SLOPE = st.floats(0.0, 1e3)
+INCREASING_PHIS = st.one_of(
+    st.builds(Affine, _SLOPE, _PARAM),
+    st.builds(Exp, st.floats(0.0, 50.0)),
+    st.builds(lambda a, b: Clamp(min(a, b), max(a, b)), _PARAM, _PARAM),
+    st.builds(MaxAffine, st.lists(st.tuples(_SLOPE, _PARAM), min_size=1,
+                                  max_size=4).map(tuple)),
+)
+
+
+@given(INCREASING_PHIS, st.integers(1, 33), st.integers(1, 2100),
+       st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                max_size=20), st.booleans(), st.integers(0, 2**32 - 1))
+@settings(max_examples=300, deadline=None)
+def test_an_increasing_phi_commutes_with_max(phi, rows, steps, specials,
+                                             crowded, seed):
+    # the simulator evaluates a nondecreasing phi once per path, at the
+    # max of the path's tail, in place of the max of phi over the tail.
+    # Each row is a path's tail: values spread over sixty decades, or
+    # crowded a few ulps apart where a rounding could break monotonicity,
+    # with any finite floats (signed zeros, subnormals, extremes) mixed in
+    assert phi.monotonicity == INCREASING
+    rng = np.random.default_rng(seed)
+    n = rows * steps
+    if crowded:
+        x = rng.normal() * (1.0 + np.finfo(float).eps
+                            * rng.integers(-64, 65, size=n))
+    else:
+        x = rng.normal(size=n) * 10.0 ** rng.integers(-30, 31, size=n)
+    x[rng.integers(n, size=len(specials))] = specials
+    x = x.reshape(rows, steps)
+    with np.errstate(over="ignore"):
+        per_step = phi(x).max(axis=1)
+        per_path = phi(x.max(axis=1))
+        one = np.float64(phi(x[0].max()))
+    assert np.array_equal(per_step, per_path) and per_step[0] == one
+    # bit for bit, but for the sign of a zero: numpy's max picks among
+    # zeros of both signs by position, so it can differ whichever way
+    # phi is evaluated
+    nonzero = per_step != 0.0
+    assert per_step[nonzero].tobytes() == per_path[nonzero].tobytes()
+    assert per_step[0] == 0.0 or per_step[:1].tobytes() == one.tobytes()
 
 
 class TestDescriptors:

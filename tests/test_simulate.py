@@ -13,7 +13,10 @@ from nlprob import (
     AbsPower,
     AdversaryStrategy,
     Affine,
+    Clamp,
     Exp,
+    MaxAffine,
+    Polynomial,
     RandomVariable,
     SequenceModel,
     bundled_strategies,
@@ -369,8 +372,12 @@ def test_block_engine_matches_the_path_oracle(rng):
     # table weights in (0.5, 1.5) and their running sums as a table
     # normalizer, A_n = a_1 + ... + a_n
     weights = 1.0 + 0.5 * np.sin(np.arange(1.0, horizons[-1] + 1))
+    # constant weights are folded into the sampler's pair table, the
+    # others weight each block
     schedules = (make_schedule("kolmogorov", alpha=1.0, beta=0.5),
                  make_schedule("mz", alpha=1.0, beta=0.5, p=1.25),
+                 make_schedule("custom", alpha=1.0, beta=0.5,
+                               a_rule=("constant", 0.7)),
                  make_schedule("custom", alpha=1.0, beta=0.5,
                                a_rule=("harmonic", None)),
                  make_schedule("custom", alpha=1.0, beta=0.5,
@@ -380,6 +387,10 @@ def test_block_engine_matches_the_path_oracle(rng):
                                A_rule=("table", tuple(np.cumsum(weights)))))
     assert all(validate_schedule(s, n).passed
                for s in schedules for n in horizons)
+    # nondecreasing phis are evaluated once per path at its tail max, the
+    # non-monotone -x^2 once per tail block
+    phis = (None, Affine(0.5, 1.0), Clamp(-1.0, 0.2),
+            MaxAffine(((0, 0), (1, -0.1))), Polynomial((0, 0, -1)))
     for trial in range(60):
         model = _random_rectangular_model(rng)
         n_steps = horizons[trial % len(horizons)]
@@ -392,7 +403,9 @@ def test_block_engine_matches_the_path_oracle(rng):
             # each horizon comes round 8 or 9 times: every start is taken
             n_start=starts[trial // len(horizons) % len(starts)],
             swap_centers=bool(trial % 2),
-            phi=Exp(float(rng.uniform(0.1, 2.0))) if trial % 3 else None,
+            # each schedule meets every phi
+            phi=(phis + (Exp(float(rng.uniform(0.1, 2.0))),))[
+                trial // len(schedules) % (len(phis) + 1)],
             grid_points=int(rng.integers(2, 200)))
         schedule = schedules[trial % len(schedules)]
         want = _path_oracle(model, schedule, strategies, **kwargs)
@@ -606,6 +619,31 @@ class TestRunExperiment:
         assert result.config["schedule"]["kind"] == "kolmogorov"
         assert result.config["strategies"] == ["cyclic"]
         assert result.config["phi"] is None and result.phi_bound is None
+
+    def test_phi_is_called_once_per_path_group_when_nondecreasing(
+            self, marginal_model, kolmogorov, monkeypatch):
+        # a nondecreasing phi is evaluated at each group's tail maxima after
+        # its last block; -x^2 over every tail block: four blocks, the
+        # first ending before n_start, and two groups per strategy
+        block = nlprob.simulate.STEP_BLOCK
+        group = nlprob.simulate.PATH_BLOCK
+        calls = []
+        for cls in (Exp, Polynomial):
+            def recorded(self, x, call=cls.__call__):
+                calls.append(np.shape(x))
+                return call(self, x)
+            monkeypatch.setattr(cls, "__call__", recorded)
+        kwargs = dict(n_steps=3 * block + 10, paths_per_strategy=group + 1,
+                      seed=6, n_start=block + 5)
+        strategies = bundled_strategies()
+        run_slln_experiment(marginal_model, kolmogorov, strategies,
+                            phi=Exp(1.0), **kwargs)
+        assert calls == [(group,), (1,)] * len(strategies)
+        calls.clear()
+        run_slln_experiment(marginal_model, kolmogorov, strategies,
+                            phi=Polynomial((0, 0, -1)), **kwargs)
+        tails = [(group, block - 4), (group, block), (group, 10)]
+        assert calls == (tails + [(1, s) for _, s in tails]) * len(strategies)
 
     def test_phi_tail_sup_is_transform_of_tail_max(self, marginal_model,
                                                    kolmogorov):

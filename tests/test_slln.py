@@ -492,11 +492,12 @@ class TestNormalizedPartialSums:
         assert np.signbit(want[0]) and got[0].tobytes() == want.tobytes()
 
     @staticmethod
-    def _pairs(x, upper, lower):
-        # set part by part, as the simulator's pair table is
+    def _pairs(x, upper, lower, a=1.0):
+        # weighted terms set part by part, as the simulator's pair table
+        # and its per-block weighting set them
         z = np.empty(np.shape(x), dtype=np.complex128)
-        z.real = x - upper
-        z.imag = x - lower
+        z.real = (x - upper) * a
+        z.imag = (x - lower) * a
         return z
 
     @pytest.mark.parametrize("rules", [
@@ -506,9 +507,10 @@ class TestNormalizedPartialSums:
     ], ids=["harmonic-power", "tables"])
     def test_paired_form_matches_two_real_passes_bit_for_bit(self, rules,
                                                               rng):
-        # blocks of 1, 1023, 1024 and 1025 steps, summed as complex pairs
-        # with one carry from complex(-0.0, -0.0), give each path the bits
-        # of two one-pass real sums, one per centre sequence
+        # blocks of 1, 1023, 1024 and 1025 steps of weighted terms, summed
+        # as complex pairs with one carry from complex(-0.0, -0.0), give
+        # each path the bits of two one-pass real sums, one per centre
+        # sequence
         sched = make_schedule("custom", alpha=1.0, beta=0.5, **rules)
         paths, lengths = 4, (1, 1023, 1024, 1025)
         n = sum(lengths)
@@ -524,8 +526,9 @@ class TestNormalizedPartialSums:
         for lo, hi in zip(edges[:-1], edges[1:]):
             out = (np.empty((paths, hi - lo)), np.empty((paths, hi - lo)))
             got = normalized_partial_sums(
-                self._pairs(x[:, lo:hi], upper[lo:hi], lower[lo:hi]),
-                (a[lo:hi], A[lo:hi]), carry=carry, out=out)
+                self._pairs(x[:, lo:hi], upper[lo:hi], lower[lo:hi],
+                            a[lo:hi]),
+                A[lo:hi], carry=carry, out=out)
             assert got[0] is out[0] and got[1] is out[1]
             blocks.append(got)
         for p in range(paths):
@@ -540,12 +543,11 @@ class TestNormalizedPartialSums:
                              ids=["real", "imaginary"])
     def test_paired_form_keeps_the_sign_of_a_zero(self, kolmogorov, first):
         # x_1 = -0.0 makes one part of the first term -0.0 and the other
-        # nonzero; scaling by a complex times real product would turn that
-        # -0.0 into +0.0, and the first sums with it
+        # nonzero; the complex sums must keep that -0.0 as the real sums do
         c, d = [first[0], 0.0, 0.0], [first[1], 0.0, 0.0]
         x = np.array([[-0.0, 1.0, 2.0]])
         got = normalized_partial_sums(self._pairs(x, c, d),
-                                      kolmogorov.table(3),
+                                      kolmogorov.table(3)[1],
                                       carry=np.full(1, complex(-0.0, -0.0)))
         for s, centers in zip(got, (c, d)):
             want = normalized_partial_sums(x[0], kolmogorov.table(3), centers)
@@ -559,18 +561,16 @@ class TestNormalizedPartialSums:
         x = np.full((3, 1025), 2.0)
         carry = np.full(3, complex(-0.0, -0.0))
         upper, lower = normalized_partial_sums(
-            self._pairs(x, 2.0, 2.0), sched.table(1025), carry=carry)
+            self._pairs(x, 2.0, 2.0), sched.table(1025)[1], carry=carry)
         want = normalized_partial_sums(x[0], sched.table(1025), x[0])
         for s in (upper, lower):
             assert s.tobytes() == np.zeros_like(s).tobytes()
             assert s[0].tobytes() == want.tobytes()
 
     def test_paired_table_must_cover_steps(self, kolmogorov):
-        a, A = kolmogorov.table(3)
-        for short in ((a[:2], A), (a, A[:2])):
-            with pytest.raises(LengthMismatchError):
-                normalized_partial_sums(self._pairs(np.ones(3), 0.0, 0.0),
-                                        short)
+        A = kolmogorov.table(3)[1]
+        with pytest.raises(LengthMismatchError):
+            normalized_partial_sums(self._pairs(np.ones(3), 0.0, 0.0), A[:2])
 
 
 def test_truncation_series_converges_numerically(kolmogorov):
