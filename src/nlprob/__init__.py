@@ -65,6 +65,7 @@ from .simulate import (
     ExperimentResult,
     SamplePath,
     bundled_strategies,
+    normalized_partial_sums,
     run_slln_experiment,
     sample_grid,
     sample_path,
@@ -76,7 +77,6 @@ from .slln import (
     elementary_exp_bound_check,
     exp_moment_bound,
     make_schedule,
-    normalized_partial_sums,
     truncate,
     truncation_params,
     validate_schedule,

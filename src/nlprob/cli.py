@@ -1,9 +1,10 @@
 """Command-line front end and check executor.
 
-Subcommands run check families from one config: ``verify`` covers axioms,
-expectation chains and the inequality suite; ``check-deps`` the dependence
-sweeps; ``simulate`` truncation plus the Monte Carlo laws; ``all``
-everything the config selects. Outputs land in the chosen directory:
+Subcommands run the check families of ``config.FAMILIES``: ``verify``
+axioms, expectation chains and the inequality suite; ``check-deps`` the
+dependence sweeps; ``simulate`` the Monte Carlo laws (``slln``,
+``strassen``); ``all`` every check the config selects. Outputs land in
+the chosen directory:
 
 * ``report.json``   — uniform check records, experiment summary, config echo
 * ``trajectories.csv`` + ``plot.gp`` — geometric-grid path samples (when
@@ -378,15 +379,9 @@ def _build_parser() -> argparse.ArgumentParser:
                     "Monte Carlo for weighted strong laws")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    descriptions = {
-        "verify": "capacity/expectation axioms, chains, inequality suite",
-        "check-deps": "negative association, vertical independence, "
-                      "forward factorization",
-        "simulate": "truncation contracts and Monte Carlo limit checks",
-        "all": "every check selected in the config",
-    }
-    for name, help_text in descriptions.items():
-        p = sub.add_parser(name, help=help_text)
+    for name, family in FAMILIES.items():
+        help_text = f"run the config's checks among: {', '.join(family)}"
+        p = sub.add_parser(name, help=help_text, description=help_text)
         p.add_argument("--config", required=True, help="path to a JSON config")
         p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--seed", type=int, default=None,

@@ -180,7 +180,7 @@ def parse_document(doc: dict[str, Any]) -> tuple[CredalSet,
         if field not in doc:
             raise ConfigValidationError(f"document misses field '{field}'")
     size = doc["space"]
-    if not isinstance(size, int) or size < 1:
+    if isinstance(size, bool) or not isinstance(size, int) or size < 1:
         raise ConfigValidationError(f"'space' must be a positive integer, got {size!r}")
     rows = doc["measures"]
     if not isinstance(rows, list) or not rows:
@@ -266,11 +266,11 @@ def _parse_strategy(entry: Any, name: str) -> AdversaryStrategy:
         entry = {"kind": entry}
     kind = _kind(entry, name)
     try:  # errors below name the field, e.g. "...strategies[0]: index: ..."
-        if kind == FIXED:
-            return AdversaryStrategy(FIXED, read_number(
-                entry.get("index"), "index", optional=True, integer=True))
-        return AdversaryStrategy(
-            kind, salt=read_number(entry.get("seed", 0), "seed", integer=True))
+        index = read_number(entry.get("index"), "index", optional=True,
+                            integer=True)
+        salt = 0 if kind == FIXED else read_number(entry.get("seed", 0),
+                                                   "seed", integer=True)
+        return AdversaryStrategy(kind, index, salt)
     except NlprobError as exc:
         raise _field_error(name, str(exc)) from exc
 
@@ -312,9 +312,7 @@ def too_large(sim: SimulationSettings) -> ConfigValidationError:
         f"need more memory than this machine has")
 
 
-def _parse_simulation(doc: Any, simulated: bool) -> SimulationSettings:
-    """The simulation settings; when ``simulated``, refused as too large
-    if :func:`simulation_bytes` exceeds :func:`physical_memory`."""
+def _parse_simulation(doc: Any) -> SimulationSettings:
     if doc is None:
         return _DEFAULT_SIMULATION
     if not isinstance(doc, dict):
@@ -351,8 +349,6 @@ def _parse_simulation(doc: Any, simulated: bool) -> SimulationSettings:
                                     high=1.0),
         grid_points=number("grid_points", integer=True, low=2),
     )
-    if simulated and simulation_bytes(sim) > physical_memory():
-        raise too_large(sim)
     return sim
 
 
@@ -434,7 +430,15 @@ def parse_config(text: str, base_dir: str | Path | None = None,
         raise _field_error("schedule",
                            f"required by checks {sorted(needs_schedule)}")
 
-    simulation = _parse_simulation(raw.get("simulation"), bool(simulated))
+    simulation = _parse_simulation(raw.get("simulation"))
+    if SIMULATION_CHECKS & selected:  # what the run would refuse, refused now
+        for k, strategy in enumerate(simulation.strategies):
+            if strategy.kind == FIXED and strategy.index >= len(model.credal):
+                raise _field_error(f"simulation.strategies[{k}]",
+                                   f"{strategy.label} with only "
+                                   f"{len(model.credal)} measures")
+        if simulation_bytes(simulation) > physical_memory():
+            raise too_large(simulation)
     if simulated and seed is None:
         raise _field_error("seed", "required when simulation checks are selected")
 

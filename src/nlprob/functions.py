@@ -241,6 +241,14 @@ class Polynomial(ScalarFunction):
             c.pop()
         return tuple(c)
 
+    @property
+    def monotonicity(self):
+        # a line as for Affine, a constant included; higher degrees: none
+        c = self._trimmed()
+        if len(c) > 2:
+            return None
+        return DECREASING if len(c) == 2 and c[1] < 0 else INCREASING
+
     def sup_on_nonpositive(self) -> float:
         c = self._trimmed()
         deg = len(c) - 1

@@ -32,20 +32,19 @@ the upper mean in the real part and minus the lower mean in the
 imaginary part, so one complex gather gives each step's two centred
 terms. A constant weight a (kolmogorov, mz) is folded into that table
 when it is built, fl(fl(x - c) * a), the float a per-step scaling makes;
-other weights a_i scale a block's terms part by part. The paired form of
-``normalized_partial_sums`` then forms both trajectories from the
-weighted terms and the block's normalizers A_i in one complex prefix
-sum, carrying each path's running pair from block to block. numpy adds
-complex numbers part by part, so each trajectory has the bits of its own
-real prefix sum. Between blocks a path keeps only its running sums, tail
-max and min, grid samples and, for a phi that is not nondecreasing, its
-phi sup, so no per-path array grows with the horizon, and the block
-buffers are bounded by the module constants. A nondecreasing phi has
-sup_n phi(S_n) = phi(sup_n S_n), so it is evaluated once per path, at the
-tail max, after the path's last block. That holds in floats too, as the
-catalog's nondecreasing members round monotonically; only the sign of a
-zero result can differ, since numpy's max picks among zeros of both signs
-by position.
+other weights a_i scale a block's terms part by part. From the weighted
+terms and the block's normalizers A_i, ``normalized_partial_sums`` forms
+both trajectories in one complex prefix sum, each bit for bit its own
+real one, carrying each path's running pair from block to block; no
+other module knows that pair format. Between blocks a path keeps only
+its running sums, tail max and min, grid samples and, for a phi that is
+not nondecreasing, its phi sup, so no per-path array grows with the
+horizon, and the block buffers are bounded by the module constants. A
+nondecreasing phi has sup_n phi(S_n) = phi(sup_n S_n), so it is
+evaluated once per path, at the tail max, after the path's last block.
+That holds in floats too, as the catalog's nondecreasing members round
+monotonically; only the sign of a zero result can differ, since numpy's
+max picks among zeros of both signs by position.
 
 Determinism: the engine runs on one thread. Each path's generators are
 derived from (master seed, strategy index, path index) via seed-sequence
@@ -67,6 +66,7 @@ import numpy as np
 from .errors import (
     BadStrategyParamError,
     IndexOutOfRangeError,
+    LengthMismatchError,
     ScheduleInvalidError,
     SimulationOrderError,
     UnsupportedModelError,
@@ -74,7 +74,7 @@ from .errors import (
 from .expectation import expectation_values
 from .functions import INCREASING, ScalarFunction
 from .models import SequenceModel
-from .slln import WeightSchedule, normalized_partial_sums, validate_schedule
+from .slln import WeightSchedule, validate_schedule
 
 FIXED = "fixed"
 CYCLIC = "cyclic"
@@ -440,6 +440,45 @@ def sample_grid(n_steps: int, n_start: int, points: int = GRID_POINTS) -> np.nda
     """Geometric step grid including n_start and the horizon, 1-based."""
     g = np.geomspace(1, n_steps, num=min(points, n_steps)).astype(np.int64)
     return np.unique(np.concatenate([g, [n_start, n_steps]]))
+
+
+def normalized_partial_sums(terms: np.ndarray, A: np.ndarray,
+                            carry: np.ndarray | None = None,
+                            out: tuple[np.ndarray, np.ndarray] | None = None
+                            ) -> tuple[np.ndarray, np.ndarray]:
+    """Both trajectories S_n = sum_{i<=n} a_i (x_i - c_i) / A_n, centred
+    on c and on d, for n = 1..N along the last axis of ``terms`` (one
+    path, or a block of paths by steps), in one complex prefix sum.
+
+    ``terms`` holds a_i (x_i - c_i) in the real part and a_i (x_i - d_i)
+    in the imaginary part, each fl(fl(x_i - c_i) * a_i) set part by part
+    (a complex times a real can flip the sign of a zero), and ``A`` holds
+    at least N normalizers. numpy adds complex numbers part by part, so
+    each trajectory is bit for bit ``np.cumsum(a * (x - c)) / A``. The
+    terms are summed in place; the parts divided by A are written to the
+    float arrays ``out`` (new ones when None), which are returned.
+
+    ``carry``, when given, holds each path's running pair before the block.
+    It is added to the first term, the very addition an unbroken cumsum
+    makes there, and advanced in place to the block's last step, so blocks
+    give the bits of one pass. Start it at ``complex(-0.0, -0.0)``:
+    -0.0 + x == x for every float x, not even a zero's sign changes.
+    """
+    n = np.shape(terms)[-1]
+    if len(A) < n:
+        raise LengthMismatchError(
+            f"{len(A)} normalizers for {n} steps; need at least as many")
+    carried = carry is not None and n > 0
+    if carried:
+        terms[..., 0] += carry
+    np.cumsum(terms, axis=-1, out=terms)
+    if carried:
+        carry[...] = terms[..., -1]
+    if out is None:
+        out = (np.empty(terms.shape), np.empty(terms.shape))
+    np.divide(terms.real, A[:n], out=out[0])
+    np.divide(terms.imag, A[:n], out=out[1])
+    return out
 
 
 def run_slln_experiment(model: SequenceModel, schedule: WeightSchedule,

@@ -1,11 +1,11 @@
 """Weight schedules, truncation calculus and exponential moment bounds.
 
 A weight schedule pairs per-step weights a_i > 0 with a normalizing sequence
-A_n used to form S_n = sum_{i<=n} a_i (x_i - center_i) / A_n. Two named
-schedules cover the classical laws: ``kolmogorov`` (a_i = 1, A_n = n) and
-``mz`` (a_i = 1, A_n = n^{1/p}, 1 <= p < 1 + min(1, alpha)); ``custom``
-exposes the catalog (constant | harmonic | table weights, linear | power |
-table normalizers).
+A_n used to form S_n = sum_{i<=n} a_i (x_i - center_i) / A_n, the sums
+``nlprob.simulate`` forms. Two named schedules cover the classical laws:
+``kolmogorov`` (a_i = 1, A_n = n) and ``mz`` (a_i = 1, A_n = n^{1/p},
+1 <= p < 1 + min(1, alpha)); ``custom`` exposes the catalog (constant |
+harmonic | table weights, linear | power | table normalizers).
 
 The shape parameter beta must satisfy A_n / n^{1/(beta+1)} -> infinity for
 the exponential moment machinery to close; the validator probes that growth
@@ -73,6 +73,8 @@ class WeightSchedule:
     ``a_kind``: "constant" (a_param = the value) | "harmonic"
     (a_i = 1 + 1/i) | "table" (a_param = positive tuple).
     ``A_kind``: "linear" | "power" (A_param = exponent in (0, 1]) | "table".
+    Every rule is elementwise, so ``a`` and ``A`` on a block of steps
+    give bit for bit the slice of their arrays over the whole horizon.
     """
 
     kind: str
@@ -117,15 +119,6 @@ class WeightSchedule:
         """The "table" rules' tuples as arrays, converted once."""
         return (np.asarray(self.a_param, dtype=float),
                 np.asarray(self.A_param, dtype=float))
-
-    def table(self, stop: int, start: int = 0
-              ) -> tuple[np.ndarray, np.ndarray]:
-        """The arrays (a_i, A_i) for i = start+1..stop, so ``table(n)`` is
-        the whole table to a horizon n. Every rule is elementwise, so a
-        block's ``table(stop, start)`` is bit for bit ``table(stop)``'s
-        slice [start:stop]."""
-        ii = np.arange(start + 1, stop + 1, dtype=float)
-        return self.a(ii), self.A(ii)
 
     @property
     def descriptor(self) -> dict:
@@ -296,67 +289,3 @@ def exp_moment_bound(model: SequenceModel, schedule: WeightSchedule,
         rows.append(np.exp(scale * float(schedule.a(i)) * (v.values - b)))
     return float(product_expectation_table(model, np.vstack(rows)).max())
 
-
-def normalized_partial_sums(values,
-                            table: tuple[np.ndarray, np.ndarray] | np.ndarray,
-                            centers=None, carry: np.ndarray | None = None,
-                            out: tuple[np.ndarray, np.ndarray] | None = None):
-    """S_n = sum_{i<=n} a_i (x_i - center_i) / A_n for n = 1..N along the
-    last axis of ``values`` (one path, or a block of paths by steps), one
-    prefix-sum pass. ``table`` is ``WeightSchedule.table(m)`` for m >= N,
-    or ``table(stop, start)`` for a block's steps; the steps run in one
-    buffer, in the order subtract, scale, cumsum, divide, so the result is
-    bit for bit ``np.cumsum(a * (x - c)) / A``.
-
-    The paired form takes no ``centers`` and takes weighted terms:
-    ``values`` is a complex128 array holding a_i (x_i - c_i) in the real
-    part and a_i (x_i - d_i) in the imaginary part, each part the float
-    product fl(fl(x_i - c_i) * a_i) that the one-centre form makes, and
-    ``table`` is the normalizers A alone. The result is the pair of real
-    trajectories (centred on c, centred on d). numpy adds complex numbers
-    part by part, so one complex cumsum makes both prefix sums, each bit
-    for bit its float64 cumsum. Weight the terms part by part as well: a
-    complex times a real would promote a to a + 0j, and x * a - y * 0 can
-    flip the sign of a zero. The terms are summed in place, so ``values``
-    ends holding the running sums, and each part divided by A is written
-    to the two float arrays of ``out`` (new ones when it is None).
-
-    ``carry``, when given, holds each path's running sum
-    sum_{i<t0} a_i (x_i - c_i) of the steps before the block (complex in
-    the paired form) and is advanced in place to the block's last step.
-    It is added to the block's first scaled term before the cumsum, which
-    is the very addition an unbroken cumsum makes there, so a path summed
-    block by block gets the bits of the one-pass sums. Start it at -0.0
-    (``complex(-0.0, -0.0)`` for pairs): -0.0 + x == x for every float x,
-    so an empty prefix changes no bit, not even a sign of zero.
-    """
-    paired = centers is None
-    n = np.shape(values)[-1]
-    if paired:
-        terms, A = values, table
-        if len(A) < n:
-            raise LengthMismatchError(
-                f"{len(A)} normalizers for {n} steps; need at least as many")
-    else:
-        a, A = table
-        if min(np.size(centers), len(a), len(A)) < n:
-            raise LengthMismatchError(
-                f"{np.size(centers)} centers, {len(a)} weights and {len(A)} "
-                f"normalizers for {n} steps; need at least as many of each")
-        terms = np.subtract(np.asarray(values, dtype=float),
-                            np.asarray(centers, dtype=float)[:n])
-        terms *= a[:n]
-    carried = carry is not None and n > 0
-    if carried:
-        terms[..., 0] += carry
-    np.cumsum(terms, axis=-1, out=terms)
-    if carried:
-        carry[...] = terms[..., -1]
-    if not paired:
-        terms /= A[:n]
-        return terms
-    if out is None:
-        out = (np.empty(terms.shape), np.empty(terms.shape))
-    np.divide(terms.real, A[:n], out=out[0])
-    np.divide(terms.imag, A[:n], out=out[1])
-    return out

@@ -4,6 +4,7 @@ import contextlib
 import copy
 import io
 import json
+import re
 import subprocess
 import sys
 import tempfile
@@ -19,6 +20,7 @@ from hypothesis import strategies as st
 
 from nlprob import cli
 from nlprob.cli import main
+from nlprob.config import CHECK_NAMES, FAMILIES
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 PAIR = str(CONFIGS / "pair-counterexample.json")
@@ -328,6 +330,23 @@ class TestFailureModes:
             main(["--version"])
         assert exc.value.code == 0
 
+    def test_help_names_each_subcommands_family(self, capsys):
+        # the help of a subcommand, in the program's help and its own,
+        # names exactly the checks it runs
+        def named(text):
+            return {c for c in CHECK_NAMES if re.search(rf"\b{c}\b", text)}
+
+        with pytest.raises(SystemExit):
+            main(["--help"])
+        top = capsys.readouterr().out
+        for name, family in FAMILIES.items():
+            line = re.search(rf"\n    {name}\s+(.*?)(?=\n    \S|\n\n)", top,
+                             re.DOTALL)
+            assert named(line.group(1)) == set(family), name
+            with pytest.raises(SystemExit):
+                main([name, "--help"])
+            assert named(capsys.readouterr().out) == set(family), name
+
 
 SMALL = {"model": {"space": 2, "measures": [[0.5, 0.5], [0.8, 0.2]],
                    "variables": {"X": [0.0, 1.0]}},
@@ -610,6 +629,14 @@ REFUSED_AT_PARSE = {
         {"simulation": {**DEMO_DOC["simulation"], "negative_control": "false"}},
         "error: simulation.negative_control: must be true or false, "
         "got 'false'\n"),
+    "fixed-index": (
+        {"simulation": {**DEMO_DOC["simulation"], "strategies": [
+            "cyclic", {"kind": "fixed", "index": 9}]}},
+        "error: simulation.strategies[1]: fixed(9) with only 2 measures\n"),
+    "memory": (
+        {"simulation": {**DEMO_DOC["simulation"], "paths_per_strategy": 1e12}},
+        "error: simulation: n_steps=1500, paths_per_strategy=1000000000000 "
+        "and grid_points=48 need more memory than this machine has\n"),
 }
 
 
@@ -626,6 +653,8 @@ def test_refused_before_the_output_directory_exists(tmp_path, capsys, case):
 @pytest.mark.parametrize("case, refused_by, runs", [
     ("horizon", ("check-deps",), ("verify", "simulate")),
     ("phi", ("simulate",), ("verify", "check-deps")),
+    ("fixed-index", ("simulate",), ("verify", "check-deps")),
+    ("memory", ("simulate",), ("verify", "check-deps")),
 ])
 def test_refusals_follow_the_subcommand(tmp_path, capsys, case, refused_by,
                                         runs):

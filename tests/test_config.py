@@ -258,6 +258,25 @@ class TestSimulationSettings:
             parse_config(config_text(
                 simulation={"strategies": ["cyclic", {"kind": "fixed"}]}))
 
+    def test_strategies_the_run_would_refuse_are_refused(self):
+        # only fixed takes a measure index, and one the model has
+        for kind in ("cyclic", "iid-random", "drift-max"):
+            with pytest.raises(ConfigValidationError,
+                               match=rf"^simulation.strategies\[0\]: {kind} "
+                                     "strategy takes no measure index$"):
+                parse_config(config_text(simulation={"strategies": [
+                    {"kind": kind, "index": 1}]}))
+        doc = {"checks": ["chain", "slln"], "seed": 1,
+               "schedule": {"kind": "kolmogorov"},
+               "simulation": {"strategies": [{"kind": "fixed", "index": 2}]}}
+        with pytest.raises(ConfigValidationError,
+                           match=r"^simulation.strategies\[0\]: fixed\(2\) "
+                                 "with only 2 measures$"):
+            parse_config(config_text(**doc), subcommand="simulate")
+        # a subcommand that simulates nothing takes it
+        assert parse_config(config_text(**doc), subcommand="verify") \
+            .simulation.strategies[0].index == 2
+
     def test_default_strategies_are_the_bundle(self):
         config = parse_config(config_text())
         labels = [s.label for s in config.simulation.strategies]

@@ -129,6 +129,13 @@ class TestPolynomial:
         assert Polynomial((5.0, 0.0)).lipschitz_on_ray(1.0) == 0.0
         assert Polynomial((0.0, 0.0, -1.0)).lipschitz_on_ray(1.0) == math.inf
 
+    def test_monotonicity(self):
+        # a line as for Affine, a constant included; a higher degree none
+        assert Polynomial((0.0, 1.0)).monotonicity == INCREASING
+        assert Polynomial((5.0, 0.0)).monotonicity == INCREASING
+        assert Polynomial((2.0, -3.0, 0.0)).monotonicity == "decreasing"
+        assert Polynomial((0.0, 1.0, 1.0)).monotonicity is None
+
 
 _PARAM = st.floats(-1e3, 1e3)
 _SLOPE = st.floats(0.0, 1e3)
@@ -138,6 +145,9 @@ INCREASING_PHIS = st.one_of(
     st.builds(lambda a, b: Clamp(min(a, b), max(a, b)), _PARAM, _PARAM),
     st.builds(MaxAffine, st.lists(st.tuples(_SLOPE, _PARAM), min_size=1,
                                   max_size=4).map(tuple)),
+    st.just(Polynomial((0, 1))),
+    st.builds(lambda c0, c1, zeros: Polynomial((c0, c1) + (0.0,) * zeros),
+              _PARAM, _SLOPE, st.integers(0, 2)),
 )
 
 

@@ -53,6 +53,10 @@ class TestParseDocument:
             parse_document({**doc, "space": 0})
         with pytest.raises(ConfigValidationError, match="'space'"):
             parse_document({**doc, "space": 2.0})
+        for flag in (True, False):  # a bool is no count, as for read_number
+            with pytest.raises(ConfigValidationError, match="'space'"):
+                parse_document({"space": flag, "measures": [[1.0]],
+                                "variables": {"X": [0.0]}})
 
     def test_measure_rows_must_match_space(self, doc):
         with pytest.raises(ConfigValidationError, match=r"measures\[1\]"):

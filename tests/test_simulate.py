@@ -38,7 +38,7 @@ from nlprob.errors import (
 from nlprob.expectation import expectation_values
 from nlprob.functions import ScalarFunction
 from nlprob.simulate import PathSummary, TrajectorySample
-from nlprob.slln import normalized_partial_sums, validate_schedule
+from nlprob.slln import validate_schedule
 
 
 class StrassenEvaluation(NamedTuple):
@@ -321,16 +321,17 @@ def test_complex_cumsum_is_two_real_cumsums():
 def _path_oracle(model, schedule, strategies, n_steps, paths_per_strategy,
                  seed, n_start, swap_centers, phi, grid_points):
     """The path-major loop the block engine replaced: per path, one
-    ``sample_path`` over the whole horizon, two one-pass
-    ``normalized_partial_sums``, the order check, the tail statistics, phi
-    and the grid gather."""
+    ``sample_path`` over the whole horizon, numpy's one-pass formula
+    ``np.cumsum(a * (x - c)) / A`` for each centre sequence, the order
+    check, the tail statistics, phi and the grid gather."""
     upper_c = np.array([float(expectation_values(model.credal, v).max())
                         for v in model.variables])
     lower_c = np.array([float(expectation_values(model.credal, v).min())
                         for v in model.variables])
     if swap_centers:
         upper_c, lower_c = lower_c, upper_c
-    table = schedule.table(n_steps)
+    ii = np.arange(1, n_steps + 1, dtype=float)
+    a, A = schedule.a(ii), schedule.A(ii)
     reps = -(-n_steps // len(upper_c))
     upper_centers = np.tile(upper_c, reps)[:n_steps]
     lower_centers = np.tile(lower_c, reps)[:n_steps]
@@ -340,8 +341,8 @@ def _path_oracle(model, schedule, strategies, n_steps, paths_per_strategy,
         for pi in range(paths_per_strategy):
             path = sample_path(model, strat, n_steps, np.random.SeedSequence(
                 entropy=seed, spawn_key=(si, pi)))
-            s_up = normalized_partial_sums(path.values, table, upper_centers)
-            s_low = normalized_partial_sums(path.values, table, lower_centers)
+            s_up = np.cumsum(a * (path.values - upper_centers)) / A
+            s_low = np.cumsum(a * (path.values - lower_centers)) / A
             if not swap_centers and (s_up - s_low).max() > 1e-9:
                 raise SimulationOrderError("order")
             tail_up = s_up[n_start - 1:]
@@ -390,7 +391,8 @@ def test_block_engine_matches_the_path_oracle(rng):
     # nondecreasing phis are evaluated once per path at its tail max, the
     # non-monotone -x^2 once per tail block
     phis = (None, Affine(0.5, 1.0), Clamp(-1.0, 0.2),
-            MaxAffine(((0, 0), (1, -0.1))), Polynomial((0, 0, -1)))
+            MaxAffine(((0, 0), (1, -0.1))), Polynomial((0, 1)),
+            Polynomial((0, 0, -1)))
     for trial in range(60):
         model = _random_rectangular_model(rng)
         n_steps = horizons[trial % len(horizons)]
@@ -636,10 +638,11 @@ class TestRunExperiment:
         kwargs = dict(n_steps=3 * block + 10, paths_per_strategy=group + 1,
                       seed=6, n_start=block + 5)
         strategies = bundled_strategies()
-        run_slln_experiment(marginal_model, kolmogorov, strategies,
-                            phi=Exp(1.0), **kwargs)
-        assert calls == [(group,), (1,)] * len(strategies)
-        calls.clear()
+        for phi in (Exp(1.0), Polynomial((0, 1))):
+            run_slln_experiment(marginal_model, kolmogorov, strategies,
+                                phi=phi, **kwargs)
+            assert calls == [(group,), (1,)] * len(strategies)
+            calls.clear()
         run_slln_experiment(marginal_model, kolmogorov, strategies,
                             phi=Polynomial((0, 0, -1)), **kwargs)
         tails = [(group, block - 4), (group, block), (group, 10)]

@@ -367,48 +367,62 @@ class TestExpMomentBound:
             exp_moment_bound(pair_model, kolmogorov, 0)
 
 
+def _one_pass(x, a, A, centers):
+    """numpy's one-pass formula for S_n centred on ``centers``."""
+    return np.cumsum(a * (x - centers)) / A
+
+
+def _steps(n):
+    return np.arange(1, n + 1, dtype=float)
+
+
 class TestNormalizedPartialSums:
+    # the simulator's paired prefix sums, checked against the formula
+    @staticmethod
+    def _pairs(x, upper, lower, a=1.0):
+        # weighted terms set part by part, as the simulator's pair table
+        # and its per-block weighting set them
+        z = np.empty(np.shape(x), dtype=np.complex128)
+        z.real = (x - upper) * a
+        z.imag = (x - lower) * a
+        return z
+
     def test_unit_steps(self, kolmogorov):
-        s = normalized_partial_sums([1.0, 1.0], kolmogorov.table(2),
-                                    [0.0, 0.0])
-        assert np.all(s == [1.0, 1.0])
+        upper, lower = normalized_partial_sums(
+            self._pairs(np.ones(2), 0.0, 0.5), kolmogorov.A(_steps(2)))
+        assert np.all(upper == [1.0, 1.0]) and np.all(lower == [0.5, 0.5])
 
     def test_alternating_pin(self, kolmogorov):
-        s = normalized_partial_sums([1.0, 0.0, 1.0, 0.0], kolmogorov.table(4),
-                                    [0.5] * 4)
-        assert s == pytest.approx([0.5, 0.0, 1.0 / 6.0, 0.0], abs=1e-15)
+        upper, lower = normalized_partial_sums(
+            self._pairs(np.array([1.0, 0.0, 1.0, 0.0]), 0.5, 0.0),
+            kolmogorov.A(_steps(4)))
+        assert upper == pytest.approx([0.5, 0.0, 1.0 / 6.0, 0.0], abs=1e-15)
+        assert lower == pytest.approx([1.0, 0.5, 2.0 / 3.0, 0.5], abs=1e-15)
 
     def test_centers_cancel_exactly(self, kolmogorov, rng):
         x = rng.uniform(-5, 5, 30)
-        assert np.all(
-            normalized_partial_sums(x, kolmogorov.table(len(x)), x) == 0.0)
+        for s in normalized_partial_sums(self._pairs(x, x, x),
+                                         kolmogorov.A(_steps(len(x)))):
+            assert np.all(s == 0.0)
 
     def test_power_normalizer(self):
         sched = make_schedule("mz", alpha=1.0, beta=0.5, p=1.25)
-        s = normalized_partial_sums([1.0, 1.0, 1.0], sched.table(3), [0.0] * 3)
-        assert s == pytest.approx(
-            [1.0, 2.0 / 2.0 ** 0.8, 3.0 / 3.0 ** 0.8], rel=1e-15)
-
-    def test_center_count_must_cover_steps(self, kolmogorov):
-        with pytest.raises(LengthMismatchError):
-            normalized_partial_sums([1.0, 2.0, 3.0], kolmogorov.table(3),
-                                    [0.0, 0.0])
-        # extra centers are fine: only the first x.size are used
-        s = normalized_partial_sums([1.0], kolmogorov.table(1), [0.0, 9.0])
-        assert np.all(s == [1.0])
+        upper, lower = normalized_partial_sums(
+            self._pairs(np.ones(3), 0.0, -1.0), sched.A(_steps(3)))
+        want = np.array([1.0, 2.0 / 2.0 ** 0.8, 3.0 / 3.0 ** 0.8])
+        assert upper == pytest.approx(want, rel=1e-15)
+        assert lower == pytest.approx(2.0 * want, rel=1e-15)
 
     def test_table_must_cover_steps(self, kolmogorov):
+        terms = self._pairs(np.array([1.0, 2.0, 3.0]), 0.0, 0.0)
         with pytest.raises(LengthMismatchError):
-            normalized_partial_sums([1.0, 2.0, 3.0], kolmogorov.table(2),
-                                    [0.0] * 3)
-        a, A = kolmogorov.table(3)
-        for short in ((a[:2], A), (a, A[:2])):
-            with pytest.raises(LengthMismatchError):
-                normalized_partial_sums([1.0, 2.0, 3.0], short, [0.0] * 3)
-        # a longer table is fine: only the first x.size entries are used
-        assert np.array_equal(
-            normalized_partial_sums([1.0, 2.0], kolmogorov.table(5), [0.0] * 2),
-            normalized_partial_sums([1.0, 2.0], kolmogorov.table(2), [0.0] * 2))
+            normalized_partial_sums(terms.copy(), kolmogorov.A(_steps(2)))
+        # longer normalizers are fine: only the first terms' count are used
+        for got, want in zip(
+                normalized_partial_sums(terms.copy(), kolmogorov.A(_steps(5))),
+                normalized_partial_sums(terms.copy(), kolmogorov.A(_steps(3))),
+                strict=True):
+            assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("rules", [
         ("kolmogorov", {}),
@@ -422,14 +436,13 @@ class TestNormalizedPartialSums:
         kind, extra = rules
         sched = make_schedule(kind, alpha=1.0, beta=0.5, **extra)
         for n in (1, 2, 17, 257):
-            ii = np.arange(1, n + 1)
+            a, A = sched.a(_steps(n)), sched.A(_steps(n))
             x = rng.normal(size=n) * 10.0 ** rng.integers(-3, 4, size=n)
-            c = rng.uniform(-1.0, 1.0, size=n)
-            a, A = sched.table(n)
-            assert np.array_equal(a, sched.a(ii)) and np.array_equal(A, sched.A(ii))
-            want = np.cumsum(sched.a(ii) * (x - c)) / sched.A(ii)
-            assert np.array_equal(
-                normalized_partial_sums(x, sched.table(n), c), want)
+            upper = rng.uniform(-1.0, 1.0, size=n)
+            lower = upper - rng.uniform(0.0, 1.0, size=n)
+            got = normalized_partial_sums(self._pairs(x, upper, lower, a), A)
+            for s, centers in zip(got, (upper, lower), strict=True):
+                assert s.tobytes() == _one_pass(x, a, A, centers).tobytes()
 
     @given(st.sampled_from(["constant", "harmonic", "table"]),
            st.sampled_from(["linear", "power", "table"]),
@@ -439,7 +452,8 @@ class TestNormalizedPartialSums:
                                                            A_kind, stop, data):
         # the simulator evaluates the weights block by block; at any start,
         # on a block edge or off every multiple of 8 where numpy's vector
-        # loops would align differently, they are the one-shot table's bytes
+        # loops would align differently, they are the bytes of the whole
+        # horizon's arrays
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
         a_param = {"constant": data.draw(st.floats(0.01, 10.0)),
                    "harmonic": None,
@@ -452,53 +466,51 @@ class TestNormalizedPartialSums:
         sched = make_schedule("custom", alpha=1.0, beta=0.5,
                               a_rule=(a_kind, a_param),
                               A_rule=(A_kind, A_param))
-        want = sched.table(stop)
+        want = sched.a(_steps(stop)), sched.A(_steps(stop))
         starts = data.draw(st.lists(st.integers(0, stop), max_size=4))
         for start in starts + [s for s in (0, 1, 7, 1023, 1024, 1025, 2053)
                                if s <= stop]:
-            got = sched.table(stop, start)
-            for g, w in zip(got, want, strict=True):
+            ii = np.arange(start + 1, stop + 1, dtype=float)
+            for g, w in zip((sched.a(ii), sched.A(ii)), want, strict=True):
                 assert g.dtype == w.dtype and g.size == stop - start
                 assert g.tobytes() == w[start:].tobytes()
 
     def test_blocks_with_a_carry_match_one_pass_bit_for_bit(self, rng):
         # a (paths, steps) array cut into blocks at random edges, each block
         # summed with the paths' carry, gives the one-pass sums of every
-        # path to the bit, and the carry ends at each path's running sum
+        # path to the bit, and the carry ends at each path's running sums
         sched = make_schedule("mz", alpha=1.0, beta=0.5, p=1.25)
         n, paths = 700, 5
-        a, A = sched.table(n)
+        a, A = sched.a(_steps(n)), sched.A(_steps(n))
         x = rng.normal(size=(paths, n)) * 10.0 ** rng.integers(-3, 4, size=n)
-        c = rng.uniform(-1.0, 1.0, size=n)
+        upper = rng.uniform(-1.0, 1.0, size=n)
+        lower = upper - rng.uniform(0.0, 1.0, size=n)
         edges = np.unique(np.concatenate([[0, 1, n], rng.integers(0, n, 12)]))
-        carry = np.full(paths, -0.0)
-        blocks = [normalized_partial_sums(x[:, lo:hi], (a[lo:hi], A[lo:hi]),
-                                          c[lo:hi], carry=carry)
+        carry = np.full(paths, complex(-0.0, -0.0))
+        blocks = [normalized_partial_sums(
+                      self._pairs(x[:, lo:hi], upper[lo:hi], lower[lo:hi],
+                                  a[lo:hi]),
+                      A[lo:hi], carry=carry)
                   for lo, hi in zip(edges[:-1], edges[1:])]
         for p in range(paths):
-            want = normalized_partial_sums(x[p], (a, A), c)
-            assert np.concatenate([b[p] for b in blocks]).tobytes() == \
-                want.tobytes()
-            assert carry[p] == np.cumsum(a * (x[p] - c))[-1]
+            for side, centers in enumerate((upper, lower)):
+                got = np.concatenate([b[side][p] for b in blocks])
+                assert got.tobytes() == \
+                    _one_pass(x[p], a, A, centers).tobytes()
+            assert carry[p].real == np.cumsum(a * (x[p] - upper))[-1]
+            assert carry[p].imag == np.cumsum(a * (x[p] - lower))[-1]
 
     def test_a_fresh_carry_keeps_a_negative_zero(self, kolmogorov):
         # -0.0 is the sum of no terms: a first block summed with it keeps
         # the sign of a leading -0.0 as the one-pass sums do
         x = np.array([[-0.0, -0.0, 1.0]])
-        carry = np.full(1, -0.0)
-        got = normalized_partial_sums(x, kolmogorov.table(3), [0.0] * 3,
-                                      carry=carry)
-        want = normalized_partial_sums(x[0], kolmogorov.table(3), [0.0] * 3)
-        assert np.signbit(want[0]) and got[0].tobytes() == want.tobytes()
-
-    @staticmethod
-    def _pairs(x, upper, lower, a=1.0):
-        # weighted terms set part by part, as the simulator's pair table
-        # and its per-block weighting set them
-        z = np.empty(np.shape(x), dtype=np.complex128)
-        z.real = (x - upper) * a
-        z.imag = (x - lower) * a
-        return z
+        a, A = kolmogorov.a(_steps(3)), kolmogorov.A(_steps(3))
+        got = normalized_partial_sums(self._pairs(x, 0.0, 0.0), A,
+                                      carry=np.full(1, complex(-0.0, -0.0)))
+        want = _one_pass(x[0], a, A, 0.0)
+        assert np.signbit(want[0])
+        for s in got:
+            assert s[0].tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("rules", [
         {"a_rule": ("harmonic", None), "A_rule": ("power", 0.9)},
@@ -514,7 +526,7 @@ class TestNormalizedPartialSums:
         sched = make_schedule("custom", alpha=1.0, beta=0.5, **rules)
         paths, lengths = 4, (1, 1023, 1024, 1025)
         n = sum(lengths)
-        a, A = sched.table(n)
+        a, A = sched.a(_steps(n)), sched.A(_steps(n))
         x = rng.normal(size=(paths, n)) * 10.0 ** rng.integers(-3, 4, size=n)
         upper = rng.uniform(-1.0, 1.0, size=n)
         lower = upper - rng.uniform(0.0, 1.0, size=n)
@@ -533,9 +545,9 @@ class TestNormalizedPartialSums:
             blocks.append(got)
         for p in range(paths):
             for side, centers in enumerate((upper, lower)):
-                want = normalized_partial_sums(x[p], (a, A), centers)
                 got = np.concatenate([b[side][p] for b in blocks])
-                assert got.tobytes() == want.tobytes()
+                assert got.tobytes() == \
+                    _one_pass(x[p], a, A, centers).tobytes()
             assert carry[p].real == np.cumsum(a * (x[p] - upper))[-1]
             assert carry[p].imag == np.cumsum(a * (x[p] - lower))[-1]
 
@@ -544,14 +556,13 @@ class TestNormalizedPartialSums:
     def test_paired_form_keeps_the_sign_of_a_zero(self, kolmogorov, first):
         # x_1 = -0.0 makes one part of the first term -0.0 and the other
         # nonzero; the complex sums must keep that -0.0 as the real sums do
-        c, d = [first[0], 0.0, 0.0], [first[1], 0.0, 0.0]
+        c, d = np.array([first[0], 0.0, 0.0]), np.array([first[1], 0.0, 0.0])
         x = np.array([[-0.0, 1.0, 2.0]])
-        got = normalized_partial_sums(self._pairs(x, c, d),
-                                      kolmogorov.table(3)[1],
+        a, A = kolmogorov.a(_steps(3)), kolmogorov.A(_steps(3))
+        got = normalized_partial_sums(self._pairs(x, c, d), A,
                                       carry=np.full(1, complex(-0.0, -0.0)))
         for s, centers in zip(got, (c, d)):
-            want = normalized_partial_sums(x[0], kolmogorov.table(3), centers)
-            assert s[0].tobytes() == want.tobytes()
+            assert s[0].tobytes() == _one_pass(x[0], a, A, centers).tobytes()
         assert np.signbit(got[first.index(0.0)][0, 0])
 
     def test_paired_sums_of_a_degenerate_model_are_exactly_zero(self):
@@ -559,18 +570,14 @@ class TestNormalizedPartialSums:
         # +0.0, and a fresh carry of negative zeros leaves the sums +0.0
         sched = make_schedule("mz", alpha=1.0, beta=0.5, p=1.25)
         x = np.full((3, 1025), 2.0)
+        a, A = sched.a(_steps(1025)), sched.A(_steps(1025))
         carry = np.full(3, complex(-0.0, -0.0))
-        upper, lower = normalized_partial_sums(
-            self._pairs(x, 2.0, 2.0), sched.table(1025)[1], carry=carry)
-        want = normalized_partial_sums(x[0], sched.table(1025), x[0])
+        upper, lower = normalized_partial_sums(self._pairs(x, 2.0, 2.0), A,
+                                               carry=carry)
+        want = _one_pass(x[0], a, A, x[0])
         for s in (upper, lower):
             assert s.tobytes() == np.zeros_like(s).tobytes()
             assert s[0].tobytes() == want.tobytes()
-
-    def test_paired_table_must_cover_steps(self, kolmogorov):
-        A = kolmogorov.table(3)[1]
-        with pytest.raises(LengthMismatchError):
-            normalized_partial_sums(self._pairs(np.ones(3), 0.0, 0.0), A[:2])
 
 
 def test_truncation_series_converges_numerically(kolmogorov):
