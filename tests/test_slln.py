@@ -579,6 +579,14 @@ class TestNormalizedPartialSums:
             assert s.tobytes() == np.zeros_like(s).tobytes()
             assert s[0].tobytes() == want.tobytes()
 
+    def test_paired_table_must_cover_steps(self, kolmogorov):
+        # a block of paths by steps is checked along its last axis
+        A = kolmogorov.A(_steps(3))
+        terms = self._pairs(np.ones((2, 3)), 0.0, 0.0)
+        with pytest.raises(LengthMismatchError):
+            normalized_partial_sums(terms, A[:2],
+                                    carry=np.full(2, complex(-0.0, -0.0)))
+
 
 def test_truncation_series_converges_numerically(kolmogorov):
     # sum_i (log(i+1))^alpha / A_i^{alpha+1} = sum log(i+1)/i^2 for the
