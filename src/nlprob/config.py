@@ -25,9 +25,9 @@ reporting knobs::
                      "strategies": [{"kind": "fixed", "index": 0}, "cyclic",
                                     "iid-random", "drift-max"],
                      "n_start": ..., "epsilon": 0.05,
-                     "negative_control": true,
-                     "max_exceedance_fraction": 0.0,
-                     "min_control_fraction": 0.95},
+                     "negative_control": true, "max_exceedance_fraction": 0.0,
+                     "min_control_fraction": 0.95,
+                     "grid_points": 160},  # >= 2: a path's sampled steps
       "out": "out"
     }
 
@@ -36,13 +36,14 @@ malformed descriptors raise ConfigValidationError naming the field;
 non-JSON text raises ConfigParseError with the position. Scalar fields
 take finite JSON numbers only (no bool, string or NaN), and
 ``negative_control`` takes ``true`` or ``false`` only. Defaults: tolerance
-1e-9, epsilon 0.05, n_start = n_steps // 10, horizon = the model's
-coordinate count, or 4 where it is unbounded.
+1e-9, epsilon 0.05, grid_points 160, n_start = n_steps // 10, horizon =
+the model's coordinate count, or 4 where it is unbounded.
 Function fields (``forward.g``, ``forward.f``, ``phi``) read one descriptor
 table, :func:`from_descriptor`. Checks that the subcommand runs and that
 cannot give a finite answer are refused here, before any work: ``na`` or
-``vertical`` past the enumeration cap, and ``strassen`` with a ``phi``
-whose limit is not finite.
+``vertical`` past the enumeration cap, ``strassen`` with a ``phi`` whose
+limit is not finite, and a check that needs a missing ``seed`` or
+``schedule``, or a simulation on a model that is not rectangular.
 """
 
 from __future__ import annotations
@@ -412,7 +413,7 @@ def parse_config(text: str, base_dir: str | Path | None = None,
                                f"unknown check {name!r}; known: {list(CHECK_NAMES)}")
     checks = tuple(dict.fromkeys(checks_doc))  # dedupe, keep order
     selected = set(checks) & set(FAMILIES[subcommand])
-    simulated = sorted(SIMULATION_CHECKS & set(checks))
+    simulated = sorted(SIMULATION_CHECKS & selected)
     if simulated and not model.product_measures:
         raise _field_error("checks", f"{simulated} need a rectangular model, "
                                      f"not {model.joint!r}")
@@ -426,12 +427,12 @@ def parse_config(text: str, base_dir: str | Path | None = None,
     if raw.get("schedule") is not None:
         schedule = _parse_schedule(raw["schedule"])
     needs_schedule = {"truncation", *SIMULATION_CHECKS} & set(checks)
-    if needs_schedule and schedule is None:
+    if needs_schedule & selected and schedule is None:
         raise _field_error("schedule",
                            f"required by checks {sorted(needs_schedule)}")
 
     simulation = _parse_simulation(raw.get("simulation"))
-    if SIMULATION_CHECKS & selected:  # what the run would refuse, refused now
+    if simulated:  # what the run would refuse, refused now
         for k, strategy in enumerate(simulation.strategies):
             if strategy.kind == FIXED and strategy.index >= len(model.credal):
                 raise _field_error(f"simulation.strategies[{k}]",

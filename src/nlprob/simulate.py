@@ -23,7 +23,12 @@ The experiment runner is a step-major block engine. Each strategy's
 sampler tables are built once, and a block's weights come from the
 schedule's rules when the block is summed, so no array has the horizon's
 length. The paths of one strategy advance together, at most
-``PATH_BLOCK`` of them, through blocks of ``STEP_BLOCK`` steps. A block
+``PATH_BLOCK`` of them, through blocks of ``STEP_BLOCK`` steps. A
+strategy enters the engine through one method: its rows source
+(``_rows_source``) gives a block's row offsets, which pick each step's
+variable and measure, one cycle shared by every path or, for iid-random,
+one row per path. An adaptive strategy plugs in there, taking decisions at
+fixed step indices, so no grouping of paths changes a result. A block
 draws one uniform per path and step into a preallocated (paths x steps)
 buffer and inverts the chosen measure's CDF by bisecting for the count of
 cumulative weights at or below it (see ``sample_path``). The final
@@ -160,40 +165,6 @@ def _seed_sequence(seed, *key: int) -> np.random.SeedSequence:
     return np.random.SeedSequence(entropy=int(seed), spawn_key=key)
 
 
-class _Cycle:
-    """pattern[t % len(pattern)] over any window of at most ``steps``
-    consecutive steps t, sliced from one tiling: an integer modulo over
-    every step costs ten times as much."""
-
-    def __init__(self, pattern: np.ndarray, steps: int) -> None:
-        self.period = len(pattern)
-        self.tiled = np.tile(pattern, -(-(steps + self.period - 1)
-                                        // self.period))
-
-    def window(self, start: int, steps: int) -> np.ndarray:
-        offset = start % self.period
-        return self.tiled[offset:offset + steps]
-
-
-def _choice_pattern(model: SequenceModel,
-                    strategy: AdversaryStrategy) -> np.ndarray | None:
-    """The measures a strategy plays in turn, one per step, the same for
-    every path; None for iid-random, whose choices each path draws."""
-    m = len(model.credal)
-    if strategy.kind == FIXED:
-        if strategy.index >= m:
-            raise BadStrategyParamError(
-                f"fixed({strategy.index}) with only {m} measures")
-        return np.array([strategy.index], dtype=np.int64)
-    if strategy.kind == CYCLIC:
-        return np.arange(m, dtype=np.int64)
-    if strategy.kind == IID_RANDOM:
-        return None
-    # drift-max: per distinct coordinate variable, lowest maximizing index
-    return np.array([int(expectation_values(model.credal, v).argmax())
-                     for v in model.variables], dtype=np.int64)
-
-
 def _cdf_table(weights: np.ndarray) -> tuple[np.ndarray, int]:
     """Each measure's cumulative weights F_j(0..size-2), padded with +inf to
     the least power of two W >= size and laid out flat, and W."""
@@ -249,22 +220,37 @@ class _Buffers:
         self.hit = np.empty(n, dtype=bool)
 
 
-class _Choices:
-    """iid-random's measure choices for a group of paths over a horizon,
-    drawn per path for up to ``CHOICE_BLOCKS`` blocks of ``steps`` steps in
-    one call and read back block by block. A stream drawn in chunks is the
-    stream drawn at once, so the chunking changes no choice."""
+class _Cycle:
+    """The rows source of a strategy that plays the same measures on every
+    path: cycle[t % len(cycle)] at step t, sliced from one tiling that holds
+    ``steps`` steps (a modulo over every step costs ten times as much)."""
 
-    def __init__(self, rngs: list[np.random.Generator], measures: int,
-                 steps: int, horizon: int) -> None:
-        self.rngs, self.measures, self.horizon = rngs, measures, horizon
+    def __init__(self, cycle: np.ndarray, steps: int) -> None:
+        self.period = len(cycle)
+        self.tiled = np.tile(cycle, -(-(steps + self.period - 1)
+                                      // self.period))
+
+    def rows(self, start: int, steps: int, out: np.ndarray) -> np.ndarray:
+        offset = start % self.period
+        return self.tiled[offset:offset + steps]
+
+
+class _Choices(_Cycle):
+    """iid-random's rows source: the variables' row cycle plus each path's
+    drawn measure times W, drawn ``CHOICE_BLOCKS`` blocks in one call."""
+
+    def __init__(self, cycle: np.ndarray, steps: int, rngs: list,
+                 measures: int, width: int, horizon: int) -> None:
+        super().__init__(cycle, steps)
+        self.rngs, self.measures = rngs, measures
+        self.width, self.horizon = width, horizon
         self.chunk = np.empty((len(rngs), min(CHOICE_BLOCKS * steps, horizon)),
                               dtype=np.min_scalar_type(measures - 1))
         self.start = self.stop = 0
 
-    def window(self, start: int, steps: int) -> np.ndarray:
-        """Each path's choices at steps start..start+steps-1, a
-        (paths, steps) view; a window starts where the last one stopped."""
+    def rows(self, start: int, steps: int, out: np.ndarray) -> np.ndarray:
+        """The row offsets of steps start..start+steps-1, one per path,
+        written to ``out``; each call starts where the last one stopped."""
         if start + steps > self.stop:
             n = min(self.chunk.shape[1], self.horizon - start)
             for row, rng in zip(self.chunk, self.rngs):
@@ -272,7 +258,39 @@ class _Choices:
                                        dtype=np.int64)
             self.start, self.stop = start, start + n
         offset = start - self.start
-        return self.chunk[:, offset:offset + steps]
+        np.multiply(self.chunk[:, offset:offset + steps], self.width, out=out,
+                    dtype=np.int64)
+        return np.add(out, super().rows(start, steps, out), out=out)
+
+
+def _rows_source(model: SequenceModel, strategy: AdversaryStrategy,
+                 width: int, steps: int, seeds: Sequence,
+                 horizon: int) -> _Cycle:
+    """The rows source of ``strategy`` for paths, one per seed, over
+    ``horizon`` steps in blocks of at most ``steps``: at step t, row offset
+    (t % variables * measures + j) * W, where ``fixed(j)`` plays j, cyclic
+    j = t % measures, drift-max the variable's lowest j of largest linear
+    mean, and iid-random j drawn from the path's (seed, 1, salt) stream."""
+    m, n_vars = len(model.credal), len(model.variables)
+    var_rows = np.arange(n_vars, dtype=np.int64) * m
+    if strategy.kind == IID_RANDOM:
+        return _Choices(var_rows * width, steps, [
+            np.random.Generator(np.random.PCG64(
+                _seed_sequence(s, 1, strategy.salt))) for s in seeds],
+            m, width, horizon)
+    if strategy.kind == FIXED:
+        if strategy.index >= m:
+            raise BadStrategyParamError(
+                f"fixed({strategy.index}) with only {m} measures")
+        pattern = np.array([strategy.index], dtype=np.int64)
+    elif strategy.kind == CYCLIC:
+        pattern = np.arange(m, dtype=np.int64)
+    else:
+        pattern = np.array([int(expectation_values(model.credal, v).argmax())
+                            for v in model.variables], dtype=np.int64)
+    t = np.arange(math.lcm(n_vars, len(pattern)))
+    return _Cycle((var_rows[t % n_vars] + pattern[t % len(pattern)]) * width,
+                  steps)
 
 
 class _BlockSampler:
@@ -286,11 +304,10 @@ class _BlockSampler:
     real part is the value minus the variable's upper centre and whose
     imaginary part is the value minus its lower centre. So a step's final
     bisection position is also the flat index of its value and of its
-    centred pair, and a strategy that plays the same measure on every path
-    has one row sequence for all of them, built once for blocks of at most
-    ``steps`` steps. Given a constant ``weight`` a as well, each part is
-    scaled by it once here, fl(fl(value - centre) * a), the float the
-    partial sums would make at every step.
+    centred pair, and the rows source is all it knows of the strategy.
+    Given a constant ``weight`` a as well, each part is scaled by it once
+    here, fl(fl(value - centre) * a), the float the partial sums would make
+    at every step.
     """
 
     def __init__(self, model: SequenceModel, strategy: AdversaryStrategy,
@@ -317,30 +334,17 @@ class _BlockSampler:
                             np.repeat(c, self.measures * self.width), out=part)
                 if weight is not None:
                     part *= weight
-        self.steps = steps
-        self.salt = strategy.salt
-        pattern = _choice_pattern(model, strategy)
-        var_rows = np.arange(n_vars, dtype=np.int64) * self.measures
-        self.shared = pattern is not None
-        if self.shared:
-            t = np.arange(math.lcm(n_vars, len(pattern)))
-            var_rows = var_rows[t % n_vars] + pattern[t % len(pattern)]
-        # row offsets; iid-random adds each path's drawn measure to them
-        self.rows = _Cycle(var_rows * self.width, steps)
+        self.model, self.strategy, self.steps = model, strategy, steps
 
     def streams(self, seeds: Sequence, horizon: int
-                ) -> tuple[list[np.random.Generator], _Choices | None]:
-        """The outcome streams of a group of paths, one per seed, and, for
-        iid-random, their choices over ``horizon`` steps: each path's
-        outcome and choice streams are disjoint substreams of its seed."""
-        outcomes = [np.random.Generator(np.random.PCG64(_seed_sequence(s, 0)))
-                    for s in seeds]
-        if self.shared:
-            return outcomes, None
-        return outcomes, _Choices(
-            [np.random.Generator(np.random.PCG64(
-                _seed_sequence(s, 1, self.salt))) for s in seeds],
-            self.measures, self.steps, horizon)
+                ) -> tuple[list[np.random.Generator], _Cycle]:
+        """The outcome streams of a group of paths, one per seed, and their
+        rows source over ``horizon`` steps: each path's outcome stream and
+        any choice stream are disjoint substreams of its seed."""
+        return ([np.random.Generator(np.random.PCG64(_seed_sequence(s, 0)))
+                 for s in seeds],
+                _rows_source(self.model, self.strategy, self.width, self.steps,
+                             seeds, horizon))
 
     def draw(self, streams, start: int, steps: int, buf: _Buffers
              ) -> np.ndarray:
@@ -350,17 +354,12 @@ class _BlockSampler:
         offset plus its outcome, so it indexes the step's value and centred
         pair, the outcome is position % W and the measure is
         position // W % measures."""
-        outcome_rngs, choices = streams
+        outcome_rngs, source = streams
         paths = len(outcome_rngs)
         u = _shaped(buf.u, paths, steps)
         for row, rng in zip(u, outcome_rngs):
             rng.random(out=row)
-        rows = self.rows.window(start, steps)
-        if choices is not None:
-            drawn = _shaped(buf.rows, paths, steps)
-            np.multiply(choices.window(start, steps), self.width, out=drawn,
-                        dtype=np.int64)
-            rows = np.add(drawn, rows, out=drawn)
+        rows = source.rows(start, steps, _shaped(buf.rows, paths, steps))
         pos = _shaped(buf.pos, paths, steps)
         _bisect(self.table, self.width, rows, u, pos,
                 _shaped(buf.idx, paths, steps), _shaped(buf.seen, paths, steps),

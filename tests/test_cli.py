@@ -617,9 +617,20 @@ def test_scratch_simulation_config_keeps_exit_code_contract(config):
 
 
 DEMO_DOC = json.loads(Path(DEMO).read_text())
+PAIR_DOC = json.loads(Path(PAIR).read_text())
 
-# (config overrides on the demo config, the one stderr line)
+# (config overrides on the demo config, a None deleting the key, the one
+# stderr line)
 REFUSED_AT_PARSE = {
+    "seed": ({"seed": None},
+             "error: seed: required when simulation checks are selected\n"),
+    "schedule": ({"schedule": None},
+                 "error: schedule: required by checks "
+                 "['slln', 'strassen', 'truncation']\n"),
+    "pair-model": ({"model": PAIR_DOC["model"],
+                    "expected_violations": PAIR_DOC["expected_violations"]},
+                   "error: checks: ['slln', 'strassen'] need a rectangular "
+                   "model, not 'comonotone-pair'\n"),
     "horizon": ({"checks": ["axioms", "chain", "na"], "horizon": 7},
                 "error: 7 coordinates exceed the enumeration cap 6\n"),
     "phi": ({"phi": {"kind": "polynomial", "coeffs": [0, 0, -1]}},
@@ -640,11 +651,19 @@ REFUSED_AT_PARSE = {
 }
 
 
+def _refused_config(tmp_path, case):
+    """The demo config with ``case``'s overrides, and its stderr line."""
+    overrides, err = REFUSED_AT_PARSE[case]
+    doc = {**DEMO_DOC, **overrides}
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({k: v for k, v in doc.items()
+                                  if v is not None}))
+    return config, err
+
+
 @pytest.mark.parametrize("case", sorted(REFUSED_AT_PARSE))
 def test_refused_before_the_output_directory_exists(tmp_path, capsys, case):
-    overrides, err = REFUSED_AT_PARSE[case]
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps({**DEMO_DOC, **overrides}))
+    config, err = _refused_config(tmp_path, case)
     code, out, _ = run(tmp_path, "all", "--config", str(config))
     assert code == 2 and capsys.readouterr().err == err
     assert not out.exists()
@@ -655,13 +674,14 @@ def test_refused_before_the_output_directory_exists(tmp_path, capsys, case):
     ("phi", ("simulate",), ("verify", "check-deps")),
     ("fixed-index", ("simulate",), ("verify", "check-deps")),
     ("memory", ("simulate",), ("verify", "check-deps")),
+    ("seed", ("simulate",), ("verify", "check-deps")),
+    ("schedule", ("simulate",), ("verify", "check-deps")),
+    ("pair-model", ("simulate",), ("verify", "check-deps")),
 ])
 def test_refusals_follow_the_subcommand(tmp_path, capsys, case, refused_by,
                                         runs):
     # a refusal concerns the checks a subcommand runs, not the others
-    overrides, err = REFUSED_AT_PARSE[case]
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps({**DEMO_DOC, **overrides}))
+    config, err = _refused_config(tmp_path, case)
     for subcommand in refused_by:
         code, out, _ = run(tmp_path / subcommand, subcommand,
                            "--config", str(config))

@@ -266,6 +266,44 @@ def test_inverse_cdf_is_exact_at_the_boundaries(rng):
     assert np.cumsum([0.1] * 10)[-1] < 1.0   # the first row's case arises
 
 
+TWO_BY_THREE = SequenceModel(
+    credal_set_from_rows([[0.6, 0.3, 0.1], [0.2, 0.5, 0.3], [0.1, 0.2, 0.7]]),
+    (RandomVariable(np.array([0.0, 1.0, 2.0])),    # means 0.5, 1.1, 1.6
+     RandomVariable(np.array([2.0, 0.0, -1.0]))),  # means 1.1, 0.1, -0.5
+    "rectangular")
+
+
+@pytest.mark.parametrize("strategy, rule", [
+    (AdversaryStrategy("fixed", 0), lambda t, seed: np.full(t.size, 0)),
+    (AdversaryStrategy("fixed", 2), lambda t, seed: np.full(t.size, 2)),
+    (AdversaryStrategy("cyclic"), lambda t, seed: t % 3),
+    # each variable's own largest mean: measure 2 for X1, measure 0 for X2
+    (AdversaryStrategy("drift-max"), lambda t, seed: np.array([2, 0])[t % 2]),
+    *((AdversaryStrategy("iid-random", salt=salt),
+       lambda t, seed, salt=salt: np.random.Generator(np.random.PCG64(
+           np.random.SeedSequence(seed, spawn_key=(1, salt)))).integers(
+               0, 3, t.size))
+      for salt in (0, 4)),
+])
+def test_each_strategy_plays_its_rule(strategy, rule):
+    # each strategy's rule, rebuilt step by step on a model of two
+    # variables and three measures, so that the variables' cycle and the
+    # measures' cycle have different periods; outcomes come from the seed's
+    # (0) uniforms by searchsorted, and no part of the sampler is shared
+    n, weights = 1001, TWO_BY_THREE.credal.weight_matrix()
+    for seed in (3, 20250817):
+        path = sample_path(TWO_BY_THREE, strategy, n, seed)
+        choices = rule(np.arange(n), seed)
+        u = np.random.Generator(np.random.PCG64(
+            np.random.SeedSequence(seed, spawn_key=(0,)))).random(n)
+        for t, (j, x) in enumerate(zip(choices, u)):
+            outcome = min(np.searchsorted(np.cumsum(weights[j]), x,
+                                          side="right"), 2)
+            assert (path.choices[t], path.outcomes[t]) == (j, outcome)
+            assert path.values[t] == \
+                TWO_BY_THREE.variables[t % 2].values[outcome]
+
+
 def test_chunked_draws_equal_one_shot_draws():
     # the block engine draws each path's uniforms with Generator.random(out=)
     # one block at a time, and iid-random's choices with Generator.integers
