@@ -3,8 +3,10 @@
 Subcommands run the check families of ``config.FAMILIES``: ``verify``
 axioms, expectation chains and the inequality suite; ``check-deps`` the
 dependence sweeps; ``simulate`` the Monte Carlo laws (``slln``,
-``strassen``); ``all`` every check the config selects. Outputs land in
-the chosen directory:
+``strassen``); ``all`` every check the config selects. ``main`` hands the
+subcommand and the ``--seed`` and ``--tolerance`` overrides to
+``config.parse_config``, whose config is the whole run: ``execute`` only
+runs the checks it selected. Outputs land in the chosen directory:
 
 * ``report.json``   — uniform check records, experiment summary, config echo
 * ``trajectories.csv`` + ``plot.gp`` — geometric-grid path samples (when
@@ -36,7 +38,6 @@ from .config import (
     FAMILIES,
     ExperimentConfig,
     parse_config,
-    read_number,
     read_text,
     too_large,
 )
@@ -71,19 +72,12 @@ class _Run:
     leave their experiment and the control's payload here."""
 
     config: ExperimentConfig
-    tol: float
-    seed: int | None
-    selected: list[str]
     result: ExperimentResult | None = None
     control: dict[str, Any] | None = None
 
 
-def _var_names(config: ExperimentConfig) -> list[str]:
-    return list(config.raw["model"].get("variables", {}).keys())
-
-
 def _axiom_records(run: _Run) -> list[CheckResult]:
-    model, tol = run.config.model, run.tol
+    model, tol = run.config.model, run.config.tolerance
     size = model.credal.size
     if size <= 16:
         events = all_events(size)
@@ -99,9 +93,9 @@ def _axiom_records(run: _Run) -> list[CheckResult]:
 
 
 def _chain_records(run: _Run) -> list[CheckResult]:
-    config, tol = run.config, run.tol
+    config, tol = run.config, run.config.tolerance
     records = []
-    for name, var in zip(_var_names(config), config.model.variables):
+    for name, var in zip(config.variable_names, config.model.variables):
         bounds = expectation_chain(config.model.credal, var)
         cl, lo, up, cu = bounds.as_tuple()
         worst = max(cl - lo, lo - up, up - cu)
@@ -112,11 +106,11 @@ def _chain_records(run: _Run) -> list[CheckResult]:
 
 
 def _inequality_records(run: _Run) -> list[CheckResult]:
-    config, tol = run.config, run.tol
+    config, tol = run.config, run.config.tolerance
     model = config.model
-    names = _var_names(config)
     records = []
-    for k, (name, var) in enumerate(zip(names, model.variables)):
+    for k, (name, var) in enumerate(zip(config.variable_names,
+                                        model.variables)):
         other = model.variables[(k + 1) % len(model.variables)]
         vals = var.values
         shift = 1.0 - float(vals.min())
@@ -136,7 +130,7 @@ def _inequality_records(run: _Run) -> list[CheckResult]:
 
 def _na_records(run: _Run) -> list[CheckResult]:
     return [check_negative_association(run.config.model, run.config.horizon,
-                                       tol=run.tol)]
+                                       tol=run.config.tolerance)]
 
 
 def _vertical_records(run: _Run) -> list[CheckResult]:
@@ -149,11 +143,11 @@ def _vertical_records(run: _Run) -> list[CheckResult]:
         ramps.append(TestFunction(RAMP, mid - width / 2.0, width))
     # one ramp per variable; the check cycles them as it cycles variables
     return [check_vertical_independence(model, run.config.horizon, ramps,
-                                        run.tol)]
+                                        run.config.tolerance)]
 
 
 def _forward_records(run: _Run) -> list[CheckResult]:
-    config, tol = run.config, run.tol
+    config, tol = run.config, run.config.tolerance
     value = forward_factorization_value(config.model, config.forward_g,
                                         config.forward_f, n=2)
     records = [CheckResult("forward-factorization", value, 0.0, -value,
@@ -166,7 +160,7 @@ def _forward_records(run: _Run) -> list[CheckResult]:
 
 
 def _truncation_records(run: _Run) -> list[CheckResult]:
-    config, tol = run.config, run.tol
+    config, tol = run.config, run.config.tolerance
     model, schedule = config.model, config.schedule
     records = []
     eq_tol = max(tol, 1e-12)
@@ -191,7 +185,7 @@ def _simulation(run: _Run) -> ExperimentResult:
     """The one experiment that slln and strassen read, run on first use;
     it carries phi when strassen is selected."""
     if run.result is None:
-        phi = run.config.phi if "strassen" in run.selected else None
+        phi = run.config.phi if "strassen" in run.config.selected else None
         run.result = _experiment(run, run.config.simulation.strategies,
                                  phi=phi)
     return run.result
@@ -238,7 +232,7 @@ def _experiment(run: _Run, strategies, **kwargs) -> ExperimentResult:
     try:
         return run_slln_experiment(
             config.model, config.schedule, strategies, sim.n_steps,
-            sim.paths_per_strategy, run.seed, n_start=sim.n_start,
+            sim.paths_per_strategy, config.seed, n_start=sim.n_start,
             epsilon=sim.epsilon, grid_points=sim.grid_points, **kwargs)
     except MemoryError as exc:
         raise too_large(sim) from exc
@@ -251,14 +245,7 @@ def _experiment_payload(result) -> dict[str, Any]:
         "lower_undershoot_fraction": result.lower_undershoot_fraction,
         "per_strategy": result.per_strategy,
         "phi_bound": result.phi_bound,
-        "paths": [
-            {"strategy": s.strategy, "path_index": s.path_index,
-             "final_upper": s.final_upper, "final_lower": s.final_lower,
-             "tail_max_upper": s.tail_max_upper,
-             "tail_min_lower": s.tail_min_lower,
-             "phi_tail_sup": s.phi_tail_sup}
-            for s in result.path_summaries
-        ],
+        "paths": [dict(vars(s)) for s in result.path_summaries],
     }
 
 
@@ -302,16 +289,12 @@ RUNNERS = {
 }
 
 
-def execute(config: ExperimentConfig, subcommand: str = "all",
-            out_dir: str | Path | None = None,
-            seed_override: int | None = None,
-            tolerance_override: float | None = None) -> tuple[str, list[str]]:
-    """Run the selected check families and write the report bundle; return
-    the summary text and the names of the failing records."""
-    tol = tolerance_override if tolerance_override is not None else config.tolerance
-    seed = seed_override if seed_override is not None else config.seed
-    selected = [c for c in config.checks if c in FAMILIES[subcommand]]
-
+def execute(config: ExperimentConfig,
+            out_dir: str | Path | None = None) -> tuple[str, list[str]]:
+    """Run the checks ``config`` selected, with its tolerance and seed, and
+    write the report bundle to ``out_dir`` (else the config's ``out``, else
+    ``out``); return the summary text and the names of the failing
+    records. Nothing is decided here that ``parse_config`` has not."""
     out = Path(out_dir if out_dir is not None else (config.out or "out"))
     try:  # before the checks run, so a bad --out costs no work
         out.mkdir(parents=True, exist_ok=True)
@@ -319,8 +302,8 @@ def execute(config: ExperimentConfig, subcommand: str = "all",
         flag = "--out" if out_dir is not None else "out"
         raise ConfigValidationError(f"{flag}: cannot create {out}: "
                                     f"{exc.strerror}") from exc
-    run = _Run(config, tol, seed, selected)
-    by_check = {check: RUNNERS[check](run) for check in selected}
+    run = _Run(config)
+    by_check = {check: RUNNERS[check](run) for check in config.selected}
 
     failures, flat_records = [], []
     for check in CHECK_NAMES:
@@ -340,10 +323,10 @@ def execute(config: ExperimentConfig, subcommand: str = "all",
     passed = not failures
     report = {
         "tool": {"name": "nlprob", "version": __version__},
-        "subcommand": subcommand,
-        "selected_checks": selected,
-        "tolerance": tol,
-        "seed": seed,
+        "subcommand": config.subcommand,
+        "selected_checks": config.selected,
+        "tolerance": config.tolerance,
+        "seed": config.seed,
         "expected_violations": sorted(config.expected_violations),
         "checks": flat_records,
         "experiment": (None if run.result is None
@@ -400,14 +383,10 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: config file not found: {config_path}", file=sys.stderr)
         return 2
     try:
-        seed = read_number(args.seed, "--seed", optional=True, integer=True,
-                           low=0)
-        tolerance = read_number(args.tolerance, "--tolerance", optional=True,
-                                above=0.0)
         config = parse_config(read_text(config_path, "config"),
-                              config_path.parent, args.command)
-        summary, failures = execute(config, args.command, args.out, seed,
-                                    tolerance)
+                              config_path.parent, args.command, args.seed,
+                              args.tolerance)
+        summary, failures = execute(config, args.out)
     except NlprobError as exc:  # configuration errors included
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,5 +1,6 @@
 """The reader of every input from outside the program: experiment configs,
-the model documents and function descriptors they hold, and every number.
+the model documents and function descriptors they hold, the command line's
+``--seed`` and ``--tolerance`` overrides, and every number.
 
 A config names a model (inline document or a path to one), an optional
 weight schedule, the list of checks to run, simulation parameters and
@@ -15,7 +16,7 @@ reporting knobs::
       "checks": ["axioms", "chain", "inequalities", "na", "vertical",
                  "forward", "truncation", "slln", "strassen"],
       "tolerance": 1e-9,
-      "seed": 123,                      # required when simulating
+      "seed": 123,                      # simulating needs it or --seed
       "horizon": 4,                     # coordinates for dependence checks
       "truncation_indices": [1, 2, 3, 5, 8],
       "forward": {"g": {...}, "f": {...}, "expected": -0.21},
@@ -39,11 +40,13 @@ take finite JSON numbers only (no bool, string or NaN), and
 1e-9, epsilon 0.05, grid_points 160, n_start = n_steps // 10, horizon =
 the model's coordinate count, or 4 where it is unbounded.
 Function fields (``forward.g``, ``forward.f``, ``phi``) read one descriptor
-table, :func:`from_descriptor`. Checks that the subcommand runs and that
-cannot give a finite answer are refused here, before any work: ``na`` or
-``vertical`` past the enumeration cap, ``strassen`` with a ``phi`` whose
-limit is not finite, and a check that needs a missing ``seed`` or
-``schedule``, or a simulation on a model that is not rectangular.
+table, :func:`from_descriptor`. The parsed config is the whole run: the
+overrides applied, the checks the subcommand selects, the variables' names.
+Selected checks that cannot give a finite answer are refused here, before
+any work: ``na`` or ``vertical`` past the enumeration cap, ``strassen``
+with a ``phi`` whose limit is not finite, and a check that needs a missing
+``seed`` or ``schedule``, or a simulation on a model that is not
+rectangular.
 """
 
 from __future__ import annotations
@@ -125,8 +128,11 @@ _DEFAULT_SIMULATION = SimulationSettings()
 @dataclass(frozen=True)
 class ExperimentConfig:
     model: SequenceModel
+    variable_names: tuple[str, ...]  # the model document's, in order
     checks: tuple[str, ...]
-    tolerance: float
+    subcommand: str
+    selected: tuple[str, ...]  # the checks in FAMILIES[subcommand], in order
+    tolerance: float  # tolerance and seed: the flags' overrides applied
     seed: int | None
     schedule: WeightSchedule | None
     simulation: SimulationSettings
@@ -375,14 +381,20 @@ def _load_json(text: str, what: str) -> Any:
 
 
 def parse_config(text: str, base_dir: str | Path | None = None,
-                 subcommand: str = "all") -> ExperimentConfig:
+                 subcommand: str = "all", seed: Any = None,
+                 tolerance: Any = None) -> ExperimentConfig:
     """Parse and validate configuration text for ``subcommand``.
 
     ``base_dir`` anchors relative model paths (defaults to the working
-    directory); referenced files must exist at parse time. The checks of
+    directory); referenced files must exist at parse time. The overrides
+    ``seed`` and ``tolerance`` (``--seed``, ``--tolerance``) are read first
+    and beat the config's own, still validated. The checks of
     ``subcommand``'s family (``FAMILIES``) that cannot give a finite answer
     are refused.
     """
+    seed = read_number(seed, "--seed", optional=True, integer=True, low=0)
+    tolerance = read_number(tolerance, "--tolerance", optional=True,
+                            above=0.0)
     raw = _load_json(text, "config")
     if not isinstance(raw, dict):
         raise ConfigValidationError("config: top level must be a JSON object")
@@ -412,22 +424,24 @@ def parse_config(text: str, base_dir: str | Path | None = None,
             raise _field_error(f"checks[{k}]",
                                f"unknown check {name!r}; known: {list(CHECK_NAMES)}")
     checks = tuple(dict.fromkeys(checks_doc))  # dedupe, keep order
-    selected = set(checks) & set(FAMILIES[subcommand])
-    simulated = sorted(SIMULATION_CHECKS & selected)
+    selected = tuple(c for c in checks if c in FAMILIES[subcommand])
+    simulated = sorted(SIMULATION_CHECKS.intersection(selected))
     if simulated and not model.product_measures:
         raise _field_error("checks", f"{simulated} need a rectangular model, "
                                      f"not {model.joint!r}")
 
-    tolerance = read_number(raw.get("tolerance", DEFAULT_TOLERANCE),
-                            "tolerance", above=0.0)
-    seed = read_number(raw.get("seed"), "seed", optional=True, integer=True,
-                       low=0)
+    own_tolerance = read_number(raw.get("tolerance", DEFAULT_TOLERANCE),
+                                "tolerance", above=0.0)
+    own_seed = read_number(raw.get("seed"), "seed", optional=True,
+                           integer=True, low=0)
+    tolerance = own_tolerance if tolerance is None else tolerance
+    seed = own_seed if seed is None else seed
 
     schedule = None
     if raw.get("schedule") is not None:
         schedule = _parse_schedule(raw["schedule"])
     needs_schedule = {"truncation", *SIMULATION_CHECKS} & set(checks)
-    if needs_schedule & selected and schedule is None:
+    if needs_schedule.intersection(selected) and schedule is None:
         raise _field_error("schedule",
                            f"required by checks {sorted(needs_schedule)}")
 
@@ -477,7 +491,7 @@ def parse_config(text: str, base_dir: str | Path | None = None,
     horizon = read_number(raw.get("horizon", model.coordinates or DEFAULT_HORIZON),
                           "horizon", integer=True, low=1)
     horizon = min(max(2, horizon), model.coordinates or math.inf)
-    if {"na", "vertical"} & selected:
+    if {"na", "vertical"}.intersection(selected):
         check_horizon(model, horizon)
 
     indices = raw.get("truncation_indices", [1, 2, 3, 5, 8])
@@ -496,9 +510,10 @@ def parse_config(text: str, base_dir: str | Path | None = None,
     echo.pop("out", None)
 
     return ExperimentConfig(
-        model=model, checks=checks, tolerance=tolerance,
-        seed=seed, schedule=schedule, simulation=simulation,
-        forward_g=forward_g, forward_f=forward_f,
+        model=model, variable_names=tuple(model_doc["variables"]),
+        checks=checks, subcommand=subcommand, selected=selected,
+        tolerance=tolerance, seed=seed, schedule=schedule,
+        simulation=simulation, forward_g=forward_g, forward_f=forward_f,
         forward_expected=forward_expected, phi=phi,
         expected_violations=frozenset(expected), horizon=horizon,
         truncation_indices=tuple(indices), out=out, raw=echo)

@@ -166,6 +166,10 @@ def make_schedule(kind: str, alpha: float, beta: float, C: float = 1.0,
                 f"beta={beta} outside (0, {cap}) for custom schedule")
         a_kind, a_param = a_rule if a_rule is not None else ("constant", 1.0)
         A_kind, A_param = A_rule if A_rule is not None else ("linear", 1.0)
+        if a_kind not in ("constant", "harmonic", "table"):
+            raise ValueError(f"unknown weight rule {a_kind!r}")
+        if A_kind not in ("linear", "power", "table"):
+            raise ValueError(f"unknown normalizer rule {A_kind!r}")
         if a_kind == "constant" and float(a_param) <= 0:
             raise ValueError(f"constant weight must be > 0, got {a_param}")
         if a_kind == "table" and np.asarray(a_param, dtype=float).min() <= 0:

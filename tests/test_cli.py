@@ -693,6 +693,15 @@ def test_refusals_follow_the_subcommand(tmp_path, capsys, case, refused_by,
         assert code == 0 and report["subcommand"] == subcommand
 
 
+@pytest.mark.parametrize("subcommand", ["simulate", "all"])
+def test_seed_flag_runs_a_seedless_config(tmp_path, capsys, subcommand):
+    config, _ = _refused_config(tmp_path, "seed")
+    code, _, report = run(tmp_path, subcommand, "--config", str(config),
+                          "--seed", "5")
+    assert code == 0 and capsys.readouterr().err == ""
+    assert report["seed"] == 5 and "seed" not in report["config"]
+
+
 def test_a_linear_polynomial_phi_is_the_affine_one(tmp_path):
     # the same line as a polynomial and as an affine phi: both run, with
     # the same strassen bound

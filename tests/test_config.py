@@ -103,6 +103,22 @@ class TestChecksField:
         config = parse_config(config_text(checks=["na", "chain", "na"]))
         assert config.checks == ("na", "chain")
 
+    @pytest.mark.parametrize("subcommand", sorted(FAMILIES))
+    def test_selected_follows_the_family_in_config_order(self, subcommand):
+        checks = ["strassen", "forward", "chain", "na", "axioms", "slln"]
+        config = parse_config(config_text(
+            checks=checks, seed=1,
+            schedule={"kind": "kolmogorov", "alpha": 1.0, "beta": 0.5}),
+            subcommand=subcommand)
+        assert config.subcommand == subcommand
+        assert config.selected == tuple(c for c in checks
+                                        if c in FAMILIES[subcommand])
+
+    def test_variable_names_keep_the_document_order(self):
+        doc = {**MODEL_DOC, "variables": {"Z": [0.0, 1.0], "A": [1.0, 0.0]}}
+        assert parse_config(config_text(model=doc)).variable_names == \
+            ("Z", "A")
+
     def test_families_cover_all_names(self):
         assert FAMILIES["verify"] == ("axioms", "chain", "inequalities")
         assert FAMILIES["check-deps"] == ("na", "vertical", "forward")
@@ -146,6 +162,29 @@ def nested(field, value):
     """Config overrides that put ``value`` at the dotted ``field``."""
     head, _, key = field.partition(".")
     return {head: {key: value}} if key else {head: value}
+
+
+class TestOverrides:
+    def test_overrides_beat_the_config(self):
+        config = parse_config(config_text(seed=1, tolerance=1e-6), seed=7,
+                              tolerance=1e-3)
+        assert (config.seed, config.tolerance) == (7, 1e-3)
+        # the echo keeps what the config said
+        assert (config.raw["seed"], config.raw["tolerance"]) == (1, 1e-6)
+
+    @pytest.mark.parametrize("flags, named", [
+        ({"seed": 1.5}, "--seed"),
+        ({"tolerance": float("nan")}, "--tolerance"),
+        ({"seed": -1, "tolerance": 0.0}, "--seed"),  # the flags in order
+    ])
+    def test_a_bad_override_is_refused_before_the_config(self, flags, named):
+        with pytest.raises(ConfigValidationError) as info:
+            parse_config("not json", **flags)
+        assert str(info.value).startswith(f"{named}: ")
+
+    def test_a_bad_config_value_is_refused_under_an_override(self):
+        with pytest.raises(ConfigValidationError, match="^tolerance: "):
+            parse_config(config_text(tolerance=-1.0), tolerance=1e-3)
 
 
 class TestScalarReader:

@@ -5,8 +5,8 @@ in that module (``__init__.py`` re-exports, so it is exempt).
 (b) Every public name of the package has a reader: code in ``src/`` or
 ``tests/`` uses it, or ``perfbench/spans.py`` probes it. README.md does not
 count, since ``tests/test_readme.py`` pins its API list to the exports.
-(c) ``config`` is the one reader of outside input: only it and the CLI,
-which reads ``--seed`` and ``--tolerance``, call ``read_number``, and the
+(c) ``config`` is the one reader of outside input, the CLI's ``--seed``
+and ``--tolerance`` included: only it calls ``read_number``, and the
 function catalog imports nothing from the package but ``errors``.
 """
 
@@ -71,12 +71,12 @@ def test_every_public_name_has_a_reader():
     assert not unread, f"public names nothing reads: {unread}"
 
 
-def test_only_config_and_the_cli_read_numbers():
+def test_only_config_reads_numbers():
     readers = {p.name for p in PACKAGE.glob("*.py")
                if any(isinstance(node, ast.Call)
                       and "read_number" in _used(node.func)
                       for node in ast.walk(_tree(p)))}
-    assert readers <= {"config.py", "cli.py"}, readers
+    assert readers <= {"config.py"}, readers
 
 
 def test_function_catalog_imports_only_errors():

@@ -119,6 +119,15 @@ class TestMakeSchedule:
             make_schedule("custom", alpha=1.0, beta=0.5,
                           A_rule=("power", 1.5))
 
+    @pytest.mark.parametrize("rules, message", [
+        ({"a_rule": ("bogus", 1.0)}, "unknown weight rule 'bogus'"),
+        ({"A_rule": ("bogus", 1.0)}, "unknown normalizer rule 'bogus'"),
+    ])
+    def test_custom_refuses_an_unknown_rule_when_built(self, rules, message):
+        # refused by the builder, not by the first a() or A() a check calls
+        with pytest.raises(ValueError, match=message):
+            make_schedule("custom", alpha=1.0, beta=0.5, **rules)
+
     def test_rules_never_return_the_callers_array(self, kolmogorov):
         # indices are read without a copy, so a rule must not hand them back
         x = np.arange(1.0, 5.0)
