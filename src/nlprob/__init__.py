@@ -71,7 +71,6 @@ from .simulate import (
     sample_path,
 )
 from .slln import (
-    ScheduleValidation,
     TruncationParams,
     WeightSchedule,
     elementary_exp_bound_check,

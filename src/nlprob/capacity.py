@@ -44,7 +44,7 @@ def capacity_axiom_report(credal: CredalSet, events: np.ndarray,
         raise DimensionMismatchError(
             f"events must be a membership matrix of shape (events, {size}), "
             f"got shape {members.shape}")
-    W = credal.weight_matrix()
+    W = credal.weights
     ends = event_probability_table(W, np.repeat([[False], [True]], size, axis=1))
     probs = event_probability_table(W, members)
     if (members ^ members[::-1]).all():

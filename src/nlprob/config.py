@@ -44,9 +44,9 @@ table, :func:`from_descriptor`. The parsed config is the whole run: the
 overrides applied, the checks the subcommand selects, the variables' names.
 Selected checks that cannot give a finite answer are refused here, before
 any work: ``na`` or ``vertical`` past the enumeration cap, ``strassen``
-with a ``phi`` whose limit is not finite, and a check that needs a missing
-``seed`` or ``schedule``, or a simulation on a model that is not
-rectangular.
+with a ``phi`` whose limit is not finite, a check that needs a missing
+``seed`` or ``schedule``, and a simulation on a model that is not
+rectangular or with a schedule that fails its validation at ``n_steps``.
 """
 
 from __future__ import annotations
@@ -84,6 +84,7 @@ from .simulate import (
     GRID_POINTS,
     AdversaryStrategy,
     bundled_strategies,
+    check_schedule,
 )
 from .slln import WeightSchedule, make_schedule
 
@@ -129,7 +130,6 @@ _DEFAULT_SIMULATION = SimulationSettings()
 class ExperimentConfig:
     model: SequenceModel
     variable_names: tuple[str, ...]  # the model document's, in order
-    checks: tuple[str, ...]
     subcommand: str
     selected: tuple[str, ...]  # the checks in FAMILIES[subcommand], in order
     tolerance: float  # tolerance and seed: the flags' overrides applied
@@ -423,8 +423,8 @@ def parse_config(text: str, base_dir: str | Path | None = None,
         if name not in CHECK_NAMES:
             raise _field_error(f"checks[{k}]",
                                f"unknown check {name!r}; known: {list(CHECK_NAMES)}")
-    checks = tuple(dict.fromkeys(checks_doc))  # dedupe, keep order
-    selected = tuple(c for c in checks if c in FAMILIES[subcommand])
+    selected = tuple(c for c in dict.fromkeys(checks_doc)  # dedupe, keep order
+                     if c in FAMILIES[subcommand])
     simulated = sorted(SIMULATION_CHECKS.intersection(selected))
     if simulated and not model.product_measures:
         raise _field_error("checks", f"{simulated} need a rectangular model, "
@@ -440,13 +440,14 @@ def parse_config(text: str, base_dir: str | Path | None = None,
     schedule = None
     if raw.get("schedule") is not None:
         schedule = _parse_schedule(raw["schedule"])
-    needs_schedule = {"truncation", *SIMULATION_CHECKS} & set(checks)
-    if needs_schedule.intersection(selected) and schedule is None:
+    needs_schedule = {"truncation", *SIMULATION_CHECKS} & set(selected)
+    if needs_schedule and schedule is None:
         raise _field_error("schedule",
                            f"required by checks {sorted(needs_schedule)}")
 
     simulation = _parse_simulation(raw.get("simulation"))
     if simulated:  # what the run would refuse, refused now
+        check_schedule(schedule, simulation.n_steps)
         for k, strategy in enumerate(simulation.strategies):
             if strategy.kind == FIXED and strategy.index >= len(model.credal):
                 raise _field_error(f"simulation.strategies[{k}]",
@@ -457,7 +458,7 @@ def parse_config(text: str, base_dir: str | Path | None = None,
     if simulated and seed is None:
         raise _field_error("seed", "required when simulation checks are selected")
 
-    forward_doc = raw.get("forward") or {}
+    forward_doc = {} if raw.get("forward") is None else raw["forward"]
     if not isinstance(forward_doc, dict):
         raise _field_error("forward", "must be an object")
     forward_g, forward_f = (
@@ -511,7 +512,7 @@ def parse_config(text: str, base_dir: str | Path | None = None,
 
     return ExperimentConfig(
         model=model, variable_names=tuple(model_doc["variables"]),
-        checks=checks, subcommand=subcommand, selected=selected,
+        subcommand=subcommand, selected=selected,
         tolerance=tolerance, seed=seed, schedule=schedule,
         simulation=simulation, forward_g=forward_g, forward_f=forward_f,
         forward_expected=forward_expected, phi=phi,

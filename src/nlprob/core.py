@@ -88,9 +88,11 @@ class RandomVariable:
 
 @dataclass(frozen=True, eq=False)
 class CredalSet:
-    """An ordered, nonempty family of measures on one outcome space, held as
-    its weight matrix: row j is measure j. Built from any iterable of weight
-    rows, each validated and renormalized by itself."""
+    """An ordered, nonempty family of measures on one outcome space, read
+    as its weight matrix ``weights``: one read-only array of shape
+    (len(self), size), row j measure j, stacked when the set is built.
+    Built from any iterable of weight rows, each validated and
+    renormalized by itself."""
 
     weights: np.ndarray
 
@@ -113,11 +115,6 @@ class CredalSet:
     @property
     def size(self) -> int:
         return self.weights.shape[1]
-
-    def weight_matrix(self) -> np.ndarray:
-        """The measures as rows; shape (len(self), size). One read-only
-        array, stacked when the set is built."""
-        return self.weights
 
 
 def credal_set_from_rows(rows) -> CredalSet:

@@ -187,7 +187,7 @@ def _sweep_family(model: SequenceModel, family: TestFamily, n: int,
     else:
         R1 = family.value_rows(model.variable_at(1))
         R2 = family.value_rows(model.variable_at(2))
-        W = model.credal.weight_matrix()
+        W = model.credal.weights
         lhs = np.einsum("aw,bw,jw->abj", R1, R2, W).max(axis=2)
         u1 = (R1 @ W.T).max(axis=1)
         u2 = (R2 @ W.T).max(axis=1)

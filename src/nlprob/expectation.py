@@ -49,7 +49,7 @@ def _check_dims(credal: CredalSet, variable: RandomVariable) -> None:
 def expectation_values(credal: CredalSet, variable: RandomVariable) -> np.ndarray:
     """E_j[X] for every measure j, in credal order."""
     _check_dims(credal, variable)
-    return credal.weight_matrix() @ variable.values
+    return credal.weights @ variable.values
 
 
 def upper_expectation(credal: CredalSet, variable: RandomVariable) -> float:
@@ -75,7 +75,7 @@ def choquet_expectation(credal: CredalSet, variable: RandomVariable,
     if distinct.size == 1:
         return float(distinct[0])
     # survival[k, j] = P_j(X >= distinct[k]) for k >= 1
-    surv = event_probability_table(credal.weight_matrix(),
+    surv = event_probability_table(credal.weights,
                                    vals[None, :] >= distinct[1:, None])
     kappa = surv.max(axis=1) if side == UPPER else surv.min(axis=1)
     steps = np.diff(distinct)
@@ -213,7 +213,7 @@ def inequality_suite(credal: CredalSet, x: RandomVariable, y: RandomVariable,
     if fx.min() < 0.0:
         raise NonPositiveFunctionError(
             f"{f.describe()} takes negative values on the variable's range")
-    probs = event_probability_table(credal.weight_matrix(), hit[None, :])[0]
+    probs = event_probability_table(credal.weights, hit[None, :])[0]
     f_mean = expectation_values(credal, RandomVariable(fx))
     results.append(comparison(
         "chebyshev-upper", float(probs.max()), float(f_mean.max()) / ft, tol,

@@ -150,7 +150,7 @@ def joint_expectation_table(model: SequenceModel, F, n: int) -> np.ndarray:
     """
     _check_cap(model, n)
     G = _integrand_tensor(model, F, n)
-    W = model.credal.weight_matrix()
+    W = model.credal.weights
     # contract outcome axes one at a time; each step consumes the current
     # leading outcome axis and appends that axis's measure axis at the end,
     # so the final axes read (j_1, ..., j_n) -- a single j for the pair,
@@ -173,7 +173,7 @@ def coordinate_expectation_matrix(model: SequenceModel,
     if rows.shape[1] != model.credal.size:
         raise DimensionMismatchError(
             f"factor rows have length {rows.shape[1]}, space has {model.credal.size}")
-    W = model.credal.weight_matrix()
+    W = model.credal.weights
     return np.array([W @ row for row in rows])
 
 
@@ -200,7 +200,7 @@ def product_expectation_table(model: SequenceModel, rows) -> np.ndarray:
     rows = np.atleast_2d(np.asarray(rows, dtype=float))
     model.variable_at(rows.shape[0])  # raises unless every coordinate exists
     if not model.product_measures:
-        return model.credal.weight_matrix() @ rows.prod(axis=0)
+        return model.credal.weights @ rows.prod(axis=0)
     if rows.min() < 0.0:
         raise NegativeFunctionValueError(
             "a rectangular product needs nonnegative factor rows, "

@@ -297,43 +297,40 @@ class _BlockSampler:
     """The sampler of one strategy on one rectangular-product model. It
     draws a block of consecutive steps for a group of paths at once.
 
-    Its tables have one row of width W per (variable, measure) pair, at
-    offset (variable * measures + measure) * W: the measure's cumulative
-    weights (``_cdf_table``), the variable's values and, given the centre
-    vectors (upper, lower), the pre-centred pairs: complex entries whose
-    real part is the value minus the variable's upper centre and whose
-    imaginary part is the value minus its lower centre. So a step's final
-    bisection position is also the flat index of its value and of its
-    centred pair, and the rows source is all it knows of the strategy.
-    Given a constant ``weight`` a as well, each part is scaled by it once
-    here, fl(fl(value - centre) * a), the float the partial sums would make
-    at every step.
+    Its two tables have one row of width W per (variable, measure) pair,
+    at offset (variable * measures + measure) * W: the measure's cumulative
+    weights (``_cdf_table``) and the pre-centred pairs of the centre
+    vectors (upper, lower): complex entries whose real part is the value
+    minus the variable's upper centre and whose imaginary part is the
+    value minus its lower centre. So a step's final bisection position is
+    also the flat index of its centred pair, and the rows source is all it
+    knows of the strategy. Given a constant ``weight`` a, each part is
+    scaled by it once here, fl(fl(value - centre) * a), the float the
+    partial sums would make at every step.
     """
 
     def __init__(self, model: SequenceModel, strategy: AdversaryStrategy,
-                 steps: int,
-                 centers: tuple[np.ndarray, np.ndarray] | None = None,
+                 steps: int, centers: tuple[np.ndarray, np.ndarray],
                  weight: float | None = None) -> None:
         if not model.product_measures:
             raise UnsupportedModelError(
                 f"sampling needs a rectangular-product model, not "
                 f"{model.joint!r}")
-        weights = model.credal.weight_matrix()
+        weights = model.credal.weights
         self.measures, size = weights.shape
         n_vars = len(model.variables)
         cdf, self.width = _cdf_table(weights)
         self.table = np.tile(cdf, n_vars)
         values = np.zeros((n_vars, self.width))  # the padding is never read
         values[:, :size] = [v.values for v in model.variables]
-        self.values = np.repeat(values, self.measures, axis=0).ravel()
-        if centers is not None:
-            # set part by part: complex arithmetic could flip a zero's sign
-            self.pairs = np.empty(self.values.size, dtype=np.complex128)
-            for part, c in zip((self.pairs.real, self.pairs.imag), centers):
-                np.subtract(self.values,
-                            np.repeat(c, self.measures * self.width), out=part)
-                if weight is not None:
-                    part *= weight
+        values = np.repeat(values, self.measures, axis=0).ravel()
+        # set part by part: complex arithmetic could flip a zero's sign
+        self.pairs = np.empty(values.size, dtype=np.complex128)
+        for part, c in zip((self.pairs.real, self.pairs.imag), centers):
+            np.subtract(values, np.repeat(c, self.measures * self.width),
+                        out=part)
+            if weight is not None:
+                part *= weight
         self.model, self.strategy, self.steps = model, strategy, steps
 
     def streams(self, seeds: Sequence, horizon: int
@@ -351,9 +348,9 @@ class _BlockSampler:
         """Steps start..start+steps-1 of every path in ``streams``, each
         path's draws continuing its own streams: the positions, a view into
         ``buf`` of shape (paths, steps). A position is the step's row
-        offset plus its outcome, so it indexes the step's value and centred
-        pair, the outcome is position % W and the measure is
-        position // W % measures."""
+        offset plus its outcome, so it indexes the step's centred pair, the
+        outcome is position % W and the measure is position // W % measures.
+        """
         outcome_rngs, source = streams
         paths = len(outcome_rngs)
         u = _shaped(buf.u, paths, steps)
@@ -370,7 +367,9 @@ class _BlockSampler:
 def sample_path(model: SequenceModel, strategy: AdversaryStrategy,
                 n_steps: int, seed) -> SamplePath:
     """Simulate one path of a rectangular-product model: the experiment's
-    block sampler run for one path and one block of ``n_steps`` steps.
+    block sampler run for one path and one block of ``n_steps`` steps, at
+    zero centres, so a step's value is its pair's real part (x - 0.0 is x
+    bit for bit, -0.0 included).
 
     ``seed`` is an integer or a numpy SeedSequence; the outcome stream and
     an iid-random strategy's choice stream use disjoint substreams of it.
@@ -395,11 +394,13 @@ def sample_path(model: SequenceModel, strategy: AdversaryStrategy,
     """
     if n_steps < 1:
         raise IndexOutOfRangeError(f"need n_steps >= 1, got {n_steps}")
-    sampler = _BlockSampler(model, strategy, n_steps)
+    zero = np.zeros(len(model.variables))
+    sampler = _BlockSampler(model, strategy, n_steps, (zero, zero))
     pos = sampler.draw(sampler.streams([seed], n_steps), 0, n_steps,
                        _Buffers(1, n_steps))[0]
     rows, outcomes = np.divmod(pos, sampler.width)
-    return SamplePath(rows % sampler.measures, outcomes, sampler.values[pos])
+    return SamplePath(rows % sampler.measures, outcomes,
+                      sampler.pairs.real[pos])
 
 
 @dataclass(frozen=True)
@@ -480,6 +481,16 @@ def normalized_partial_sums(terms: np.ndarray, A: np.ndarray,
     return out
 
 
+def check_schedule(schedule: WeightSchedule, n_steps: int) -> None:
+    """Refuse a schedule with a failing ``validate_schedule`` record at
+    horizon ``n_steps``: ScheduleInvalidError naming the failed records."""
+    failed = [r.check for r in validate_schedule(schedule, n_steps)
+              if not r.passed]
+    if failed:
+        raise ScheduleInvalidError(
+            f"schedule fails {failed} at horizon {n_steps}")
+
+
 def run_slln_experiment(model: SequenceModel, schedule: WeightSchedule,
                         strategies: Sequence[AdversaryStrategy],
                         n_steps: int, paths_per_strategy: int, seed: int,
@@ -508,11 +519,7 @@ def run_slln_experiment(model: SequenceModel, schedule: WeightSchedule,
     ``PATH_BLOCK``, block by block (see the module docstring), in path
     order. ``jobs`` is accepted and ignored: the engine runs on one thread.
     """
-    validation = validate_schedule(schedule, n_steps)
-    if not validation.passed:
-        failed = [r.check for r in validation.results if not r.passed]
-        raise ScheduleInvalidError(
-            f"schedule fails {failed} at horizon {n_steps}")
+    check_schedule(schedule, n_steps)
     if epsilon <= 0:
         raise ValueError(f"epsilon must be > 0, got {epsilon}")
     if n_start is None:

@@ -9,10 +9,11 @@ harmonic | table weights, linear | power | table normalizers).
 
 The shape parameter beta must satisfy A_n / n^{1/(beta+1)} -> infinity for
 the exponential moment machinery to close; the validator probes that growth
-at three horizon points (report-only; the simulator refuses invalid
-schedules). Truncation clips a variable around its upper mean at the
-schedule-determined half-width c_i = C A_i / (a_i log(i+1)) and recenters so
-the upper mean is exactly preserved; natural logs throughout.
+at three horizon points and returns its findings as records, on which the
+config reader and the simulator refuse a schedule. Truncation clips a
+variable around its upper mean at the schedule-determined half-width
+c_i = C A_i / (a_i log(i+1)) and recenters so the upper mean is exactly
+preserved; natural logs throughout.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .errors import (
 )
 from .expectation import upper_expectation
 from .models import SequenceModel, product_expectation_table
-from .reports import CheckResult, all_passed, comparison
+from .reports import CheckResult, comparison
 
 KOLMOGOROV = "kolmogorov"
 MZ = "mz"
@@ -185,22 +186,16 @@ def make_schedule(kind: str, alpha: float, beta: float, C: float = 1.0,
     raise ValueError(f"unknown schedule kind {kind!r}")
 
 
-@dataclass(frozen=True)
-class ScheduleValidation:
-    passed: bool
-    probes: tuple[int, int, int]
-    r_values: tuple[float, float, float]
-    growth_ratio: float
-    weight_sup: float
-    results: tuple[CheckResult, ...]
-
-
-def validate_schedule(schedule: WeightSchedule, horizon: int) -> ScheduleValidation:
-    """Probe the divergence surrogate r_n = A_n / n^{1/(beta+1)} at
-    n in {N/100, N/10, N}: r must be strictly increasing with
-    r_N > GROWTH_FACTOR * r_{N/100}. Also samples a_i for positivity and a
-    finite sup, and A for positivity and strict increase. Report-only; see
-    the simulator for the enforcing path."""
+def validate_schedule(schedule: WeightSchedule,
+                      horizon: int) -> tuple[CheckResult, ...]:
+    """The schedule's records at ``horizon``, in this order:
+    ``r-strictly-increasing`` and ``r-growth`` probe the divergence
+    surrogate r_n = A_n / n^{1/(beta+1)} at n in {N/100, N/10, N}, which
+    must be strictly increasing with r_N > GROWTH_FACTOR * r_{N/100};
+    ``weights-positive`` samples a_i (its witness holds their min and max),
+    ``normalizer-positive`` and ``normalizer-increasing`` sample A. The
+    simulator refuses a schedule with a failing record at its horizon, and
+    ``config.parse_config`` refuses it before a simulation runs."""
     if horizon < 100:
         raise ValueError(f"validation horizon must be >= 100, got {horizon}")
     probes = (max(1, horizon // 100), max(1, horizon // 10), horizon)
@@ -211,20 +206,18 @@ def validate_schedule(schedule: WeightSchedule, horizon: int) -> ScheduleValidat
     sample = np.unique(np.geomspace(1, horizon, num=min(horizon, 4096)).astype(int))
     a_vals = schedule.a(sample)
     A_vals = schedule.A(sample)
-    results = (
+    return (
         comparison("r-strictly-increasing", 0.0 if r[0] < r[1] < r[2] else 1.0,
                    0.0, 0.0, {"r": list(r), "probes": list(probes)}),
         comparison("r-growth", GROWTH_FACTOR * r[0], r[2], 0.0,
                    {"ratio": ratio, "required": GROWTH_FACTOR}),
         comparison("weights-positive", 0.0 if a_vals.min() > 0 else 1.0, 0.0, 0.0,
-                   {"min": float(a_vals.min())}),
+                   {"min": float(a_vals.min()), "max": float(a_vals.max())}),
         comparison("normalizer-positive", 0.0 if A_vals.min() > 0 else 1.0, 0.0, 0.0,
                    {"min": float(A_vals.min())}),
         comparison("normalizer-increasing",
                    0.0 if np.all(np.diff(A_vals) > 0) else 1.0, 0.0, 0.0),
     )
-    return ScheduleValidation(all_passed(results), probes, r, ratio,
-                              float(a_vals.max()), results)
 
 
 @dataclass(frozen=True)

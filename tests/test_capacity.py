@@ -14,7 +14,7 @@ from nlprob.reports import CheckResult, all_passed, comparison, equality
 
 def envelopes(credal, rows):
     """The upper and lower probability of each membership row."""
-    table = event_probability_table(credal.weight_matrix(), rows)
+    table = event_probability_table(credal.weights, rows)
     return table.max(axis=1), table.min(axis=1)
 
 
@@ -156,7 +156,7 @@ def pairwise_axiom_report(credal, events, tol):
     witness recomputation: the oracle the closed form must match exactly.
     ``events`` is a list of membership rows."""
     size = credal.size
-    W = credal.weight_matrix()
+    W = credal.weights
 
     def probs(members):
         return event_probability_table(W, members[None, :])[0]
@@ -284,7 +284,7 @@ def test_event_probability_is_a_left_to_right_sum(rng):
         size = int(rng.integers(1, 16))
         kind = ("dirichlet", "decades")[t % 2]
         weights = credal_set_from_rows(
-            random_weight_rows(rng, kind, size)).weight_matrix()[:1]
+            random_weight_rows(rng, kind, size)).weights[:1]
         members = rng.random(size) < 0.6
         total = 0.0
         for i in np.flatnonzero(members):

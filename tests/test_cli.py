@@ -648,6 +648,15 @@ REFUSED_AT_PARSE = {
         {"simulation": {**DEMO_DOC["simulation"], "paths_per_strategy": 1e12}},
         "error: simulation: n_steps=1500, paths_per_strategy=1000000000000 "
         "and grid_points=48 need more memory than this machine has\n"),
+    "schedule-horizon": (
+        {"schedule": {"kind": "mz", "p": 1.25, "alpha": 1.0, "beta": 0.26},
+         "checks": ["axioms", "chain", "inequalities", "slln"]},
+        "error: schedule fails ['r-growth'] at horizon 1500\n"),
+}
+# the refusals whose line under simulate differs from the one under all:
+# it names only the checks simulate runs
+REFUSED_UNDER_SIMULATE = {
+    "schedule": "error: schedule: required by checks ['slln', 'strassen']\n",
 }
 
 
@@ -677,6 +686,7 @@ def test_refused_before_the_output_directory_exists(tmp_path, capsys, case):
     ("seed", ("simulate",), ("verify", "check-deps")),
     ("schedule", ("simulate",), ("verify", "check-deps")),
     ("pair-model", ("simulate",), ("verify", "check-deps")),
+    ("schedule-horizon", ("simulate",), ("verify", "check-deps")),
 ])
 def test_refusals_follow_the_subcommand(tmp_path, capsys, case, refused_by,
                                         runs):
@@ -685,12 +695,26 @@ def test_refusals_follow_the_subcommand(tmp_path, capsys, case, refused_by,
     for subcommand in refused_by:
         code, out, _ = run(tmp_path / subcommand, subcommand,
                            "--config", str(config))
+        if subcommand == "simulate":
+            err = REFUSED_UNDER_SIMULATE.get(case, err)
         assert code == 2 and capsys.readouterr().err == err
         assert not out.exists()
     for subcommand in runs:
         code, _, report = run(tmp_path / subcommand, subcommand,
                               "--config", str(config))
         assert code == 0 and report["subcommand"] == subcommand
+
+
+def test_memory_error_in_the_experiment_is_a_configuration_error(
+        tmp_path, capsys, monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+    monkeypatch.setattr(cli, "run_slln_experiment", exhausted)
+    code, _, _ = run(tmp_path, "simulate", "--config", DEMO)
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: simulation: n_steps=1500, paths_per_strategy=2 and "
+        "grid_points=48 need more memory than this machine has\n")
 
 
 @pytest.mark.parametrize("subcommand", ["simulate", "all"])

@@ -34,7 +34,7 @@ def config_text(**overrides):
 class TestMinimalConfig:
     def test_defaults(self):
         config = parse_config(config_text())
-        assert config.checks == ("chain",)
+        assert config.selected == ("chain",)
         assert config.tolerance == DEFAULT_TOLERANCE
         assert config.seed is None
         assert config.schedule is None
@@ -43,7 +43,7 @@ class TestMinimalConfig:
         assert config.truncation_indices == (1, 2, 3, 5, 8)
         assert config.horizon == 4  # rectangular default
         assert isinstance(config.phi, Exp)
-        assert not {"slln", "strassen"} & set(config.checks)
+        assert not {"slln", "strassen"} & set(config.selected)
         assert config.expected_violations == frozenset()
 
     def test_pair_model_shrinks_default_horizon(self):
@@ -101,7 +101,7 @@ class TestChecksField:
 
     def test_deduped_in_order(self):
         config = parse_config(config_text(checks=["na", "chain", "na"]))
-        assert config.checks == ("na", "chain")
+        assert config.selected == ("na", "chain")
 
     @pytest.mark.parametrize("subcommand", sorted(FAMILIES))
     def test_selected_follows_the_family_in_config_order(self, subcommand):
@@ -281,6 +281,17 @@ class TestSimulationSettings:
         with pytest.raises(ConfigValidationError, match="epsilon"):
             parse_config(config_text(simulation={"epsilon": -0.1}))
 
+    def test_must_be_an_object(self):
+        with pytest.raises(ConfigValidationError,
+                           match="^simulation: must be an object$"):
+            parse_config(config_text(simulation=5))
+
+    def test_strategies_must_be_a_nonempty_list(self):
+        with pytest.raises(ConfigValidationError,
+                           match="^simulation.strategies: must be a nonempty "
+                                 "list$"):
+            parse_config(config_text(simulation={"strategies": []}))
+
     def test_strategy_parsing(self):
         sim = {"strategies": ["cyclic", {"kind": "fixed", "index": 1},
                               {"kind": "iid-random", "seed": 4}]}
@@ -324,10 +335,11 @@ class TestSimulationSettings:
 
 class TestFunctionFields:
     def test_forward_defaults_are_unit_ramps(self):
-        config = parse_config(config_text())
-        assert config.forward_f.threshold == 0.0
-        assert config.forward_g.threshold == -1.0
-        assert config.forward_expected is None
+        for text in (config_text(), config_text(forward=None)):
+            config = parse_config(text)
+            assert config.forward_f.threshold == 0.0
+            assert config.forward_g.threshold == -1.0
+            assert config.forward_expected is None
 
     def test_forward_overrides(self):
         forward = {"g": {"kind": "ramp", "threshold": -2.0, "width": 0.5},
@@ -341,6 +353,18 @@ class TestFunctionFields:
     def test_forward_function_errors_carry_field_names(self):
         with pytest.raises(ConfigValidationError, match="forward.g"):
             parse_config(config_text(forward={"g": {"kind": "warp"}}))
+
+    @pytest.mark.parametrize("forward", [[], 0, False, "", [1], 5])
+    def test_forward_must_be_an_object(self, forward):
+        with pytest.raises(ConfigValidationError,
+                           match="^forward: must be an object$"):
+            parse_config(config_text(forward=forward))
+
+    def test_forward_ramp_direction_is_checked(self):
+        with pytest.raises(ConfigValidationError,
+                           match="^forward.g: unknown direction 'sideways'$"):
+            parse_config(config_text(forward={"g": {
+                "kind": "ramp", "direction": "sideways"}}))
 
     def test_phi_descriptor(self):
         config = parse_config(config_text(phi={"kind": "affine", "slope": 1.0}))

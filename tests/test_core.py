@@ -22,14 +22,14 @@ from nlprob.expectation import expectation_values
 
 def one_row(weights) -> np.ndarray:
     """The single row of the credal set built from ``weights``."""
-    return credal_set_from_rows([weights]).weight_matrix()[0]
+    return credal_set_from_rows([weights]).weights[0]
 
 
 class TestMeasureConstruction:
     def test_valid(self):
         credal = credal_set_from_rows([[0.5, 0.5]])
         assert credal.size == 2
-        assert credal.weight_matrix()[0].sum() == 1.0
+        assert credal.weights[0].sum() == 1.0
 
     def test_weights_read_only(self):
         p = one_row([0.5, 0.5])
@@ -97,7 +97,7 @@ class TestClassicalExpectation:
             members = np.isin(np.arange(6), rng.choice(6, size=3, replace=False))
             indicator = RandomVariable(members.astype(float))
             assert expectation_values(credal, indicator) == pytest.approx(
-                event_probability_table(credal.weight_matrix(), members[None, :])[0],
+                event_probability_table(credal.weights, members[None, :])[0],
                 abs=1e-15)
 
 
@@ -108,13 +108,13 @@ class TestEventProbability:
         assert table[0, 0] == 0.5
 
     def test_empty_and_full(self, rng):
-        weights = credal_set_from_rows([rng.dirichlet(np.ones(5))]).weight_matrix()
+        weights = credal_set_from_rows([rng.dirichlet(np.ones(5))]).weights
         table = event_probability_table(weights, np.array([[False] * 5, [True] * 5]))
         assert table[0, 0] == 0.0
         assert table[1, 0] == pytest.approx(1.0, abs=1e-15)
 
     def test_complement_sums_to_one(self, rng):
-        weights = credal_set_from_rows([rng.dirichlet(np.ones(8))]).weight_matrix()
+        weights = credal_set_from_rows([rng.dirichlet(np.ones(8))]).weights
         for _ in range(30):
             members = rng.integers(0, 2, 8) > 0
             table = event_probability_table(weights, np.vstack([members, ~members]))
@@ -130,7 +130,7 @@ class TestEventProbability:
 
 class TestCredalSet:
     def test_orders_preserved(self, two_point_credal):
-        m = two_point_credal.weight_matrix()
+        m = two_point_credal.weights
         assert np.array_equal(m, [[0.5, 0.5], [0.8, 0.2]])
 
     def test_size_consistency(self):
@@ -143,9 +143,8 @@ class TestCredalSet:
         with pytest.raises(EmptyVectorError):
             credal_set_from_rows([])
 
-    def test_weight_matrix_is_one_read_only_array(self, two_point_credal):
-        m = two_point_credal.weight_matrix()
-        assert two_point_credal.weight_matrix() is m
+    def test_weights_are_one_read_only_array(self, two_point_credal):
+        m = two_point_credal.weights
         assert not m.flags.writeable
         with pytest.raises(ValueError):
             m[0, 0] = 1.0
@@ -188,18 +187,17 @@ def near_stochastic_rows(draw):
 
 @given(near_stochastic_rows())
 @settings(max_examples=100, deadline=None)
-def test_weight_matrix_is_the_clamped_renormalized_rows(rows):
+def test_weights_are_the_clamped_renormalized_rows(rows):
     expected = []
     for row in rows:
         w = np.asarray(row, dtype=float)
         w = np.where(w < 0, 0.0, w)
         expected.append(w / w.sum())
     credal = credal_set_from_rows(rows)
-    m = credal.weight_matrix()
+    m = credal.weights
     assert m.tobytes() == np.vstack(expected).tobytes()
     assert m.shape == (len(rows), len(rows[0]))
     assert not m.flags.writeable
-    assert credal.weight_matrix() is m
 
 
 def test_version_exposed():

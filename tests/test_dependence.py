@@ -133,7 +133,7 @@ class TestNegativeAssociation:
             inc, _ = default_families(model)
             r1 = inc.value_rows(model.variables[0])
             r2 = inc.value_rows(model.variables[1])
-            for w_row in model.credal.weight_matrix():
+            for w_row in model.credal.weights:
                 mean1 = r1 @ w_row
                 mean2 = r2 @ w_row
                 cross = (r1 * w_row) @ r2.T
@@ -352,7 +352,7 @@ class TestBinomialPairModel:
         assert np.array_equal(pair_model.variables[0].values, [0.0, -1.0])
         assert np.array_equal(pair_model.variables[1].values, [0.0, 1.0])
         # first row is (1 - 0.3, 0.3); 1 - 0.3 sits one ulp off the 0.7 literal
-        assert np.allclose(pair_model.credal.weight_matrix(),
+        assert np.allclose(pair_model.credal.weights,
                            [[0.7, 0.3], [0.3, 0.7]], rtol=0.0, atol=1e-15)
 
     def test_lower_expectation_of_ramp(self, pair_model):

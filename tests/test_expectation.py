@@ -42,7 +42,7 @@ def riemann_choquet(credal, x, side, cells_per_gap=64):
     lo = min(float(vals[0]), 0.0) - 1.0
     hi = max(float(vals[-1]), 0.0) + 1.0
     knots = np.unique(np.concatenate([[lo, 0.0, hi], vals]))
-    W = credal.weight_matrix()
+    W = credal.weights
     kappa = np.max if side == "upper" else np.min
     total = 0.0
     for a, b in zip(knots[:-1], knots[1:]):
@@ -95,7 +95,7 @@ class TestChoquet:
         a = np.isin(np.arange(6), [1, 4])
         x = RandomVariable(a.astype(float))
         assert choquet_expectation(c, x, "upper") == pytest.approx(
-            event_probability_table(c.weight_matrix(), [a]).max(), abs=1e-15)
+            event_probability_table(c.weights, [a]).max(), abs=1e-15)
 
     def test_tied_values_merged(self):
         # (1, 1, 0) must behave exactly like a two-point variable
@@ -103,7 +103,7 @@ class TestChoquet:
         x = RandomVariable(np.array([1.0, 1.0, 0.0]))
         # layer cake by hand: v1=0 + (1-0)*kappa(X >= 1), X>=1 on {0,1}
         expected_upper = event_probability_table(
-            credal.weight_matrix(), [[True, True, False]]).max()
+            credal.weights, [[True, True, False]]).max()
         assert choquet_expectation(credal, x, "upper") == pytest.approx(
             expected_upper, abs=1e-15)
 

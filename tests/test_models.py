@@ -107,6 +107,15 @@ class TestJointOracle:
         with pytest.raises(OracleTooLargeError):
             joint_expectation_table(marginal_model, lambda *xs: sum(xs), 7)
 
+    def test_cell_cap_enforced_within_the_horizon_cap(self):
+        # 13 outcomes at n = 6: 13^6 + 1^6 cells, past the 4e6 cap
+        model = SequenceModel(credal_set_from_rows([np.full(13, 1 / 13)]),
+                              (RandomVariable(np.arange(13.0)),),
+                              "rectangular")
+        with pytest.raises(OracleTooLargeError,
+                           match=r"enumeration needs ~4826810 cells"):
+            joint_expectation_table(model, lambda *xs: sum(xs), 6)
+
     def test_non_broadcastable_integrand_falls_back(self, marginal_model):
         def scalar_only(a, b):
             if isinstance(a, np.ndarray):

@@ -18,7 +18,7 @@ def doc():
 def holds(doc, credal, variables):
     """Whether the parsed objects carry exactly the document's numbers."""
     return (credal.size == doc["space"]
-            and credal.weight_matrix().tolist() == doc["measures"]
+            and credal.weights.tolist() == doc["measures"]
             and {name: var.values.tolist() for name, var in variables.items()}
             == doc["variables"])
 

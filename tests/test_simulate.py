@@ -37,6 +37,7 @@ from nlprob.errors import (
 )
 from nlprob.expectation import expectation_values
 from nlprob.functions import ScalarFunction
+from nlprob.reports import all_passed
 from nlprob.simulate import PathSummary, TrajectorySample
 from nlprob.slln import validate_schedule
 
@@ -187,7 +188,7 @@ def _searchsorted_path(model, choices, n_steps, seed):
     searchsorted per measure, clipped to the last outcome."""
     u = np.random.Generator(np.random.PCG64(
         np.random.SeedSequence(entropy=seed, spawn_key=(0,)))).random(n_steps)
-    cumulative = np.cumsum(model.credal.weight_matrix(), axis=1)
+    cumulative = np.cumsum(model.credal.weights, axis=1)
     outcomes = np.empty(n_steps, dtype=np.int64)
     for j in np.unique(choices):
         mask = choices == j
@@ -290,7 +291,7 @@ def test_each_strategy_plays_its_rule(strategy, rule):
     # variables and three measures, so that the variables' cycle and the
     # measures' cycle have different periods; outcomes come from the seed's
     # (0) uniforms by searchsorted, and no part of the sampler is shared
-    n, weights = 1001, TWO_BY_THREE.credal.weight_matrix()
+    n, weights = 1001, TWO_BY_THREE.credal.weights
     for seed in (3, 20250817):
         path = sample_path(TWO_BY_THREE, strategy, n, seed)
         choices = rule(np.arange(n), seed)
@@ -424,7 +425,7 @@ def test_block_engine_matches_the_path_oracle(rng):
                  make_schedule("custom", alpha=1.0, beta=0.5,
                                a_rule=("table", tuple(weights)),
                                A_rule=("table", tuple(np.cumsum(weights)))))
-    assert all(validate_schedule(s, n).passed
+    assert all(all_passed(validate_schedule(s, n))
                for s in schedules for n in horizons)
     # nondecreasing phis are evaluated once per path at its tail max, the
     # non-monotone -x^2 once per tail block

@@ -29,6 +29,7 @@ from nlprob.errors import (
     LengthMismatchError,
     POutOfRangeError,
 )
+from nlprob.reports import all_passed
 
 
 @pytest.fixture
@@ -148,16 +149,23 @@ class TestMakeSchedule:
                                     "beta": 0.3, "C": 2.0, "m": 3.0}
 
 
+def witnesses(records):
+    """Each record's witness by its check name."""
+    return {r.check: r.witness for r in records}
+
+
 class TestValidateSchedule:
     def test_kolmogorov_passes_with_pinned_probes(self, kolmogorov):
-        report = validate_schedule(kolmogorov, 10_000)
-        assert report.passed
-        assert report.probes == (100, 1000, 10_000)
+        records = validate_schedule(kolmogorov, 10_000)
+        assert all_passed(records)
+        found = witnesses(records)
+        assert found["r-strictly-increasing"]["probes"] == [100, 1000, 10_000]
         # r_n = n / n^{2/3} = n^{1/3}
-        assert report.r_values == pytest.approx(
-            (100 ** (1 / 3), 10.0, 10_000 ** (1 / 3)), rel=1e-12)
-        assert report.growth_ratio == pytest.approx(100 ** (1 / 3), rel=1e-12)
-        assert report.weight_sup == 1.0
+        assert found["r-strictly-increasing"]["r"] == pytest.approx(
+            [100 ** (1 / 3), 10.0, 10_000 ** (1 / 3)], rel=1e-12)
+        assert found["r-growth"]["ratio"] == pytest.approx(100 ** (1 / 3),
+                                                           rel=1e-12)
+        assert found["weights-positive"] == {"min": 1.0, "max": 1.0}
 
     def test_log_normalizer_fails(self):
         # A_n = log(n+1) grows too slowly: r_n decays, so both the strict
@@ -165,18 +173,21 @@ class TestValidateSchedule:
         table = tuple(np.log(np.arange(1, 1001) + 1.0))
         sched = make_schedule("custom", alpha=1.0, beta=0.5,
                               A_rule=("table", table))
-        report = validate_schedule(sched, 1000)
-        assert not report.passed
-        assert report.r_values[0] > report.r_values[1] > report.r_values[2]
+        records = validate_schedule(sched, 1000)
+        assert [r.check for r in records if not r.passed] == [
+            "r-strictly-increasing", "r-growth"]
+        r = witnesses(records)["r-strictly-increasing"]["r"]
+        assert r[0] > r[1] > r[2]
 
     def test_boundary_power_fails_on_strict_increase(self):
         # A_n = n^{1/(beta+1)} exactly: r_n == 1 at every probe
         sched = make_schedule("custom", alpha=1.0, beta=0.5,
                               A_rule=("power", 1.0 / 1.5))
-        report = validate_schedule(sched, 10_000)
-        assert not report.passed
-        assert report.r_values == (1.0, 1.0, 1.0)
-        assert report.growth_ratio == 1.0
+        records = validate_schedule(sched, 10_000)
+        assert not all_passed(records)
+        found = witnesses(records)
+        assert found["r-strictly-increasing"]["r"] == [1.0, 1.0, 1.0]
+        assert found["r-growth"]["ratio"] == 1.0
 
     def test_short_horizon_rejected(self, kolmogorov):
         with pytest.raises(ValueError, match="horizon"):
@@ -185,13 +196,14 @@ class TestValidateSchedule:
     def test_weight_sup_sees_harmonic_peak(self):
         sched = make_schedule("custom", alpha=1.0, beta=0.5,
                               a_rule=("harmonic", None))
-        report = validate_schedule(sched, 10_000)
-        assert report.weight_sup == 2.0  # a_1 = 1 + 1/1
-        assert report.passed
+        records = validate_schedule(sched, 10_000)
+        # a_1 = 1 + 1/1
+        assert witnesses(records)["weights-positive"]["max"] == 2.0
+        assert all_passed(records)
 
     def test_result_names(self, kolmogorov):
-        report = validate_schedule(kolmogorov, 100)
-        assert [r.check for r in report.results] == [
+        records = validate_schedule(kolmogorov, 100)
+        assert [r.check for r in records] == [
             "r-strictly-increasing", "r-growth", "weights-positive",
             "normalizer-positive", "normalizer-increasing"]
 
@@ -199,8 +211,7 @@ class TestValidateSchedule:
         # A = (0, 1, 2, ...) increases and grows fast enough, but A_1 = 0
         sched = make_schedule("custom", alpha=1.0, beta=0.5,
                               A_rule=("table", tuple(range(1000))))
-        report = validate_schedule(sched, 1000)
-        failed = [r for r in report.results if not r.passed]
+        failed = [r for r in validate_schedule(sched, 1000) if not r.passed]
         assert [r.check for r in failed] == ["normalizer-positive"]
         assert failed[0].witness == {"min": 0.0}
 
