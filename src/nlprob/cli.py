@@ -25,7 +25,7 @@ import argparse
 import functools
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
@@ -50,6 +50,7 @@ from .dependence import (
 )
 from .errors import ConfigValidationError, NlprobError
 from .expectation import (
+    chebyshev_jensen_records,
     expectation_chain,
     inequality_suite,
     sublinear_axiom_report,
@@ -120,11 +121,20 @@ def _inequality_records(run: _Run) -> list[CheckResult]:
         top = float(np.abs(vals).max())
         if top > 0:
             trials.append(("square", AbsPower(2.0), top / 2.0))
-        for label, f, threshold in trials:
-            records.extend(
-                replace(r, check=f"{r.check}:{name}:{label}")
-                for r in inequality_suite(model.credal, var, other, 2.0, 2.0,
-                                          threshold, f, tol))
+        # the Hoelder record reads neither f nor the threshold, so the
+        # first trial's suite computes it and later trials reuse its numbers
+        (label, f, threshold), *rest = trials
+        suite = inequality_suite(model.credal, var, other, 2.0, 2.0,
+                                 threshold, f, tol, label=f":{name}:{label}")
+        records.extend(suite)
+        hoelder = suite[0]
+        for label, f, threshold in rest:
+            tag = f":{name}:{label}"
+            records.append(comparison(f"hoelder{tag}", hoelder.lhs,
+                                      hoelder.rhs, tol, dict(hoelder.witness)))
+            records.extend(chebyshev_jensen_records(model.credal, var,
+                                                    threshold, f, tol,
+                                                    label=tag))
     return records
 
 

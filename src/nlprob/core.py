@@ -76,7 +76,7 @@ class RandomVariable:
         v = np.array(self.values, dtype=float)  # a copy no caller holds
         if v.ndim != 1 or v.size == 0:
             raise EmptyVectorError("random variable needs a nonempty value vector")
-        if not np.all(np.isfinite(v)):
+        if not np.isfinite(v).all():
             raise NonFiniteError("random variable values must be finite")
         v.setflags(write=False)
         object.__setattr__(self, "values", v)

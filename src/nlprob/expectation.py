@@ -60,6 +60,24 @@ def lower_expectation(credal: CredalSet, variable: RandomVariable) -> float:
     return float(expectation_values(credal, variable).min())
 
 
+def _survival(credal: CredalSet, variable: RandomVariable
+              ) -> tuple[np.ndarray, np.ndarray | None]:
+    """X's sorted distinct values and its survival table:
+    ``surv[k, j] = P_j(X >= distinct[k + 1])``, None for a constant X."""
+    vals = variable.values
+    distinct = np.unique(vals)          # ascending
+    if distinct.size == 1:
+        return distinct, None
+    return distinct, event_probability_table(credal.weights,
+                                             vals[None, :] >= distinct[1:, None])
+
+
+def _telescope(distinct: np.ndarray, kappa: np.ndarray) -> float:
+    """v_1 + sum_{k>=2} (v_k - v_{k-1}) * kappa_k, summed exactly."""
+    steps = np.diff(distinct)
+    return float(distinct[0]) + math.fsum(float(s * k) for s, k in zip(steps, kappa))
+
+
 def choquet_expectation(credal: CredalSet, variable: RandomVariable,
                         side: str = UPPER) -> float:
     """Choquet integral of X against the upper or lower probability envelope.
@@ -70,16 +88,11 @@ def choquet_expectation(credal: CredalSet, variable: RandomVariable,
     _check_dims(credal, variable)
     if side not in (UPPER, LOWER):
         raise ValueError(f"side must be 'upper' or 'lower', got {side!r}")
-    vals = variable.values
-    distinct = np.unique(vals)          # ascending
-    if distinct.size == 1:
+    distinct, surv = _survival(credal, variable)
+    if surv is None:
         return float(distinct[0])
-    # survival[k, j] = P_j(X >= distinct[k]) for k >= 1
-    surv = event_probability_table(credal.weights,
-                                   vals[None, :] >= distinct[1:, None])
-    kappa = surv.max(axis=1) if side == UPPER else surv.min(axis=1)
-    steps = np.diff(distinct)
-    return float(distinct[0]) + math.fsum(float(s * k) for s, k in zip(steps, kappa))
+    return _telescope(distinct, surv.max(axis=1) if side == UPPER
+                      else surv.min(axis=1))
 
 
 @dataclass(frozen=True)
@@ -103,13 +116,20 @@ class ExpectationBounds:
 
 
 def expectation_chain(credal: CredalSet, variable: RandomVariable) -> ExpectationBounds:
-    """Compute all four expectations; ordering is enforced on construction."""
-    return ExpectationBounds(
-        choquet_expectation(credal, variable, LOWER),
-        lower_expectation(credal, variable),
-        upper_expectation(credal, variable),
-        choquet_expectation(credal, variable, UPPER),
-    )
+    """Compute all four expectations; ordering is enforced on construction.
+    Both Choquet sides read one survival table and both linear sides one
+    vector of E_j[X], each built once; every side holds the bits of its own
+    function (:func:`choquet_expectation`, :func:`upper_expectation`, ...).
+    """
+    means = expectation_values(credal, variable)
+    distinct, surv = _survival(credal, variable)
+    if surv is None:
+        choquet_lower = choquet_upper = float(distinct[0])
+    else:
+        choquet_lower = _telescope(distinct, surv.min(axis=1))
+        choquet_upper = _telescope(distinct, surv.max(axis=1))
+    return ExpectationBounds(choquet_lower, float(means.min()),
+                             float(means.max()), choquet_upper)
 
 
 def sublinear_axiom_report(credal: CredalSet, x: RandomVariable, y: RandomVariable,
@@ -169,29 +189,43 @@ def sublinear_axiom_report(credal: CredalSet, x: RandomVariable, y: RandomVariab
 
 def inequality_suite(credal: CredalSet, x: RandomVariable, y: RandomVariable,
                      p: float, q: float, threshold: float, f: ScalarFunction,
-                     tol: float = CHAIN_TOL) -> tuple[CheckResult, ...]:
+                     tol: float = CHAIN_TOL, *, label: str = ""
+                     ) -> tuple[CheckResult, ...]:
     """Records of Hoelder, Chebyshev (both envelopes, the variant in their
-    witness) and Jensen on concrete inputs.
+    witness) and Jensen on concrete inputs, each named by its check with
+    ``label`` appended ("hoelder" + label, ...).
 
     Preconditions: p, q > 1 conjugate within 1e-12 (BadExponentsError);
     f positive at the threshold (NonPositiveFunctionError) and structurally
     admissible — monotone increasing for the one-sided Chebyshev variant,
     even and nondecreasing on (0, inf) (with threshold > 0) for the
     two-sided variant, convex for Jensen.
+
+    The Hoelder record reads neither f nor the threshold; the other three
+    are :func:`chebyshev_jensen_records`. So a caller sweeping several
+    (f, threshold) trials over one (X, Y) computes the Hoelder record once
+    and reuses its numbers under each trial's name.
     """
     _check_dims(credal, x)
     _check_dims(credal, y)
     if p <= 1.0 or q <= 1.0 or abs(1.0 / p + 1.0 / q - 1.0) >= 1e-12:
         raise BadExponentsError(f"p={p}, q={q} are not conjugate exponents > 1")
-
-    results = []
-
     lhs = upper_expectation(credal, RandomVariable(np.abs(x.values * y.values)))
     mx = upper_expectation(credal, RandomVariable(np.abs(x.values) ** p))
     my = upper_expectation(credal, RandomVariable(np.abs(y.values) ** q))
     rhs = mx ** (1.0 / p) * my ** (1.0 / q)
-    results.append(comparison("hoelder", lhs, rhs, tol, {"p": p, "q": q}))
+    return (comparison(f"hoelder{label}", lhs, rhs, tol, {"p": p, "q": q}),
+            *chebyshev_jensen_records(credal, x, threshold, f, tol, label=label))
 
+
+def chebyshev_jensen_records(credal: CredalSet, x: RandomVariable,
+                             threshold: float, f: ScalarFunction,
+                             tol: float = CHAIN_TOL, *, label: str = ""
+                             ) -> tuple[CheckResult, ...]:
+    """The Chebyshev (upper, lower) and Jensen records of
+    :func:`inequality_suite`, under its preconditions on f and the
+    threshold, named the same way."""
+    _check_dims(credal, x)
     if f.monotonicity == INCREASING and not f.is_even:
         variant = "one-sided"
         hit = x.values >= threshold
@@ -215,16 +249,14 @@ def inequality_suite(credal: CredalSet, x: RandomVariable, y: RandomVariable,
             f"{f.describe()} takes negative values on the variable's range")
     probs = event_probability_table(credal.weights, hit[None, :])[0]
     f_mean = expectation_values(credal, RandomVariable(fx))
-    results.append(comparison(
-        "chebyshev-upper", float(probs.max()), float(f_mean.max()) / ft, tol,
-        {"threshold": threshold, "variant": variant}))
-    results.append(comparison(
-        "chebyshev-lower", float(probs.min()), float(f_mean.min()) / ft, tol,
-        {"threshold": threshold, "variant": variant}))
-
     if not f.is_convex:
         raise ValueError(f"Jensen needs a convex f, got {f.describe()}")
     ex = upper_expectation(credal, x)
-    results.append(comparison("jensen", float(f(ex)), float(f_mean.max()), tol))
-
-    return tuple(results)
+    return (
+        comparison(f"chebyshev-upper{label}", float(probs.max()),
+                   float(f_mean.max()) / ft, tol,
+                   {"threshold": threshold, "variant": variant}),
+        comparison(f"chebyshev-lower{label}", float(probs.min()),
+                   float(f_mean.min()) / ft, tol,
+                   {"threshold": threshold, "variant": variant}),
+        comparison(f"jensen{label}", float(f(ex)), float(f_mean.max()), tol))

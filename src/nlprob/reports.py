@@ -44,23 +44,37 @@ def comparison(check: str, lhs: float, rhs: float, tol: float,
                witness: Mapping[str, Any] | None = None) -> CheckResult:
     """Record for an ``lhs <= rhs`` claim."""
     gap = lhs - rhs
-    return CheckResult(check, float(lhs), float(rhs), float(gap), gap <= tol, witness)
+    return CheckResult(check, float(lhs), float(rhs), float(gap),
+                       bool(gap <= tol), witness)
 
 
 def equality(check: str, lhs: float, rhs: float, tol: float,
              witness: Mapping[str, Any] | None = None) -> CheckResult:
     """Record for an ``lhs == rhs`` claim."""
     gap = abs(lhs - rhs)
-    return CheckResult(check, float(lhs), float(rhs), float(gap), gap <= tol, witness)
+    return CheckResult(check, float(lhs), float(rhs), float(gap),
+                       bool(gap <= tol), witness)
 
 
 def all_passed(results: Sequence[CheckResult]) -> bool:
     return all(r.passed for r in results)
 
 
+_SCALARS = frozenset((bool, int, float, str, type(None)))
+
+
 def _plain(obj: Any) -> Any:
-    """Coerce numpy scalars/arrays and sets into JSON-serializable builtins."""
-    if obj is None or isinstance(obj, (bool, int, float, str)):
+    """Coerce numpy scalars/arrays and sets into JSON-serializable builtins.
+    Builtin scalars, dicts, lists and tuples are recognized by their exact
+    type first, before any abstract-class check."""
+    t = type(obj)
+    if t in _SCALARS:
+        return obj
+    if t is dict:
+        return {str(k): _plain(v) for k, v in obj.items()}
+    if t is list or t is tuple:
+        return [_plain(v) for v in obj]
+    if isinstance(obj, (bool, int, float, str)):  # subclasses, as they are
         return obj
     if isinstance(obj, Mapping):
         return {str(k): _plain(v) for k, v in obj.items()}
@@ -91,45 +105,54 @@ def dumps(payload: Any) -> str:
 _escape = json.encoder.encode_basestring_ascii
 
 
+def _float_text(o: float) -> str:
+    if not math.isfinite(o):  # the stdlib's words, as the fallback's
+        raise NonFiniteError(
+            "a report value is not finite: Out of range float values "
+            f"are not JSON compliant: {o!r}")
+    return repr(o)
+
+
+# the JSON text of a builtin scalar, by its exact type
+_LEAF_TEXT: dict[type, Callable[[Any], str]] = {
+    str: _escape,
+    float: _float_text,
+    int: int.__repr__,
+    bool: lambda o: "true" if o else "false",
+    type(None): lambda o: "null",
+}
+
+
 def _write(o: Any, emit: Callable[[str], Any], newline: str) -> None:
     """Emit the indent-2 JSON text of ``o``, whose line starts at
     ``newline`` ("\\n" plus its indentation). Builtin values are written
-    here; numpy values, subclasses, sets and other mappings go through
+    here, a scalar member of a dict or list in one emit with its key or
+    separator; numpy values, subclasses, sets and other mappings go through
     ``_plain``.
     A module-level function, not a closure: a closure calling itself keeps
     a reference cycle, and with it every report's chunks, until the cyclic
     collector runs."""
     t = type(o)
-    if t is str:
-        emit(_escape(o))
-    elif t is float:
-        if not math.isfinite(o):  # the stdlib's words, as the fallback's
-            raise NonFiniteError(
-                "a report value is not finite: Out of range float values "
-                f"are not JSON compliant: {o!r}")
-        emit(repr(o))
-    elif t is int:
-        emit(int.__repr__(o))
-    elif o is None:
-        emit("null")
-    elif o is True:
-        emit("true")
-    elif o is False:
-        emit("false")
+    leaf = _LEAF_TEXT.get(t)
+    if leaf is not None:
+        emit(leaf(o))
     elif t is dict:
         if not o:
             emit("{}")
             return
-        if any(type(k) is not str for k in o):
+        if set(map(type, o)) != {str}:
             # _plain's keys: str(k), the last value of equal texts winning
             o = {str(k): v for k, v in o.items()}
         inner = newline + "  "
         sep = "{" + inner
         for k, v in o.items():
-            emit(sep)
-            emit(_escape(k))
-            emit(": ")
-            _write(v, emit, inner)
+            head = sep + _escape(k) + ": "
+            leaf = _LEAF_TEXT.get(type(v))
+            if leaf is not None:
+                emit(head + leaf(v))
+            else:
+                emit(head)
+                _write(v, emit, inner)
             sep = "," + inner
         emit(newline + "}")
     elif t is list or t is tuple:
@@ -139,8 +162,12 @@ def _write(o: Any, emit: Callable[[str], Any], newline: str) -> None:
         inner = newline + "  "
         sep = "[" + inner
         for v in o:
-            emit(sep)
-            _write(v, emit, inner)
+            leaf = _LEAF_TEXT.get(type(v))
+            if leaf is not None:
+                emit(sep + leaf(v))
+            else:
+                emit(sep)
+                _write(v, emit, inner)
             sep = "," + inner
         emit(newline + "]")
     else:

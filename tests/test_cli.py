@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from nlprob import cli
 from nlprob.cli import main
-from nlprob.config import CHECK_NAMES, FAMILIES
+from nlprob.config import CHECK_NAMES, FAMILIES, parse_config
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 PAIR = str(CONFIGS / "pair-counterexample.json")
@@ -761,6 +761,38 @@ def test_long_vertical_horizon_is_refused_before_any_work(tmp_path):
     assert err.getvalue() == \
         "error: 100000 coordinates exceed the enumeration cap 6\n"
     assert peak < 1 << 20
+
+
+def _records_of_all(text, base_dir=None):
+    """Every record the runners of ``all`` build for one config text."""
+    config = parse_config(text, base_dir, "all")
+    run = cli._Run(config)
+    return [r for check in config.selected for r in cli.RUNNERS[check](run)]
+
+
+@st.composite
+def exact_configs(draw):
+    """A config of every exact check on a scratch model of either joint."""
+    joint = draw(st.sampled_from(["rectangular", "comonotone-pair"]))
+    return {"model": _scratch_model(draw, joint),
+            "checks": ["axioms", "chain", "inequalities", "na", "vertical",
+                       "forward"],
+            "horizon": draw(st.integers(2, 4)) if joint == "rectangular" else 2}
+
+
+def test_shipped_records_pass_as_builtin_bools():
+    for path in (PAIR, DEMO):
+        records = _records_of_all(Path(path).read_text(), Path(path).parent)
+        assert records
+        assert [r.check for r in records if type(r.passed) is not bool] == []
+
+
+@seed(20261021)
+@settings(max_examples=60, deadline=None, database=None)
+@given(exact_configs())
+def test_generated_records_pass_as_builtin_bools(config):
+    records = _records_of_all(json.dumps(config))
+    assert [r.check for r in records if type(r.passed) is not bool] == []
 
 
 def test_import_builds_no_parser():

@@ -7,6 +7,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from nlprob import (
     RandomVariable,
@@ -20,7 +22,14 @@ from nlprob import (
     forward_factorization_value,
     lower_expectation,
 )
-from nlprob.dependence import CONSTANT, TestFamily, TestFunction
+from nlprob.dependence import (
+    CONSTANT,
+    NEGATED_RAMP,
+    RAMP,
+    TestFamily,
+    TestFunction,
+    _sweep_family,
+)
 from nlprob.errors import (
     EmptyGridError,
     EmptyVectorError,
@@ -31,8 +40,9 @@ from nlprob.errors import (
     OracleTooLargeError,
     POutOfRangeError,
 )
-from nlprob.functions import Affine
+from nlprob.functions import DECREASING, INCREASING, Affine
 from nlprob.models import coordinate_expectation_matrix
+from nlprob.reports import CheckResult
 
 UNIT_RAMP = TestFunction("ramp", 0.0, 1.0)
 SHIFTED_RAMP = TestFunction("ramp", -1.0, 1.0)
@@ -86,6 +96,41 @@ class TestRampFamily:
         inc, decr = default_families(pair_model)
         assert inc.direction == "increasing" and decr.direction == "decreasing"
         assert len(inc) == 27 and len(decr) == 27
+
+
+# thresholds and widths at the float range's ends, signed zeros included
+EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.0 ** -1022, 1e-300, 1e300,
+         1.7976931348623157e308, -1.7976931348623157e308]
+values = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(EDGES)
+thresholds = st.floats(allow_nan=False) | st.sampled_from(EDGES)
+widths = (st.floats(min_value=5e-324, allow_nan=False)
+          | st.sampled_from([w for w in EDGES if w > 0] + [float("inf")]))
+
+
+@st.composite
+def ramp_families(draw):
+    """A family of either direction: ramps of drawn thresholds and widths,
+    and constants whose unread threshold and width are anything."""
+    direction = draw(st.sampled_from([INCREASING, DECREASING]))
+    kind = RAMP if direction == INCREASING else NEGATED_RAMP
+    ramp = st.builds(lambda t, w: TestFunction(kind, t, w, direction),
+                     thresholds, widths)
+    constant = st.builds(lambda t, w: TestFunction(CONSTANT, t, w, direction),
+                         thresholds, st.floats(allow_nan=False))
+    members = draw(st.lists(ramp | constant, min_size=1, max_size=6))
+    return TestFamily(tuple(members), direction)
+
+
+@seed(20261020)
+@settings(max_examples=400, deadline=None, database=None)
+@given(ramp_families(), st.lists(values, min_size=1, max_size=6))
+def test_value_rows_are_the_members_bit_for_bit(family, xs):
+    x = RandomVariable(xs)
+    with np.errstate(all="ignore"):  # overflow to inf is part of the range
+        rows = family.value_rows(x)
+        members = np.vstack([f(x.values) for f in family.functions])
+    assert rows.shape == members.shape
+    assert rows.tobytes() == members.tobytes()
 
 
 class TestNegativeAssociation:
@@ -222,6 +267,24 @@ class TestRectangularClosedForm:
             assert report.gap == worst == 0.0
             assert report.checked == checked == 2 * 27 ** 2
             assert report.witness == witness
+
+    def test_default_record_is_the_family_sweeps(self, rng, make_rectangular):
+        # the closed-form record against the one the two default families'
+        # sweeps compose, as the check built it before it wrote it directly
+        tol = 1e-9
+        for k in range(40):
+            model = (self.random_model(rng) if k % 2
+                     else make_rectangular(n_vars=int(rng.integers(1, 4))))
+            n = 2 + k % 5
+            sweeps = [_sweep_family(model, family, n)
+                      for family in default_families(model)]
+            worst, _, witness = max(sweeps, key=lambda sweep: sweep[0])
+            verdict = "violated" if worst > tol else "no-counterexample-found"
+            oracle = CheckResult("negative-association", worst, tol, worst,
+                                 worst <= tol, witness, verdict,
+                                 sum(c for _, c, _ in sweeps))
+            report = check_negative_association(model, n, tol=tol)
+            assert report.as_dict() == oracle.as_dict()
 
     def test_horizon_beyond_the_old_sweep_budget(self, make_rectangular):
         # 27 functions per family at n = 5: 27^5 assignments at the last
