@@ -21,12 +21,10 @@ from .config import (
 )
 from .core import CredalSet, RandomVariable, credal_set_from_rows
 from .dependence import (
-    TestFamily,
     TestFunction,
     binomial_pair_model,
     check_negative_association,
     check_vertical_independence,
-    default_families,
     exp_product_bound_gap,
     forward_factorization_value,
 )

@@ -274,15 +274,25 @@ plot "trajectories.csv" every ::1 using 3:4 with dots lc rgb "#1f77b4" \\
 """
 
 
-def _write_csv(path: Path, samples) -> None:
+def _csv_chunks(samples):
     """One chunk per path, so only one path's lines are held at a time."""
-    with path.open("w") as out:
-        out.write("path_id,strategy,n,s_upper,s_lower\n")
-        for pid, sample in enumerate(samples):
-            head = f"{pid},{sample.strategy},"
-            out.write("".join(f"{head}{n},{su!r},{sl!r}\n" for n, su, sl in zip(
-                sample.steps.tolist(), sample.upper.tolist(),
-                sample.lower.tolist())))
+    yield "path_id,strategy,n,s_upper,s_lower\n"
+    for pid, sample in enumerate(samples):
+        head = f"{pid},{sample.strategy},"
+        yield "".join(f"{head}{n},{su!r},{sl!r}\n" for n, su, sl in zip(
+            sample.steps.tolist(), sample.upper.tolist(),
+            sample.lower.tolist()))
+
+
+def _write(path: Path, chunks, flag: str) -> None:
+    """Write ``chunks`` to ``path``; a file that cannot be written is a
+    configuration error of the output directory ``flag`` names."""
+    try:
+        with path.open("w") as f:
+            f.writelines(chunks)
+    except OSError as exc:
+        raise ConfigValidationError(f"{flag}: cannot write {path}: "
+                                    f"{exc.strerror}") from exc
 
 
 # one runner per check name, each returning that check's records
@@ -306,10 +316,10 @@ def execute(config: ExperimentConfig,
     ``out``); return the summary text and the names of the failing
     records. Nothing is decided here that ``parse_config`` has not."""
     out = Path(out_dir if out_dir is not None else (config.out or "out"))
+    flag = "--out" if out_dir is not None else "out"
     try:  # before the checks run, so a bad --out costs no work
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
-        flag = "--out" if out_dir is not None else "out"
         raise ConfigValidationError(f"{flag}: cannot create {out}: "
                                     f"{exc.strerror}") from exc
     run = _Run(config)
@@ -346,10 +356,11 @@ def execute(config: ExperimentConfig,
         "config": config.raw,
     }
 
-    (out / "report.json").write_text(dumps(report) + "\n")
+    _write(out / "report.json", [dumps(report) + "\n"], flag)
     if run.result is not None:
-        _write_csv(out / "trajectories.csv", run.result.trajectory_samples)
-        (out / "plot.gp").write_text(_PLOT_SCRIPT)
+        _write(out / "trajectories.csv",
+               _csv_chunks(run.result.trajectory_samples), flag)
+        _write(out / "plot.gp", [_PLOT_SCRIPT], flag)
     lines = []
     for rec in flat_records:
         tag = "PASS" if rec["pass"] else "FAIL"
@@ -359,7 +370,7 @@ def execute(config: ExperimentConfig,
     lines.append(f"RESULT: {'OK' if passed else 'FAILED'} "
                  f"({len(flat_records) - len(failures)}/{len(flat_records)} records)")
     summary = "\n".join(lines) + "\n"
-    (out / "summary.txt").write_text(summary)
+    _write(out / "summary.txt", [summary], flag)
 
     return summary, failures
 

@@ -46,7 +46,8 @@ Selected checks that cannot give a finite answer are refused here, before
 any work: ``na`` or ``vertical`` past the enumeration cap, ``strassen``
 with a ``phi`` whose limit is not finite, a check that needs a missing
 ``seed`` or ``schedule``, and a simulation on a model that is not
-rectangular or with a schedule that fails its validation at ``n_steps``.
+rectangular or with a schedule that fails its validation at ``n_steps``,
+and ``truncation`` at an index past the model's coordinates.
 """
 
 from __future__ import annotations
@@ -499,8 +500,10 @@ def parse_config(text: str, base_dir: str | Path | None = None,
     if not isinstance(indices, list) or not indices:
         raise _field_error("truncation_indices",
                            "must be a nonempty list of integers >= 1")
-    indices = [read_number(i, f"truncation_indices[{k}]", integer=True, low=1)
-               for k, i in enumerate(indices)]
+    # a selected truncation check reads coordinate i of the model
+    top = model.coordinates if "truncation" in selected else None
+    indices = [read_number(i, f"truncation_indices[{k}]", integer=True, low=1,
+                           high=top) for k, i in enumerate(indices)]
 
     out = raw.get("out")
     if out is not None and not isinstance(out, str):

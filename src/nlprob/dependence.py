@@ -1,7 +1,7 @@
 """Dependence-notion checkers for sequence models.
 
-Three graded notions are exercised against finite families of bounded
-monotone test functions (ramps):
+Three graded notions are exercised against bounded monotone test
+functions (ramps):
 
 * *Negative association*: for same-direction nonnegative bounded test
   functions, the joint upper expectation of the product of the first k
@@ -10,9 +10,11 @@ monotone test functions (ramps):
       E_up[ f_1(X_1) ... f_k(X_k) ] <= E_up[ f_1(X_1) ... f_{k-1}(X_{k-1}) ]
                                         * E_up[ f_k(X_k) ],
 
-  tested for every split k = 2..n and every assignment of family functions
-  to coordinates, with increasing and decreasing families swept separately.
-  A violation needs only one witnessing assignment.
+  tested for every split k = 2..n and every assignment of ramps to
+  coordinates. The ramps are one grid of F thresholds and widths adapted to
+  the model's values, held as arrays and swept once increasing (ramps) and
+  once decreasing (negated ramps). A violation needs only one witnessing
+  assignment.
 
   On a rectangular model the inequality holds with equality and the report
   is written in closed form. The adversary picks one measure per coordinate,
@@ -20,11 +22,10 @@ monotone test functions (ramps):
   max_j E_j[f_i(X_i)]: the closed form of the rectangular product oracle,
   :func:`models.product_expectation_table`, whose docstring shows it exact
   in floating point for nonnegative factors (here values in [0, 1]). Both
-  sides multiply the same maxima in the same order. So every gap is 0.0, a
-  family of F functions counts sum_{k=2..n} F^k assignments, and the witness
-  an exhaustive sweep keeps is the family's first function, twice, at split
-  2.
-  The comonotone pair is swept (one split, F^2 assignments).
+  sides multiply the same maxima in the same order. So every gap is 0.0,
+  each direction counts sum_{k=2..n} F^k assignments, and the witness an
+  exhaustive sweep keeps is the first increasing ramp, twice, at split 2.
+  The comonotone pair is swept (one split, F^2 assignments per direction).
 
 * *Vertical independence*: the same split relations hold with equality for
   arbitrary nonnegative (not necessarily monotone) function tuples.
@@ -55,7 +56,6 @@ import numpy as np
 
 from .core import RandomVariable, credal_set_from_rows
 from .errors import (
-    EmptyGridError,
     EmptyVectorError,
     LengthMismatchError,
     MixedMonotonicityError,
@@ -128,126 +128,78 @@ class TestFunction:
                 "width": self.width, "direction": self.direction}
 
 
-@dataclass(frozen=True)
-class TestFamily:
-    """A finite same-direction family, swept in its stored (deterministic) order."""
-
-    functions: tuple[TestFunction, ...]
-    direction: str
-
-    __test__ = False
-
-    def __post_init__(self) -> None:
-        functions = tuple(self.functions)
-        object.__setattr__(self, "functions", functions)
-        if not functions:
-            raise EmptyGridError("test family is empty")
-        for f in functions:
-            if f.direction != self.direction:
-                raise MixedMonotonicityError(
-                    f"family direction {self.direction} vs {f.direction} member")
-
-    def __len__(self) -> int:
-        return len(self.functions)
-
-    def value_rows(self, variable: RandomVariable) -> np.ndarray:
-        """Matrix [a, w] = f_a(X(w)); rows are family members in order.
-        One broadcast over the members' thresholds and widths, each entry
-        through the subtract, divide, clip and ``1 - r`` of
-        :meth:`TestFunction.__call__`, so it holds the same bits."""
-        fs = self.functions
-        constant = [f.kind == CONSTANT for f in fs]
-        # a constant member's own threshold and width are never read
-        t = np.array([0.0 if c else f.threshold for f, c in zip(fs, constant)],
-                     dtype=float)
-        w = np.array([1.0 if c else f.width for f, c in zip(fs, constant)],
-                     dtype=float)
-        r = np.clip((variable.values - t[:, None]) / w[:, None], 0.0, 1.0)
-        if self.direction == DECREASING:
-            r = 1.0 - r
-        r[constant] = 1.0
-        return r
-
-
-def _ramp_grid(model: SequenceModel):
-    """Yield the default families' (width, thresholds) pairs: three widths
-    tied to the realized value span (span/4, span/2, span; unit widths if
-    the span is degenerate), each with ``FAMILY_THRESHOLDS`` thresholds
-    covering [lo - w, hi + w]."""
+def _ramp_grid(model: SequenceModel) -> tuple[np.ndarray, np.ndarray]:
+    """The thresholds and widths of the 3 * ``FAMILY_THRESHOLDS`` ramps each
+    direction sweeps: three widths tied to the realized value span (span/4,
+    span/2, span; unit widths if the span is degenerate), each with
+    ``FAMILY_THRESHOLDS`` thresholds covering [lo - w, hi + w]."""
     lo = min(float(v.values.min()) for v in model.variables)
     hi = max(float(v.values.max()) for v in model.variables)
     span = hi - lo
-    for w in (span / 4.0, span / 2.0, span) if span > 0 else (0.25, 0.5, 1.0):
-        yield w, np.linspace(lo - w, hi + w, FAMILY_THRESHOLDS)
+    steps = (span / 4.0, span / 2.0, span) if span > 0 else (0.25, 0.5, 1.0)
+    if steps[0] == 0.0:  # span / 4 underflows on a subnormal span
+        raise NonPositiveWidthError(f"ramp width must be > 0, got {steps[0]}")
+    thresholds = np.concatenate([np.linspace(lo - w, hi + w, FAMILY_THRESHOLDS)
+                                 for w in steps])
+    return thresholds, np.repeat(steps, FAMILY_THRESHOLDS)
 
 
-def default_families(model: SequenceModel) -> tuple[TestFamily, TestFamily]:
-    """One increasing and one decreasing family adapted to the model's range,
-    both over the widths and thresholds of :func:`_ramp_grid`."""
-    grid = list(_ramp_grid(model))
-    out = []
-    for direction in (INCREASING, DECREASING):
-        kind = RAMP if direction == INCREASING else NEGATED_RAMP
-        funcs = [TestFunction(kind, float(t), float(w), direction)
-                 for w, thresholds in grid for t in thresholds]
-        out.append(TestFamily(tuple(funcs), direction))
-    return out[0], out[1]
+def _ramp_rows(values: np.ndarray, thresholds: np.ndarray, widths: np.ndarray,
+               direction: str) -> np.ndarray:
+    """Matrix [a, w] = ramp_a(values[w]) for the ramps of one direction.
+    One broadcast over the thresholds and widths, each entry through the
+    subtract, divide, clip and ``1 - r`` of :meth:`TestFunction.__call__`,
+    so it holds the same bits."""
+    r = np.clip((values - thresholds[:, None]) / widths[:, None], 0.0, 1.0)
+    return 1.0 - r if direction == DECREASING else r
 
 
-def _sweep_family(model: SequenceModel, family: TestFamily, n: int,
-                  ) -> tuple[float, int, dict[str, Any]]:
-    """Worst gap over splits k=2..n and all assignments from one family
-    (closed form for rectangular models, see the module docstring)."""
-    F = len(family)
-    if model.product_measures:
-        worst, checked, a, b = 0.0, sum(F ** k for k in range(2, n + 1)), 0, 0
-    else:
-        R1 = family.value_rows(model.variable_at(1))
-        R2 = family.value_rows(model.variable_at(2))
-        W = model.credal.weights
-        lhs = np.einsum("aw,bw,jw->abj", R1, R2, W).max(axis=2)
-        u1 = (R1 @ W.T).max(axis=1)
-        u2 = (R2 @ W.T).max(axis=1)
-        gap = lhs - np.multiply.outer(u1, u2)
-        checked = F * F
-        a, b = np.unravel_index(int(gap.argmax()), gap.shape)
-        worst = float(gap[a, b])
-    witness = {"direction": family.direction, "split": 2,
-               "functions": [family.functions[a].descriptor,
-                             family.functions[b].descriptor]}
-    return worst, checked, witness
+def _pair_sweep(model: SequenceModel, thresholds: np.ndarray,
+                widths: np.ndarray, direction: str
+                ) -> tuple[float, str, int, int]:
+    """Worst gap of the pair's one split over all assignments of one
+    direction's ramps, and its first worst assignment (a, b)."""
+    R1 = _ramp_rows(model.variable_at(1).values, thresholds, widths, direction)
+    R2 = _ramp_rows(model.variable_at(2).values, thresholds, widths, direction)
+    W = model.credal.weights
+    lhs = np.einsum("aw,bw,jw->abj", R1, R2, W).max(axis=2)
+    gap = lhs - np.multiply.outer((R1 @ W.T).max(axis=1),
+                                  (R2 @ W.T).max(axis=1))
+    a, b = np.unravel_index(int(gap.argmax()), gap.shape)
+    return float(gap[a, b]), direction, int(a), int(b)
 
 
 def check_negative_association(model: SequenceModel, n: int,
-                               family: TestFamily | None = None,
                                tol: float = DEFAULT_TOL) -> CheckResult:
-    """Sweep the split inequalities over ramp families on coordinates 1..n.
+    """Sweep the split inequalities over the ramps of :func:`_ramp_grid`,
+    increasing and decreasing, on coordinates 1..n.
 
-    With ``family=None`` both default directions are swept; otherwise only
-    the given family (call twice for a custom mirrored pair). Needs
-    2 <= n <= the enumeration cap, within the model's coordinates. On a
-    rectangular model with ``family=None`` the record is written in closed
-    form (see the module docstring) without building the two families:
-    gap 0.0, ``checked = 2 * sum_{k=2..n} F^k`` with F = 3 *
-    ``FAMILY_THRESHOLDS``, and the increasing family's first ramp as witness.
+    Needs 2 <= n <= the enumeration cap, within the model's coordinates. A
+    comonotone pair is swept increasing first, and the first worst
+    assignment is the witness. On a rectangular model the record is written
+    in closed form (see the module docstring): gap 0.0, ``checked = 2 *
+    sum_{k=2..n} F^k`` with F = 3 * ``FAMILY_THRESHOLDS``, and the first
+    increasing ramp, twice, as witness.
     """
     if n < 2:
         raise ValueError(f"negative-association sweep needs n >= 2, got {n}")
     check_horizon(model, n)  # the joint oracle's cap keeps F^n reportable
-    if family is None and model.product_measures:
-        # both default families in closed form: every gap is 0.0, so the
-        # increasing family's witness, its first ramp twice, is kept
-        w, thresholds = next(_ramp_grid(model))
-        ramp = TestFunction(RAMP, float(thresholds[0]), float(w))
-        worst = 0.0
-        checked = 2 * sum((3 * FAMILY_THRESHOLDS) ** k for k in range(2, n + 1))
-        witness = {"direction": INCREASING, "split": 2,
-                   "functions": [ramp.descriptor, ramp.descriptor]}
+    thresholds, widths = _ramp_grid(model)
+    F = len(thresholds)
+    if model.product_measures:
+        worst, direction, a, b = 0.0, INCREASING, 0, 0
+        checked = 2 * sum(F ** k for k in range(2, n + 1))
     else:
-        families = [family] if family is not None else list(default_families(model))
-        sweeps = [_sweep_family(model, fam, n) for fam in families]
-        worst, _, witness = max(sweeps, key=lambda sweep: sweep[0])  # first on ties
-        checked = sum(c for _, c, _ in sweeps)
+        worst, direction, a, b = max(
+            (_pair_sweep(model, thresholds, widths, d)
+             for d in (INCREASING, DECREASING)),
+            key=lambda sweep: sweep[0])  # the first on ties
+        checked = 2 * F * F
+    kind = RAMP if direction == INCREASING else NEGATED_RAMP
+    witness = {"direction": direction, "split": 2,
+               "functions": [{"kind": kind, "threshold": float(thresholds[i]),
+                              "width": float(widths[i]),
+                              "direction": direction} for i in (a, b)]}
     verdict = VERDICT_VIOLATED if worst > tol else VERDICT_OK
     return CheckResult("negative-association", worst, tol, worst,
                        verdict == VERDICT_OK, witness, verdict, checked)

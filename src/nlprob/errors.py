@@ -53,10 +53,6 @@ class OracleTooLargeError(NlprobError):
     """Joint-expectation enumeration would exceed the configured cap."""
 
 
-class EmptyGridError(NlprobError):
-    """A threshold/width grid for a test-function family is empty."""
-
-
 class NonPositiveWidthError(NlprobError):
     """A ramp width is not strictly positive."""
 

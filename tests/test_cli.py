@@ -652,6 +652,9 @@ REFUSED_AT_PARSE = {
         {"schedule": {"kind": "mz", "p": 1.25, "alpha": 1.0, "beta": 0.26},
          "checks": ["axioms", "chain", "inequalities", "slln"]},
         "error: schedule fails ['r-growth'] at horizon 1500\n"),
+    "truncation-index": (
+        {"model": PAIR_DOC["model"], "checks": ["axioms", "na", "truncation"]},
+        "error: truncation_indices[2]: must be <= 2, got 3\n"),
 }
 # the refusals whose line under simulate differs from the one under all:
 # it names only the checks simulate runs
@@ -687,6 +690,7 @@ def test_refused_before_the_output_directory_exists(tmp_path, capsys, case):
     ("schedule", ("simulate",), ("verify", "check-deps")),
     ("pair-model", ("simulate",), ("verify", "check-deps")),
     ("schedule-horizon", ("simulate",), ("verify", "check-deps")),
+    ("truncation-index", ("all",), ("verify", "check-deps")),
 ])
 def test_refusals_follow_the_subcommand(tmp_path, capsys, case, refused_by,
                                         runs):
@@ -703,6 +707,21 @@ def test_refusals_follow_the_subcommand(tmp_path, capsys, case, refused_by,
         code, _, report = run(tmp_path / subcommand, subcommand,
                               "--config", str(config))
         assert code == 0 and report["subcommand"] == subcommand
+
+
+@pytest.mark.parametrize("subcommand, blocked", [
+    ("verify", "report.json"), ("simulate", "trajectories.csv")])
+def test_unwritable_report_file_exits_two(tmp_path, capsys, subcommand,
+                                          blocked):
+    # a directory where the bundle writes a file: a configuration error
+    # naming the file, not a traceback
+    out = tmp_path / "out"
+    (out / blocked).mkdir(parents=True)
+    code = main([subcommand, "--config", DEMO, "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == (f"error: --out: cannot write {out / blocked}: "
+                            f"Is a directory\n")
 
 
 def test_memory_error_in_the_experiment_is_a_configuration_error(

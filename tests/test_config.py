@@ -257,6 +257,29 @@ class TestScheduleRequirements:
                                           schedule=schedule))
         assert config.schedule.kind == "kolmogorov"
 
+    def test_truncation_indices_past_the_pair_refused(self):
+        # the pair has coordinates 1 and 2; the default indices reach 8
+        schedule = {"kind": "kolmogorov", "alpha": 1.0, "beta": 0.5}
+        pair = {**MODEL_DOC, "joint": "comonotone-pair",
+                "variables": {"Y": [0.0, -1.0], "X": [0.0, 1.0]}}
+        with pytest.raises(ConfigValidationError,
+                           match=r"^truncation_indices\[2\]: must be <= 2, "
+                                 r"got 3$"):
+            parse_config(config_text(model=pair, checks=["truncation"],
+                                     schedule=schedule))
+        config = parse_config(config_text(model=pair, checks=["truncation"],
+                                          schedule=schedule,
+                                          truncation_indices=[2, 1]))
+        assert config.truncation_indices == (2, 1)
+        # unselected, the indices are not read against the model
+        config = parse_config(config_text(model=pair, schedule=schedule))
+        assert config.truncation_indices == (1, 2, 3, 5, 8)
+        # a rectangular model has every coordinate
+        config = parse_config(config_text(checks=["truncation"],
+                                          schedule=schedule,
+                                          truncation_indices=[40]))
+        assert config.truncation_indices == (40,)
+
     def test_bad_beta_is_reported_on_the_schedule_field(self):
         schedule = {"kind": "kolmogorov", "alpha": 1.0, "beta": 1.7}
         with pytest.raises(ConfigValidationError,

@@ -17,7 +17,6 @@ from nlprob import (
     check_negative_association,
     check_vertical_independence,
     credal_set_from_rows,
-    default_families,
     exp_product_bound_gap,
     forward_factorization_value,
     lower_expectation,
@@ -26,12 +25,11 @@ from nlprob.dependence import (
     CONSTANT,
     NEGATED_RAMP,
     RAMP,
-    TestFamily,
     TestFunction,
-    _sweep_family,
+    _ramp_grid,
+    _ramp_rows,
 )
 from nlprob.errors import (
-    EmptyGridError,
     EmptyVectorError,
     LengthMismatchError,
     MixedMonotonicityError,
@@ -42,7 +40,6 @@ from nlprob.errors import (
 )
 from nlprob.functions import DECREASING, INCREASING, Affine
 from nlprob.models import coordinate_expectation_matrix
-from nlprob.reports import CheckResult
 
 UNIT_RAMP = TestFunction("ramp", 0.0, 1.0)
 SHIFTED_RAMP = TestFunction("ramp", -1.0, 1.0)
@@ -74,28 +71,49 @@ class TestTestFunction:
 
 
 class TestRampFamily:
-    def test_singleton(self):
-        fam = TestFamily((TestFunction("ramp", 0.0, 1.0),), "increasing")
-        assert len(fam) == 1
-        f = fam.functions[0]
-        assert f(0.5) == 0.5 and f(-1.0) == 0.0 and f(2.0) == 1.0
+    """The ramps each direction sweeps: one grid of thresholds and widths."""
 
-    def test_empty_grid(self):
-        with pytest.raises(EmptyGridError):
-            TestFamily((), "increasing")
+    def test_singleton(self):
+        x = np.array([-1.0, 0.5, 2.0])
+        one = np.array([0.0]), np.array([1.0])
+        assert _ramp_rows(x, *one, INCREASING).tolist() == [[0.0, 0.5, 1.0]]
+        assert _ramp_rows(x, *one, DECREASING).tolist() == [[1.0, 0.5, 0.0]]
 
     def test_bad_width(self):
         with pytest.raises(NonPositiveWidthError):
             TestFunction("ramp", 0.0, -1.0)
 
-    def test_mixed_family_rejected(self):
-        with pytest.raises(MixedMonotonicityError):
-            TestFamily((UNIT_RAMP,), "decreasing")
+    def test_grid_follows_the_value_span(self, pair_model):
+        # values span [-1, 1]: widths 0.5, 1, 2, nine thresholds each over
+        # [lo - w, hi + w]
+        thresholds, widths = _ramp_grid(pair_model)
+        assert widths.tolist() == [0.5] * 9 + [1.0] * 9 + [2.0] * 9
+        assert thresholds[:9].tolist() == np.linspace(-1.5, 1.5, 9).tolist()
+        assert thresholds[-1] == 3.0
 
-    def test_default_families_cover_both_directions(self, pair_model):
-        inc, decr = default_families(pair_model)
-        assert inc.direction == "increasing" and decr.direction == "decreasing"
-        assert len(inc) == 27 and len(decr) == 27
+    def test_subnormal_span_refused(self, two_point_credal):
+        # span / 4 underflows to a zero width
+        x = RandomVariable([0.0, 5e-324])
+        for joint in ("rectangular", "comonotone-pair"):
+            model = SequenceModel(two_point_credal, (x, x), joint)
+            with pytest.raises(NonPositiveWidthError, match="got 0.0"):
+                check_negative_association(model, 2)
+
+    def test_default_families_cover_both_directions(self, x01):
+        # an identical pair under {(1/2, 1/2), (1 - q, q)}: the indicator of
+        # the outcome whose upper probability is 1/2 gives the worst gap,
+        # 1/4; when both are (q = 1/2) the increasing witness is kept
+        for q, direction in ((0.75, DECREASING), (0.25, INCREASING),
+                             (0.5, INCREASING)):
+            credal = credal_set_from_rows([[0.5, 0.5], [1.0 - q, q]])
+            model = SequenceModel(credal, (x01, x01), "comonotone-pair")
+            report = check_negative_association(model, 2)
+            assert report.gap == 0.25 and report.checked == 2 * 27 ** 2
+            kind = RAMP if direction == INCREASING else NEGATED_RAMP
+            sharp = {"kind": kind, "threshold": 0.125, "width": 0.25,
+                     "direction": direction}
+            assert report.witness == {"direction": direction, "split": 2,
+                                      "functions": [sharp, sharp]}
 
 
 # thresholds and widths at the float range's ends, signed zeros included
@@ -107,30 +125,61 @@ widths = (st.floats(min_value=5e-324, allow_nan=False)
           | st.sampled_from([w for w in EDGES if w > 0] + [float("inf")]))
 
 
-@st.composite
-def ramp_families(draw):
-    """A family of either direction: ramps of drawn thresholds and widths,
-    and constants whose unread threshold and width are anything."""
-    direction = draw(st.sampled_from([INCREASING, DECREASING]))
+def grid_functions(grid, direction):
+    """The ramps of ``direction`` over a (thresholds, widths) grid, as
+    TestFunctions."""
     kind = RAMP if direction == INCREASING else NEGATED_RAMP
-    ramp = st.builds(lambda t, w: TestFunction(kind, t, w, direction),
-                     thresholds, widths)
-    constant = st.builds(lambda t, w: TestFunction(CONSTANT, t, w, direction),
-                         thresholds, st.floats(allow_nan=False))
-    members = draw(st.lists(ramp | constant, min_size=1, max_size=6))
-    return TestFamily(tuple(members), direction)
+    return [TestFunction(kind, float(t), float(w), direction)
+            for t, w in zip(*grid)]
+
+
+@st.composite
+def ramp_grids(draw):
+    """A direction and the thresholds and widths of up to six ramps."""
+    direction = draw(st.sampled_from([INCREASING, DECREASING]))
+    grid = draw(st.lists(st.tuples(thresholds, widths), min_size=1,
+                         max_size=6))
+    return direction, grid
 
 
 @seed(20261020)
 @settings(max_examples=400, deadline=None, database=None)
-@given(ramp_families(), st.lists(values, min_size=1, max_size=6))
-def test_value_rows_are_the_members_bit_for_bit(family, xs):
+@given(ramp_grids(), st.lists(values, min_size=1, max_size=6))
+def test_value_rows_are_the_members_bit_for_bit(grid, xs):
+    direction, grid = grid
     x = RandomVariable(xs)
+    t, w = (np.array(column, dtype=float) for column in zip(*grid))
     with np.errstate(all="ignore"):  # overflow to inf is part of the range
-        rows = family.value_rows(x)
-        members = np.vstack([f(x.values) for f in family.functions])
+        rows = _ramp_rows(x.values, t, w, direction)
+        members = np.vstack([f(x.values)
+                             for f in grid_functions((t, w), direction)])
     assert rows.shape == members.shape
     assert rows.tobytes() == members.tobytes()
+
+
+def pair_oracle(model):
+    """(gap, checked, witness) of a comonotone pair's sweep: rows from
+    TestFunction calls one at a time, one direction at a time, and every
+    assignment visited in order, increasing first, the first strict maximum
+    kept. The expectations use the check's own array formulas, so every gap
+    holds the same bits."""
+    W = model.credal.weights
+    worst, checked, witness = None, 0, None
+    for direction in (INCREASING, DECREASING):
+        fs = grid_functions(_ramp_grid(model), direction)
+        R1, R2 = (np.vstack([f(model.variable_at(i).values) for f in fs])
+                  for i in (1, 2))
+        lhs = np.einsum("aw,bw,jw->abj", R1, R2, W).max(axis=2)
+        u1, u2 = (R1 @ W.T).max(axis=1), (R2 @ W.T).max(axis=1)
+        for a, f in enumerate(fs):
+            for b, g in enumerate(fs):
+                gap = float(lhs[a, b] - u1[a] * u2[b])
+                checked += 1
+                if worst is None or gap > worst:
+                    worst = gap
+                    witness = {"direction": direction, "split": 2,
+                               "functions": [f.descriptor, g.descriptor]}
+    return worst, checked, witness
 
 
 class TestNegativeAssociation:
@@ -160,13 +209,19 @@ class TestNegativeAssociation:
         with pytest.raises(ValueError):
             check_negative_association(pair_model, 1)
 
-    def test_explicit_family(self, pair_model):
-        fam = TestFamily(tuple(TestFunction("ramp", t, w)
-                               for t in (-0.5, 0.0, 0.5) for w in (0.5, 1.0)),
-                         "increasing")
-        report = check_negative_association(pair_model, 2, family=fam)
-        assert report.passed
-        assert report.checked == 36  # 6 functions, one split, 6*6 pairs
+    def test_pair_matches_the_function_oracle(self, rng, x01):
+        identical = SequenceModel(credal_set_from_rows([[0.5, 0.5]]),
+                                  (x01, x01), "comonotone-pair")
+        models = [identical] + [
+            binomial_pair_model(rng.uniform(0.02, 0.98,
+                                            size=int(rng.integers(1, 5))))
+            for _ in range(12)]
+        for model in models:
+            report = check_negative_association(model, 2)
+            worst, checked, witness = pair_oracle(model)
+            assert report.gap == worst
+            assert report.checked == checked == 2 * 27 ** 2
+            assert report.witness == witness
 
     def test_classical_covariance_bridge(self, rng):
         # premise: under every single measure the pair is classically NA
@@ -175,9 +230,9 @@ class TestNegativeAssociation:
         for _ in range(10):
             ps = rng.uniform(0.05, 0.95, size=3)
             model = binomial_pair_model(ps)
-            inc, _ = default_families(model)
-            r1 = inc.value_rows(model.variables[0])
-            r2 = inc.value_rows(model.variables[1])
+            grid = _ramp_grid(model)
+            r1 = _ramp_rows(model.variables[0].values, *grid, INCREASING)
+            r2 = _ramp_rows(model.variables[1].values, *grid, INCREASING)
             for w_row in model.credal.weights:
                 mean1 = r1 @ w_row
                 mean2 = r2 @ w_row
@@ -187,13 +242,13 @@ class TestNegativeAssociation:
             assert check_negative_association(model, 2).passed
 
 
-def enumerate_association(model, families, n):
+def enumerate_association(model, grid, n):
     """Negative-association sweep by brute force over every split k = 2..n,
-    every assignment of family functions and every measure assignment,
-    kept in the order the report promises (first strict maximum wins).
+    every assignment of the grid's ramps of each direction and every
+    measure assignment, kept in the order the report promises (increasing
+    first, first strict maximum wins).
 
-    Each coordinate's expectation matrix is computed once for the whole
-    family.
+    Each coordinate's expectation matrix is computed once per direction.
     """
     measures = range(len(model.credal))
 
@@ -202,19 +257,21 @@ def enumerate_association(model, families, n):
                    for js in itertools.product(measures, repeat=len(factors)))
 
     worst, checked, witness = float("-inf"), 0, None
-    for family in families:
+    for direction in (INCREASING, DECREASING):
+        fs = grid_functions(grid, direction)
         E = [coordinate_expectation_matrix(
-                 model, family.value_rows(model.variable_at(i))).tolist()
+                 model, np.vstack([f(model.variable_at(i).values)
+                                   for f in fs])).tolist()
              for i in range(1, n + 1)]
         for k in range(2, n + 1):
-            for assignment in itertools.product(range(len(family)), repeat=k):
+            for assignment in itertools.product(range(len(fs)), repeat=k):
                 factors = [E[i][a] for i, a in enumerate(assignment)]
                 gap = upper(factors) - upper(factors[:-1]) * max(factors[-1])
                 checked += 1
                 if gap > worst:
                     worst = gap
-                    witness = {"direction": family.direction, "split": k,
-                               "functions": [family.functions[a].descriptor
+                    witness = {"direction": direction, "split": k,
+                               "functions": [fs[a].descriptor
                                              for a in assignment]}
     return worst, checked, witness
 
@@ -234,64 +291,37 @@ class TestRectangularClosedForm:
         return SequenceModel(credal_set_from_rows(rows), variables,
                              "rectangular")
 
-    @staticmethod
-    def random_family(rng):
-        direction = ("increasing", "decreasing")[int(rng.integers(2))]
-        kind = "ramp" if direction == "increasing" else "negated-ramp"
-        functions = [TestFunction(kind, float(rng.uniform(-3.0, 3.0)),
-                                  float(rng.uniform(0.25, 3.0)), direction)
-                     for _ in range(int(rng.integers(1, 4)))]
-        if rng.random() < 0.3:
-            functions.insert(int(rng.integers(len(functions) + 1)),
-                             TestFunction(CONSTANT, direction=direction))
-        return TestFamily(tuple(functions), direction)
-
-    def test_matches_enumeration(self, rng):
-        for _ in range(60):
-            model = self.random_model(rng)
-            family = self.random_family(rng)
-            n = int(rng.integers(2, 4))
-            report = check_negative_association(model, n, family=family)
-            worst, checked, witness = enumerate_association(model, [family], n)
-            assert report.gap == worst == 0.0
-            assert report.checked == checked
-            assert report.witness == witness
-            assert report.passed
+    def test_matches_enumeration(self, two_point_credal):
+        # three coordinates of a two-measure model: 27^3 assignments of
+        # each direction at the last split
+        variables = (RandomVariable([-1.0, 0.5]), RandomVariable([0.0, 2.0]))
+        model = SequenceModel(two_point_credal, variables, "rectangular")
+        report = check_negative_association(model, 3)
+        worst, checked, witness = enumerate_association(
+            model, _ramp_grid(model), 3)
+        assert report.gap == worst == 0.0
+        assert report.checked == checked == 2 * (27 ** 2 + 27 ** 3)
+        assert report.witness == witness
+        assert report.passed
 
     def test_default_families_match_enumeration(self, rng):
         for _ in range(4):
             model = self.random_model(rng)
             report = check_negative_association(model, 2)
             worst, checked, witness = enumerate_association(
-                model, default_families(model), 2)
+                model, _ramp_grid(model), 2)
             assert report.gap == worst == 0.0
             assert report.checked == checked == 2 * 27 ** 2
             assert report.witness == witness
 
-    def test_default_record_is_the_family_sweeps(self, rng, make_rectangular):
-        # the closed-form record against the one the two default families'
-        # sweeps compose, as the check built it before it wrote it directly
-        tol = 1e-9
-        for k in range(40):
-            model = (self.random_model(rng) if k % 2
-                     else make_rectangular(n_vars=int(rng.integers(1, 4))))
-            n = 2 + k % 5
-            sweeps = [_sweep_family(model, family, n)
-                      for family in default_families(model)]
-            worst, _, witness = max(sweeps, key=lambda sweep: sweep[0])
-            verdict = "violated" if worst > tol else "no-counterexample-found"
-            oracle = CheckResult("negative-association", worst, tol, worst,
-                                 worst <= tol, witness, verdict,
-                                 sum(c for _, c, _ in sweeps))
-            report = check_negative_association(model, n, tol=tol)
-            assert report.as_dict() == oracle.as_dict()
-
     def test_horizon_beyond_the_old_sweep_budget(self, make_rectangular):
-        # 27 functions per family at n = 5: 27^5 assignments at the last
+        # 27 ramps per direction at n = 6: 27^6 assignments at the last
         # split, more than an enumeration could afford
-        report = check_negative_association(make_rectangular(n_vars=2), 5)
-        assert report.passed and report.gap == 0.0
-        assert report.checked == 2 * sum(27 ** k for k in range(2, 6))
+        model = make_rectangular(n_vars=2)
+        for n in range(2, 7):
+            report = check_negative_association(model, n)
+            assert report.passed and report.gap == 0.0
+            assert report.checked == 2 * sum(27 ** k for k in range(2, n + 1))
 
     def test_horizon_capped_like_the_oracle(self, make_rectangular):
         with pytest.raises(OracleTooLargeError):
