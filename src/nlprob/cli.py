@@ -226,7 +226,7 @@ def _strassen_records(run: _Run) -> list[CheckResult]:
     config, sim = run.config, run.config.simulation
     result = _simulation(run)
     worst = max(s.phi_tail_sup for s in result.path_summaries)
-    lip = config.phi.lipschitz_on_ray(1.0)
+    lip = config.phi.lipschitz_on_ray(max(1.0, sim.epsilon))
     limit = result.phi_bound + lip * sim.epsilon
     return [comparison(
         "strassen-bound", worst, limit, 0.0,

@@ -45,9 +45,10 @@ overrides applied, the checks the subcommand selects, the variables' names.
 Selected checks that cannot give a finite answer are refused here, before
 any work: ``na`` or ``vertical`` past the enumeration cap, ``strassen``
 with a ``phi`` whose limit is not finite, a check that needs a missing
-``seed`` or ``schedule``, and a simulation on a model that is not
-rectangular or with a schedule that fails its validation at ``n_steps``,
-and ``truncation`` at an index past the model's coordinates.
+``seed`` or ``schedule``, a simulation on a model that is not
+rectangular, with a schedule that fails its validation at ``n_steps`` or
+with two strategies of one label, and ``truncation`` at an index past
+the model's coordinates.
 """
 
 from __future__ import annotations
@@ -277,7 +278,7 @@ def _parse_strategy(entry: Any, name: str) -> AdversaryStrategy:
         index = read_number(entry.get("index"), "index", optional=True,
                             integer=True)
         salt = 0 if kind == FIXED else read_number(entry.get("seed", 0),
-                                                   "seed", integer=True)
+                                                   "seed", integer=True, low=0)
         return AdversaryStrategy(kind, index, salt)
     except NlprobError as exc:
         raise _field_error(name, str(exc)) from exc
@@ -449,11 +450,15 @@ def parse_config(text: str, base_dir: str | Path | None = None,
     simulation = _parse_simulation(raw.get("simulation"))
     if simulated:  # what the run would refuse, refused now
         check_schedule(schedule, simulation.n_steps)
+        labels = [s.label for s in simulation.strategies]
         for k, strategy in enumerate(simulation.strategies):
             if strategy.kind == FIXED and strategy.index >= len(model.credal):
                 raise _field_error(f"simulation.strategies[{k}]",
                                    f"{strategy.label} with only "
                                    f"{len(model.credal)} measures")
+            if strategy.label in labels[:k]:
+                raise _field_error(f"simulation.strategies[{k}]",
+                                   f"repeats the label {strategy.label}")
         if simulation_bytes(simulation) > physical_memory():
             raise too_large(simulation)
     if simulated and seed is None:
@@ -474,7 +479,8 @@ def parse_config(text: str, base_dir: str | Path | None = None,
         raise _field_error("phi", "must be a scalar-function descriptor")
     if "strassen" in selected:  # the limit the strassen-bound record reports
         try:
-            sup, lip = phi.sup_on_nonpositive(), phi.lipschitz_on_ray(1.0)
+            sup = phi.sup_on_nonpositive()
+            lip = phi.lipschitz_on_ray(max(1.0, simulation.epsilon))
         except UnboundedPhiError as exc:
             raise _field_error("phi", str(exc)) from exc
         if not math.isfinite(sup + lip * simulation.epsilon):

@@ -82,7 +82,7 @@ VERDICT_OK = "no-counterexample-found"
 VERDICT_VIOLATED = "violated"
 
 DEFAULT_TOL = 1e-9
-# thresholds per width in each default ramp family
+# thresholds per width in the ramp grid (``_ramp_grid``)
 FAMILY_THRESHOLDS = 9
 
 
@@ -93,7 +93,7 @@ class TestFunction:
     ``ramp``: clamp((x - threshold)/width, 0, 1), increasing.
     ``negated-ramp``: 1 - ramp, decreasing.
     ``constant``: always 1; belongs to either direction and is the unit of
-    the product, so it lets a sweep drop a coordinate.
+    the product.
     """
 
     kind: str

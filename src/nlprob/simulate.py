@@ -42,14 +42,14 @@ terms and the block's normalizers A_i, ``normalized_partial_sums`` forms
 both trajectories in one complex prefix sum, each bit for bit its own
 real one, carrying each path's running pair from block to block; no
 other module knows that pair format. Between blocks a path keeps only
-its running sums, tail max and min, grid samples and, for a phi that is
-not nondecreasing, its phi sup, so no per-path array grows with the
-horizon, and the block buffers are bounded by the module constants. A
-nondecreasing phi has sup_n phi(S_n) = phi(sup_n S_n), so it is
-evaluated once per path, at the tail max, after the path's last block.
-That holds in floats too, as the catalog's nondecreasing members round
-monotonically; only the sign of a zero result can differ, since numpy's
-max picks among zeros of both signs by position.
+its running sums, tail max and min and grid samples, so no per-path
+array grows with the horizon, and the block buffers are bounded by the
+module constants. A phi must be nondecreasing, so that
+sup_n phi(S_n) = phi(sup_n S_n): it is evaluated once per path, at the
+tail max, after the path's last block. That holds in floats too, as the
+catalog's nondecreasing members round monotonically; only the sign of a
+zero result can differ, since numpy's max picks among zeros of both
+signs by position.
 
 Determinism: the engine runs on one thread. Each path's generators are
 derived from (master seed, strategy index, path index) via seed-sequence
@@ -117,6 +117,8 @@ class AdversaryStrategy:
     def __post_init__(self) -> None:
         if self.kind not in (FIXED, CYCLIC, IID_RANDOM, DRIFT_MAX):
             raise BadStrategyParamError(f"unknown strategy kind {self.kind!r}")
+        if self.salt < 0:
+            raise BadStrategyParamError(f"salt must be >= 0, got {self.salt}")
         if self.kind == FIXED:
             if self.index is None or self.index < 0:
                 raise BadStrategyParamError(
@@ -506,8 +508,9 @@ def run_slln_experiment(model: SequenceModel, schedule: WeightSchedule,
     lower-centered one lower means; ``swap_centers=True`` deliberately
     exchanges them, which must wreck convergence (negative control). When
     ``phi`` is given, each path also records sup phi(S_n^upper) over the
-    tail, against phi's sup on the nonpositive axis; a ``phi`` whose
-    ``monotonicity`` is increasing is evaluated at the tail max alone.
+    tail, against phi's sup on the nonpositive axis, as phi(tail max): a
+    phi whose ``monotonicity`` is not increasing is refused (ValueError),
+    as are two strategies of one label (BadStrategyParamError).
 
     The exceedance and undershoot fractions are finite-horizon proxies, not
     the almost-sure limits: their false-alarm rate at a given ``epsilon``
@@ -520,6 +523,11 @@ def run_slln_experiment(model: SequenceModel, schedule: WeightSchedule,
     order. ``jobs`` is accepted and ignored: the engine runs on one thread.
     """
     check_schedule(schedule, n_steps)
+    if phi is not None and phi.monotonicity != INCREASING:
+        raise ValueError(f"phi {phi.describe()} is not nondecreasing")
+    labels = [s.label for s in strategies]
+    if len(set(labels)) < len(labels):
+        raise BadStrategyParamError(f"strategies repeat a label: {labels}")
     if epsilon <= 0:
         raise ValueError(f"epsilon must be > 0, got {epsilon}")
     if n_start is None:
@@ -536,9 +544,6 @@ def run_slln_experiment(model: SequenceModel, schedule: WeightSchedule,
         upper_c, lower_c = lower_c, upper_c
     grid = sample_grid(n_steps, n_start, grid_points)
     phi_bound = phi.sup_on_nonpositive() if phi is not None else None
-    # sup phi(S_n) = phi(sup S_n) for a nondecreasing phi, so such a phi
-    # is evaluated once per path, at its tail max
-    phi_per_block = phi is not None and phi.monotonicity != INCREASING
     weight = schedule.constant_weight
     block = min(STEP_BLOCK, n_steps)
     buf = _Buffers(min(PATH_BLOCK, paths_per_strategy), block)
@@ -555,7 +560,6 @@ def run_slln_experiment(model: SequenceModel, schedule: WeightSchedule,
             carry = np.full(count, complex(-0.0, -0.0))
             tail_max = np.full(count, -np.inf)
             tail_min = np.full(count, np.inf)
-            phi_sup = np.full(count, -np.inf)
             grid_up = np.empty((count, grid.size))
             grid_low = np.empty((count, grid.size))
             for start in range(0, n_steps, STEP_BLOCK):
@@ -580,27 +584,20 @@ def run_slln_experiment(model: SequenceModel, schedule: WeightSchedule,
                         "upper-centered sums exceeded lower-centered sums")
                 if stop >= n_start:
                     tail = max(n_start - 1 - start, 0)
-                    tail_up, tail_low = s_up[:, tail:], s_low[:, tail:]
-                    np.maximum(tail_max, tail_up.max(axis=1), out=tail_max)
-                    np.minimum(tail_min, tail_low.min(axis=1), out=tail_min)
-                    if phi_per_block:
-                        # an inf sup is NonFiniteError later
-                        with np.errstate(over="ignore"):
-                            np.maximum(phi_sup, phi(tail_up).max(axis=1),
-                                       out=phi_sup)
+                    np.maximum(tail_max, s_up[:, tail:].max(axis=1), out=tail_max)
+                    np.minimum(tail_min, s_low[:, tail:].min(axis=1), out=tail_min)
                 lo, hi = np.searchsorted(grid, (start + 1, stop + 1))
                 if hi > lo:
                     grid_up[:, lo:hi] = s_up[:, grid[lo:hi] - 1 - start]
                     grid_low[:, lo:hi] = s_low[:, grid[lo:hi] - 1 - start]
-            if phi is not None and not phi_per_block:
-                with np.errstate(over="ignore"):
-                    phi_sup = phi(tail_max)
+            # sup phi(S_n) = phi(sup S_n); an inf is NonFiniteError later
+            with np.errstate(over="ignore"):
+                sups = [None] * count if phi is None else phi(tail_max).tolist()
             for i in range(count):
                 summaries.append(PathSummary(
                     strat.label, first + i, float(s_up[i, -1]),
                     float(s_low[i, -1]), float(tail_max[i]),
-                    float(tail_min[i]),
-                    None if phi is None else float(phi_sup[i])))
+                    float(tail_min[i]), sups[i]))
                 samples.append(TrajectorySample(strat.label, first + i, grid,
                                                 grid_up[i], grid_low[i]))
 

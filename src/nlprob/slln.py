@@ -4,8 +4,9 @@ A weight schedule pairs per-step weights a_i > 0 with a normalizing sequence
 A_n used to form S_n = sum_{i<=n} a_i (x_i - center_i) / A_n, the sums
 ``nlprob.simulate`` forms. Two named schedules cover the classical laws:
 ``kolmogorov`` (a_i = 1, A_n = n) and ``mz`` (a_i = 1, A_n = n^{1/p},
-1 <= p < 1 + min(1, alpha)); ``custom`` exposes the catalog (constant |
-harmonic | table weights, linear | power | table normalizers).
+1 <= p < 1 + min(1, alpha)); ``custom``, the one kind that takes rules,
+exposes the catalog (constant | harmonic | table weights, linear | power |
+table normalizers). A schedule's rules are checked when it is built.
 
 The shape parameter beta must satisfy A_n / n^{1/(beta+1)} -> infinity for
 the exponential moment machinery to close; the validator probes that growth
@@ -71,11 +72,12 @@ def _lookup(table: np.ndarray, ii: np.ndarray, what: str) -> np.ndarray:
 class WeightSchedule:
     """Weights a_i and normalizers A_n with their shape parameters.
 
-    ``a_kind``: "constant" (a_param = the value) | "harmonic"
+    ``a_kind``: "constant" (a_param = the value, > 0) | "harmonic"
     (a_i = 1 + 1/i) | "table" (a_param = positive tuple).
     ``A_kind``: "linear" | "power" (A_param = exponent in (0, 1]) | "table".
-    Every rule is elementwise, so ``a`` and ``A`` on a block of steps
-    give bit for bit the slice of their arrays over the whole horizon.
+    The rules are checked when the schedule is built. Every rule is
+    elementwise, so ``a`` and ``A`` on a block of steps give bit for bit
+    the slice of their arrays over the whole horizon.
     """
 
     kind: str
@@ -89,15 +91,27 @@ class WeightSchedule:
     A_kind: str = "linear"
     A_param: float | tuple[float, ...] = 1.0
 
+    def __post_init__(self) -> None:
+        if self.a_kind not in ("constant", "harmonic", "table"):
+            raise ValueError(f"unknown weight rule {self.a_kind!r}")
+        if self.A_kind not in ("linear", "power", "table"):
+            raise ValueError(f"unknown normalizer rule {self.A_kind!r}")
+        if self.a_kind == "constant" and float(self.a_param) <= 0:
+            raise ValueError(
+                f"constant weight must be > 0, got {self.a_param}")
+        if self.a_kind == "table" and self._tables[0].min() <= 0:
+            raise ValueError("weight table entries must be > 0")
+        if self.A_kind == "power" and not 0.0 < float(self.A_param) <= 1.0:
+            raise POutOfRangeError(f"power normalizer exponent must be in "
+                                   f"(0, 1], got {self.A_param}")
+
     def a(self, i) -> np.ndarray:
         ii = _as_index_array(i)
         if self.a_kind == "constant":
             return np.full_like(ii, float(self.a_param))
         if self.a_kind == "harmonic":
             return 1.0 + 1.0 / ii
-        if self.a_kind == "table":
-            return _lookup(self._tables[0], ii, "weight")
-        raise ValueError(f"unknown weight rule {self.a_kind!r}")
+        return _lookup(self._tables[0], ii, "weight")
 
     def A(self, n) -> np.ndarray:
         nn = _as_index_array(n)
@@ -105,9 +119,7 @@ class WeightSchedule:
             return nn.copy()  # never the caller's own array
         if self.A_kind == "power":
             return nn ** float(self.A_param)
-        if self.A_kind == "table":
-            return _lookup(self._tables[1], nn, "normalizer")
-        raise ValueError(f"unknown normalizer rule {self.A_kind!r}")
+        return _lookup(self._tables[1], nn, "normalizer")
 
     @property
     def constant_weight(self) -> float | None:
@@ -131,12 +143,15 @@ def make_schedule(kind: str, alpha: float, beta: float, C: float = 1.0,
                   m: float = 2.0, p: float | None = None,
                   a_rule: tuple | None = None,
                   A_rule: tuple | None = None) -> WeightSchedule:
-    """Build and validate a schedule.
+    """Build a schedule; the kinds differ only in their rules and in
+    beta's lower bound.
 
-    kolmogorov: a_i = 1, A_n = n, beta in (0, min(1, alpha)).
+    kolmogorov: a_i = 1, A_n = n, beta in (0, min(1, alpha)); p is ignored.
     mz (alias marcinkiewicz): a_i = 1, A_n = n^{1/p} with
     1 <= p < 1 + min(1, alpha) and beta in (p - 1, min(1, alpha)).
-    custom: a_rule/A_rule pick from the catalog, beta in (0, min(1, alpha)).
+    custom: a_rule/A_rule, each a (kind, param) pair of the catalog
+    (``WeightSchedule``), default ("constant", 1.0) and ("linear", 1.0);
+    beta in (0, min(1, alpha)). Only custom takes rules.
     """
     if alpha <= 0:
         raise AlphaOutOfRangeError(f"alpha must be > 0, got {alpha}")
@@ -144,46 +159,25 @@ def make_schedule(kind: str, alpha: float, beta: float, C: float = 1.0,
         raise ValueError(f"C and m must be > 0, got C={C}, m={m}")
     cap = min(1.0, alpha)
     kind = {"marcinkiewicz": MZ}.get(kind, kind)
-
+    if kind not in (KOLMOGOROV, MZ, CUSTOM):
+        raise ValueError(f"unknown schedule kind {kind!r}")
+    if kind != CUSTOM and (a_rule, A_rule) != (None, None):
+        raise ValueError(f"{kind} takes no a_rule or A_rule; use custom")
+    low, where = 0, "custom schedule" if kind == CUSTOM else kind
     if kind == KOLMOGOROV:
-        if not 0.0 < beta < cap:
-            raise BetaOutOfRangeError(
-                f"beta={beta} outside (0, {cap}) for kolmogorov")
-        return WeightSchedule(KOLMOGOROV, alpha, beta, C, m)
-
-    if kind == MZ:
+        p = None
+    elif kind == MZ:
         if p is None or not 1.0 <= p < 1.0 + cap:
             raise POutOfRangeError(
                 f"mz needs 1 <= p < {1.0 + cap}, got p={p}")
-        if not p - 1.0 < beta < cap:
-            raise BetaOutOfRangeError(
-                f"beta={beta} outside ({p - 1.0}, {cap}) for mz with p={p}")
-        return WeightSchedule(MZ, alpha, beta, C, m, p=p,
-                              A_kind="power", A_param=1.0 / p)
-
-    if kind == CUSTOM:
-        if not 0.0 < beta < cap:
-            raise BetaOutOfRangeError(
-                f"beta={beta} outside (0, {cap}) for custom schedule")
-        a_kind, a_param = a_rule if a_rule is not None else ("constant", 1.0)
-        A_kind, A_param = A_rule if A_rule is not None else ("linear", 1.0)
-        if a_kind not in ("constant", "harmonic", "table"):
-            raise ValueError(f"unknown weight rule {a_kind!r}")
-        if A_kind not in ("linear", "power", "table"):
-            raise ValueError(f"unknown normalizer rule {A_kind!r}")
-        if a_kind == "constant" and float(a_param) <= 0:
-            raise ValueError(f"constant weight must be > 0, got {a_param}")
-        if a_kind == "table" and np.asarray(a_param, dtype=float).min() <= 0:
-            raise ValueError("weight table entries must be > 0")
-        if A_kind == "power" and not 0.0 < float(A_param) <= 1.0:
-            raise POutOfRangeError(
-                f"power normalizer exponent must be in (0, 1], got {A_param}")
-        sched = WeightSchedule(CUSTOM, alpha, beta, C, m, p=p,
-                               a_kind=a_kind, a_param=a_param,
-                               A_kind=A_kind, A_param=A_param)
-        return sched
-
-    raise ValueError(f"unknown schedule kind {kind!r}")
+        low, where, A_rule = p - 1.0, f"mz with p={p}", ("power", 1.0 / p)
+    if not low < beta < cap:
+        raise BetaOutOfRangeError(
+            f"beta={beta} outside ({low}, {cap}) for {where}")
+    a_kind, a_param = ("constant", 1.0) if a_rule is None else a_rule
+    A_kind, A_param = ("linear", 1.0) if A_rule is None else A_rule
+    return WeightSchedule(kind, alpha, beta, C, m, p, a_kind, a_param,
+                          A_kind, A_param)
 
 
 def validate_schedule(schedule: WeightSchedule,

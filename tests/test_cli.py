@@ -4,6 +4,7 @@ import contextlib
 import copy
 import io
 import json
+import math
 import re
 import subprocess
 import sys
@@ -655,6 +656,14 @@ REFUSED_AT_PARSE = {
     "truncation-index": (
         {"model": PAIR_DOC["model"], "checks": ["axioms", "na", "truncation"]},
         "error: truncation_indices[2]: must be <= 2, got 3\n"),
+    "negative-salt": (
+        {"simulation": {**DEMO_DOC["simulation"], "strategies": [
+            {"kind": "iid-random", "seed": -1}]}},
+        "error: simulation.strategies[0]: seed: must be >= 0, got -1\n"),
+    "repeated-strategy": (
+        {"simulation": {**DEMO_DOC["simulation"], "strategies": [
+            "cyclic", "cyclic", {"kind": "fixed", "index": 1}]}},
+        "error: simulation.strategies[1]: repeats the label cyclic\n"),
 }
 # the refusals whose line under simulate differs from the one under all:
 # it names only the checks simulate runs
@@ -691,6 +700,7 @@ def test_refused_before_the_output_directory_exists(tmp_path, capsys, case):
     ("pair-model", ("simulate",), ("verify", "check-deps")),
     ("schedule-horizon", ("simulate",), ("verify", "check-deps")),
     ("truncation-index", ("all",), ("verify", "check-deps")),
+    ("repeated-strategy", ("simulate",), ("verify", "check-deps")),
 ])
 def test_refusals_follow_the_subcommand(tmp_path, capsys, case, refused_by,
                                         runs):
@@ -759,6 +769,27 @@ def test_a_linear_polynomial_phi_is_the_affine_one(tmp_path):
         assert code == 0 and rec["pass"]
         bounds.append((rec["lhs"], rec["rhs"], rec["gap"]))
     assert bounds[0] == bounds[1]
+
+
+def test_strassen_limit_covers_an_epsilon_above_one(tmp_path, capsys):
+    # every tail max is below epsilon = 20, so phi's Lipschitz constant
+    # must hold on (-inf, 20], not only on (-inf, 1]
+    config = tmp_path / "wide.json"
+    config.write_text(json.dumps({
+        "model": {"space": 2, "measures": [[0.5, 0.5], [0.4, 0.6]],
+                  "variables": {"X": [0, 100]}},
+        "checks": ["slln", "strassen"], "seed": 1,
+        "schedule": {"kind": "kolmogorov", "alpha": 1.0, "beta": 0.5},
+        "phi": {"kind": "exp", "rate": 1.0},
+        "simulation": {"n_steps": 1000, "paths_per_strategy": 10,
+                       "n_start": 100, "epsilon": 20,
+                       "negative_control": False}}))
+    code, _, report = run(tmp_path, "simulate", "--config", str(config))
+    assert code == 0 and capsys.readouterr().err == ""
+    rec = record(report, "strassen-bound")
+    assert rec["pass"] and rec["lhs"] > 1.0 + math.e * 20
+    assert rec["rhs"] == pytest.approx(1.0 + math.exp(20.0) * 20)
+    assert max(p["tail_max_upper"] for p in report["experiment"]["paths"]) < 20
 
 
 def test_long_vertical_horizon_is_refused_before_any_work(tmp_path):

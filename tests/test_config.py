@@ -437,6 +437,24 @@ class TestRefusedAtParse:
             assert parse_config(text, subcommand=subcommand).phi.descriptor \
                 == from_descriptor(phi).descriptor
 
+    def test_strassen_limit_reads_the_lipschitz_constant_up_to_epsilon(self):
+        # the tails reach epsilon, so exp's constant is taken on
+        # (-inf, max(1, epsilon)]: e^800 overflows
+        def text(epsilon):
+            return config_text(checks=["strassen"], seed=1,
+                               schedule=self.SCHEDULE,
+                               phi={"kind": "exp", "rate": 1.0},
+                               simulation={"n_steps": 1000,
+                                           "epsilon": epsilon})
+
+        with pytest.raises(ConfigValidationError,
+                           match=r"^phi: strassen limit sup \+ lipschitz \* "
+                                 r"epsilon = 1\.0 \+ inf \* 800\.0 is not "
+                                 r"finite$"):
+            parse_config(text(800), subcommand="simulate")
+        config = parse_config(text(700), subcommand="simulate")
+        assert config.simulation.epsilon == 700.0
+
     @pytest.mark.parametrize("coeffs", [[0, 1], [2, 0.5], [3]])
     def test_strassen_takes_a_polynomial_of_degree_one(self, coeffs):
         phi = {"kind": "polynomial", "coeffs": coeffs}

@@ -1,6 +1,7 @@
 """Adversarial path sampling and envelope-convergence experiments."""
 
 import math
+import re
 import threading
 import tracemalloc
 from typing import NamedTuple
@@ -94,6 +95,8 @@ class TestAdversaryStrategy:
             AdversaryStrategy("fixed", index=-1)
         with pytest.raises(BadStrategyParamError):
             AdversaryStrategy("cyclic", index=0)  # index forbidden
+        with pytest.raises(BadStrategyParamError, match="salt must be >= 0"):
+            AdversaryStrategy("iid-random", salt=-1)  # a seed-sequence key
 
     def test_labels(self):
         assert AdversaryStrategy("fixed", 2).label == "fixed(2)"
@@ -427,11 +430,9 @@ def test_block_engine_matches_the_path_oracle(rng):
                                A_rule=("table", tuple(np.cumsum(weights)))))
     assert all(all_passed(validate_schedule(s, n))
                for s in schedules for n in horizons)
-    # nondecreasing phis are evaluated once per path at its tail max, the
-    # non-monotone -x^2 once per tail block
+    # every phi is nondecreasing, so evaluated once per path at its tail max
     phis = (None, Affine(0.5, 1.0), Clamp(-1.0, 0.2),
-            MaxAffine(((0, 0), (1, -0.1))), Polynomial((0, 1)),
-            Polynomial((0, 0, -1)))
+            MaxAffine(((0, 0), (1, -0.1))), Polynomial((0, 1)))
     for trial in range(60):
         model = _random_rectangular_model(rng)
         n_steps = horizons[trial % len(horizons)]
@@ -664,8 +665,8 @@ class TestRunExperiment:
     def test_phi_is_called_once_per_path_group_when_nondecreasing(
             self, marginal_model, kolmogorov, monkeypatch):
         # a nondecreasing phi is evaluated at each group's tail maxima after
-        # its last block; -x^2 over every tail block: four blocks, the
-        # first ending before n_start, and two groups per strategy
+        # its last block: four blocks, the first ending before n_start, and
+        # two groups per strategy
         block = nlprob.simulate.STEP_BLOCK
         group = nlprob.simulate.PATH_BLOCK
         calls = []
@@ -682,10 +683,38 @@ class TestRunExperiment:
                                 phi=phi, **kwargs)
             assert calls == [(group,), (1,)] * len(strategies)
             calls.clear()
-        run_slln_experiment(marginal_model, kolmogorov, strategies,
-                            phi=Polynomial((0, 0, -1)), **kwargs)
-        tails = [(group, block - 4), (group, block), (group, 10)]
-        assert calls == (tails + [(1, s) for _, s in tails]) * len(strategies)
+
+    @pytest.mark.parametrize("phi", [
+        Polynomial((0, 0, -1)), AbsPower(2.0),
+        MaxAffine(((-1.0, 0.0), (1.0, 0.0))),
+    ], ids=["minus-square", "square", "mixed-slopes"])
+    def test_phi_that_is_not_nondecreasing_is_refused(
+            self, marginal_model, kolmogorov, monkeypatch, phi):
+        # sup phi(S_n) is phi(sup S_n) only for a nondecreasing phi
+        def refuse(*args):
+            raise AssertionError("a path was drawn")
+
+        monkeypatch.setattr(nlprob.simulate._BlockSampler, "draw", refuse)
+        with pytest.raises(ValueError,
+                           match=rf"phi {re.escape(phi.describe())} is not "
+                                 r"nondecreasing"):
+            run_slln_experiment(marginal_model, kolmogorov,
+                                bundled_strategies(), n_steps=1000,
+                                paths_per_strategy=1, seed=1, phi=phi)
+
+    @pytest.mark.parametrize("strategies", [
+        [AdversaryStrategy("cyclic"), AdversaryStrategy("cyclic")],
+        [AdversaryStrategy("cyclic"), AdversaryStrategy("fixed", 1),
+         AdversaryStrategy("cyclic", salt=3)],  # a salt cyclic never reads
+        [AdversaryStrategy("iid-random", salt=2),
+         AdversaryStrategy("iid-random", salt=2)],
+    ], ids=["cyclic", "cyclic-salted", "iid-random"])
+    def test_repeated_strategy_label_is_refused(self, marginal_model,
+                                                kolmogorov, strategies):
+        # per_strategy is keyed by label, so a repeat would merge two rows
+        with pytest.raises(BadStrategyParamError, match="repeat a label"):
+            run_slln_experiment(marginal_model, kolmogorov, strategies,
+                                n_steps=1000, paths_per_strategy=1, seed=1)
 
     def test_phi_tail_sup_is_transform_of_tail_max(self, marginal_model,
                                                    kolmogorov):

@@ -11,6 +11,7 @@ from nlprob import (
     RandomVariable,
     SequenceModel,
     TruncationParams,
+    WeightSchedule,
     credal_set_from_rows,
     elementary_exp_bound_check,
     exp_moment_bound,
@@ -128,6 +129,47 @@ class TestMakeSchedule:
         # refused by the builder, not by the first a() or A() a check calls
         with pytest.raises(ValueError, match=message):
             make_schedule("custom", alpha=1.0, beta=0.5, **rules)
+
+    @pytest.mark.parametrize("kind, extra", [
+        ("kolmogorov", {}), ("mz", {"p": 1.25}), ("marcinkiewicz", {"p": 1.25}),
+    ])
+    @pytest.mark.parametrize("rules", [
+        {"a_rule": ("harmonic", None)}, {"A_rule": ("power", 0.9)},
+        {"a_rule": ("constant", 1.0), "A_rule": ("linear", 1.0)},
+    ], ids=["a_rule", "A_rule", "both"])
+    def test_named_kinds_refuse_rules(self, kind, extra, rules):
+        # kolmogorov and mz fix their rules; only custom takes them
+        with pytest.raises(ValueError, match="takes no a_rule or A_rule"):
+            make_schedule(kind, alpha=1.0, beta=0.5, **extra, **rules)
+
+    @pytest.mark.parametrize("kind, extra, beta, message", [
+        ("kolmogorov", {}, 1.0, r"beta=1.0 outside \(0, 1.0\) for kolmogorov$"),
+        ("custom", {}, 0.0,
+         r"beta=0.0 outside \(0, 1.0\) for custom schedule$"),
+        ("mz", {"p": 1.25}, 0.2,
+         r"beta=0.2 outside \(0.25, 1.0\) for mz with p=1.25$"),
+        ("marcinkiewicz", {"p": 1.5}, 0.5,
+         r"beta=0.5 outside \(0.5, 1.0\) for mz with p=1.5$"),
+    ])
+    def test_beta_refusal_names_the_kind(self, kind, extra, beta, message):
+        with pytest.raises(BetaOutOfRangeError, match=message):
+            make_schedule(kind, alpha=1.0, beta=beta, **extra)
+
+    @pytest.mark.parametrize("rules, error, message", [
+        ({"a_kind": "bogus"}, ValueError, "unknown weight rule 'bogus'"),
+        ({"A_kind": "bogus"}, ValueError, "unknown normalizer rule 'bogus'"),
+        ({"a_param": 0.0}, ValueError, "constant weight must be > 0"),
+        ({"a_param": -1.0}, ValueError, "constant weight must be > 0"),
+        ({"a_kind": "table", "a_param": (1.0, 0.0)}, ValueError,
+         "weight table entries must be > 0"),
+        ({"A_kind": "power", "A_param": 0.0}, POutOfRangeError,
+         "exponent must be in"),
+    ], ids=["weight-rule", "normalizer-rule", "zero-constant",
+            "negative-constant", "zero-table-entry", "zero-power"])
+    def test_schedule_checks_its_rules_when_built(self, rules, error, message):
+        # every schedule is checked once, however it is built
+        with pytest.raises(error, match=message):
+            WeightSchedule("custom", alpha=1.0, beta=0.5, **rules)
 
     def test_rules_never_return_the_callers_array(self, kolmogorov):
         # indices are read without a copy, so a rule must not hand them back
