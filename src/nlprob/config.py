@@ -11,8 +11,8 @@ reporting knobs::
                 "variables": {"name": [v, ...], ...},
                 "joint": "rectangular" | "comonotone-pair"}
                | "relative/path.json",
-      "schedule": {"kind": "kolmogorov"|"mz", "p": ..., "alpha": ...,
-                   "beta": ..., "C": ..., "m": ...},
+      "schedule": {"kind": "kolmogorov"|"mz", "p": ...,  # mz alone
+                   "alpha": ..., "beta": ..., "C": ..., "m": ...},
       "checks": ["axioms", "chain", "inequalities", "na", "vertical",
                  "forward", "truncation", "slln", "strassen"],
       "tolerance": 1e-9,
@@ -24,7 +24,8 @@ reporting knobs::
       "expected_violations": ["forward"],
       "simulation": {"n_steps": ..., "paths_per_strategy": ...,
                      "strategies": [{"kind": "fixed", "index": 0}, "cyclic",
-                                    "iid-random", "drift-max"],
+                                    {"kind": "iid-random", "seed": 0},
+                                    "drift-max"],  # seed: iid-random alone
                      "n_start": ..., "epsilon": 0.05,
                      "negative_control": true, "max_exceedance_fraction": 0.0,
                      "min_control_fraction": 0.95,
@@ -84,6 +85,7 @@ from .simulate import (
     DEFAULT_EPSILON,
     FIXED,
     GRID_POINTS,
+    IID_RANDOM,
     AdversaryStrategy,
     bundled_strategies,
     check_schedule,
@@ -277,8 +279,9 @@ def _parse_strategy(entry: Any, name: str) -> AdversaryStrategy:
     try:  # errors below name the field, e.g. "...strategies[0]: index: ..."
         index = read_number(entry.get("index"), "index", optional=True,
                             integer=True)
-        salt = 0 if kind == FIXED else read_number(entry.get("seed", 0),
-                                                   "seed", integer=True, low=0)
+        if kind != IID_RANDOM and "seed" in entry:
+            raise _field_error("seed", "only iid-random takes a seed")
+        salt = read_number(entry.get("seed", 0), "seed", integer=True, low=0)
         return AdversaryStrategy(kind, index, salt)
     except NlprobError as exc:
         raise _field_error(name, str(exc)) from exc

@@ -4,8 +4,12 @@ Conventions
 -----------
 * An outcome space is ``{0, ..., size-1}``; it is named by its size alone.
 * An event is a boolean membership row over the outcomes, and an event
-  family a matrix of such rows, so complements and enumeration are exact
-  and every event probability is one sum, :func:`event_probability_table`.
+  family a matrix of such rows, so complements and enumeration are exact.
+  Every event probability is one left-to-right sum: from +0.0, the
+  weights of the event's members are added in outcome order. Two kernels
+  compute it: :func:`event_probability_table` for any family and
+  :func:`power_set_table` for the whole power set; each proves it keeps
+  the sum bit for bit.
 * A credal set is an *ordered*, read-only weight matrix of shape
   ``(measures, size)``: row j is probability measure j, and there is at
   least one. Order matters: upper/lower envelopes report maximizer indices,
@@ -122,24 +126,62 @@ def credal_set_from_rows(rows) -> CredalSet:
     return CredalSet(rows)
 
 
+# the most cells (events x measures x outcomes) of partial sums that
+# event_probability_table holds at once
+TABLE_CELLS = 1 << 16
+
+
 def event_probability_table(weights: np.ndarray, members: np.ndarray) -> np.ndarray:
     """P_j(A_e) for weight rows (measures, size) and membership rows
-    (events, size); shape (events, measures). Every event probability in the
-    package is this sum: from 0.0, each outcome's weight is added, in outcome
-    order, to the events holding it. So monotonicity is exact in floats:
-    weights are >= 0 and rounding is monotone, hence for A ⊆ B each partial
-    sum of B is >= the matching one of A, and P_j(A) <= P_j(B) exactly.
-    Every event takes every step, a non-member adding a zero: entries start
-    at +0.0 and gain only terms >= 0, so none is -0.0, and x + 0.0 == x
-    keeps each sum the member-only one bit for bit.
+    (events, size); shape (events, measures). Each entry is the
+    left-to-right sum of the event's member weights from +0.0, taken as one
+    prefix sum along the outcome axis of the terms ``member * weight``
+    (``np.add.accumulate``, strictly sequential), in blocks of as many
+    events as TABLE_CELLS terms hold (one at least), so a large family
+    takes bounded memory.
+
+    The sum is kept bit for bit. A non-member's term is ±0.0, and adding
+    ±0.0 leaves any sum but a zero unchanged; the prefix sum starts from
+    the first term rather than +0.0, which changes at most the sign of a
+    zero (it ends at -0.0 when every term is -0.0). The final ``+ 0.0``
+    turns a -0.0 into +0.0 and leaves every other value as it is, so no
+    entry is -0.0, whatever -0.0 weights the rows hold. So
+    monotonicity is exact in floats: weights are >= 0 and rounding is
+    monotone, hence for A ⊆ B each partial sum of B is >= the matching one
+    of A, and P_j(A) <= P_j(B) exactly.
     """
     members = np.asarray(members, dtype=bool)
     if members.ndim != 2 or members.shape[1] != weights.shape[1]:
         raise DimensionMismatchError(
             f"membership rows of shape {members.shape} for "
             f"{weights.shape[1]} outcomes")
-    table = np.zeros((members.shape[0], weights.shape[0]))
-    for w in range(weights.shape[1]):
-        table += np.multiply.outer(members[:, w], weights[:, w])
+    table = np.empty((members.shape[0], weights.shape[0]))
+    step = max(1, TABLE_CELLS // weights.size)
+    for lo in range(0, len(members), step):
+        terms = members[lo:lo + step, None, :] * weights
+        np.add.accumulate(terms, axis=2, out=terms)
+        table[lo:lo + step] = terms[:, :, -1] + 0.0
     return table
 
+
+def power_set_table(weights: np.ndarray) -> np.ndarray:
+    """P_j(A_k) for weight rows (measures, size) and every event k of the
+    power set in bitmask order (``capacity.all_events``: outcome i is in
+    event k when bit i of k is set); measure-major, shape
+    (measures, 2**size). Built by doubling from column 0 = +0.0: the
+    columns 2**w .. 2**(w+1) - 1 are the columns 0 .. 2**w - 1 plus
+    weight w.
+
+    This is :func:`event_probability_table`'s sum, bit for bit: column k,
+    with highest bit h, is column k - 2**h plus weight h, so by induction
+    it is +0.0 plus the weights of k's members added in increasing outcome
+    order. It starts from +0.0 and +0.0 + -0.0 is +0.0, so no entry is
+    -0.0 either.
+    """
+    measures, size = weights.shape
+    table = np.empty((measures, 1 << size))
+    table[:, 0] = 0.0
+    for w in range(size):
+        np.add(table[:, :1 << w], weights[:, w, None],
+               out=table[:, 1 << w:2 << w])
+    return table

@@ -107,8 +107,9 @@ GRID_POINTS = 160
 
 @dataclass(frozen=True)
 class AdversaryStrategy:
-    """A measure-selection rule. ``index`` is required for ``fixed``;
-    ``salt`` keeps ``iid-random`` independent of the outcome stream."""
+    """A measure-selection rule. ``index`` is required for ``fixed`` and
+    refused for the others; ``salt``, nonzero for ``iid-random`` alone,
+    keeps ``iid-random`` independent of the outcome stream."""
 
     kind: str
     index: int | None = None
@@ -119,6 +120,9 @@ class AdversaryStrategy:
             raise BadStrategyParamError(f"unknown strategy kind {self.kind!r}")
         if self.salt < 0:
             raise BadStrategyParamError(f"salt must be >= 0, got {self.salt}")
+        if self.salt and self.kind != IID_RANDOM:
+            raise BadStrategyParamError(
+                f"{self.kind} strategy takes no salt; only iid-random does")
         if self.kind == FIXED:
             if self.index is None or self.index < 0:
                 raise BadStrategyParamError(

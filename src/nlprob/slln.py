@@ -146,12 +146,12 @@ def make_schedule(kind: str, alpha: float, beta: float, C: float = 1.0,
     """Build a schedule; the kinds differ only in their rules and in
     beta's lower bound.
 
-    kolmogorov: a_i = 1, A_n = n, beta in (0, min(1, alpha)); p is ignored.
+    kolmogorov: a_i = 1, A_n = n, beta in (0, min(1, alpha)).
     mz (alias marcinkiewicz): a_i = 1, A_n = n^{1/p} with
     1 <= p < 1 + min(1, alpha) and beta in (p - 1, min(1, alpha)).
     custom: a_rule/A_rule, each a (kind, param) pair of the catalog
     (``WeightSchedule``), default ("constant", 1.0) and ("linear", 1.0);
-    beta in (0, min(1, alpha)). Only custom takes rules.
+    beta in (0, min(1, alpha)). Only custom takes rules, and only mz takes p.
     """
     if alpha <= 0:
         raise AlphaOutOfRangeError(f"alpha must be > 0, got {alpha}")
@@ -163,10 +163,10 @@ def make_schedule(kind: str, alpha: float, beta: float, C: float = 1.0,
         raise ValueError(f"unknown schedule kind {kind!r}")
     if kind != CUSTOM and (a_rule, A_rule) != (None, None):
         raise ValueError(f"{kind} takes no a_rule or A_rule; use custom")
+    if kind != MZ and p is not None:
+        raise ValueError(f"{kind} takes no p; p belongs to mz")
     low, where = 0, "custom schedule" if kind == CUSTOM else kind
-    if kind == KOLMOGOROV:
-        p = None
-    elif kind == MZ:
+    if kind == MZ:
         if p is None or not 1.0 <= p < 1.0 + cap:
             raise POutOfRangeError(
                 f"mz needs 1 <= p < {1.0 + cap}, got p={p}")

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 import nlprob.capacity as capacity
+import nlprob.core as core
 from nlprob import all_events, capacity_axiom_report, credal_set_from_rows
-from nlprob.core import event_probability_table
+from nlprob.core import event_probability_table, power_set_table
 from nlprob.errors import DimensionMismatchError
 from nlprob.reports import CheckResult, all_passed, comparison, equality
 
@@ -309,3 +310,121 @@ def test_event_probability_table_is_a_left_to_right_sum_per_entry(rng):
                 for i in np.flatnonzero(row):
                     total += float(w[i])
                 assert table[e, j].hex() == total.hex()
+
+
+def hex_table(table):
+    """Every entry of a float table by its exact bits."""
+    return [x.hex() for x in np.asarray(table).ravel().tolist()]
+
+
+def edge_weight_rows(rng, size):
+    """Dirichlet rows with a zero, a -0.0 and a subnormal weight placed at
+    random outcomes (fewer where the space is smaller), and a row of -0.0
+    alone: the one row whose terms can all be -0.0."""
+    rows = rng.dirichlet(np.full(size, 0.8), size=int(rng.integers(1, 4)))
+    for row in rows:
+        spots = rng.permutation(size)
+        for i, w in zip(spots, (0.0, -0.0, 5e-324)):
+            row[i] = w
+    return np.vstack([rows, np.full(size, -0.0)])
+
+
+def reversed_order(weights, members):
+    """event_probability_table summing each event's members from the last
+    outcome down: the same outcomes, the wrong order."""
+    return event_probability_table(weights[:, ::-1], members[:, ::-1])
+
+
+def check_power_set_table(kernel, rng):
+    """``kernel(weights)`` is the measure-major table of every event of
+    all_events(size), each entry event_probability_table's sum bit for
+    bit, and none -0.0."""
+    for size in range(1, 17):
+        weights = edge_weight_rows(rng, size)
+        table = kernel(weights)
+        want = event_probability_table(weights, all_events(size)).T
+        assert table.shape == want.shape
+        assert hex_table(table) == hex_table(want), size
+        assert not np.signbit(table).any()
+
+
+def check_chunked_sum(kernel, rng):
+    """``kernel(weights, members)`` is the left-to-right loop per entry,
+    -0.0 never among them; run with a cell cap that splits the events."""
+    for t in range(40):
+        size = int(rng.integers(3, 12))
+        weights = np.vstack([edge_weight_rows(rng, size),
+                             random_weight_rows(rng, "decades", size)])
+        members = np.vstack([np.zeros(size, dtype=bool),
+                             rng.random((int(rng.integers(5, 30)), size)) < 0.6])
+        table = kernel(weights, members)
+        for e, row in enumerate(members):
+            for j, w in enumerate(weights):
+                total = 0.0
+                for i in np.flatnonzero(row):
+                    total += float(w[i])
+                assert table[e, j].hex() == total.hex(), (t, e, j)
+        assert not np.signbit(table).any()
+
+
+def test_power_set_table_is_the_event_table_bit_for_bit(rng):
+    check_power_set_table(power_set_table, rng)
+
+
+def test_chunked_prefix_sum_is_the_left_to_right_loop(rng, monkeypatch):
+    # one event per block, then blocks of several events whose last
+    # block is shorter: every block boundary falls between two events
+    for cells in (1, 100):
+        monkeypatch.setattr(core, "TABLE_CELLS", cells)
+        check_chunked_sum(event_probability_table, rng)
+
+
+def test_kernel_checks_refuse_a_reversed_outcome_order(rng, monkeypatch):
+    # the same members summed last outcome first round differently, so
+    # both checks above fail on it
+    def reversed_power_set_table(weights):
+        return reversed_order(weights, all_events(weights.shape[1])).T
+
+    with pytest.raises(AssertionError):
+        check_power_set_table(reversed_power_set_table, rng)
+    monkeypatch.setattr(core, "TABLE_CELLS", 100)
+    with pytest.raises(AssertionError):
+        check_chunked_sum(reversed_order, rng)
+
+
+def shuffled_power_set(size):
+    """Every event of the space, its rows out of bitmask order: a seeded
+    permutation, rolled one place, as the one of two rows is the identity."""
+    rows = all_events(size)
+    return rows[np.roll(np.random.default_rng(size).permutation(len(rows)), 1)]
+
+
+@pytest.mark.parametrize("size", range(1, 7))
+@pytest.mark.parametrize("family, power_set", [
+    (all_events, True),
+    (shuffled_power_set, False),
+    (lambda size: all_events(size)[:-1], False),
+], ids=["power-set", "shuffled", "truncated"])
+def test_power_set_route(make_credal, monkeypatch, size, family, power_set):
+    # the power set in bitmask order is read from one power-set table and
+    # makes no event table; any other family takes the general kernel
+    calls = []
+
+    def spy(kernel):
+        def wrapped(*args):
+            calls.append(kernel.__name__)
+            return kernel(*args)
+        return wrapped
+
+    for kernel in (event_probability_table, power_set_table):
+        monkeypatch.setattr(capacity, kernel.__name__, spy(kernel))
+    events = family(size)
+    assert events.tolist() != all_events(size).tolist() or power_set
+    c = make_credal(size=size)
+    records = capacity_axiom_report(c, events, tol=1e-12)
+    assert set(calls) == ({"power_set_table"} if power_set
+                          else {"event_probability_table"})
+    assert [(r.check, r.lhs, r.rhs, r.gap, r.passed, r.witness)
+            for r in records] == \
+        [(r.check, r.lhs, r.rhs, r.gap, r.passed, r.witness)
+         for r in pairwise_axiom_report(c, list(events), 1e-12)]

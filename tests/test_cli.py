@@ -660,6 +660,15 @@ REFUSED_AT_PARSE = {
         {"simulation": {**DEMO_DOC["simulation"], "strategies": [
             {"kind": "iid-random", "seed": -1}]}},
         "error: simulation.strategies[0]: seed: must be >= 0, got -1\n"),
+    "schedule-p": (
+        {"schedule": {"kind": "kolmogorov", "p": 1.25, "alpha": 1.0,
+                      "beta": 0.5}},
+        "error: schedule: kolmogorov takes no p; p belongs to mz\n"),
+    "strategy-seed": (
+        {"simulation": {**DEMO_DOC["simulation"], "strategies": [
+            "cyclic", {"kind": "drift-max", "seed": 3}]}},
+        "error: simulation.strategies[1]: seed: only iid-random takes a "
+        "seed\n"),
     "repeated-strategy": (
         {"simulation": {**DEMO_DOC["simulation"], "strategies": [
             "cyclic", "cyclic", {"kind": "fixed", "index": 1}]}},
@@ -701,6 +710,8 @@ def test_refused_before_the_output_directory_exists(tmp_path, capsys, case):
     ("schedule-horizon", ("simulate",), ("verify", "check-deps")),
     ("truncation-index", ("all",), ("verify", "check-deps")),
     ("repeated-strategy", ("simulate",), ("verify", "check-deps")),
+    ("schedule-p", ("verify", "check-deps", "simulate"), ()),
+    ("strategy-seed", ("verify", "check-deps", "simulate"), ()),
 ])
 def test_refusals_follow_the_subcommand(tmp_path, capsys, case, refused_by,
                                         runs):

@@ -357,6 +357,17 @@ class TestSimulationSettings:
         assert parse_config(config_text(**doc), subcommand="verify") \
             .simulation.strategies[0].index == 2
 
+    def test_only_iid_random_takes_a_seed(self):
+        # the other kinds never draw from a seeded stream, fixed included
+        for entry in ({"kind": "fixed", "index": 0, "seed": 0},
+                      {"kind": "cyclic", "seed": 2},
+                      {"kind": "drift-max", "seed": 2}):
+            with pytest.raises(ConfigValidationError,
+                               match=r"^simulation.strategies\[0\]: seed: "
+                                     "only iid-random takes a seed$"):
+                parse_config(config_text(
+                    simulation={"strategies": [entry]}))
+
     def test_default_strategies_are_the_bundle(self):
         config = parse_config(config_text())
         labels = [s.label for s in config.simulation.strategies]

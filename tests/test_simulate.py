@@ -98,6 +98,15 @@ class TestAdversaryStrategy:
         with pytest.raises(BadStrategyParamError, match="salt must be >= 0"):
             AdversaryStrategy("iid-random", salt=-1)  # a seed-sequence key
 
+    @pytest.mark.parametrize("kind, index", [
+        ("fixed", 0), ("cyclic", None), ("drift-max", None)])
+    def test_only_iid_random_takes_a_salt(self, kind, index):
+        # only iid-random draws from a salted stream
+        assert AdversaryStrategy(kind, index, 0).salt == 0
+        with pytest.raises(BadStrategyParamError,
+                           match=f"^{kind} strategy takes no salt"):
+            AdversaryStrategy(kind, index, 3)
+
     def test_labels(self):
         assert AdversaryStrategy("fixed", 2).label == "fixed(2)"
         assert AdversaryStrategy("iid-random", salt=3).label == "iid-random(3)"
@@ -704,11 +713,9 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize("strategies", [
         [AdversaryStrategy("cyclic"), AdversaryStrategy("cyclic")],
-        [AdversaryStrategy("cyclic"), AdversaryStrategy("fixed", 1),
-         AdversaryStrategy("cyclic", salt=3)],  # a salt cyclic never reads
         [AdversaryStrategy("iid-random", salt=2),
          AdversaryStrategy("iid-random", salt=2)],
-    ], ids=["cyclic", "cyclic-salted", "iid-random"])
+    ], ids=["cyclic", "iid-random"])
     def test_repeated_strategy_label_is_refused(self, marginal_model,
                                                 kolmogorov, strategies):
         # per_strategy is keyed by label, so a repeat would merge two rows

@@ -142,6 +142,13 @@ class TestMakeSchedule:
         with pytest.raises(ValueError, match="takes no a_rule or A_rule"):
             make_schedule(kind, alpha=1.0, beta=0.5, **extra, **rules)
 
+    @pytest.mark.parametrize("kind", ["kolmogorov", "custom"])
+    def test_kinds_without_p_refuse_p(self, kind):
+        # kolmogorov fixes A_n = n and custom reads A_rule: neither reads p
+        with pytest.raises(ValueError,
+                           match=f"^{kind} takes no p; p belongs to mz$"):
+            make_schedule(kind, alpha=1.0, beta=0.5, p=1.25)
+
     @pytest.mark.parametrize("kind, extra, beta, message", [
         ("kolmogorov", {}, 1.0, r"beta=1.0 outside \(0, 1.0\) for kolmogorov$"),
         ("custom", {}, 0.0,
