@@ -5,81 +5,56 @@ finite outcome space, held as one weight matrix. Everything downstream is
 exact, by enumeration or in closed form: capacity envelopes, sublinear and
 Choquet expectations, dependence sweeps, and a deterministic Monte Carlo
 laboratory for weighted strong laws under adversarial measure selection.
+
+Importing the package loads none of its modules: each public name loads
+the module that defines it when it is first read (PEP 562).
 """
 
-import types as _types
+import importlib as _importlib
 
 __version__ = "0.1.0"
 
-from .capacity import all_events, capacity_axiom_report
-from .config import (
-    ExperimentConfig,
-    SimulationSettings,
-    parse_config,
-    parse_document,
-    sequence_model_from_document,
-)
-from .core import CredalSet, RandomVariable, credal_set_from_rows
-from .dependence import (
-    TestFunction,
-    binomial_pair_model,
-    check_negative_association,
-    check_vertical_independence,
-    exp_product_bound_gap,
-    forward_factorization_value,
-)
-from .errors import (
-    ChainViolationError,
-    ConfigError,
-    ConfigParseError,
-    ConfigValidationError,
-    NlprobError,
-    OracleTooLargeError,
-    ScheduleInvalidError,
-    UnboundedPhiError,
-)
-from .expectation import (
-    ExpectationBounds,
-    choquet_expectation,
-    expectation_chain,
-    inequality_suite,
-    lower_expectation,
-    sublinear_axiom_report,
-    upper_expectation,
-)
-from .functions import (
-    AbsPower,
-    Affine,
-    Clamp,
-    Exp,
-    MaxAffine,
-    Polynomial,
-    ScalarFunction,
-)
-from .models import SequenceModel
-from .reports import CheckResult
-from .simulate import (
-    AdversaryStrategy,
-    ExperimentResult,
-    SamplePath,
-    bundled_strategies,
-    normalized_partial_sums,
-    run_slln_experiment,
-    sample_grid,
-    sample_path,
-)
-from .slln import (
-    TruncationParams,
-    WeightSchedule,
-    elementary_exp_bound_check,
-    exp_moment_bound,
-    make_schedule,
-    truncate,
-    truncation_params,
-    validate_schedule,
-)
+# every public name, by the module that defines it
+_EXPORTS = {
+    "capacity": ("all_events", "capacity_axiom_report"),
+    "config": ("ExperimentConfig", "SimulationSettings", "parse_config",
+               "parse_document", "sequence_model_from_document"),
+    "core": ("CredalSet", "RandomVariable", "credal_set_from_rows"),
+    "dependence": ("binomial_pair_model", "check_negative_association",
+                   "check_vertical_independence", "exp_product_bound_gap",
+                   "forward_factorization_value"),
+    "errors": ("ChainViolationError", "ConfigError", "ConfigParseError",
+               "ConfigValidationError", "NlprobError", "OracleTooLargeError",
+               "ScheduleInvalidError", "UnboundedPhiError"),
+    "expectation": ("ExpectationBounds", "choquet_expectation",
+                    "expectation_chain", "inequality_suite",
+                    "lower_expectation", "sublinear_axiom_report",
+                    "upper_expectation"),
+    "functions": ("AbsPower", "Affine", "Clamp", "Exp", "MaxAffine",
+                  "Polynomial", "ScalarFunction", "TestFunction"),
+    "models": ("SequenceModel",),
+    "reports": ("CheckResult",),
+    "simulate": ("AdversaryStrategy", "ExperimentResult", "SamplePath",
+                 "bundled_strategies", "normalized_partial_sums",
+                 "run_slln_experiment", "sample_grid", "sample_path"),
+    "slln": ("TruncationParams", "WeightSchedule", "elementary_exp_bound_check",
+             "exp_moment_bound", "make_schedule", "truncate",
+             "truncation_params", "validate_schedule"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items()
+              for name in names}
 
-# every public name bound above; the submodules themselves are not exports
-__all__ = sorted(name for name, value in globals().items()
-                 if not name.startswith("_")
-                 and not isinstance(value, _types.ModuleType))
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(_importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value  # later reads find it without this hook
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

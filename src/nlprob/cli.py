@@ -17,22 +17,29 @@ Exit codes: 0 all selected checks pass, 1 at least one fails (first failure
 on stderr), 2 configuration problems. Everything runs on one thread; reruns
 with the same config and seed produce byte-identical report.json and
 trajectories.csv. ``--jobs`` is still accepted and changes nothing.
+
+The check engines (``capacity``, ``dependence``, ``expectation``,
+``simulate``, ``slln``) load when a runner first needs them: ``verify``
+adds ``capacity`` and ``expectation``, ``check-deps`` adds ``dependence``
+and ``simulate`` adds ``simulate``, ``slln`` and ``expectation``. A
+config's ``schedule`` or ``simulation`` section loads its reader's engine
+under every subcommand (see ``config``).
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import importlib
 import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
 from . import __version__
-from .capacity import all_events, capacity_axiom_report
 from .config import (
     CHECK_NAMES,
     FAMILIES,
@@ -41,30 +48,45 @@ from .config import (
     read_text,
     too_large,
 )
-from .dependence import (
-    RAMP,
-    TestFunction,
-    check_negative_association,
-    check_vertical_independence,
-    forward_factorization_value,
-)
 from .errors import ConfigValidationError, NlprobError
-from .expectation import (
-    chebyshev_jensen_records,
-    expectation_chain,
-    inequality_suite,
-    sublinear_axiom_report,
-    upper_expectation,
-)
-from .functions import AbsPower, Affine, Exp
+from .functions import RAMP, AbsPower, Affine, Exp, TestFunction
 from .reports import CheckResult, comparison, dumps, equality
-from .simulate import (
-    DRIFT_MAX,
-    AdversaryStrategy,
-    ExperimentResult,
-    run_slln_experiment,
-)
-from .slln import truncate, truncation_params
+
+if TYPE_CHECKING:
+    from .simulate import ExperimentResult
+
+# The engines' names the runners call, by engine. A runner loads its
+# engines first (``_load``), which binds each name here unless it is bound
+# already, so a name set on this module beforehand, by a test or a
+# benchmark probe, is the one that runs; reading a name of this module
+# loads its engine too (``__getattr__``).
+_ENGINE_NAMES = {
+    "capacity": ("all_events", "capacity_axiom_report"),
+    "dependence": ("check_negative_association",
+                   "check_vertical_independence",
+                   "forward_factorization_value"),
+    "expectation": ("chebyshev_jensen_records", "expectation_chain",
+                    "inequality_suite", "sublinear_axiom_report",
+                    "upper_expectation"),
+    "simulate": ("DRIFT_MAX", "AdversaryStrategy", "run_slln_experiment"),
+    "slln": ("truncate", "truncation_params"),
+}
+_ENGINE_OF = {name: engine for engine, names in _ENGINE_NAMES.items()
+              for name in names}
+
+
+def _load(*engines: str) -> None:
+    for engine in engines:
+        module = importlib.import_module(f".{engine}", __package__)
+        for name in _ENGINE_NAMES[engine]:
+            globals().setdefault(name, getattr(module, name))
+
+
+def __getattr__(name: str):
+    if name not in _ENGINE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _load(_ENGINE_OF[name])
+    return globals()[name]
 
 
 @dataclass
@@ -78,6 +100,7 @@ class _Run:
 
 
 def _axiom_records(run: _Run) -> list[CheckResult]:
+    _load("capacity", "expectation")
     model, tol = run.config.model, run.config.tolerance
     size = model.credal.size
     if size <= 16:
@@ -94,6 +117,7 @@ def _axiom_records(run: _Run) -> list[CheckResult]:
 
 
 def _chain_records(run: _Run) -> list[CheckResult]:
+    _load("expectation")
     config, tol = run.config, run.config.tolerance
     records = []
     for name, var in zip(config.variable_names, config.model.variables):
@@ -107,6 +131,7 @@ def _chain_records(run: _Run) -> list[CheckResult]:
 
 
 def _inequality_records(run: _Run) -> list[CheckResult]:
+    _load("expectation")
     config, tol = run.config, run.config.tolerance
     model = config.model
     records = []
@@ -139,11 +164,13 @@ def _inequality_records(run: _Run) -> list[CheckResult]:
 
 
 def _na_records(run: _Run) -> list[CheckResult]:
+    _load("dependence")
     return [check_negative_association(run.config.model, run.config.horizon,
                                        tol=run.config.tolerance)]
 
 
 def _vertical_records(run: _Run) -> list[CheckResult]:
+    _load("dependence")
     model = run.config.model
     ramps = []
     for var in model.variables:
@@ -157,6 +184,7 @@ def _vertical_records(run: _Run) -> list[CheckResult]:
 
 
 def _forward_records(run: _Run) -> list[CheckResult]:
+    _load("dependence")
     config, tol = run.config, run.config.tolerance
     value = forward_factorization_value(config.model, config.forward_g,
                                         config.forward_f, n=2)
@@ -170,6 +198,7 @@ def _forward_records(run: _Run) -> list[CheckResult]:
 
 
 def _truncation_records(run: _Run) -> list[CheckResult]:
+    _load("slln", "expectation")
     config, tol = run.config, run.config.tolerance
     model, schedule = config.model, config.schedule
     records = []
@@ -202,6 +231,7 @@ def _simulation(run: _Run) -> ExperimentResult:
 
 
 def _slln_records(run: _Run) -> list[CheckResult]:
+    _load("simulate")
     sim = run.config.simulation
     result = _simulation(run)
     records = [comparison(name, frac, sim.max_exceedance_fraction, 0.0,
@@ -223,6 +253,7 @@ def _slln_records(run: _Run) -> list[CheckResult]:
 
 
 def _strassen_records(run: _Run) -> list[CheckResult]:
+    _load("simulate")
     config, sim = run.config, run.config.simulation
     result = _simulation(run)
     worst = max(s.phi_tail_sup for s in result.path_summaries)

@@ -50,19 +50,24 @@ with a ``phi`` whose limit is not finite, a check that needs a missing
 rectangular, with a schedule that fails its validation at ``n_steps`` or
 with two strategies of one label, and ``truncation`` at an index past
 the model's coordinates.
+
+The ``schedule`` and ``simulation`` sections are read by the engines that
+run them (``slln.make_schedule``, ``simulate.AdversaryStrategy``), which
+load only when a config has such a section or selects a check that
+simulates: a run of exact checks loads neither.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable
+from typing import TYPE_CHECKING, Any, Callable
 
 from .core import CredalSet, RandomVariable, credal_set_from_rows
-from .dependence import CONSTANT, NEGATED_RAMP, RAMP, TestFunction
 from .errors import (
     ConfigParseError,
     ConfigValidationError,
@@ -70,8 +75,11 @@ from .errors import (
     UnboundedPhiError,
 )
 from .functions import (
+    CONSTANT,
     DECREASING,
     INCREASING,
+    NEGATED_RAMP,
+    RAMP,
     AbsPower,
     Affine,
     Clamp,
@@ -79,18 +87,13 @@ from .functions import (
     MaxAffine,
     Polynomial,
     ScalarFunction,
+    TestFunction,
 )
 from .models import JOINT_KINDS, RECTANGULAR, SequenceModel, check_horizon
-from .simulate import (
-    DEFAULT_EPSILON,
-    FIXED,
-    GRID_POINTS,
-    IID_RANDOM,
-    AdversaryStrategy,
-    bundled_strategies,
-    check_schedule,
-)
-from .slln import WeightSchedule, make_schedule
+
+if TYPE_CHECKING:
+    from .simulate import AdversaryStrategy
+    from .slln import WeightSchedule
 
 CHECK_NAMES = ("axioms", "chain", "inequalities", "na", "vertical",
                "forward", "truncation", "slln", "strassen")
@@ -104,6 +107,9 @@ FAMILIES = {
 
 DEFAULT_TOLERANCE = 1e-9
 DEFAULT_HORIZON = 4
+DEFAULT_EPSILON = 0.05
+# points of the geometric grid a path's trajectories are sampled on
+GRID_POINTS = 160
 SIMULATION_CHECKS = frozenset({"slln", "strassen"})
 # a floor on what a path's PathSummary, TrajectorySample and report entry
 # keep beside its grid samples (tracemalloc: about 240 bytes)
@@ -113,12 +119,22 @@ _SUMMARY_BYTES = 200
 _DEFAULT_FORWARD = {"g": {"kind": RAMP, "threshold": -1.0}, "f": {"kind": RAMP}}
 
 
+def _bundled_strategies() -> tuple[AdversaryStrategy, ...]:
+    from .simulate import bundled_strategies
+    return bundled_strategies()
+
+
 @dataclass(frozen=True)
 class SimulationSettings:
+    """The ``simulation`` section: the horizon and paths of each strategy's
+    experiment, the adversaries (the bundled four by default), the tail
+    start and band, the negative control with the fractions its records
+    compare against, and the trajectory grid."""
+
     n_steps: int = 100_000
     paths_per_strategy: int = 50
     strategies: tuple[AdversaryStrategy, ...] = field(
-        default_factory=bundled_strategies)
+        default_factory=_bundled_strategies)
     n_start: int | None = None
     epsilon: float = DEFAULT_EPSILON
     negative_control: bool = True
@@ -127,11 +143,18 @@ class SimulationSettings:
     grid_points: int = GRID_POINTS
 
 
-_DEFAULT_SIMULATION = SimulationSettings()
+@functools.cache
+def _default_simulation() -> SimulationSettings:
+    """The settings of a config without a ``simulation`` section."""
+    return SimulationSettings()
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """A parsed config, the whole run: the model, the subcommand and the
+    checks it selects, the effective tolerance and seed, and every section
+    those checks read."""
+
     model: SequenceModel
     variable_names: tuple[str, ...]  # the model document's, in order
     subcommand: str
@@ -139,7 +162,9 @@ class ExperimentConfig:
     tolerance: float  # tolerance and seed: the flags' overrides applied
     seed: int | None
     schedule: WeightSchedule | None
-    simulation: SimulationSettings
+    # the simulation section, or None where there is none: read it as
+    # ``simulation``, which gives the defaults then
+    _simulation: SimulationSettings | None
     forward_g: Callable
     forward_f: Callable
     forward_expected: float | None
@@ -149,6 +174,13 @@ class ExperimentConfig:
     truncation_indices: tuple[int, ...]
     out: str | None
     raw: dict[str, Any]
+
+    @property
+    def simulation(self) -> SimulationSettings:
+        """The simulation section's settings, else the defaults."""
+        if self._simulation is None:
+            return _default_simulation()
+        return self._simulation
 
 
 def _field_error(name: str, message: str) -> ConfigValidationError:
@@ -273,6 +305,7 @@ def from_descriptor(desc: Any, name: str = "function") -> Callable:
 
 
 def _parse_strategy(entry: Any, name: str) -> AdversaryStrategy:
+    from .simulate import IID_RANDOM, AdversaryStrategy
     if isinstance(entry, str):
         entry = {"kind": entry}
     kind = _kind(entry, name)
@@ -288,6 +321,7 @@ def _parse_strategy(entry: Any, name: str) -> AdversaryStrategy:
 
 
 def _parse_schedule(doc: Any) -> WeightSchedule:
+    from .slln import make_schedule
     kind = _kind(doc, "schedule")
     numbers = {key: read_number(doc.get(key, default), f"schedule.{key}",
                                 optional=default is None)
@@ -325,13 +359,11 @@ def too_large(sim: SimulationSettings) -> ConfigValidationError:
 
 
 def _parse_simulation(doc: Any) -> SimulationSettings:
-    if doc is None:
-        return _DEFAULT_SIMULATION
     if not isinstance(doc, dict):
         raise _field_error("simulation", "must be an object")
     strategies_doc = doc.get("strategies")
     if strategies_doc is None:
-        strategies = bundled_strategies()
+        strategies = _bundled_strategies()
     else:
         if not isinstance(strategies_doc, list) or not strategies_doc:
             raise _field_error("simulation.strategies", "must be a nonempty list")
@@ -339,11 +371,12 @@ def _parse_simulation(doc: Any) -> SimulationSettings:
                            for k, s in enumerate(strategies_doc))
 
     def number(key: str, **bounds: Any) -> Any:
-        return read_number(doc.get(key, getattr(_DEFAULT_SIMULATION, key)),
+        # a field's class attribute is its default
+        return read_number(doc.get(key, getattr(SimulationSettings, key)),
                            f"simulation.{key}", **bounds)
 
     n_steps = number("n_steps", integer=True, low=1000)
-    control = doc.get("negative_control", _DEFAULT_SIMULATION.negative_control)
+    control = doc.get("negative_control", SimulationSettings.negative_control)
     if not isinstance(control, bool):
         raise _field_error("simulation.negative_control",
                            f"must be true or false, got {control!r}")
@@ -450,8 +483,11 @@ def parse_config(text: str, base_dir: str | Path | None = None,
         raise _field_error("schedule",
                            f"required by checks {sorted(needs_schedule)}")
 
-    simulation = _parse_simulation(raw.get("simulation"))
+    section = raw.get("simulation")
+    own_simulation = None if section is None else _parse_simulation(section)
     if simulated:  # what the run would refuse, refused now
+        from .simulate import FIXED, check_schedule
+        simulation = own_simulation or _default_simulation()
         check_schedule(schedule, simulation.n_steps)
         labels = [s.label for s in simulation.strategies]
         for k, strategy in enumerate(simulation.strategies):
@@ -526,7 +562,7 @@ def parse_config(text: str, base_dir: str | Path | None = None,
         model=model, variable_names=tuple(model_doc["variables"]),
         subcommand=subcommand, selected=selected,
         tolerance=tolerance, seed=seed, schedule=schedule,
-        simulation=simulation, forward_g=forward_g, forward_f=forward_f,
+        _simulation=own_simulation, forward_g=forward_g, forward_f=forward_f,
         forward_expected=forward_expected, phi=phi,
         expected_violations=frozenset(expected), horizon=horizon,
         truncation_indices=tuple(indices), out=out, raw=echo)

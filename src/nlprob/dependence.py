@@ -49,8 +49,7 @@ A sweep never proves a universally quantified property; verdicts are
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Callable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -63,7 +62,13 @@ from .errors import (
     NonPositiveWidthError,
     POutOfRangeError,
 )
-from .functions import DECREASING, INCREASING
+from .functions import (
+    DECREASING,
+    INCREASING,
+    NEGATED_RAMP,
+    RAMP,
+    TestFunction,
+)
 from . import models
 from .models import (
     COMONOTONE_PAIR,
@@ -74,58 +79,12 @@ from .models import (
 )
 from .reports import CheckResult
 
-RAMP = "ramp"
-NEGATED_RAMP = "negated-ramp"
-CONSTANT = "constant"
-
 VERDICT_OK = "no-counterexample-found"
 VERDICT_VIOLATED = "violated"
 
 DEFAULT_TOL = 1e-9
 # thresholds per width in the ramp grid (``_ramp_grid``)
 FAMILY_THRESHOLDS = 9
-
-
-@dataclass(frozen=True)
-class TestFunction:
-    """A bounded monotone test function with values in [0, 1].
-
-    ``ramp``: clamp((x - threshold)/width, 0, 1), increasing.
-    ``negated-ramp``: 1 - ramp, decreasing.
-    ``constant``: always 1; belongs to either direction and is the unit of
-    the product.
-    """
-
-    kind: str
-    threshold: float = 0.0
-    width: float = 1.0
-    direction: str = INCREASING
-
-    __test__ = False  # "test function" is the domain term, not a pytest item
-
-    def __post_init__(self) -> None:
-        if self.kind not in (RAMP, NEGATED_RAMP, CONSTANT):
-            raise ValueError(f"unknown test-function kind {self.kind!r}")
-        if self.direction not in (INCREASING, DECREASING):
-            raise ValueError(f"unknown direction {self.direction!r}")
-        if self.kind != CONSTANT and self.width <= 0.0:
-            raise NonPositiveWidthError(f"ramp width must be > 0, got {self.width}")
-        if self.kind == RAMP and self.direction != INCREASING:
-            raise MixedMonotonicityError("a ramp is increasing")
-        if self.kind == NEGATED_RAMP and self.direction != DECREASING:
-            raise MixedMonotonicityError("a negated ramp is decreasing")
-
-    def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        if self.kind == CONSTANT:
-            return np.ones_like(x)
-        r = np.clip((x - self.threshold) / self.width, 0.0, 1.0)
-        return 1.0 - r if self.kind == NEGATED_RAMP else r
-
-    @property
-    def descriptor(self) -> dict[str, Any]:
-        return {"kind": self.kind, "threshold": self.threshold,
-                "width": self.width, "direction": self.direction}
 
 
 def _ramp_grid(model: SequenceModel) -> tuple[np.ndarray, np.ndarray]:
@@ -197,9 +156,10 @@ def check_negative_association(model: SequenceModel, n: int,
         checked = 2 * F * F
     kind = RAMP if direction == INCREASING else NEGATED_RAMP
     witness = {"direction": direction, "split": 2,
-               "functions": [{"kind": kind, "threshold": float(thresholds[i]),
-                              "width": float(widths[i]),
-                              "direction": direction} for i in (a, b)]}
+               "functions": [TestFunction(kind, float(thresholds[i]),
+                                          float(widths[i]),
+                                          direction).descriptor
+                             for i in (a, b)]}
     verdict = VERDICT_VIOLATED if worst > tol else VERDICT_OK
     return CheckResult("negative-association", worst, tol, worst,
                        verdict == VERDICT_OK, witness, verdict, checked)

@@ -1,4 +1,4 @@
-"""Scalar function catalog.
+"""Function catalog: scalar functions and the ramp test functions.
 
 A small closed family of real functions used as integrands, Chebyshev/Jensen
 test functions, monotone images and trajectory transforms. Each member
@@ -9,7 +9,9 @@ some transforms do not have (``UnboundedPhiError``).
 
 Members describe themselves as plain descriptors ``{"kind": ..., <params>}``;
 :func:`nlprob.config.from_descriptor`, the reader of experiment configs,
-inverts :attr:`descriptor`. The catalog reads no outside input itself.
+inverts :attr:`descriptor`. So do the bounded monotone test functions of
+the dependence sweeps (:class:`TestFunction`: ramps, negated ramps and the
+constant). The catalog reads no outside input itself.
 """
 
 from __future__ import annotations
@@ -19,10 +21,18 @@ from typing import Any
 
 import numpy as np
 
-from .errors import ConfigValidationError, UnboundedPhiError
+from .errors import (
+    ConfigValidationError,
+    MixedMonotonicityError,
+    NonPositiveWidthError,
+    UnboundedPhiError,
+)
 
 INCREASING = "increasing"
 DECREASING = "decreasing"
+RAMP = "ramp"
+NEGATED_RAMP = "negated-ramp"
+CONSTANT = "constant"
 
 
 class ScalarFunction:
@@ -279,3 +289,44 @@ class Polynomial(ScalarFunction):
     def descriptor(self):
         return {"kind": "polynomial", "coeffs": list(self.coeffs)}
 
+
+@dataclass(frozen=True)
+class TestFunction:
+    """A bounded monotone test function with values in [0, 1].
+
+    ``ramp``: clamp((x - threshold)/width, 0, 1), increasing.
+    ``negated-ramp``: 1 - ramp, decreasing.
+    ``constant``: always 1; belongs to either direction and is the unit of
+    the product.
+    """
+
+    kind: str
+    threshold: float = 0.0
+    width: float = 1.0
+    direction: str = INCREASING
+
+    __test__ = False  # "test function" is the domain term, not a pytest item
+
+    def __post_init__(self) -> None:
+        if self.kind not in (RAMP, NEGATED_RAMP, CONSTANT):
+            raise ValueError(f"unknown test-function kind {self.kind!r}")
+        if self.direction not in (INCREASING, DECREASING):
+            raise ValueError(f"unknown direction {self.direction!r}")
+        if self.kind != CONSTANT and self.width <= 0.0:
+            raise NonPositiveWidthError(f"ramp width must be > 0, got {self.width}")
+        if self.kind == RAMP and self.direction != INCREASING:
+            raise MixedMonotonicityError("a ramp is increasing")
+        if self.kind == NEGATED_RAMP and self.direction != DECREASING:
+            raise MixedMonotonicityError("a negated ramp is decreasing")
+
+    def __call__(self, x):
+        x = np.asarray(x, dtype=float)
+        if self.kind == CONSTANT:
+            return np.ones_like(x)
+        r = np.clip((x - self.threshold) / self.width, 0.0, 1.0)
+        return 1.0 - r if self.kind == NEGATED_RAMP else r
+
+    @property
+    def descriptor(self) -> dict[str, Any]:
+        return {"kind": self.kind, "threshold": self.threshold,
+                "width": self.width, "direction": self.direction}

@@ -59,6 +59,9 @@ _MAX_CELLS = 4_000_000
 
 @dataclass(frozen=True, eq=False)
 class SequenceModel:
+    """Variables on one credal set, read as a sequence of coordinates under
+    a joint semantics (``rectangular`` or ``comonotone-pair``)."""
+
     credal: CredalSet
     variables: tuple[RandomVariable, ...]
     joint: str = RECTANGULAR

@@ -21,6 +21,10 @@ from .errors import NonFiniteError
 
 @dataclass(frozen=True)
 class CheckResult:
+    """One check's record: ``lhs`` against ``rhs``, the gap (positive is a
+    violation), whether it passed, a witness, and a sweep's verdict and the
+    cases it checked."""
+
     check: str
     lhs: float
     rhs: float

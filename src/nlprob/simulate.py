@@ -68,6 +68,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
+from .config import DEFAULT_EPSILON, GRID_POINTS
 from .errors import (
     BadStrategyParamError,
     IndexOutOfRangeError,
@@ -86,7 +87,6 @@ CYCLIC = "cyclic"
 IID_RANDOM = "iid-random"
 DRIFT_MAX = "drift-max"
 
-DEFAULT_EPSILON = 0.05
 _ORDER_SLACK = 1e-9
 
 # The block engine's shape: the paths of one strategy that advance together,
@@ -101,8 +101,6 @@ STEP_BLOCK = 1024
 # measure index: with at most 256 measures, (PATH_BLOCK, CHOICE_BLOCKS *
 # STEP_BLOCK) bytes, 256 KB.
 CHOICE_BLOCKS = 8
-# points of the geometric grid a path's trajectories are sampled on
-GRID_POINTS = 160
 
 
 @dataclass(frozen=True)
@@ -411,6 +409,9 @@ def sample_path(model: SequenceModel, strategy: AdversaryStrategy,
 
 @dataclass(frozen=True)
 class PathSummary:
+    """One path's end values and tail extremes (n >= n_start) of its two
+    trajectories, and its phi evaluated at the tail max when asked."""
+
     strategy: str
     path_index: int
     final_upper: float
@@ -433,6 +434,9 @@ class TrajectorySample:
 
 @dataclass(frozen=True, eq=False)
 class ExperimentResult:
+    """An experiment's parameters, its paths' summaries and grid samples,
+    the exceedance fractions overall and per strategy, and the phi bound."""
+
     config: dict[str, Any]
     path_summaries: tuple[PathSummary, ...]
     trajectory_samples: tuple[TrajectorySample, ...]

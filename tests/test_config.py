@@ -38,6 +38,10 @@ def config_text(**overrides):
     return json.dumps(doc)
 
 
+# the subcommands that run no simulation still read and refuse every section
+NOT_SIMULATING = ("verify", "check-deps")
+
+
 class TestMinimalConfig:
     def test_defaults(self):
         config = parse_config(config_text())
@@ -282,10 +286,13 @@ class TestScheduleRequirements:
 
     def test_bad_beta_is_reported_on_the_schedule_field(self):
         schedule = {"kind": "kolmogorov", "alpha": 1.0, "beta": 1.7}
-        with pytest.raises(ConfigValidationError,
-                           match=r"schedule: beta=1.7"):
-            parse_config(config_text(checks=["slln"], seed=1,
-                                     schedule=schedule))
+        for subcommand in ("all", *NOT_SIMULATING):
+            with pytest.raises(ConfigValidationError,
+                               match=r"^schedule: beta=1.7 outside \(0, 1.0\) "
+                                     "for kolmogorov$"):
+                parse_config(config_text(checks=["slln"], seed=1,
+                                         schedule=schedule),
+                             subcommand=subcommand)
 
     def test_mz_parameters_flow_through(self):
         schedule = {"kind": "mz", "alpha": 1.0, "beta": 0.5, "p": 1.25}
@@ -330,9 +337,12 @@ class TestSimulationSettings:
         assert labels == ["cyclic", "fixed(1)", "iid-random(4)"]
 
     def test_strategy_errors_are_positioned(self):
-        with pytest.raises(ConfigValidationError,
-                           match=r"simulation.strategies\[0\]"):
-            parse_config(config_text(simulation={"strategies": ["greedy"]}))
+        for subcommand in ("all", *NOT_SIMULATING):
+            with pytest.raises(ConfigValidationError,
+                               match=r"^simulation.strategies\[0\]: unknown "
+                                     "strategy kind 'greedy'$"):
+                parse_config(config_text(simulation={"strategies": ["greedy"]}),
+                             subcommand=subcommand)
         with pytest.raises(ConfigValidationError,
                            match=r"simulation.strategies\[1\]"):
             parse_config(config_text(
@@ -362,11 +372,13 @@ class TestSimulationSettings:
         for entry in ({"kind": "fixed", "index": 0, "seed": 0},
                       {"kind": "cyclic", "seed": 2},
                       {"kind": "drift-max", "seed": 2}):
-            with pytest.raises(ConfigValidationError,
-                               match=r"^simulation.strategies\[0\]: seed: "
-                                     "only iid-random takes a seed$"):
-                parse_config(config_text(
-                    simulation={"strategies": [entry]}))
+            for subcommand in ("all", *NOT_SIMULATING):
+                with pytest.raises(ConfigValidationError,
+                                   match=r"^simulation.strategies\[0\]: seed: "
+                                         "only iid-random takes a seed$"):
+                    parse_config(config_text(
+                        simulation={"strategies": [entry]}),
+                        subcommand=subcommand)
 
     def test_default_strategies_are_the_bundle(self):
         config = parse_config(config_text())
@@ -397,15 +409,20 @@ class TestFunctionFields:
 
     @pytest.mark.parametrize("forward", [[], 0, False, "", [1], 5])
     def test_forward_must_be_an_object(self, forward):
-        with pytest.raises(ConfigValidationError,
-                           match="^forward: must be an object$"):
-            parse_config(config_text(forward=forward))
+        for subcommand in ("all", *NOT_SIMULATING):
+            with pytest.raises(ConfigValidationError,
+                               match="^forward: must be an object$"):
+                parse_config(config_text(forward=forward),
+                             subcommand=subcommand)
 
     def test_forward_ramp_direction_is_checked(self):
-        with pytest.raises(ConfigValidationError,
-                           match="^forward.g: unknown direction 'sideways'$"):
-            parse_config(config_text(forward={"g": {
-                "kind": "ramp", "direction": "sideways"}}))
+        for subcommand in ("all", *NOT_SIMULATING):
+            with pytest.raises(ConfigValidationError,
+                               match="^forward.g: unknown direction "
+                                     "'sideways'$"):
+                parse_config(config_text(forward={"g": {
+                    "kind": "ramp", "direction": "sideways"}}),
+                    subcommand=subcommand)
 
     def test_phi_descriptor(self):
         config = parse_config(config_text(phi={"kind": "affine", "slope": 1.0}))
@@ -419,8 +436,16 @@ class TestFunctionFields:
                                      phi={"kind": "abs-power", "power": 2.0}))
 
     def test_phi_must_be_scalar_function(self):
-        with pytest.raises(ConfigValidationError, match="phi"):
-            parse_config(config_text(phi={"kind": "ramp"}))
+        for subcommand in ("all", *NOT_SIMULATING):
+            with pytest.raises(ConfigValidationError,
+                               match="^phi: must be a scalar-function "
+                                     "descriptor$"):
+                parse_config(config_text(phi={"kind": "ramp"}),
+                             subcommand=subcommand)
+            with pytest.raises(ConfigValidationError,
+                               match="^phi: unknown function kind 'warp'"):
+                parse_config(config_text(phi={"kind": "warp"}),
+                             subcommand=subcommand)
 
 
 class TestRefusedAtParse:

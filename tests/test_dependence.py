@@ -21,14 +21,7 @@ from nlprob import (
     forward_factorization_value,
     lower_expectation,
 )
-from nlprob.dependence import (
-    CONSTANT,
-    NEGATED_RAMP,
-    RAMP,
-    TestFunction,
-    _ramp_grid,
-    _ramp_rows,
-)
+from nlprob.dependence import _ramp_grid, _ramp_rows
 from nlprob.errors import (
     EmptyVectorError,
     LengthMismatchError,
@@ -38,7 +31,15 @@ from nlprob.errors import (
     OracleTooLargeError,
     POutOfRangeError,
 )
-from nlprob.functions import DECREASING, INCREASING, Affine
+from nlprob.functions import (
+    CONSTANT,
+    DECREASING,
+    INCREASING,
+    NEGATED_RAMP,
+    RAMP,
+    Affine,
+    TestFunction,
+)
 from nlprob.models import coordinate_expectation_matrix
 
 UNIT_RAMP = TestFunction("ramp", 0.0, 1.0)
