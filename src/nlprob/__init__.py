@@ -17,8 +17,9 @@ __version__ = "0.1.0"
 # every public name, by the module that defines it
 _EXPORTS = {
     "capacity": ("all_events", "capacity_axiom_report"),
-    "config": ("ExperimentConfig", "SimulationSettings", "parse_config",
-               "parse_document", "sequence_model_from_document"),
+    "config": ("AdversaryStrategy", "ExperimentConfig", "SimulationSettings",
+               "bundled_strategies", "parse_config", "parse_document",
+               "sequence_model_from_document"),
     "core": ("CredalSet", "RandomVariable", "credal_set_from_rows"),
     "dependence": ("binomial_pair_model", "check_negative_association",
                    "check_vertical_independence", "exp_product_bound_gap",
@@ -34,8 +35,7 @@ _EXPORTS = {
                   "Polynomial", "ScalarFunction", "TestFunction"),
     "models": ("SequenceModel",),
     "reports": ("CheckResult",),
-    "simulate": ("AdversaryStrategy", "ExperimentResult", "SamplePath",
-                 "bundled_strategies", "normalized_partial_sums",
+    "simulate": ("ExperimentResult", "SamplePath", "normalized_partial_sums",
                  "run_slln_experiment", "sample_grid", "sample_path"),
     "slln": ("TruncationParams", "WeightSchedule", "elementary_exp_bound_check",
              "exp_moment_bound", "make_schedule", "truncate",

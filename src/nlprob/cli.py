@@ -21,9 +21,9 @@ trajectories.csv. ``--jobs`` is still accepted and changes nothing.
 The check engines (``capacity``, ``dependence``, ``expectation``,
 ``simulate``, ``slln``) load when a runner first needs them: ``verify``
 adds ``capacity`` and ``expectation``, ``check-deps`` adds ``dependence``
-and ``simulate`` adds ``simulate``, ``slln`` and ``expectation``. A
-config's ``schedule`` or ``simulation`` section loads its reader's engine
-under every subcommand (see ``config``).
+and ``simulate`` adds ``simulate``, ``slln`` and ``expectation``. Under
+every subcommand a ``schedule`` section loads ``slln``; a ``simulation``
+section is read with no engine (see ``config``).
 """
 
 from __future__ import annotations
@@ -42,13 +42,15 @@ import numpy as np
 from . import __version__
 from .config import (
     CHECK_NAMES,
+    DRIFT_MAX,
     FAMILIES,
+    AdversaryStrategy,
     ExperimentConfig,
     parse_config,
     read_text,
     too_large,
 )
-from .errors import ConfigValidationError, NlprobError
+from .errors import ConfigValidationError, NlprobError, NonFiniteError
 from .functions import RAMP, AbsPower, Affine, Exp, TestFunction
 from .reports import CheckResult, comparison, dumps, equality
 
@@ -68,7 +70,7 @@ _ENGINE_NAMES = {
     "expectation": ("chebyshev_jensen_records", "expectation_chain",
                     "inequality_suite", "sublinear_axiom_report",
                     "upper_expectation"),
-    "simulate": ("DRIFT_MAX", "AdversaryStrategy", "run_slln_experiment"),
+    "simulate": ("run_slln_experiment",),
     "slln": ("truncate", "truncation_params"),
 }
 _ENGINE_OF = {name: engine for engine, names in _ENGINE_NAMES.items()
@@ -130,6 +132,7 @@ def _chain_records(run: _Run) -> list[CheckResult]:
     return records
 
 
+@np.errstate(over="ignore")  # an inf is refused as NonFiniteError
 def _inequality_records(run: _Run) -> list[CheckResult]:
     _load("expectation")
     config, tol = run.config, run.config.tolerance
@@ -149,17 +152,20 @@ def _inequality_records(run: _Run) -> list[CheckResult]:
         # the Hoelder record reads neither f nor the threshold, so the
         # first trial's suite computes it and later trials reuse its numbers
         (label, f, threshold), *rest = trials
-        suite = inequality_suite(model.credal, var, other, 2.0, 2.0,
-                                 threshold, f, tol, label=f":{name}:{label}")
-        records.extend(suite)
-        hoelder = suite[0]
-        for label, f, threshold in rest:
-            tag = f":{name}:{label}"
-            records.append(comparison(f"hoelder{tag}", hoelder.lhs,
-                                      hoelder.rhs, tol, dict(hoelder.witness)))
-            records.extend(chebyshev_jensen_records(model.credal, var,
-                                                    threshold, f, tol,
-                                                    label=tag))
+        try:  # an overflow to inf names the trial at hand
+            suite = inequality_suite(model.credal, var, other, 2.0, 2.0,
+                                     threshold, f, tol, label=f":{name}:{label}")
+            records.extend(suite)
+            hoelder = suite[0]
+            for label, f, threshold in rest:
+                tag = f":{name}:{label}"
+                records.append(comparison(f"hoelder{tag}", hoelder.lhs, hoelder.rhs,
+                                          tol, dict(hoelder.witness)))
+                records.extend(chebyshev_jensen_records(
+                    model.credal, var, threshold, f, tol, label=tag))
+        except NonFiniteError as exc:
+            raise NonFiniteError(f"inequalities: the {label} trial on variable "
+                                 f"{name!r} overflows") from exc
     return records
 
 
@@ -231,7 +237,6 @@ def _simulation(run: _Run) -> ExperimentResult:
 
 
 def _slln_records(run: _Run) -> list[CheckResult]:
-    _load("simulate")
     sim = run.config.simulation
     result = _simulation(run)
     records = [comparison(name, frac, sim.max_exceedance_fraction, 0.0,
@@ -253,7 +258,6 @@ def _slln_records(run: _Run) -> list[CheckResult]:
 
 
 def _strassen_records(run: _Run) -> list[CheckResult]:
-    _load("simulate")
     config, sim = run.config, run.config.simulation
     result = _simulation(run)
     worst = max(s.phi_tail_sup for s in result.path_summaries)
@@ -269,6 +273,7 @@ def _experiment(run: _Run, strategies, **kwargs) -> ExperimentResult:
     """``run_slln_experiment`` of ``strategies`` on the config's model,
     schedule and simulation settings, with an experiment too large for the
     machine's memory reported as the configuration error it is."""
+    _load("simulate")
     config, sim = run.config, run.config.simulation
     try:
         return run_slln_experiment(

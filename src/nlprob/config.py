@@ -33,9 +33,10 @@ reporting knobs::
       "out": "out"
     }
 
-Parsing is strict: unknown check names, missing files, bad schedules and
-malformed descriptors raise ConfigValidationError naming the field;
-non-JSON text raises ConfigParseError with the position. Scalar fields
+Parsing is strict: unknown keys (outside function descriptors), unknown
+check names, missing files, bad schedules and malformed descriptors raise
+ConfigValidationError naming the field; non-JSON text raises
+ConfigParseError with the position. Scalar fields
 take finite JSON numbers only (no bool, string or NaN), and
 ``negative_control`` takes ``true`` or ``false`` only. Defaults: tolerance
 1e-9, epsilon 0.05, grid_points 160, n_start = n_steps // 10, horizon =
@@ -51,24 +52,22 @@ rectangular, with a schedule that fails its validation at ``n_steps`` or
 with two strategies of one label, and ``truncation`` at an index past
 the model's coordinates.
 
-The ``schedule`` and ``simulation`` sections are read by the engines that
-run them (``slln.make_schedule``, ``simulate.AdversaryStrategy``), which
-load only when a config has such a section or selects a check that
-simulates: a run of exact checks loads neither.
+The strategies are defined here, so a ``simulation`` section is read with
+no engine loaded; a ``schedule`` section loads ``slln`` (``make_schedule``).
 """
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable
+from typing import TYPE_CHECKING, Any, Callable, Collection
 
 from .core import CredalSet, RandomVariable, credal_set_from_rows
 from .errors import (
+    BadStrategyParamError,
     ConfigParseError,
     ConfigValidationError,
     NlprobError,
@@ -92,7 +91,6 @@ from .functions import (
 from .models import JOINT_KINDS, RECTANGULAR, SequenceModel, check_horizon
 
 if TYPE_CHECKING:
-    from .simulate import AdversaryStrategy
     from .slln import WeightSchedule
 
 CHECK_NAMES = ("axioms", "chain", "inequalities", "na", "vertical",
@@ -108,9 +106,13 @@ FAMILIES = {
 DEFAULT_TOLERANCE = 1e-9
 DEFAULT_HORIZON = 4
 DEFAULT_EPSILON = 0.05
+_SCHEDULE_DEFAULTS = {"alpha": 1.0, "beta": 0.5, "C": 1.0, "m": 2.0, "p": None}
 # points of the geometric grid a path's trajectories are sampled on
 GRID_POINTS = 160
 SIMULATION_CHECKS = frozenset({"slln", "strassen"})
+_CONFIG_KEYS = ("model", "schedule", "checks", "tolerance", "seed", "horizon",
+                "truncation_indices", "forward", "phi", "expected_violations",
+                "simulation", "out")
 # a floor on what a path's PathSummary, TrajectorySample and report entry
 # keep beside its grid samples (tracemalloc: about 240 bytes)
 _SUMMARY_BYTES = 200
@@ -118,10 +120,52 @@ _SUMMARY_BYTES = 200
 # the pair-model counterexample functions double as sensible defaults
 _DEFAULT_FORWARD = {"g": {"kind": RAMP, "threshold": -1.0}, "f": {"kind": RAMP}}
 
+FIXED = "fixed"
+CYCLIC = "cyclic"
+IID_RANDOM = "iid-random"
+DRIFT_MAX = "drift-max"
 
-def _bundled_strategies() -> tuple[AdversaryStrategy, ...]:
-    from .simulate import bundled_strategies
-    return bundled_strategies()
+
+@dataclass(frozen=True)
+class AdversaryStrategy:
+    """A measure-selection rule. ``index`` is required for ``fixed`` and
+    refused for the others; ``salt``, nonzero for ``iid-random`` alone,
+    keeps ``iid-random`` independent of the outcome stream."""
+
+    kind: str
+    index: int | None = None
+    salt: int = 0
+
+    def __post_init__(self) -> None:
+        if self.kind not in (FIXED, CYCLIC, IID_RANDOM, DRIFT_MAX):
+            raise BadStrategyParamError(f"unknown strategy kind {self.kind!r}")
+        if self.salt < 0:
+            raise BadStrategyParamError(f"salt must be >= 0, got {self.salt}")
+        if self.salt and self.kind != IID_RANDOM:
+            raise BadStrategyParamError(
+                f"{self.kind} strategy takes no salt; only iid-random does")
+        if self.kind == FIXED:
+            if self.index is None or self.index < 0:
+                raise BadStrategyParamError(
+                    f"fixed strategy needs a measure index >= 0, got {self.index}")
+        elif self.index is not None:
+            raise BadStrategyParamError(
+                f"{self.kind} strategy takes no measure index")
+
+    @property
+    def label(self) -> str:
+        if self.kind == FIXED:
+            return f"fixed({self.index})"
+        if self.kind == IID_RANDOM:
+            return f"iid-random({self.salt})"
+        return self.kind
+
+
+def bundled_strategies() -> tuple[AdversaryStrategy, ...]:
+    """The four stock adversaries: fixed(0) stresses the lower envelope the
+    way drift-max stresses the upper one; cyclic and iid-random mix."""
+    return (AdversaryStrategy(FIXED, 0), AdversaryStrategy(CYCLIC),
+            AdversaryStrategy(IID_RANDOM), AdversaryStrategy(DRIFT_MAX))
 
 
 @dataclass(frozen=True)
@@ -133,20 +177,13 @@ class SimulationSettings:
 
     n_steps: int = 100_000
     paths_per_strategy: int = 50
-    strategies: tuple[AdversaryStrategy, ...] = field(
-        default_factory=_bundled_strategies)
+    strategies: tuple[AdversaryStrategy, ...] = bundled_strategies()
     n_start: int | None = None
     epsilon: float = DEFAULT_EPSILON
     negative_control: bool = True
     max_exceedance_fraction: float = 0.0
     min_control_fraction: float = 0.95
     grid_points: int = GRID_POINTS
-
-
-@functools.cache
-def _default_simulation() -> SimulationSettings:
-    """The settings of a config without a ``simulation`` section."""
-    return SimulationSettings()
 
 
 @dataclass(frozen=True)
@@ -162,9 +199,7 @@ class ExperimentConfig:
     tolerance: float  # tolerance and seed: the flags' overrides applied
     seed: int | None
     schedule: WeightSchedule | None
-    # the simulation section, or None where there is none: read it as
-    # ``simulation``, which gives the defaults then
-    _simulation: SimulationSettings | None
+    simulation: SimulationSettings  # the defaults where there is no section
     forward_g: Callable
     forward_f: Callable
     forward_expected: float | None
@@ -174,13 +209,6 @@ class ExperimentConfig:
     truncation_indices: tuple[int, ...]
     out: str | None
     raw: dict[str, Any]
-
-    @property
-    def simulation(self) -> SimulationSettings:
-        """The simulation section's settings, else the defaults."""
-        if self._simulation is None:
-            return _default_simulation()
-        return self._simulation
 
 
 def _field_error(name: str, message: str) -> ConfigValidationError:
@@ -265,6 +293,13 @@ def _kind(doc: Any, name: str) -> Any:
     return doc["kind"]
 
 
+def _refuse_unknown(doc: dict[str, Any], name: str, known: Collection[str]) -> None:
+    """Refuse the keys of ``doc`` outside ``known``, which would run at defaults."""
+    unknown = sorted(set(doc).difference(known))
+    if unknown:
+        raise _field_error(name, f"unknown keys {unknown}; known: {sorted(known)}")
+
+
 def _ramp(d: dict[str, Any]) -> TestFunction:
     kind = d["kind"]
     return TestFunction(
@@ -305,10 +340,10 @@ def from_descriptor(desc: Any, name: str = "function") -> Callable:
 
 
 def _parse_strategy(entry: Any, name: str) -> AdversaryStrategy:
-    from .simulate import IID_RANDOM, AdversaryStrategy
     if isinstance(entry, str):
         entry = {"kind": entry}
     kind = _kind(entry, name)
+    _refuse_unknown(entry, name, ("kind", "index", "seed"))
     try:  # errors below name the field, e.g. "...strategies[0]: index: ..."
         index = read_number(entry.get("index"), "index", optional=True,
                             integer=True)
@@ -323,10 +358,10 @@ def _parse_strategy(entry: Any, name: str) -> AdversaryStrategy:
 def _parse_schedule(doc: Any) -> WeightSchedule:
     from .slln import make_schedule
     kind = _kind(doc, "schedule")
+    _refuse_unknown(doc, "schedule", ("kind", *_SCHEDULE_DEFAULTS))
     numbers = {key: read_number(doc.get(key, default), f"schedule.{key}",
                                 optional=default is None)
-               for key, default in (("alpha", 1.0), ("beta", 0.5), ("C", 1.0),
-                                    ("m", 2.0), ("p", None))}
+               for key, default in _SCHEDULE_DEFAULTS.items()}
     try:
         return make_schedule(kind, **numbers)
     except (NlprobError, ValueError, TypeError) as exc:
@@ -361,10 +396,10 @@ def too_large(sim: SimulationSettings) -> ConfigValidationError:
 def _parse_simulation(doc: Any) -> SimulationSettings:
     if not isinstance(doc, dict):
         raise _field_error("simulation", "must be an object")
+    _refuse_unknown(doc, "simulation", SimulationSettings.__dataclass_fields__)
+    strategies = SimulationSettings.strategies
     strategies_doc = doc.get("strategies")
-    if strategies_doc is None:
-        strategies = _bundled_strategies()
-    else:
+    if strategies_doc is not None:
         if not isinstance(strategies_doc, list) or not strategies_doc:
             raise _field_error("simulation.strategies", "must be a nonempty list")
         strategies = tuple(_parse_strategy(s, f"simulation.strategies[{k}]")
@@ -380,7 +415,7 @@ def _parse_simulation(doc: Any) -> SimulationSettings:
     if not isinstance(control, bool):
         raise _field_error("simulation.negative_control",
                            f"must be true or false, got {control!r}")
-    sim = SimulationSettings(
+    return SimulationSettings(
         n_steps=n_steps,
         paths_per_strategy=number("paths_per_strategy", integer=True, low=1),
         strategies=strategies,
@@ -394,7 +429,6 @@ def _parse_simulation(doc: Any) -> SimulationSettings:
                                     high=1.0),
         grid_points=number("grid_points", integer=True, low=2),
     )
-    return sim
 
 
 def read_text(path: Path, what: str) -> str:
@@ -436,6 +470,7 @@ def parse_config(text: str, base_dir: str | Path | None = None,
     raw = _load_json(text, "config")
     if not isinstance(raw, dict):
         raise ConfigValidationError("config: top level must be a JSON object")
+    _refuse_unknown(raw, "config", _CONFIG_KEYS)
 
     model_doc = raw.get("model")
     if model_doc is None:
@@ -475,19 +510,17 @@ def parse_config(text: str, base_dir: str | Path | None = None,
     tolerance = own_tolerance if tolerance is None else tolerance
     seed = own_seed if seed is None else seed
 
-    schedule = None
-    if raw.get("schedule") is not None:
-        schedule = _parse_schedule(raw["schedule"])
+    schedule = (None if raw.get("schedule") is None
+                else _parse_schedule(raw["schedule"]))
     needs_schedule = {"truncation", *SIMULATION_CHECKS} & set(selected)
     if needs_schedule and schedule is None:
         raise _field_error("schedule",
                            f"required by checks {sorted(needs_schedule)}")
 
-    section = raw.get("simulation")
-    own_simulation = None if section is None else _parse_simulation(section)
+    simulation = (SimulationSettings() if raw.get("simulation") is None
+                  else _parse_simulation(raw["simulation"]))
     if simulated:  # what the run would refuse, refused now
-        from .simulate import FIXED, check_schedule
-        simulation = own_simulation or _default_simulation()
+        from .simulate import check_schedule
         check_schedule(schedule, simulation.n_steps)
         labels = [s.label for s in simulation.strategies]
         for k, strategy in enumerate(simulation.strategies):
@@ -506,6 +539,7 @@ def parse_config(text: str, base_dir: str | Path | None = None,
     forward_doc = {} if raw.get("forward") is None else raw["forward"]
     if not isinstance(forward_doc, dict):
         raise _field_error("forward", "must be an object")
+    _refuse_unknown(forward_doc, "forward", ("expected", *_DEFAULT_FORWARD))
     forward_g, forward_f = (
         from_descriptor(forward_doc.get(key, _DEFAULT_FORWARD[key]),
                         f"forward.{key}") for key in "gf")
@@ -562,7 +596,7 @@ def parse_config(text: str, base_dir: str | Path | None = None,
         model=model, variable_names=tuple(model_doc["variables"]),
         subcommand=subcommand, selected=selected,
         tolerance=tolerance, seed=seed, schedule=schedule,
-        _simulation=own_simulation, forward_g=forward_g, forward_f=forward_f,
+        simulation=simulation, forward_g=forward_g, forward_f=forward_f,
         forward_expected=forward_expected, phi=phi,
         expected_violations=frozenset(expected), horizon=horizon,
         truncation_indices=tuple(indices), out=out, raw=echo)

@@ -68,7 +68,14 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from .config import DEFAULT_EPSILON, GRID_POINTS
+from .config import (
+    CYCLIC,
+    DEFAULT_EPSILON,
+    FIXED,
+    GRID_POINTS,
+    IID_RANDOM,
+    AdversaryStrategy,
+)
 from .errors import (
     BadStrategyParamError,
     IndexOutOfRangeError,
@@ -81,11 +88,6 @@ from .expectation import expectation_values
 from .functions import INCREASING, ScalarFunction
 from .models import SequenceModel
 from .slln import WeightSchedule, validate_schedule
-
-FIXED = "fixed"
-CYCLIC = "cyclic"
-IID_RANDOM = "iid-random"
-DRIFT_MAX = "drift-max"
 
 _ORDER_SLACK = 1e-9
 
@@ -101,48 +103,6 @@ STEP_BLOCK = 1024
 # measure index: with at most 256 measures, (PATH_BLOCK, CHOICE_BLOCKS *
 # STEP_BLOCK) bytes, 256 KB.
 CHOICE_BLOCKS = 8
-
-
-@dataclass(frozen=True)
-class AdversaryStrategy:
-    """A measure-selection rule. ``index`` is required for ``fixed`` and
-    refused for the others; ``salt``, nonzero for ``iid-random`` alone,
-    keeps ``iid-random`` independent of the outcome stream."""
-
-    kind: str
-    index: int | None = None
-    salt: int = 0
-
-    def __post_init__(self) -> None:
-        if self.kind not in (FIXED, CYCLIC, IID_RANDOM, DRIFT_MAX):
-            raise BadStrategyParamError(f"unknown strategy kind {self.kind!r}")
-        if self.salt < 0:
-            raise BadStrategyParamError(f"salt must be >= 0, got {self.salt}")
-        if self.salt and self.kind != IID_RANDOM:
-            raise BadStrategyParamError(
-                f"{self.kind} strategy takes no salt; only iid-random does")
-        if self.kind == FIXED:
-            if self.index is None or self.index < 0:
-                raise BadStrategyParamError(
-                    f"fixed strategy needs a measure index >= 0, got {self.index}")
-        elif self.index is not None:
-            raise BadStrategyParamError(
-                f"{self.kind} strategy takes no measure index")
-
-    @property
-    def label(self) -> str:
-        if self.kind == FIXED:
-            return f"fixed({self.index})"
-        if self.kind == IID_RANDOM:
-            return f"iid-random({self.salt})"
-        return self.kind
-
-
-def bundled_strategies() -> tuple[AdversaryStrategy, ...]:
-    """The four stock adversaries: fixed(0) stresses the lower envelope the
-    way drift-max stresses the upper one; cyclic and iid-random mix."""
-    return (AdversaryStrategy(FIXED, 0), AdversaryStrategy(CYCLIC),
-            AdversaryStrategy(IID_RANDOM), AdversaryStrategy(DRIFT_MAX))
 
 
 @dataclass(frozen=True, eq=False)

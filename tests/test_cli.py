@@ -543,6 +543,9 @@ STRATEGIES = [{"kind": "fixed", "index": 0}, "cyclic", "iid-random",
               {"kind": "iid-random", "seed": 7}, "drift-max"]
 # past the 1-3 measures of a scratch model, or past some of them
 BAD_FIXED = [{"kind": "fixed", "index": 5}, {"kind": "fixed", "index": 2}]
+# keys that no simulation section or strategy object knows
+SIMULATION_TYPOS = ["n_step", "paths_per_stratgy", "grid_point"]
+STRATEGY_TYPOS = [{"kind": "cyclic", "idx": 3}, {"kind": "iid-random", "salt": 1}]
 
 
 @st.composite
@@ -551,7 +554,8 @@ def scratch_simulation_configs(draw):
     :func:`scratch_configs`, a kolmogorov or mz schedule whose p and beta
     fall on either side of their bounds, 1000-2000 steps, 1-3 paths, any
     strategy subset (with an out-of-range fixed index one time in five),
-    and drawn epsilon, negative_control and phi fields."""
+    drawn epsilon, negative_control and phi fields, and one time in five an
+    unknown key in the simulation section or in a strategy object."""
     kind = draw(st.sampled_from(["kolmogorov", "mz"]))
     schedule = {"kind": kind,
                 "beta": _mostly(draw, [0.4, 0.9], [0.0, 0.2, 1.0])}
@@ -560,6 +564,9 @@ def scratch_simulation_configs(draw):
     strategies = draw(st.lists(st.sampled_from(STRATEGIES), min_size=1,
                                max_size=4, unique_by=json.dumps))
     strategies += _mostly(draw, [[]], [[bad] for bad in BAD_FIXED])
+    typo = _mostly(draw, [None], ["simulation", "strategy"])
+    if typo == "strategy":
+        strategies.append(draw(st.sampled_from(STRATEGY_TYPOS)))
     config = {
         "model": _scratch_model(draw, "rectangular"),
         "checks": draw(st.lists(st.sampled_from(["slln", "strassen",
@@ -581,6 +588,8 @@ def scratch_simulation_configs(draw):
                    {"kind": "abs-power", "power": 2}])
     if phi is not None:
         config["phi"] = phi
+    if typo == "simulation":
+        config["simulation"][draw(st.sampled_from(SIMULATION_TYPOS))] = 1000
     return config
 
 
@@ -614,7 +623,11 @@ def test_scratch_config_keeps_exit_code_contract(config):
 @settings(max_examples=150, deadline=None, database=None)
 @given(scratch_simulation_configs())
 def test_scratch_simulation_config_keeps_exit_code_contract(config):
-    _run_all(config)
+    code, _ = _run_all(config)
+    sim = config["simulation"]
+    if (set(SIMULATION_TYPOS) & set(sim)
+            or any(s in STRATEGY_TYPOS for s in sim["strategies"])):
+        assert code == 2
 
 
 DEMO_DOC = json.loads(Path(DEMO).read_text())
@@ -673,6 +686,32 @@ REFUSED_AT_PARSE = {
         {"simulation": {**DEMO_DOC["simulation"], "strategies": [
             "cyclic", "cyclic", {"kind": "fixed", "index": 1}]}},
         "error: simulation.strategies[1]: repeats the label cyclic\n"),
+    # a typo'd key would run its field's default, so it is refused
+    "simulation-key": (
+        {"simulation": {"n_step": 2000, "paths_per_stratgy": 3}},
+        "error: simulation: unknown keys ['n_step', 'paths_per_stratgy']; "
+        "known: ['epsilon', 'grid_points', 'max_exceedance_fraction', "
+        "'min_control_fraction', 'n_start', 'n_steps', 'negative_control', "
+        "'paths_per_strategy', 'strategies']\n"),
+    "schedule-key": (
+        {"schedule": {"kind": "kolmogorov", "betta": 0.9}},
+        "error: schedule: unknown keys ['betta']; known: ['C', 'alpha', "
+        "'beta', 'kind', 'm', 'p']\n"),
+    "strategy-key": (
+        {"simulation": {**DEMO_DOC["simulation"], "strategies": [
+            "drift-max", {"kind": "cyclic", "idx": 3}]}},
+        "error: simulation.strategies[1]: unknown keys ['idx']; known: "
+        "['index', 'kind', 'seed']\n"),
+    "forward-key": (
+        {"forward": {"g": {"kind": "ramp"}, "expect": -0.21}},
+        "error: forward: unknown keys ['expect']; known: ['expected', 'f', "
+        "'g']\n"),
+    "config-key": (
+        {"tolerence": 1e-6},
+        "error: config: unknown keys ['tolerence']; known: ['checks', "
+        "'expected_violations', 'forward', 'horizon', 'model', 'out', 'phi', "
+        "'schedule', 'seed', 'simulation', 'tolerance', "
+        "'truncation_indices']\n"),
 }
 # the refusals whose line under simulate differs from the one under all:
 # it names only the checks simulate runs
@@ -712,6 +751,9 @@ def test_refused_before_the_output_directory_exists(tmp_path, capsys, case):
     ("repeated-strategy", ("simulate",), ("verify", "check-deps")),
     ("schedule-p", ("verify", "check-deps", "simulate"), ()),
     ("strategy-seed", ("verify", "check-deps", "simulate"), ()),
+    *((case, ("verify", "check-deps", "simulate"), ())
+      for case in ("simulation-key", "schedule-key", "strategy-key",
+                   "forward-key", "config-key")),
 ])
 def test_refusals_follow_the_subcommand(tmp_path, capsys, case, refused_by,
                                         runs):
@@ -728,6 +770,22 @@ def test_refusals_follow_the_subcommand(tmp_path, capsys, case, refused_by,
         code, _, report = run(tmp_path / subcommand, subcommand,
                               "--config", str(config))
         assert code == 0 and report["subcommand"] == subcommand
+
+
+def test_an_overflowing_inequality_trial_names_itself(tmp_path, capsys):
+    # every model value is finite, but exp(800) of the CLI's own exp trial
+    # is not: the one error line names the family, variable and trial
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "model": {"space": 2, "measures": [[0.5, 0.5], [0.25, 0.75]],
+                  "variables": {"X": [0.0, 800.0]}},
+        "checks": ["axioms", "chain", "inequalities"]}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no overflow warning on stderr
+        code, _, _ = run(tmp_path, "verify", "--config", str(config))
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: inequalities: the exp trial on variable 'X' overflows\n")
 
 
 @pytest.mark.parametrize("subcommand, blocked", [

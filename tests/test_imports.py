@@ -113,6 +113,17 @@ def test_a_simulation_run_loads_no_exact_engine(tmp_path):
     assert not {"capacity", "dependence"} & set(loaded)
 
 
+@pytest.mark.parametrize("subcommand", ["verify", "check-deps"])
+def test_a_simulation_section_loads_no_simulator(tmp_path, subcommand):
+    # the strategies are read by config itself; the schedule loads slln
+    doc = {**EXACT_DOC, "schedule": SIM_DOC["schedule"],
+           "simulation": {**SIM_DOC["simulation"], "strategies": [
+               "cyclic", {"kind": "fixed", "index": 1},
+               {"kind": "iid-random", "seed": 2}, "drift-max"]}}
+    loaded = _run_both(tmp_path, subcommand, doc)
+    assert "slln" in loaded and "simulate" not in loaded
+
+
 def test_a_name_set_on_the_cli_before_its_engine_loads_is_kept(tmp_path):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({**EXACT_DOC, "checks": ["chain"]}))
