@@ -101,6 +101,7 @@ class _Run:
     control: dict[str, Any] | None = None
 
 
+@np.errstate(over="ignore")  # an inf is refused as NonFiniteError
 def _axiom_records(run: _Run) -> list[CheckResult]:
     _load("capacity", "expectation")
     model, tol = run.config.model, run.config.tolerance
@@ -111,11 +112,16 @@ def _axiom_records(run: _Run) -> list[CheckResult]:
         # deterministic tractable family: singletons, prefixes, complements
         singles = np.eye(size, dtype=bool)
         events = np.vstack([singles, np.tri(size, dtype=bool), ~singles])
-    x = model.variables[0]
-    y = model.variables[1 % len(model.variables)]
-    return [*capacity_axiom_report(model.credal, events, tol),
-            *sublinear_axiom_report(model.credal, x, y, lam=2.0, c=1.0,
-                                    a=-1.0, tol=tol)]
+    x, y = 0, 1 % len(model.variables)
+    records = capacity_axiom_report(model.credal, events, tol)
+    try:  # an overflow to inf (X + Y, 2 X) names the variables
+        return [*records, *sublinear_axiom_report(
+            model.credal, model.variables[x], model.variables[y], lam=2.0,
+            c=1.0, a=-1.0, tol=tol)]
+    except NonFiniteError as exc:
+        names = run.config.variable_names
+        raise NonFiniteError(f"axioms: the sublinear axioms on variables "
+                             f"{names[x]!r} and {names[y]!r} overflow") from exc
 
 
 def _chain_records(run: _Run) -> list[CheckResult]:
@@ -152,19 +158,23 @@ def _inequality_records(run: _Run) -> list[CheckResult]:
         # the Hoelder record reads neither f nor the threshold, so the
         # first trial's suite computes it and later trials reuse its numbers
         (label, f, threshold), *rest = trials
-        try:  # an overflow to inf names the trial at hand
+        # an overflow names the record or trial at hand; the Hoelder record
+        # reads X^2, which overflows wherever the affine trial would
+        culprit = "hoelder record"
+        try:
             suite = inequality_suite(model.credal, var, other, 2.0, 2.0,
                                      threshold, f, tol, label=f":{name}:{label}")
             records.extend(suite)
             hoelder = suite[0]
             for label, f, threshold in rest:
+                culprit = f"{label} trial"
                 tag = f":{name}:{label}"
                 records.append(comparison(f"hoelder{tag}", hoelder.lhs, hoelder.rhs,
                                           tol, dict(hoelder.witness)))
                 records.extend(chebyshev_jensen_records(
                     model.credal, var, threshold, f, tol, label=tag))
         except NonFiniteError as exc:
-            raise NonFiniteError(f"inequalities: the {label} trial on variable "
+            raise NonFiniteError(f"inequalities: the {culprit} on variable "
                                  f"{name!r} overflows") from exc
     return records
 

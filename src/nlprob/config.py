@@ -33,7 +33,7 @@ reporting knobs::
       "out": "out"
     }
 
-Parsing is strict: unknown keys (outside function descriptors), unknown
+Parsing is strict: unknown keys (in function descriptors too), unknown
 check names, missing files, bad schedules and malformed descriptors raise
 ConfigValidationError naming the field; non-JSON text raises
 ConfigParseError with the position. Scalar fields
@@ -48,9 +48,8 @@ Selected checks that cannot give a finite answer are refused here, before
 any work: ``na`` or ``vertical`` past the enumeration cap, ``strassen``
 with a ``phi`` whose limit is not finite, a check that needs a missing
 ``seed`` or ``schedule``, a simulation on a model that is not
-rectangular, with a schedule that fails its validation at ``n_steps`` or
-with two strategies of one label, and ``truncation`` at an index past
-the model's coordinates.
+rectangular or with two strategies of one label, and ``truncation`` at an
+index past the model's coordinates.
 
 The strategies are defined here, so a ``simulation`` section is read with
 no engine loaded; a ``schedule`` section loads ``slln`` (``make_schedule``).
@@ -308,31 +307,39 @@ def _ramp(d: dict[str, Any]) -> TestFunction:
         d.get("direction", DECREASING if kind == NEGATED_RAMP else INCREASING))
 
 
-_KINDS = {
-    **dict.fromkeys((RAMP, NEGATED_RAMP, CONSTANT), _ramp),
-    "affine": lambda d: Affine(read_number(d.get("slope", 1.0), "slope"),
-                               read_number(d.get("intercept", 0.0), "intercept")),
-    "exp": lambda d: Exp(read_number(d.get("rate", 1.0), "rate")),
-    "abs-power": lambda d: AbsPower(read_number(d.get("power", 2.0), "power")),
-    "abs": lambda d: AbsPower(1.0),
-    "clamp": lambda d: Clamp(read_number(d["lo"], "lo"), read_number(d["hi"], "hi")),
-    "max-affine": lambda d: MaxAffine(tuple(
+_KINDS = {  # each function kind's reader and the keys it reads
+    **dict.fromkeys((RAMP, NEGATED_RAMP, CONSTANT),
+                    (_ramp, ("kind", "threshold", "width", "direction"))),
+    "affine": (lambda d: Affine(read_number(d.get("slope", 1.0), "slope"),
+                                read_number(d.get("intercept", 0.0), "intercept")),
+               ("kind", "slope", "intercept")),
+    "exp": (lambda d: Exp(read_number(d.get("rate", 1.0), "rate")), ("kind", "rate")),
+    "abs-power": (lambda d: AbsPower(read_number(d.get("power", 2.0), "power")),
+                  ("kind", "power")),
+    "abs": (lambda d: AbsPower(1.0), ("kind",)),
+    "clamp": (lambda d: Clamp(read_number(d["lo"], "lo"), read_number(d["hi"], "hi")),
+              ("kind", "lo", "hi")),
+    "max-affine": (lambda d: MaxAffine(tuple(
         (read_number(a, "pieces"), read_number(b, "pieces")) for a, b in d["pieces"])),
-    "polynomial": lambda d: Polynomial(tuple(
-        read_number(c, "coeffs") for c in d["coeffs"])),
+        ("kind", "pieces")),
+    "polynomial": (lambda d: Polynomial(tuple(
+        read_number(c, "coeffs") for c in d["coeffs"])), ("kind", "coeffs")),
 }
 
 
 def from_descriptor(desc: Any, name: str = "function") -> Callable:
     """The test function or scalar function a ``{"kind": ...}`` descriptor
-    names; the inverse of their ``descriptor``. Errors name the field
-    ``name``, e.g. "forward.g: width: ..."."""
+    names, refusing a key the kind does not read; the inverse of their
+    ``descriptor``. Errors name the field ``name``, e.g. "forward.g:
+    width: ..."."""
     kind = _kind(desc, name)
+    if not isinstance(kind, str) or kind not in _KINDS:
+        raise _field_error(name, f"unknown function kind {kind!r}; "
+                                 f"known: {sorted(_KINDS)}")
+    read, keys = _KINDS[kind]
+    _refuse_unknown(desc, name, keys)
     try:
-        if kind not in _KINDS:
-            raise ConfigValidationError(
-                f"unknown function kind {kind!r}; known: {sorted(_KINDS)}")
-        return _KINDS[kind](desc)
+        return read(desc)
     except KeyError as exc:
         raise _field_error(name, f"function {kind!r} misses field {exc}") from exc
     except (NlprobError, ValueError, TypeError) as exc:
@@ -520,8 +527,6 @@ def parse_config(text: str, base_dir: str | Path | None = None,
     simulation = (SimulationSettings() if raw.get("simulation") is None
                   else _parse_simulation(raw["simulation"]))
     if simulated:  # what the run would refuse, refused now
-        from .simulate import check_schedule
-        check_schedule(schedule, simulation.n_steps)
         labels = [s.label for s in simulation.strategies]
         for k, strategy in enumerate(simulation.strategies):
             if strategy.kind == FIXED and strategy.index >= len(model.credal):

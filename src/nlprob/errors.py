@@ -99,7 +99,7 @@ class BadStrategyParamError(NlprobError):
 
 
 class ScheduleInvalidError(NlprobError):
-    """A weight schedule failed validation for the requested horizon."""
+    """A weight schedule fails its hypothesis: when built, or at a horizon."""
 
 
 class UnboundedPhiError(NlprobError):

@@ -452,7 +452,7 @@ def normalized_partial_sums(terms: np.ndarray, A: np.ndarray,
 
 
 def check_schedule(schedule: WeightSchedule, n_steps: int) -> None:
-    """Refuse a schedule with a failing ``validate_schedule`` record at
+    """Refuse a schedule whose table fails a ``validate_schedule`` record at
     horizon ``n_steps``: ScheduleInvalidError naming the failed records."""
     failed = [r.check for r in validate_schedule(schedule, n_steps)
               if not r.passed]

@@ -391,7 +391,8 @@ HOSTILE_NUMBERS = {
     "phi-rate-overflow": (_edited(_phi_rate(1e308)), [], None, "not finite"),
     "schedule-C-overflow": (json.dumps(DEMO_HUGE_C), [], None, "not finite"),
     "values-sum-overflow": (_edited(_overflowing_values), [], None,
-                            "must be finite"),
+                            "axioms: the sublinear axioms on variables 'X' "
+                            "and 'X' overflow"),
     "huge-literal": (json.dumps(SMALL)[:-1] + f', "seed": {HUGE}}}', [], None,
                      "not valid JSON"),
     "huge-literal-model-file": (_edited(lambda c: c.update(model="m.json")), [],
@@ -662,10 +663,6 @@ REFUSED_AT_PARSE = {
         {"simulation": {**DEMO_DOC["simulation"], "paths_per_strategy": 1e12}},
         "error: simulation: n_steps=1500, paths_per_strategy=1000000000000 "
         "and grid_points=48 need more memory than this machine has\n"),
-    "schedule-horizon": (
-        {"schedule": {"kind": "mz", "p": 1.25, "alpha": 1.0, "beta": 0.26},
-         "checks": ["axioms", "chain", "inequalities", "slln"]},
-        "error: schedule fails ['r-growth'] at horizon 1500\n"),
     "truncation-index": (
         {"model": PAIR_DOC["model"], "checks": ["axioms", "na", "truncation"]},
         "error: truncation_indices[2]: must be <= 2, got 3\n"),
@@ -706,6 +703,18 @@ REFUSED_AT_PARSE = {
         {"forward": {"g": {"kind": "ramp"}, "expect": -0.21}},
         "error: forward: unknown keys ['expect']; known: ['expected', 'f', "
         "'g']\n"),
+    "phi-key": (
+        {"phi": {"kind": "exp", "rat": 2.0}},
+        "error: phi: unknown keys ['rat']; known: ['kind', 'rate']\n"),
+    "forward-g-key": (
+        {"forward": {"g": {"kind": "ramp", "treshold": 5.0}}},
+        "error: forward.g: unknown keys ['treshold']; known: ['direction', "
+        "'kind', 'threshold', 'width']\n"),
+    "forward-f-key": (
+        {"forward": {"f": {"kind": "clamp", "lo": 0.0, "hi": 1.0,
+                           "mid": 0.5}}},
+        "error: forward.f: unknown keys ['mid']; known: ['hi', 'kind', "
+        "'lo']\n"),
     "config-key": (
         {"tolerence": 1e-6},
         "error: config: unknown keys ['tolerence']; known: ['checks', "
@@ -746,14 +755,15 @@ def test_refused_before_the_output_directory_exists(tmp_path, capsys, case):
     ("seed", ("simulate",), ("verify", "check-deps")),
     ("schedule", ("simulate",), ("verify", "check-deps")),
     ("pair-model", ("simulate",), ("verify", "check-deps")),
-    ("schedule-horizon", ("simulate",), ("verify", "check-deps")),
+    ("phi-key", ("verify", "check-deps", "simulate"), ()),
     ("truncation-index", ("all",), ("verify", "check-deps")),
     ("repeated-strategy", ("simulate",), ("verify", "check-deps")),
     ("schedule-p", ("verify", "check-deps", "simulate"), ()),
     ("strategy-seed", ("verify", "check-deps", "simulate"), ()),
     *((case, ("verify", "check-deps", "simulate"), ())
       for case in ("simulation-key", "schedule-key", "strategy-key",
-                   "forward-key", "config-key")),
+                   "forward-key", "config-key", "forward-g-key",
+                   "forward-f-key")),
 ])
 def test_refusals_follow_the_subcommand(tmp_path, capsys, case, refused_by,
                                         runs):
@@ -772,6 +782,21 @@ def test_refusals_follow_the_subcommand(tmp_path, capsys, case, refused_by,
         assert code == 0 and report["subcommand"] == subcommand
 
 
+@pytest.mark.parametrize("schedule", [
+    {"kind": "kolmogorov", "alpha": 1.0, "beta": 0.04},
+    {"kind": "mz", "p": 1.25, "alpha": 1.0, "beta": 0.26},
+    {"kind": "mz", "p": 1.85, "alpha": 1.0, "beta": 0.999},
+])
+def test_a_schedule_the_theorem_admits_is_simulated(tmp_path, capsys,
+                                                    schedule):
+    # A_n / n^{1/(beta+1)} -> inf for each; a slow growth is no refusal
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({**DEMO_DOC, "schedule": schedule}))
+    code, _, report = run(tmp_path, "simulate", "--config", str(config))
+    assert code in (0, 1) and "error" not in capsys.readouterr().err
+    assert report["config"]["schedule"] == schedule
+
+
 def test_an_overflowing_inequality_trial_names_itself(tmp_path, capsys):
     # every model value is finite, but exp(800) of the CLI's own exp trial
     # is not: the one error line names the family, variable and trial
@@ -786,6 +811,26 @@ def test_an_overflowing_inequality_trial_names_itself(tmp_path, capsys):
     assert code == 2
     assert capsys.readouterr().err == (
         "error: inequalities: the exp trial on variable 'X' overflows\n")
+
+
+@pytest.mark.parametrize("top, err", [
+    # X^2 of the Hoelder record overflows, which no trial reads
+    (1e200, "error: inequalities: the hoelder record on variable 'X' "
+            "overflows\n"),
+    # X + Y and 2 X of the axiom report overflow
+    (1e308, "error: axioms: the sublinear axioms on variables 'X' and 'X' "
+            "overflow\n"),
+])
+def test_an_overflowing_record_names_its_check(tmp_path, capsys, top, err):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "model": {"space": 2, "measures": [[0.5, 0.5], [0.25, 0.75]],
+                  "variables": {"X": [0.0, top]}},
+        "checks": ["axioms", "chain", "inequalities"]}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no overflow warning on stderr
+        code, _, _ = run(tmp_path, "verify", "--config", str(config))
+    assert code == 2 and capsys.readouterr().err == err
 
 
 @pytest.mark.parametrize("subcommand, blocked", [

@@ -1,6 +1,7 @@
 """Experiment configuration parsing and validation."""
 
 import json
+import math
 import re
 
 import pytest
@@ -293,6 +294,27 @@ class TestScheduleRequirements:
                 parse_config(config_text(checks=["slln"], seed=1,
                                          schedule=schedule),
                              subcommand=subcommand)
+
+    @pytest.mark.parametrize("n_steps", [1000, 10_000_000])
+    @pytest.mark.parametrize("kind, p, beta", [
+        *(("kolmogorov", None, beta) for beta in (0.01, 0.04, 0.0509)),
+        *(("mz", 1.25, beta)
+          for beta in (math.nextafter(0.25, 1.0), 0.26, 0.3306)),
+        *(("mz", p, 0.999) for p in (1.85, 1.9, 1.99)),
+    ])
+    def test_every_schedule_the_theorem_admits_is_read(self, n_steps, kind,
+                                                       p, beta):
+        # make_schedule's ranges are the theorem's A_n / n^{1/(beta+1)} ->
+        # inf for these kinds, at every horizon: no growth probe second-
+        # guesses them
+        schedule = {"kind": kind, "alpha": 1.0, "beta": beta, "p": p}
+        config = parse_config(
+            config_text(checks=["slln", "strassen"], seed=1,
+                        schedule=schedule,
+                        simulation={"n_steps": n_steps}),
+            subcommand="simulate")
+        assert (config.schedule.beta, config.simulation.n_steps) == (beta,
+                                                                     n_steps)
 
     def test_mz_parameters_flow_through(self):
         schedule = {"kind": "mz", "alpha": 1.0, "beta": 0.5, "p": 1.25}

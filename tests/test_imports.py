@@ -124,6 +124,19 @@ def test_a_simulation_section_loads_no_simulator(tmp_path, subcommand):
     assert "slln" in loaded and "simulate" not in loaded
 
 
+def test_reading_a_simulating_config_loads_no_simulator():
+    # a schedule's hypothesis is decided when slln builds it, so the config
+    # reader never loads the engine that would run it
+    code = """\
+from nlprob.config import parse_config
+config = parse_config(sys.argv[2], subcommand="simulate")
+print(json.dumps({"selected": config.selected, "loaded": loaded()}))
+"""
+    got = _child(code, json.dumps(SIM_DOC))
+    assert got["selected"] == ["slln", "strassen"]
+    assert "slln" in got["loaded"] and "simulate" not in got["loaded"]
+
+
 def test_a_name_set_on_the_cli_before_its_engine_loads_is_kept(tmp_path):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({**EXACT_DOC, "checks": ["chain"]}))

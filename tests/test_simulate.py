@@ -632,19 +632,22 @@ class TestRunExperiment:
             assert ta.lower.tobytes() == tb.lower.tobytes()
 
     def test_invalid_schedule_is_refused(self, marginal_model):
-        boundary = make_schedule("custom", alpha=1.0, beta=0.5,
-                                 A_rule=("power", 1.0 / 1.5))
-        with pytest.raises(ScheduleInvalidError):
-            run_slln_experiment(marginal_model, boundary, bundled_strategies(),
+        # a normalizer table is the one rule left to decide at the horizon:
+        # A_n = log(n+1) fails the growth heuristic there
+        slow = make_schedule("custom", alpha=1.0, beta=0.5, A_rule=(
+            "table", tuple(np.log(np.arange(1.0, 1001.0) + 1.0))))
+        with pytest.raises(ScheduleInvalidError,
+                           match=r"^schedule fails \['r-growth'\] at horizon "
+                                 r"1000$"):
+            run_slln_experiment(marginal_model, slow, bundled_strategies(),
                                 n_steps=1000, paths_per_strategy=1, seed=1)
 
     @pytest.mark.filterwarnings("error")
-    def test_zero_normalizer_is_refused_before_any_division(self, marginal_model):
-        zero_first = make_schedule("custom", alpha=1.0, beta=0.5,
-                                   A_rule=("table", tuple(range(1000))))
-        with pytest.raises(ScheduleInvalidError, match="normalizer-positive"):
-            run_slln_experiment(marginal_model, zero_first, bundled_strategies(),
-                                n_steps=1000, paths_per_strategy=1, seed=1)
+    def test_zero_normalizer_is_refused_before_any_division(self):
+        # refused when the schedule is built, so no run divides by A_1 = 0
+        with pytest.raises(ScheduleInvalidError, match="entry 1 is 0.0$"):
+            make_schedule("custom", alpha=1.0, beta=0.5,
+                          A_rule=("table", tuple(range(1000))))
 
     def test_parameter_guards(self, marginal_model, kolmogorov):
         with pytest.raises(ValueError, match="epsilon"):
