@@ -70,7 +70,7 @@ _ENGINE_NAMES = {
     "expectation": ("chebyshev_jensen_records", "expectation_chain",
                     "inequality_suite", "sublinear_axiom_report",
                     "upper_expectation"),
-    "simulate": ("run_slln_experiment",),
+    "simulate": ("run_slln_experiment", "swapped_view"),
     "slln": ("truncate", "truncation_params"),
 }
 _ENGINE_OF = {name: engine for engine, names in _ENGINE_NAMES.items()
@@ -247,6 +247,12 @@ def _simulation(run: _Run) -> ExperimentResult:
 
 
 def _slln_records(run: _Run) -> list[CheckResult]:
+    """The two exceedance records of the experiment and, when asked, the
+    negative control: the drift-max paths with their centres exchanged,
+    which drift at mu_up - mu_low and must cross epsilon. Those are the
+    experiment's own drift-max paths when its strategies include
+    drift-max; otherwise drift-max runs alone (stream key (seed, 0, path))
+    and its paths are swapped the same way."""
     sim = run.config.simulation
     result = _simulation(run)
     records = [comparison(name, frac, sim.max_exceedance_fraction, 0.0,
@@ -256,8 +262,10 @@ def _slln_records(run: _Run) -> list[CheckResult]:
                                   ("slln-lower-undershoot",
                                    result.lower_undershoot_fraction))]
     if sim.negative_control:
-        control = _experiment(run, (AdversaryStrategy(DRIFT_MAX),),
-                              swap_centers=True)
+        paths = result
+        if DRIFT_MAX not in result.config["strategies"]:
+            paths = _experiment(run, (AdversaryStrategy(DRIFT_MAX),))
+        control = swapped_view(paths, DRIFT_MAX)
         frac = control.upper_exceedance_fraction
         records.append(CheckResult(
             "slln-negative-control", frac, sim.min_control_fraction,

@@ -384,13 +384,17 @@ def physical_memory() -> float:
 
 
 def simulation_bytes(sim: SimulationSettings) -> int:
-    """A floor on the memory a simulation keeps: for every path, the
-    negative control's included, its two grid samples and its summaries.
-    The weights are evaluated block by block, so the horizon costs time,
-    not memory."""
-    paths = sim.paths_per_strategy * (len(sim.strategies)
-                                      + sim.negative_control)
-    return paths * (16 * min(sim.grid_points, sim.n_steps) + _SUMMARY_BYTES)
+    """A floor on the memory a simulation keeps: for every path its two
+    grid samples and its summaries, and for every path of the negative
+    control its summaries, with grid samples only when the control runs
+    its own paths, as it does when no strategy is drift-max (otherwise it
+    reads the experiment's drift-max paths). The weights are evaluated
+    block by block, so the horizon costs time, not memory."""
+    grid = 16 * min(sim.grid_points, sim.n_steps)
+    own_run = all(s.kind != DRIFT_MAX for s in sim.strategies)
+    control = sim.negative_control * (_SUMMARY_BYTES + own_run * grid)
+    return sim.paths_per_strategy * (
+        len(sim.strategies) * (grid + _SUMMARY_BYTES) + control)
 
 
 def too_large(sim: SimulationSettings) -> ConfigValidationError:

@@ -19,6 +19,15 @@ sums at n0, which depends on A_n and n0: with A_n = n^0.8 and n0 = 1e4 that
 scale is about 0.029 and a driftless path crosses eps = 0.05 about one time
 in ten, while with A_n = n the same eps sits near 11 sigma.
 
+The negative control exchanges the centres, so that drift-max's
+lower-centred sum drifts at mu_up - mu_low and must cross eps. A path's
+outcomes depend only on its streams, and each part of a centred pair is
+computed on its own, so exchanging the centres exchanges the path's two
+trajectories bit for bit: a swapped run is the ``swapped_view`` of an
+unswapped one, for which an experiment keeps the tail max and min of both
+trajectories of every path. The CLI's control is the view of the
+experiment's own drift-max paths.
+
 The experiment runner is a step-major block engine. Each strategy's
 sampler tables are built once, and a block's weights come from the
 schedule's rules when the block is summed, so no array has the horizon's
@@ -42,14 +51,14 @@ terms and the block's normalizers A_i, ``normalized_partial_sums`` forms
 both trajectories in one complex prefix sum, each bit for bit its own
 real one, carrying each path's running pair from block to block; no
 other module knows that pair format. Between blocks a path keeps only
-its running sums, tail max and min and grid samples, so no per-path
-array grows with the horizon, and the block buffers are bounded by the
-module constants. A phi must be nondecreasing, so that
-sup_n phi(S_n) = phi(sup_n S_n): it is evaluated once per path, at the
-tail max, after the path's last block. That holds in floats too, as the
-catalog's nondecreasing members round monotonically; only the sign of a
-zero result can differ, since numpy's max picks among zeros of both
-signs by position.
+its running sums, the tail max and min of each trajectory and its grid
+samples, so no per-path array grows with the horizon, and the block
+buffers are bounded by the module constants. A phi must be
+nondecreasing, so that sup_n phi(S_n) = phi(sup_n S_n): it is evaluated
+once per path, at the tail max, after the path's last block. That holds
+in floats too, as the catalog's nondecreasing members round
+monotonically; only the sign of a zero result can differ, since numpy's
+max picks among zeros of both signs by position.
 
 Determinism: the engine runs on one thread. Each path's generators are
 derived from (master seed, strategy index, path index) via seed-sequence
@@ -169,14 +178,21 @@ def _shaped(flat: np.ndarray, paths: int, steps: int) -> np.ndarray:
     return flat[:paths * steps].reshape(paths, steps)
 
 
+def _halves(buf: _Buffers, paths: int, steps: int) -> np.ndarray:
+    """Two contiguous (paths, steps) float arrays, stacked: a block's
+    uniforms and bisection probes, then, once those are spent, its two
+    trajectories, so one reduction serves both."""
+    return _shaped(buf.floats, 2 * paths, steps).reshape(2, paths, steps)
+
+
 class _Buffers:
     """Scratch arrays for up to ``paths`` paths by ``steps`` steps, allocated
-    once and viewed per block as contiguous (paths, steps) arrays."""
+    once and viewed per block as contiguous (paths, steps) arrays;
+    ``floats`` holds two, adjacent (see ``_halves``)."""
 
     def __init__(self, paths: int, steps: int) -> None:
         n = paths * steps
-        self.u = np.empty(n)
-        self.seen = np.empty(n)
+        self.floats = np.empty(2 * n)
         self.pairs = np.empty(n, dtype=np.complex128)
         self.pos = np.empty(n, dtype=np.int64)
         self.idx = np.empty(n, dtype=np.int64)
@@ -317,13 +333,13 @@ class _BlockSampler:
         """
         outcome_rngs, source = streams
         paths = len(outcome_rngs)
-        u = _shaped(buf.u, paths, steps)
+        u, seen = _halves(buf, paths, steps)
         for row, rng in zip(u, outcome_rngs):
             rng.random(out=row)
         rows = source.rows(start, steps, _shaped(buf.rows, paths, steps))
         pos = _shaped(buf.pos, paths, steps)
         _bisect(self.table, self.width, rows, u, pos,
-                _shaped(buf.idx, paths, steps), _shaped(buf.seen, paths, steps),
+                _shaped(buf.idx, paths, steps), seen,
                 _shaped(buf.hit, paths, steps))
         return pos
 
@@ -395,7 +411,10 @@ class TrajectorySample:
 @dataclass(frozen=True, eq=False)
 class ExperimentResult:
     """An experiment's parameters, its paths' summaries and grid samples,
-    the exceedance fractions overall and per strategy, and the phi bound."""
+    the exceedance fractions overall and per strategy, the phi bound, and
+    the two tail extremes its swapped view reads (``swapped_view``): per
+    path, in the order of ``path_summaries``, the tail max of the
+    lower-centred trajectory and the tail min of the upper-centred one."""
 
     config: dict[str, Any]
     path_summaries: tuple[PathSummary, ...]
@@ -403,7 +422,80 @@ class ExperimentResult:
     upper_exceedance_fraction: float
     lower_undershoot_fraction: float
     per_strategy: dict[str, dict[str, float]]
-    phi_bound: float | None = None
+    phi_bound: float | None
+    tail_max_lower: np.ndarray
+    tail_min_upper: np.ndarray
+
+
+def _result(config: dict[str, Any], summaries: list[PathSummary],
+            samples: list[TrajectorySample], tail_max_lower: list[float],
+            tail_min_upper: list[float], phi_bound: float | None
+            ) -> ExperimentResult:
+    """The result of paths grouped by strategy in the order of
+    ``config["strategies"]``, ``config["paths_per_strategy"]`` each: the
+    exceedance fractions at ``config["epsilon"]``, overall and per
+    strategy."""
+    epsilon, n = config["epsilon"], config["paths_per_strategy"]
+    exceed = np.array([s.tail_max_upper > epsilon for s in summaries])
+    undershoot = np.array([s.tail_min_lower < -epsilon for s in summaries])
+    per_strategy = {label: {
+        "upper_exceedance": float(exceed[k * n:(k + 1) * n].mean()),
+        "lower_undershoot": float(undershoot[k * n:(k + 1) * n].mean()),
+    } for k, label in enumerate(config["strategies"])}
+    return ExperimentResult(config, tuple(summaries), tuple(samples),
+                            float(exceed.mean()), float(undershoot.mean()),
+                            per_strategy, phi_bound,
+                            np.array(tail_max_lower, dtype=float),
+                            np.array(tail_min_upper, dtype=float))
+
+
+def _check_phi(phi: ScalarFunction | None) -> None:
+    if phi is not None and phi.monotonicity != INCREASING:
+        raise ValueError(f"phi {phi.describe()} is not nondecreasing")
+
+
+def swapped_view(result: ExperimentResult, strategy: str | None = None,
+                 phi: ScalarFunction | None = None) -> ExperimentResult:
+    """``result`` with the centres of each path exchanged, restricted to
+    the paths of the strategy labelled ``strategy`` when one is given: bit
+    for bit what a run of the same paths with ``swap_centers`` flipped
+    gives, with phi evaluated at each path's new tail max (no phi when
+    None).
+
+    A path's outcomes depend only on the CDF table and its (seed,
+    strategy, path) streams, and each part of a centred pair is computed
+    on its own (``_BlockSampler``, ``normalized_partial_sums``), so
+    exchanging the centres exchanges the path's two trajectories: the
+    final values change places, the new upper-centred tail max is the old
+    lower-centred one's, and the new lower-centred tail min the old
+    upper-centred one's. Viewing a view gives the result back, phi aside.
+    """
+    _check_phi(phi)
+    labels = result.config["strategies"]
+    if strategy is not None and strategy not in labels:
+        raise BadStrategyParamError(f"no {strategy} paths in {labels}")
+    keep = [k for k, s in enumerate(result.path_summaries)
+            if strategy in (None, s.strategy)]
+    old = [result.path_summaries[k] for k in keep]
+    new_max = result.tail_max_lower[keep]
+    with np.errstate(over="ignore"):  # an inf is NonFiniteError later
+        sups = [None] * len(keep) if phi is None else phi(new_max).tolist()
+    summaries = [PathSummary(s.strategy, s.path_index, s.final_lower,
+                             s.final_upper, high, low, sup)
+                 for s, high, low, sup in zip(
+                     old, new_max.tolist(),
+                     result.tail_min_upper[keep].tolist(), sups)]
+    samples = [TrajectorySample(t.strategy, t.path_index, t.steps, t.lower,
+                                t.upper)
+               for t in (result.trajectory_samples[k] for k in keep)]
+    config = dict(result.config,
+                  strategies=labels if strategy is None else [strategy],
+                  swap_centers=not result.config["swap_centers"],
+                  phi=phi.descriptor if phi is not None else None)
+    return _result(config, summaries, samples,
+                   [s.tail_max_upper for s in old],
+                   [s.tail_min_lower for s in old],
+                   phi.sup_on_nonpositive() if phi is not None else None)
 
 
 def sample_grid(n_steps: int, n_start: int, points: int = GRID_POINTS) -> np.ndarray:
@@ -474,7 +566,8 @@ def run_slln_experiment(model: SequenceModel, schedule: WeightSchedule,
 
     The upper-centered trajectory uses coordinate upper means, the
     lower-centered one lower means; ``swap_centers=True`` deliberately
-    exchanges them, which must wreck convergence (negative control). When
+    exchanges them, which must wreck convergence (negative control): it
+    runs the paths unswapped and returns their ``swapped_view``. When
     ``phi`` is given, each path also records sup phi(S_n^upper) over the
     tail, against phi's sup on the nonpositive axis, as phi(tail max): a
     phi whose ``monotonicity`` is not increasing is refused (ValueError),
@@ -491,8 +584,7 @@ def run_slln_experiment(model: SequenceModel, schedule: WeightSchedule,
     order. ``jobs`` is accepted and ignored: the engine runs on one thread.
     """
     check_schedule(schedule, n_steps)
-    if phi is not None and phi.monotonicity != INCREASING:
-        raise ValueError(f"phi {phi.describe()} is not nondecreasing")
+    _check_phi(phi)
     labels = [s.label for s in strategies]
     if len(set(labels)) < len(labels):
         raise BadStrategyParamError(f"strategies repeat a label: {labels}")
@@ -503,13 +595,15 @@ def run_slln_experiment(model: SequenceModel, schedule: WeightSchedule,
     if not 100 <= n_start < n_steps:
         raise ValueError(
             f"n_start must be in [100, {n_steps}), got {n_start}")
+    if swap_centers:
+        return swapped_view(run_slln_experiment(
+            model, schedule, strategies, n_steps, paths_per_strategy, seed,
+            n_start, epsilon, grid_points=grid_points), phi=phi)
 
     upper_c = np.array([float(expectation_values(model.credal, v).max())
                         for v in model.variables])
     lower_c = np.array([float(expectation_values(model.credal, v).min())
                         for v in model.variables])
-    if swap_centers:
-        upper_c, lower_c = lower_c, upper_c
     grid = sample_grid(n_steps, n_start, grid_points)
     phi_bound = phi.sup_on_nonpositive() if phi is not None else None
     weight = schedule.constant_weight
@@ -517,6 +611,8 @@ def run_slln_experiment(model: SequenceModel, schedule: WeightSchedule,
     buf = _Buffers(min(PATH_BLOCK, paths_per_strategy), block)
     summaries: list[PathSummary] = []
     samples: list[TrajectorySample] = []
+    tail_max_lower: list[float] = []
+    tail_min_upper: list[float] = []
     for si, strat in enumerate(strategies):
         sampler = _BlockSampler(model, strat, block, (upper_c, lower_c),
                                 weight)
@@ -526,10 +622,11 @@ def run_slln_experiment(model: SequenceModel, schedule: WeightSchedule,
             streams = sampler.streams(seeds, n_steps)
             # the running pair sums; see normalized_partial_sums
             carry = np.full(count, complex(-0.0, -0.0))
-            tail_max = np.full(count, -np.inf)
-            tail_min = np.full(count, np.inf)
-            grid_up = np.empty((count, grid.size))
-            grid_low = np.empty((count, grid.size))
+            # each trajectory's tail max and min and grid samples, S^up's
+            # row first
+            tail_max = np.full((2, count), -np.inf)
+            tail_min = np.full((2, count), np.inf)
+            grids = np.empty((2, count, grid.size))
             for start in range(0, n_steps, STEP_BLOCK):
                 stop = min(start + STEP_BLOCK, n_steps)
                 steps = stop - start
@@ -543,41 +640,33 @@ def run_slln_experiment(model: SequenceModel, schedule: WeightSchedule,
                                 out=parts)
                 # the block's uniforms and probes are spent, so their
                 # buffers take the two trajectories
+                sums = _halves(buf, count, steps)
                 s_up, s_low = normalized_partial_sums(
-                    terms, schedule.A(ii), carry=carry,
-                    out=(_shaped(buf.u, count, steps),
-                         _shaped(buf.seen, count, steps)))
-                if not swap_centers and (s_up - s_low).max() > _ORDER_SLACK:
+                    terms, schedule.A(ii), carry=carry, out=tuple(sums))
+                if (s_up - s_low).max() > _ORDER_SLACK:
                     raise SimulationOrderError(
                         "upper-centered sums exceeded lower-centered sums")
                 if stop >= n_start:
-                    tail = max(n_start - 1 - start, 0)
-                    np.maximum(tail_max, s_up[:, tail:].max(axis=1), out=tail_max)
-                    np.minimum(tail_min, s_low[:, tail:].min(axis=1), out=tail_min)
+                    tail = sums[:, :, max(n_start - 1 - start, 0):]
+                    np.maximum(tail_max, tail.max(axis=2), out=tail_max)
+                    np.minimum(tail_min, tail.min(axis=2), out=tail_min)
                 lo, hi = np.searchsorted(grid, (start + 1, stop + 1))
                 if hi > lo:
-                    grid_up[:, lo:hi] = s_up[:, grid[lo:hi] - 1 - start]
-                    grid_low[:, lo:hi] = s_low[:, grid[lo:hi] - 1 - start]
+                    grids[:, :, lo:hi] = sums[:, :, grid[lo:hi] - 1 - start]
             # sup phi(S_n) = phi(sup S_n); an inf is NonFiniteError later
             with np.errstate(over="ignore"):
-                sups = [None] * count if phi is None else phi(tail_max).tolist()
+                sups = ([None] * count if phi is None
+                        else phi(tail_max[0]).tolist())
             for i in range(count):
                 summaries.append(PathSummary(
                     strat.label, first + i, float(s_up[i, -1]),
-                    float(s_low[i, -1]), float(tail_max[i]),
-                    float(tail_min[i]), sups[i]))
+                    float(s_low[i, -1]), float(tail_max[0, i]),
+                    float(tail_min[1, i]), sups[i]))
                 samples.append(TrajectorySample(strat.label, first + i, grid,
-                                                grid_up[i], grid_low[i]))
+                                                grids[0, i], grids[1, i]))
+            tail_max_lower += tail_max[1].tolist()
+            tail_min_upper += tail_min[0].tolist()
 
-    exceed = np.array([s.tail_max_upper > epsilon for s in summaries])
-    undershoot = np.array([s.tail_min_lower < -epsilon for s in summaries])
-    per_strategy: dict[str, dict[str, float]] = {}
-    for si, strat in enumerate(strategies):
-        block = slice(si * paths_per_strategy, (si + 1) * paths_per_strategy)
-        per_strategy[strat.label] = {
-            "upper_exceedance": float(exceed[block].mean()),
-            "lower_undershoot": float(undershoot[block].mean()),
-        }
     config = {
         "schedule": schedule.descriptor,
         "strategies": [s.label for s in strategies],
@@ -586,9 +675,8 @@ def run_slln_experiment(model: SequenceModel, schedule: WeightSchedule,
         "seed": seed,
         "n_start": n_start,
         "epsilon": epsilon,
-        "swap_centers": swap_centers,
+        "swap_centers": False,
         "phi": phi.descriptor if phi is not None else None,
     }
-    return ExperimentResult(config, tuple(summaries), tuple(samples),
-                            float(exceed.mean()), float(undershoot.mean()),
-                            per_strategy, phi_bound)
+    return _result(config, summaries, samples, tail_max_lower,
+                   tail_min_upper, phi_bound)

@@ -73,13 +73,18 @@ def _lookup(table: np.ndarray, ii: np.ndarray, what: str) -> np.ndarray:
 class WeightSchedule:
     """Weights a_i and normalizers A_n with their shape parameters.
 
+    ``kind`` sets beta's range (see ``make_schedule``): kolmogorov and
+    custom take beta in (0, min(1, alpha)); mz takes 1 <= p < 1 +
+    min(1, alpha) and beta in (p - 1, min(1, alpha)). alpha, C and m must
+    be > 0.
     ``a_kind``: "constant" (a_param = the value, > 0) | "harmonic"
     (a_i = 1 + 1/i) | "table" (a_param = positive tuple).
     ``A_kind``: "linear" | "power" (A_param = exponent q in (0, 1], and
     q (1 + beta) > 1 exactly outside mz) | "table" (positive, increasing).
-    The rules are checked when the schedule is built. Every rule is
-    elementwise, so ``a`` and ``A`` on a block of steps give bit for bit
-    the slice of their arrays over the whole horizon.
+    The ranges and rules are checked when the schedule is built, the
+    ranges first. Every rule is elementwise, so ``a`` and ``A`` on a block
+    of steps give bit for bit the slice of their arrays over the whole
+    horizon.
     """
 
     kind: str
@@ -94,6 +99,24 @@ class WeightSchedule:
     A_param: float | tuple[float, ...] = 1.0
 
     def __post_init__(self) -> None:
+        if self.alpha <= 0:
+            raise AlphaOutOfRangeError(f"alpha must be > 0, got {self.alpha}")
+        if self.C <= 0 or self.m <= 0:
+            raise ValueError(
+                f"C and m must be > 0, got C={self.C}, m={self.m}")
+        if self.kind not in (KOLMOGOROV, MZ, CUSTOM):
+            raise ValueError(f"unknown schedule kind {self.kind!r}")
+        cap, p = min(1.0, self.alpha), self.p
+        low, where = 0, ("custom schedule" if self.kind == CUSTOM
+                         else self.kind)
+        if self.kind == MZ:
+            if p is None or not 1.0 <= p < 1.0 + cap:
+                raise POutOfRangeError(
+                    f"mz needs 1 <= p < {1.0 + cap}, got p={p}")
+            low, where = p - 1.0, f"mz with p={p}"
+        if not low < self.beta < cap:
+            raise BetaOutOfRangeError(
+                f"beta={self.beta} outside ({low}, {cap}) for {where}")
         if self.a_kind not in ("constant", "harmonic", "table"):
             raise ValueError(f"unknown weight rule {self.a_kind!r}")
         if self.A_kind not in ("linear", "power", "table"):
@@ -159,7 +182,8 @@ def make_schedule(kind: str, alpha: float, beta: float, C: float = 1.0,
                   a_rule: tuple | None = None,
                   A_rule: tuple | None = None) -> WeightSchedule:
     """Build a schedule; the kinds differ only in their rules and in
-    beta's lower bound.
+    beta's lower bound, which ``WeightSchedule`` checks with the other
+    ranges.
 
     kolmogorov: a_i = 1, A_n = n, beta in (0, min(1, alpha)).
     mz (alias marcinkiewicz): a_i = 1, A_n = n^{1/p} with
@@ -168,27 +192,13 @@ def make_schedule(kind: str, alpha: float, beta: float, C: float = 1.0,
     (``WeightSchedule``), default ("constant", 1.0) and ("linear", 1.0);
     beta in (0, min(1, alpha)). Only custom takes rules, and only mz takes p.
     """
-    if alpha <= 0:
-        raise AlphaOutOfRangeError(f"alpha must be > 0, got {alpha}")
-    if C <= 0 or m <= 0:
-        raise ValueError(f"C and m must be > 0, got C={C}, m={m}")
-    cap = min(1.0, alpha)
     kind = {"marcinkiewicz": MZ}.get(kind, kind)
-    if kind not in (KOLMOGOROV, MZ, CUSTOM):
-        raise ValueError(f"unknown schedule kind {kind!r}")
-    if kind != CUSTOM and (a_rule, A_rule) != (None, None):
+    if kind in (KOLMOGOROV, MZ) and (a_rule, A_rule) != (None, None):
         raise ValueError(f"{kind} takes no a_rule or A_rule; use custom")
-    if kind != MZ and p is not None:
+    if kind in (KOLMOGOROV, CUSTOM) and p is not None:
         raise ValueError(f"{kind} takes no p; p belongs to mz")
-    low, where = 0, "custom schedule" if kind == CUSTOM else kind
-    if kind == MZ:
-        if p is None or not 1.0 <= p < 1.0 + cap:
-            raise POutOfRangeError(
-                f"mz needs 1 <= p < {1.0 + cap}, got p={p}")
-        low, where, A_rule = p - 1.0, f"mz with p={p}", ("power", 1.0 / p)
-    if not low < beta < cap:
-        raise BetaOutOfRangeError(
-            f"beta={beta} outside ({low}, {cap}) for {where}")
+    if kind == MZ:  # a p out of range is refused before the rule is read
+        A_rule = ("power", 1.0 / p if p else None)
     a_kind, a_param = ("constant", 1.0) if a_rule is None else a_rule
     A_kind, A_param = ("linear", 1.0) if A_rule is None else A_rule
     return WeightSchedule(kind, alpha, beta, C, m, p, a_kind, a_param,

@@ -569,18 +569,27 @@ class TestSimulationMemoryBound:
         return config_text(checks=list(checks), seed=1, schedule=self.SCHEDULE,
                            simulation=simulation)
 
+    def estimate(self, strategies, **simulation):
+        return simulation_bytes(parse_config(self.text(
+            n_steps=10_000, paths_per_strategy=3, grid_points=50,
+            strategies=strategies, **simulation)).simulation)
+
     def test_estimate_counts_grid_summaries_and_control(self):
-        sim = parse_config(self.text(
-            n_steps=10_000, paths_per_strategy=3, grid_points=50,
-            strategies=["cyclic", "drift-max"])).simulation
+        # the control reads the experiment's drift-max paths: it adds
+        # their summaries, not their grid samples
+        strategies = ["cyclic", "drift-max"]
         per_path = 16 * 50 + config_module._SUMMARY_BYTES
-        assert simulation_bytes(sim) == 3 * 3 * per_path
-        no_control = parse_config(self.text(
-            n_steps=10_000, paths_per_strategy=3, grid_points=50,
-            strategies=["cyclic", "drift-max"],
-            negative_control=False)).simulation
-        assert simulation_bytes(sim) - simulation_bytes(no_control) \
-            == 3 * per_path
+        no_control = self.estimate(strategies, negative_control=False)
+        assert no_control == 3 * 2 * per_path
+        assert self.estimate(strategies) - no_control \
+            == 3 * config_module._SUMMARY_BYTES
+
+    def test_control_of_its_own_paths_counts_their_grid_samples(self):
+        strategies = ["cyclic", {"kind": "fixed", "index": 0}]
+        per_path = 16 * 50 + config_module._SUMMARY_BYTES
+        no_control = self.estimate(strategies, negative_control=False)
+        assert no_control == 3 * 2 * per_path
+        assert self.estimate(strategies) - no_control == 3 * per_path
 
     def test_refused_above_the_machine_memory(self, monkeypatch):
         text = self.text(n_steps=20_000, paths_per_strategy=4)

@@ -1,9 +1,11 @@
 """Adversarial path sampling and envelope-convergence experiments."""
 
+import json
 import math
 import re
 import threading
 import tracemalloc
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -36,10 +38,12 @@ from nlprob.errors import (
     UnboundedPhiError,
     UnsupportedModelError,
 )
+from nlprob.cli import main
+from nlprob.config import GRID_POINTS, parse_config
 from nlprob.expectation import expectation_values
 from nlprob.functions import ScalarFunction
 from nlprob.reports import all_passed
-from nlprob.simulate import PathSummary, TrajectorySample
+from nlprob.simulate import PathSummary, TrajectorySample, swapped_view
 from nlprob.slln import validate_schedule
 
 
@@ -737,6 +741,153 @@ class TestRunExperiment:
         for s in result.path_summaries:
             assert s.phi_tail_sup == pytest.approx(
                 math.exp(s.tail_max_upper), rel=1e-12)
+
+
+def _assert_same_result(got, want):
+    """Bit for bit: every summary and grid sample, the fractions, the
+    parameters and the tail extremes a further view reads."""
+    assert repr(got.path_summaries) == repr(want.path_summaries)
+    for a, b in zip(got.trajectory_samples, want.trajectory_samples,
+                    strict=True):
+        assert (a.strategy, a.path_index) == (b.strategy, b.path_index)
+        for field in ("steps", "upper", "lower"):
+            assert getattr(a, field).tobytes() == getattr(b, field).tobytes()
+    for field in ("config", "upper_exceedance_fraction",
+                  "lower_undershoot_fraction", "per_strategy", "phi_bound"):
+        assert getattr(got, field) == getattr(want, field)
+    for field in ("tail_max_lower", "tail_min_upper"):
+        assert getattr(got, field).tobytes() == getattr(want, field).tobytes()
+
+
+class TestSwappedView:
+    SCHEDULE = make_schedule("mz", alpha=1.0, beta=0.5, p=1.25)
+    KWARGS = dict(n_steps=2500, paths_per_strategy=3, seed=21, n_start=400,
+                  epsilon=0.05)
+
+    @pytest.mark.parametrize("phi", [None, Exp(1.0)], ids=["no-phi", "exp"])
+    def test_view_is_the_swapped_run(self, rng, marginal_model, phi):
+        # the unswapped run carries a phi of its own, which no view reads;
+        # the path oracle subtracts the exchanged centres itself
+        strategies = bundled_strategies()
+        for model in (marginal_model, _random_rectangular_model(rng)):
+            plain = run_slln_experiment(model, self.SCHEDULE, strategies,
+                                        phi=Affine(2.0, 1.0), **self.KWARGS)
+            swapped = run_slln_experiment(model, self.SCHEDULE, strategies,
+                                          swap_centers=True, phi=phi,
+                                          **self.KWARGS)
+            _assert_same_result(swapped_view(plain, phi=phi), swapped)
+            want = _path_oracle(model, self.SCHEDULE, strategies,
+                                swap_centers=True, phi=phi,
+                                grid_points=GRID_POINTS, **{
+                                    k: v for k, v in self.KWARGS.items()
+                                    if k != "epsilon"})
+            for summary, sample, (want_summary, want_sample) in zip(
+                    swapped.path_summaries, swapped.trajectory_samples, want,
+                    strict=True):
+                assert repr(summary) == repr(want_summary)
+                assert sample.upper.tobytes() == want_sample.upper.tobytes()
+                assert sample.lower.tobytes() == want_sample.lower.tobytes()
+            # each strategy's view is its part of the swapped run, and a
+            # run of that strategy alone gives its own view
+            for strat in strategies:
+                one = swapped_view(plain, strat.label, phi)
+                assert one.config == dict(swapped.config,
+                                          strategies=[strat.label])
+                assert repr(one.path_summaries) == repr(tuple(
+                    s for s in swapped.path_summaries
+                    if s.strategy == strat.label))
+                assert one.per_strategy == {
+                    strat.label: swapped.per_strategy[strat.label]}
+                alone = run_slln_experiment(model, self.SCHEDULE, [strat],
+                                            **self.KWARGS)
+                _assert_same_result(
+                    swapped_view(alone, strat.label, phi),
+                    run_slln_experiment(model, self.SCHEDULE, [strat],
+                                        swap_centers=True, phi=phi,
+                                        **self.KWARGS))
+
+    def test_view_of_a_view_is_the_run(self, marginal_model):
+        plain = run_slln_experiment(marginal_model, self.SCHEDULE,
+                                    bundled_strategies(), **self.KWARGS)
+        _assert_same_result(swapped_view(swapped_view(plain)), plain)
+
+    def test_refusals(self, marginal_model):
+        plain = run_slln_experiment(marginal_model, self.SCHEDULE,
+                                    [AdversaryStrategy("cyclic")],
+                                    **self.KWARGS)
+        with pytest.raises(BadStrategyParamError, match="no drift-max paths"):
+            swapped_view(plain, "drift-max")
+        with pytest.raises(ValueError, match="not nondecreasing"):
+            swapped_view(plain, phi=AbsPower(2.0))
+
+
+class TestCliNegativeControl:
+    """The control ``nlprob simulate`` writes: the drift-max paths of the
+    experiment with their centres exchanged."""
+
+    DOC = json.loads((Path(__file__).resolve().parent.parent / "configs"
+                      / "rectangular-demo.json").read_text())
+    PATH_KEYS = ["strategy", "path_index", "final_upper", "final_lower",
+                 "tail_max_upper", "tail_min_lower", "phi_tail_sup"]
+
+    def simulate(self, tmp_path, strategies=None):
+        doc = json.loads(json.dumps(self.DOC))
+        if strategies is not None:
+            doc["simulation"]["strategies"] = strategies
+        text = json.dumps(doc)
+        (tmp_path / "config.json").write_text(text)
+        code = main(["simulate", "--config", str(tmp_path / "config.json"),
+                     "--out", str(tmp_path / "out")])
+        assert code in (0, 1)
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        return report, parse_config(text, subcommand="simulate")
+
+    @staticmethod
+    def direct(config, strategies, **kwargs):
+        sim = config.simulation
+        return run_slln_experiment(
+            config.model, config.schedule, strategies, sim.n_steps,
+            sim.paths_per_strategy, config.seed, n_start=sim.n_start,
+            epsilon=sim.epsilon, grid_points=sim.grid_points, **kwargs)
+
+    @staticmethod
+    def paths(result):
+        return [dict(vars(s)) for s in result.path_summaries]
+
+    def test_control_is_the_experiments_drift_max_paths_swapped(
+            self, tmp_path):
+        report, config = self.simulate(tmp_path)
+        swapped = self.direct(config, bundled_strategies(), swap_centers=True)
+        control = report["negative_control"]
+        assert control["paths"] == [p for p in self.paths(swapped)
+                                    if p["strategy"] == "drift-max"]
+        assert control["per_strategy"] == {
+            "drift-max": swapped.per_strategy["drift-max"]}
+        assert control["config"]["strategies"] == ["drift-max"]
+        assert control["config"]["swap_centers"] is True
+        assert control["config"]["phi"] is None
+
+    def test_control_without_drift_max_runs_it_alone(self, tmp_path):
+        report, config = self.simulate(
+            tmp_path, [{"kind": "fixed", "index": 0}, "cyclic"])
+        swapped = self.direct(config, [AdversaryStrategy("drift-max")],
+                              swap_centers=True)
+        control = report["negative_control"]
+        assert control["paths"] == self.paths(swapped)
+        assert control["config"] == swapped.config
+        for field in ("upper_exceedance_fraction",
+                      "lower_undershoot_fraction", "per_strategy",
+                      "phi_bound"):
+            assert control[field] == getattr(swapped, field)
+
+    @pytest.mark.parametrize("strategies", [
+        None, [{"kind": "fixed", "index": 0}, "cyclic"]],
+        ids=["bundled", "no-drift-max"])
+    def test_path_entries_keep_their_keys(self, tmp_path, strategies):
+        report, _ = self.simulate(tmp_path, strategies)
+        for payload in ("experiment", "negative_control"):
+            for entry in report[payload]["paths"]:
+                assert list(entry) == self.PATH_KEYS
 
 
 class TestStrassenEvaluate:

@@ -182,6 +182,35 @@ class TestMakeSchedule:
         with pytest.raises(error, match=message):
             WeightSchedule("custom", alpha=1.0, beta=0.5, **rules)
 
+    @pytest.mark.parametrize("args, kwargs, message", [
+        (("mz", 1.0, 0.01), {"p": 1.25, "A_kind": "power", "A_param": 0.8},
+         r"^beta=0.01 outside \(0.25, 1.0\) for mz with p=1.25$"),
+        (("kolmogorov", 1.0, -0.5), {},
+         r"^beta=-0.5 outside \(0, 1.0\) for kolmogorov$"),
+    ], ids=["mz", "kolmogorov"])
+    def test_schedule_built_directly_checks_beta(self, args, kwargs, message):
+        # the ranges are the schedule's own, so a direct build cannot skip
+        # them; the message is make_schedule's
+        with pytest.raises(BetaOutOfRangeError, match=message):
+            WeightSchedule(*args, **kwargs)
+        with pytest.raises(BetaOutOfRangeError, match=message):
+            make_schedule(*args, **{k: v for k, v in kwargs.items()
+                                    if k == "p"})
+
+    @pytest.mark.parametrize("kwargs, error", [
+        ({"alpha": 0.0}, AlphaOutOfRangeError),
+        ({"C": 0.0}, ValueError),
+        ({"m": -1.0}, ValueError),
+        ({"kind": "cesaro"}, ValueError),
+        ({"kind": "mz", "p": 2.5, "A_kind": "power", "A_param": 0.4},
+         POutOfRangeError),
+        ({"kind": "mz"}, POutOfRangeError),
+    ], ids=["alpha", "C", "m", "kind", "mz-p", "mz-no-p"])
+    def test_schedule_built_directly_checks_its_ranges(self, kwargs, error):
+        with pytest.raises(error):
+            WeightSchedule(**{"kind": "kolmogorov", "alpha": 1.0,
+                              "beta": 0.5, **kwargs})
+
     def test_rules_never_return_the_callers_array(self, kolmogorov):
         # indices are read without a copy, so a rule must not hand them back
         x = np.arange(1.0, 5.0)
