@@ -82,8 +82,13 @@ class UnsupportedModelError(NlprobError, ValueError):
 
 
 class SimulationOrderError(NlprobError):
-    """Upper-centred partial sums exceeded lower-centred ones; signals an
-    internal bug."""
+    """Upper-centred partial sums exceeded lower-centred ones at some step;
+    signals an internal bug.
+
+    The check is exact: centres c_up >= c_lo, monotone rounding of
+    subtraction and addition, and multiplication or division by the
+    positive a_i and A_n keep every float S_n^{upper} <= S_n^{lower}, so one
+    ulp above is a fault."""
 
 
 class NonFiniteError(NlprobError, ValueError):

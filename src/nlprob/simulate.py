@@ -60,6 +60,15 @@ in floats too, as the catalog's nondecreasing members round
 monotonically; only the sign of a zero result can differ, since numpy's
 max picks among zeros of both signs by position.
 
+Every block checks S_n^{upper} <= S_n^{lower} at every step, exactly, with no
+slack: the upper centre is the max and the lower centre the min of one
+vector of linear means, and rounded subtraction, rounded addition and
+multiplication or division by a positive number are monotone, while a
+``WeightSchedule`` checks a_i > 0 and A_n > 0 when it is built. So by
+induction over the steps, carry included, the upper-centred float sums
+never exceed the lower-centred ones on a correct engine, and a step where
+they do is a fault (``SimulationOrderError``).
+
 Determinism: the engine runs on one thread. Each path's generators are
 derived from (master seed, strategy index, path index) via seed-sequence
 spawn keys and drawn in step order, the uniforms block by block and
@@ -98,8 +107,6 @@ from .functions import INCREASING, ScalarFunction
 from .models import SequenceModel
 from .slln import WeightSchedule, validate_schedule
 
-_ORDER_SLACK = 1e-9
-
 # The block engine's shape: the paths of one strategy that advance together,
 # and the steps they take per block. A (PATH_BLOCK, STEP_BLOCK) float64
 # buffer is 256 KB, so the sampler's scratch buffers together fit a 2 MB
@@ -108,9 +115,10 @@ PATH_BLOCK = 32
 STEP_BLOCK = 1024
 # iid-random draws each path's measure choices for up to this many blocks
 # in one Generator.integers call, which costs about 10 us on top of its
-# draws. A group keeps them as the least unsigned integers that hold a
-# measure index: with at most 256 measures, (PATH_BLOCK, CHOICE_BLOCKS *
-# STEP_BLOCK) bytes, 256 KB.
+# draws. A group keeps them times W, as the least unsigned integers that
+# hold (measures - 1) * W: below 256, (PATH_BLOCK, CHOICE_BLOCKS *
+# STEP_BLOCK) bytes, 256 KB, and twice or four times that for larger
+# models.
 CHOICE_BLOCKS = 8
 
 
@@ -155,22 +163,31 @@ def _bisect(table: np.ndarray, width: int, rows: np.ndarray, u: np.ndarray,
     row offset in ``rows`` (a multiple of W, one row shared by every path
     or one per path) picks its cumulative weights F in ``table``, by
     log2(W) passes (see ``sample_path`` for why it is exact). ``idx``,
-    ``seen`` and ``hit`` are scratch arrays of ``pos``'s shape."""
+    ``seen`` and ``hit`` are scratch arrays of ``pos``'s shape.
+
+    A pass of step s probes F at pos + s - 1 and adds s where the probe is
+    at or below u. A pass of step 1 (the only one for W = 2, the last one
+    for wider tables) probes at pos itself and adds the boolean ``hit``
+    straight to the positions, so it forms no offset index and no
+    multiple of 1."""
     step = width // 2
     if not step:  # a one-outcome space
         pos[...] = rows
         return
     # every path starts at its row, so the first probe gathers only rows
-    np.less_equal(table[rows + (step - 1)], u, out=hit)
-    np.multiply(hit, step, out=pos)
-    pos += rows
+    np.less_equal(table[rows + (step - 1) if step > 1 else rows], u, out=hit)
+    if step > 1:
+        np.multiply(hit, step, out=pos)
+        pos += rows
+    else:
+        np.add(rows, hit, out=pos)
     step //= 2
     while step:  # decide the lower bits of the count, highest first
-        np.add(pos, step - 1, out=idx)
         # every index is in range; "clip" only spares take a buffered copy
-        np.take(table, idx, out=seen, mode="clip")
+        np.take(table, np.add(pos, step - 1, out=idx) if step > 1 else pos,
+                out=seen, mode="clip")
         np.less_equal(seen, u, out=hit)
-        pos += np.multiply(hit, step, out=idx)
+        pos += np.multiply(hit, step, out=idx) if step > 1 else hit
         step //= 2
 
 
@@ -217,7 +234,9 @@ class _Cycle:
 
 class _Choices(_Cycle):
     """iid-random's rows source: the variables' row cycle plus each path's
-    drawn measure times W, drawn ``CHOICE_BLOCKS`` blocks in one call."""
+    drawn measure times W, drawn ``CHOICE_BLOCKS`` blocks in one call and
+    kept pre-scaled, as the least unsigned integers that hold
+    (measures - 1) * W."""
 
     def __init__(self, cycle: np.ndarray, steps: int, rngs: list,
                  measures: int, width: int, horizon: int) -> None:
@@ -225,7 +244,7 @@ class _Choices(_Cycle):
         self.rngs, self.measures = rngs, measures
         self.width, self.horizon = width, horizon
         self.chunk = np.empty((len(rngs), min(CHOICE_BLOCKS * steps, horizon)),
-                              dtype=np.min_scalar_type(measures - 1))
+                              dtype=np.min_scalar_type((measures - 1) * width))
         self.start = self.stop = 0
 
     def rows(self, start: int, steps: int, out: np.ndarray) -> np.ndarray:
@@ -235,12 +254,11 @@ class _Choices(_Cycle):
             n = min(self.chunk.shape[1], self.horizon - start)
             for row, rng in zip(self.chunk, self.rngs):
                 row[:n] = rng.integers(0, self.measures, size=n,
-                                       dtype=np.int64)
+                                       dtype=np.int64) * self.width
             self.start, self.stop = start, start + n
         offset = start - self.start
-        np.multiply(self.chunk[:, offset:offset + steps], self.width, out=out,
-                    dtype=np.int64)
-        return np.add(out, super().rows(start, steps, out), out=out)
+        return np.add(self.chunk[:, offset:offset + steps],
+                      super().rows(start, steps, out), out=out)
 
 
 def _rows_source(model: SequenceModel, strategy: AdversaryStrategy,
@@ -571,7 +589,8 @@ def run_slln_experiment(model: SequenceModel, schedule: WeightSchedule,
     ``phi`` is given, each path also records sup phi(S_n^upper) over the
     tail, against phi's sup on the nonpositive axis, as phi(tail max): a
     phi whose ``monotonicity`` is not increasing is refused (ValueError),
-    as are two strategies of one label (BadStrategyParamError).
+    as are no strategies or two of one label (BadStrategyParamError) and
+    fewer than one path per strategy (ValueError).
 
     The exceedance and undershoot fractions are finite-horizon proxies, not
     the almost-sure limits: their false-alarm rate at a given ``epsilon``
@@ -586,8 +605,13 @@ def run_slln_experiment(model: SequenceModel, schedule: WeightSchedule,
     check_schedule(schedule, n_steps)
     _check_phi(phi)
     labels = [s.label for s in strategies]
+    if not labels:
+        raise BadStrategyParamError("no strategies given")
     if len(set(labels)) < len(labels):
         raise BadStrategyParamError(f"strategies repeat a label: {labels}")
+    if paths_per_strategy < 1:
+        raise ValueError(
+            f"paths_per_strategy must be >= 1, got {paths_per_strategy}")
     if epsilon <= 0:
         raise ValueError(f"epsilon must be > 0, got {epsilon}")
     if n_start is None:
@@ -627,6 +651,7 @@ def run_slln_experiment(model: SequenceModel, schedule: WeightSchedule,
             tail_max = np.full((2, count), -np.inf)
             tail_min = np.full((2, count), np.inf)
             grids = np.empty((2, count, grid.size))
+            hi = 0  # the grid points up to the last block's stop
             for start in range(0, n_steps, STEP_BLOCK):
                 stop = min(start + STEP_BLOCK, n_steps)
                 steps = stop - start
@@ -643,14 +668,21 @@ def run_slln_experiment(model: SequenceModel, schedule: WeightSchedule,
                 sums = _halves(buf, count, steps)
                 s_up, s_low = normalized_partial_sums(
                     terms, schedule.A(ii), carry=carry, out=tuple(sums))
-                if (s_up - s_low).max() > _ORDER_SLACK:
+                # exact, no slack: see SimulationOrderError; the bisection
+                # is done, so its hit buffer takes the comparison
+                if np.greater(s_up, s_low,
+                              out=_shaped(buf.hit, count, steps)).any():
                     raise SimulationOrderError(
                         "upper-centered sums exceeded lower-centered sums")
                 if stop >= n_start:
                     tail = sums[:, :, max(n_start - 1 - start, 0):]
-                    np.maximum(tail_max, tail.max(axis=2), out=tail_max)
-                    np.minimum(tail_min, tail.min(axis=2), out=tail_min)
-                lo, hi = np.searchsorted(grid, (start + 1, stop + 1))
+                    np.maximum(tail_max, np.maximum.reduce(tail, axis=2),
+                               out=tail_max)
+                    np.minimum(tail_min, np.minimum.reduce(tail, axis=2),
+                               out=tail_min)
+                lo = hi
+                while hi < grid.size and grid[hi] <= stop:
+                    hi += 1
                 if hi > lo:
                     grids[:, :, lo:hi] = sums[:, :, grid[lo:hi] - 1 - start]
             # sup phi(S_n) = phi(sup S_n); an inf is NonFiniteError later

@@ -488,8 +488,17 @@ def test_iid_choices_match_the_path_oracle_across_chunks(rng, monkeypatch,
     n_steps = (2 * choice_blocks + 1) * nlprob.simulate.STEP_BLOCK - 300
     strategies = (AdversaryStrategy("iid-random", salt=5),)
     schedule = make_schedule("mz", alpha=1.0, beta=0.5, p=1.25)
-    for _ in range(3):
-        model = _random_rectangular_model(rng)
+    # a chunk holds each choice times W: 70 measures on 5 outcomes (W = 8)
+    # reach (70 - 1) * 8 = 552, past what a byte holds
+    wide_rng = np.random.default_rng(70)
+    rows = wide_rng.random((70, 5)) + 0.1
+    rows /= rows.sum(axis=1, keepdims=True)
+    wide = SequenceModel(credal_set_from_rows(rows),
+                         (RandomVariable(wide_rng.normal(size=5)),
+                          RandomVariable(wide_rng.normal(size=5))),
+                         "rectangular")
+    for trial in range(4):
+        model = _random_rectangular_model(rng) if trial < 3 else wide
         kwargs = dict(n_steps=n_steps, paths_per_strategy=3,
                       seed=int(rng.integers(2**32)), n_start=n_steps // 3,
                       swap_centers=False, phi=None, grid_points=300)
@@ -501,6 +510,16 @@ def test_iid_choices_match_the_path_oracle_across_chunks(rng, monkeypatch,
             for field in ("upper", "lower"):
                 assert getattr(sample, field).tobytes() == \
                     getattr(want_sample, field).tobytes()
+        # the oracle draws through the same rows source, so its choices
+        # are checked against each path's choice stream, drawn here
+        for pi in range(3):
+            key = np.random.SeedSequence(kwargs["seed"], spawn_key=(0, pi))
+            drawn = np.random.Generator(np.random.PCG64(
+                np.random.SeedSequence(kwargs["seed"],
+                                       spawn_key=(0, pi, 1, 5)))).integers(
+                0, len(model.credal), n_steps)
+            assert np.array_equal(
+                sample_path(model, strategies[0], n_steps, key).choices, drawn)
 
 
 def test_block_buffers_do_not_grow_with_the_horizon(marginal_model,
@@ -576,33 +595,58 @@ class TestRunExperiment:
             "fixed(0)", "cyclic", "iid-random(0)", "drift-max"}
 
     def test_trajectories_keep_center_order(self, marginal_model, kolmogorov):
-        # subtracting the larger (upper) centers can only give smaller sums
+        # subtracting the larger (upper) centers can only give smaller
+        # sums, exactly: every rounding step is monotone
         result = run_slln_experiment(marginal_model, kolmogorov,
                                      bundled_strategies(), n_steps=2000,
                                      paths_per_strategy=1, seed=7,
                                      n_start=200, epsilon=0.2)
         for t in result.trajectory_samples:
-            assert np.all(t.upper <= t.lower + 1e-9)
+            assert np.all(t.upper <= t.lower)
             assert np.array_equal(t.steps, result.trajectory_samples[0].steps)
 
+    @staticmethod
+    def _swap(upper, lower):
+        return lower, upper
+
+    @staticmethod
+    def _lift(upper, lower):
+        # one interior step of one path, S^up just above S^low: 1e-12 is
+        # thousands of ulps at these sums' scale, far below any slack
+        k = upper.shape[-1] // 2
+        upper[0, k] = lower[0, k] + 1e-12
+        return upper, lower
+
+    @pytest.mark.parametrize("fault", ["_swap", "_lift"],
+                             ids=["swapped", "lifted"])
     def test_center_order_fault_is_named(self, marginal_model, kolmogorov,
-                                         monkeypatch):
+                                         monkeypatch, fault):
         # a partial-sum routine that hands back the two trajectories
-        # swapped breaks the order upper-centred <= lower-centred; that is
-        # an internal fault, named
+        # swapped, or lifts one upper-centred entry over its lower-centred
+        # one, breaks the order upper-centred <= lower-centred, which holds
+        # exactly in floats; that is an internal fault, named
         paired_sums = nlprob.simulate.normalized_partial_sums
-
-        def swapped(*args, **kwargs):
-            upper, lower = paired_sums(*args, **kwargs)
-            return lower, upper
-
+        broken = getattr(self, fault)
         monkeypatch.setattr(nlprob.simulate, "normalized_partial_sums",
-                            swapped)
+                            lambda *args, **kwargs: broken(
+                                *paired_sums(*args, **kwargs)))
         with pytest.raises(SimulationOrderError) as exc:
             run_slln_experiment(marginal_model, kolmogorov,
                                 bundled_strategies(), n_steps=1000,
                                 paths_per_strategy=1, seed=1)
         assert isinstance(exc.value, NlprobError)
+
+    @pytest.mark.parametrize("strategies, paths, error", [
+        ([], 1, BadStrategyParamError),
+        (bundled_strategies(), 0, ValueError),
+    ], ids=["no-strategies", "no-paths"])
+    def test_experiment_without_paths_is_refused(
+            self, marginal_model, kolmogorov, strategies, paths, error):
+        # no path would leave every fraction the mean of an empty slice
+        with pytest.raises(error):
+            run_slln_experiment(marginal_model, kolmogorov, strategies,
+                                n_steps=1000, paths_per_strategy=paths,
+                                seed=1)
 
     def test_swapped_centers_wreck_convergence(self, marginal_model,
                                                kolmogorov):
