@@ -26,7 +26,7 @@ _EXPORTS = {
                    "forward_factorization_value"),
     "errors": ("ChainViolationError", "ConfigError", "ConfigParseError",
                "ConfigValidationError", "NlprobError", "OracleTooLargeError",
-               "ScheduleInvalidError", "UnboundedPhiError"),
+               "ScheduleInvalidError"),
     "expectation": ("ExpectationBounds", "choquet_expectation",
                     "expectation_chain", "inequality_suite",
                     "lower_expectation", "sublinear_axiom_report",

@@ -46,7 +46,8 @@ table, :func:`from_descriptor`. The parsed config is the whole run: the
 overrides applied, the checks the subcommand selects, the variables' names.
 Selected checks that cannot give a finite answer are refused here, before
 any work: ``na`` or ``vertical`` past the enumeration cap, ``strassen``
-with a ``phi`` whose limit is not finite, a check that needs a missing
+with a ``phi`` that is not nondecreasing or whose limit phi(0) + its
+Lipschitz constant * epsilon is not finite, a check that needs a missing
 ``seed`` or ``schedule``, a simulation on a model that is not
 rectangular or with two strategies of one label, and ``truncation`` at an
 index past the model's coordinates.
@@ -70,7 +71,6 @@ from .errors import (
     ConfigParseError,
     ConfigValidationError,
     NlprobError,
-    UnboundedPhiError,
 )
 from .functions import (
     CONSTANT,
@@ -307,6 +307,16 @@ def _ramp(d: dict[str, Any]) -> TestFunction:
         d.get("direction", DECREASING if kind == NEGATED_RAMP else INCREASING))
 
 
+def _list(d: dict[str, Any], key: str, what: str,
+          item: Callable[[Any], bool] = lambda _: True) -> list:
+    """The list ``d[key]``, each entry passing ``item``; else an error
+    naming ``key`` and saying it must be a list of ``what``."""
+    value = d[key]
+    if not isinstance(value, list) or not all(map(item, value)):
+        raise _field_error(key, f"must be a list of {what}, got {value!r}")
+    return value
+
+
 _KINDS = {  # each function kind's reader and the keys it reads
     **dict.fromkeys((RAMP, NEGATED_RAMP, CONSTANT),
                     (_ramp, ("kind", "threshold", "width", "direction"))),
@@ -320,10 +330,13 @@ _KINDS = {  # each function kind's reader and the keys it reads
     "clamp": (lambda d: Clamp(read_number(d["lo"], "lo"), read_number(d["hi"], "hi")),
               ("kind", "lo", "hi")),
     "max-affine": (lambda d: MaxAffine(tuple(
-        (read_number(a, "pieces"), read_number(b, "pieces")) for a, b in d["pieces"])),
-        ("kind", "pieces")),
+        (read_number(a, "pieces"), read_number(b, "pieces"))
+        for a, b in _list(d, "pieces", "[slope, intercept] pairs",
+                          lambda p: isinstance(p, list) and len(p) == 2)
+    )), ("kind", "pieces")),
     "polynomial": (lambda d: Polynomial(tuple(
-        read_number(c, "coeffs") for c in d["coeffs"])), ("kind", "coeffs")),
+        read_number(c, "coeffs") for c in _list(d, "coeffs", "numbers"))),
+        ("kind", "coeffs")),
 }
 
 
@@ -365,6 +378,8 @@ def _parse_strategy(entry: Any, name: str) -> AdversaryStrategy:
 def _parse_schedule(doc: Any) -> WeightSchedule:
     from .slln import make_schedule
     kind = _kind(doc, "schedule")
+    if not isinstance(kind, str):  # a list or an object is no kind's name
+        raise _field_error("schedule", f"unknown schedule kind {kind!r}")
     _refuse_unknown(doc, "schedule", ("kind", *_SCHEDULE_DEFAULTS))
     numbers = {key: read_number(doc.get(key, default), f"schedule.{key}",
                                 optional=default is None)
@@ -560,11 +575,10 @@ def parse_config(text: str, base_dir: str | Path | None = None,
     if not isinstance(phi, ScalarFunction):
         raise _field_error("phi", "must be a scalar-function descriptor")
     if "strassen" in selected:  # the limit the strassen-bound record reports
-        try:
-            sup = phi.sup_on_nonpositive()
-            lip = phi.lipschitz_on_ray(max(1.0, simulation.epsilon))
-        except UnboundedPhiError as exc:
-            raise _field_error("phi", str(exc)) from exc
+        if phi.monotonicity != INCREASING:
+            raise _field_error("phi", f"{phi.describe()} is not nondecreasing")
+        sup = float(phi(0.0))  # a nondecreasing phi's sup over x <= 0
+        lip = phi.lipschitz_on_ray(max(1.0, simulation.epsilon))
         if not math.isfinite(sup + lip * simulation.epsilon):
             raise _field_error("phi", f"strassen limit sup + lipschitz * "
                                       f"epsilon = {sup!r} + {lip!r} * "

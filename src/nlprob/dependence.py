@@ -291,11 +291,11 @@ def exp_product_bound_gap(model: SequenceModel, n: int,
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
+    rows = _as_rows(model, functions, n)  # no functions: a length error
     directions = {_direction_of(f) for f in functions[:n]}
     if None in directions or len(directions) != 1:
         raise MixedMonotonicityError(
             f"functions must share one monotone direction, got {directions}")
-    rows = _as_rows(model, functions, n)
     exp_rows = np.exp(rows)
     lhs = float(product_expectation_table(model, exp_rows).max())
     marginals = coordinate_expectation_matrix(model, exp_rows).max(axis=1)

@@ -107,10 +107,6 @@ class ScheduleInvalidError(NlprobError):
     """A weight schedule fails its hypothesis: when built, or at a horizon."""
 
 
-class UnboundedPhiError(NlprobError):
-    """The transform is unbounded on the nonpositive half-line."""
-
-
 class ConfigError(NlprobError):
     """Root for experiment-configuration problems (CLI exit code 2)."""
 

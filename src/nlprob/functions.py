@@ -2,10 +2,11 @@
 
 A small closed family of real functions used as integrands, Chebyshev/Jensen
 test functions, monotone images and trajectory transforms. Each member
-broadcasts over numpy arrays, knows its structural properties (convexity,
-monotone direction, evenness) so that preconditions are machine-checkable,
-and can report its supremum over the closed nonpositive half-line, which
-some transforms do not have (``UnboundedPhiError``).
+broadcasts over numpy arrays and knows its structural properties
+(convexity, monotone direction, evenness) so that preconditions are
+machine-checkable. A member whose ``monotonicity`` is increasing is
+nondecreasing, so its supremum over the nonpositive half-line is its value
+at 0; that is the one way Strassen's bound is read (``simulate``).
 
 Members describe themselves as plain descriptors ``{"kind": ..., <params>}``;
 :func:`nlprob.config.from_descriptor`, the reader of experiment configs,
@@ -25,7 +26,6 @@ from .errors import (
     ConfigValidationError,
     MixedMonotonicityError,
     NonPositiveWidthError,
-    UnboundedPhiError,
 )
 
 INCREASING = "increasing"
@@ -36,7 +36,8 @@ CONSTANT = "constant"
 
 
 class ScalarFunction:
-    """Base: callable on floats/arrays with declared structure flags."""
+    """Base: callable on floats/arrays with declared structure flags; one
+    whose ``monotonicity`` is increasing peaks on x <= 0 at 0."""
 
     is_convex: bool = False
     monotonicity: str | None = None   # INCREASING | DECREASING | None (weak sense)
@@ -45,10 +46,6 @@ class ScalarFunction:
 
     def __call__(self, x):  # pragma: no cover - abstract
         raise NotImplementedError
-
-    def sup_on_nonpositive(self) -> float:
-        """sup over x <= 0, when finite; raises UnboundedPhiError otherwise."""
-        raise UnboundedPhiError(f"{self.describe()} is unbounded on x <= 0")
 
     def lipschitz_on_ray(self, upper: float) -> float:
         """A Lipschitz constant valid on (-inf, upper]; inf when none exists."""
@@ -87,11 +84,6 @@ class Affine(ScalarFunction):
             return DECREASING
         return INCREASING  # constant is weakly both; report increasing
 
-    def sup_on_nonpositive(self) -> float:
-        if self.slope < 0:
-            raise UnboundedPhiError("affine with negative slope grows as x -> -inf")
-        return float(self.intercept)
-
     def lipschitz_on_ray(self, upper: float) -> float:
         return abs(self.slope)
 
@@ -118,11 +110,6 @@ class Exp(ScalarFunction):
         if self.rate < 0:
             return DECREASING
         return INCREASING
-
-    def sup_on_nonpositive(self) -> float:
-        if self.rate < 0:
-            raise UnboundedPhiError("exp with negative rate grows as x -> -inf")
-        return 1.0
 
     def lipschitz_on_ray(self, upper: float) -> float:
         if self.rate < 0:
@@ -152,9 +139,6 @@ class AbsPower(ScalarFunction):
     def __call__(self, x):
         return np.abs(np.asarray(x, dtype=float)) ** self.power
 
-    def sup_on_nonpositive(self) -> float:
-        raise UnboundedPhiError("|x|^p grows as x -> -inf")
-
     @property
     def descriptor(self):
         return {"kind": "abs-power", "power": self.power}
@@ -175,10 +159,6 @@ class Clamp(ScalarFunction):
 
     def __call__(self, x):
         return np.clip(np.asarray(x, dtype=float), self.lo, self.hi)
-
-    def sup_on_nonpositive(self) -> float:
-        # nondecreasing, so the sup over x <= 0 sits at x = 0
-        return float(np.clip(0.0, self.lo, self.hi))
 
     def lipschitz_on_ray(self, upper: float) -> float:
         return 1.0
@@ -215,11 +195,6 @@ class MaxAffine(ScalarFunction):
         if all(a <= 0 for a in slopes):
             return DECREASING
         return None
-
-    def sup_on_nonpositive(self) -> float:
-        if any(a < 0 for a, _ in self.pieces):
-            raise UnboundedPhiError("max-affine with a negative slope grows as x -> -inf")
-        return max(b for _, b in self.pieces)
 
     def lipschitz_on_ray(self, upper: float) -> float:
         return max(abs(a) for a, _ in self.pieces)
@@ -258,25 +233,6 @@ class Polynomial(ScalarFunction):
         if len(c) > 2:
             return None
         return DECREASING if len(c) == 2 and c[1] < 0 else INCREASING
-
-    def sup_on_nonpositive(self) -> float:
-        c = self._trimmed()
-        deg = len(c) - 1
-        if deg >= 1:
-            lead = c[-1]
-            # limit as x -> -inf: sign(lead) * (+inf) for even degree,
-            # -sign(lead) * inf for odd degree
-            diverges_up = (deg % 2 == 0 and lead > 0) or (deg % 2 == 1 and lead < 0)
-            if diverges_up:
-                raise UnboundedPhiError("polynomial grows as x -> -inf")
-        candidates = [float(np.polynomial.polynomial.polyval(0.0, np.array(c)))]
-        if deg >= 2:
-            deriv = np.polynomial.polynomial.polyder(np.array(c))
-            for r in np.polynomial.polynomial.polyroots(deriv):
-                if abs(r.imag) < 1e-12 and r.real <= 0.0:
-                    candidates.append(
-                        float(np.polynomial.polynomial.polyval(r.real, np.array(c))))
-        return max(candidates)
 
     def lipschitz_on_ray(self, upper: float) -> float:
         # a line's slope (0 for a constant); a higher degree has none

@@ -55,7 +55,8 @@ its running sums, the tail max and min of each trajectory and its grid
 samples, so no per-path array grows with the horizon, and the block
 buffers are bounded by the module constants. A phi must be
 nondecreasing, so that sup_n phi(S_n) = phi(sup_n S_n): it is evaluated
-once per path, at the tail max, after the path's last block. That holds
+once per path, at the tail max, after the path's last block, and its
+bound sup_{x <= 0} phi is phi(0), read once per result. That holds
 in floats too, as the catalog's nondecreasing members round
 monotonically; only the sign of a zero result can differ, since numpy's
 max picks among zeros of both signs by position.
@@ -467,9 +468,14 @@ def _result(config: dict[str, Any], summaries: list[PathSummary],
                             np.array(tail_min_upper, dtype=float))
 
 
-def _check_phi(phi: ScalarFunction | None) -> None:
-    if phi is not None and phi.monotonicity != INCREASING:
+def _phi_bound(phi: ScalarFunction | None) -> float | None:
+    """sup_{x <= 0} phi = phi(0), refusing a phi that is not nondecreasing
+    (ValueError); None for no phi."""
+    if phi is None:
+        return None
+    if phi.monotonicity != INCREASING:
         raise ValueError(f"phi {phi.describe()} is not nondecreasing")
+    return float(phi(0.0))
 
 
 def swapped_view(result: ExperimentResult, strategy: str | None = None,
@@ -488,7 +494,7 @@ def swapped_view(result: ExperimentResult, strategy: str | None = None,
     lower-centred one's, and the new lower-centred tail min the old
     upper-centred one's. Viewing a view gives the result back, phi aside.
     """
-    _check_phi(phi)
+    phi_bound = _phi_bound(phi)
     labels = result.config["strategies"]
     if strategy is not None and strategy not in labels:
         raise BadStrategyParamError(f"no {strategy} paths in {labels}")
@@ -512,8 +518,7 @@ def swapped_view(result: ExperimentResult, strategy: str | None = None,
                   phi=phi.descriptor if phi is not None else None)
     return _result(config, summaries, samples,
                    [s.tail_max_upper for s in old],
-                   [s.tail_min_lower for s in old],
-                   phi.sup_on_nonpositive() if phi is not None else None)
+                   [s.tail_min_lower for s in old], phi_bound)
 
 
 def sample_grid(n_steps: int, n_start: int, points: int = GRID_POINTS) -> np.ndarray:
@@ -587,8 +592,9 @@ def run_slln_experiment(model: SequenceModel, schedule: WeightSchedule,
     exchanges them, which must wreck convergence (negative control): it
     runs the paths unswapped and returns their ``swapped_view``. When
     ``phi`` is given, each path also records sup phi(S_n^upper) over the
-    tail, against phi's sup on the nonpositive axis, as phi(tail max): a
-    phi whose ``monotonicity`` is not increasing is refused (ValueError),
+    tail as phi(tail max), and the result's ``phi_bound`` is phi's sup on
+    the nonpositive axis, phi(0): phi must be nondecreasing, and one whose
+    ``monotonicity`` is not increasing is refused (ValueError),
     as are no strategies or two of one label (BadStrategyParamError) and
     fewer than one path per strategy (ValueError).
 
@@ -603,7 +609,7 @@ def run_slln_experiment(model: SequenceModel, schedule: WeightSchedule,
     order. ``jobs`` is accepted and ignored: the engine runs on one thread.
     """
     check_schedule(schedule, n_steps)
-    _check_phi(phi)
+    phi_bound = _phi_bound(phi)
     labels = [s.label for s in strategies]
     if not labels:
         raise BadStrategyParamError("no strategies given")
@@ -629,7 +635,6 @@ def run_slln_experiment(model: SequenceModel, schedule: WeightSchedule,
     lower_c = np.array([float(expectation_values(model.credal, v).min())
                         for v in model.variables])
     grid = sample_grid(n_steps, n_start, grid_points)
-    phi_bound = phi.sup_on_nonpositive() if phi is not None else None
     weight = schedule.constant_weight
     block = min(STEP_BLOCK, n_steps)
     buf = _Buffers(min(PATH_BLOCK, paths_per_strategy), block)

@@ -649,8 +649,10 @@ REFUSED_AT_PARSE = {
     "horizon": ({"checks": ["axioms", "chain", "na"], "horizon": 7},
                 "error: 7 coordinates exceed the enumeration cap 6\n"),
     "phi": ({"phi": {"kind": "polynomial", "coeffs": [0, 0, -1]}},
-            "error: phi: strassen limit sup + lipschitz * epsilon = "
-            "0.0 + inf * 0.3 is not finite\n"),
+            "error: phi: polynomial(coeffs=[0.0, 0.0, -1.0]) is not "
+            "nondecreasing\n"),
+    "schedule-kind": ({"schedule": {"kind": ["mz"], "p": 1.25}},
+                      "error: schedule: unknown schedule kind ['mz']\n"),
     "negative-control": (
         {"simulation": {**DEMO_DOC["simulation"], "negative_control": "false"}},
         "error: simulation.negative_control: must be true or false, "
@@ -763,7 +765,7 @@ def test_refused_before_the_output_directory_exists(tmp_path, capsys, case):
     *((case, ("verify", "check-deps", "simulate"), ())
       for case in ("simulation-key", "schedule-key", "strategy-key",
                    "forward-key", "config-key", "forward-g-key",
-                   "forward-f-key")),
+                   "forward-f-key", "schedule-kind")),
 ])
 def test_refusals_follow_the_subcommand(tmp_path, capsys, case, refused_by,
                                         runs):

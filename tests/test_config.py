@@ -477,9 +477,10 @@ class TestRefusedAtParse:
     SCHEDULE = {"kind": "kolmogorov", "alpha": 1.0, "beta": 0.5}
 
     @pytest.mark.parametrize("phi", [
-        {"kind": "polynomial", "coeffs": [0, 0, -1]},
-        {"kind": "polynomial", "coeffs": [1, 0, -1]},
         {"kind": "exp", "rate": 709},
+        # phi(0) = 1.79e308 plus the slope times epsilon 0.05 overflows
+        {"kind": "affine", "slope": 1e308, "intercept": 1.79e308},
+        {"kind": "polynomial", "coeffs": [1.79e308, 1e308]},
     ])
     def test_strassen_refuses_a_phi_with_no_finite_limit(self, phi):
         text = config_text(checks=["strassen"], seed=1,
@@ -492,6 +493,33 @@ class TestRefusedAtParse:
         assert parse_config(config_text(phi=phi)).phi.descriptor["kind"] \
             == phi["kind"]
         for subcommand in ("verify", "check-deps"):
+            assert parse_config(text, subcommand=subcommand).phi.descriptor \
+                == from_descriptor(phi).descriptor
+
+    @pytest.mark.parametrize("phi", [
+        {"kind": "abs"},
+        {"kind": "abs-power", "power": 2.0},
+        {"kind": "affine", "slope": -1.0},
+        {"kind": "exp", "rate": -1.0},
+        {"kind": "max-affine", "pieces": [[1, 0], [-1, 0]]},
+        {"kind": "polynomial", "coeffs": [0, 0, -1]},
+        {"kind": "polynomial", "coeffs": [1, 0, -1]},
+        {"kind": "polynomial", "coeffs": [0, 0, 0, 1]},
+    ], ids=["abs", "abs-power", "affine", "exp", "max-affine", "minus-square",
+            "peak", "cube"])
+    def test_strassen_refuses_a_phi_that_is_not_nondecreasing(self, phi):
+        # the sup over x <= 0 is read as phi(0) only for a declared
+        # nondecreasing phi; x^3 rises, but the catalog declares no direction
+        # above degree 1 (nor has x^3 a Lipschitz constant)
+        text = config_text(checks=["strassen"], seed=1,
+                           schedule=self.SCHEDULE, phi=phi)
+        described = re.escape(from_descriptor(phi).describe())
+        for subcommand in ("simulate", "all"):
+            with pytest.raises(ConfigValidationError,
+                               match=rf"^phi: {described} is not "
+                                     rf"nondecreasing$"):
+                parse_config(text, subcommand=subcommand)
+        for subcommand in NOT_SIMULATING:
             assert parse_config(text, subcommand=subcommand).phi.descriptor \
                 == from_descriptor(phi).descriptor
 

@@ -512,3 +512,9 @@ class TestExpProductBound:
         down = TestFunction("negated-ramp", 0.0, 1.0, "decreasing")
         with pytest.raises(MixedMonotonicityError):
             exp_product_bound_gap(pair_model, 2, [UNIT_RAMP, down])
+
+    def test_no_functions_is_a_length_mismatch(self, pair_model):
+        # as in the other checks that cycle functions, not a direction error
+        with pytest.raises(LengthMismatchError,
+                           match="^no functions for 2 coordinates$"):
+            exp_product_bound_gap(pair_model, 2, [])

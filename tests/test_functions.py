@@ -1,8 +1,10 @@
-"""Scalar function catalog: shapes, monotonicity flags, nonpositive-ray sups."""
+"""Scalar function catalog: shapes, monotonicity flags, and the rule that a
+nondecreasing phi's sup over the nonpositive ray is phi(0)."""
 
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,8 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nlprob.config import from_descriptor
-from nlprob.errors import ConfigValidationError, UnboundedPhiError
+from nlprob.errors import ConfigValidationError
 from nlprob.functions import (
+    DECREASING,
     INCREASING,
     AbsPower,
     Affine,
@@ -20,6 +23,17 @@ from nlprob.functions import (
     MaxAffine,
     Polynomial,
 )
+from nlprob.simulate import _phi_bound
+
+# [-1e3, 0] in unit steps (exact integers, 0 included) and tiny negatives
+NONPOSITIVE_GRID = np.concatenate([np.linspace(-1e3, 0.0, 1001),
+                                   -np.geomspace(1e-300, 1e3, 601)])
+
+
+def sup_on_grid(phi) -> float:
+    """The brute-force sup of phi over ``NONPOSITIVE_GRID``."""
+    with np.errstate(over="ignore"):
+        return float(phi(NONPOSITIVE_GRID).max())
 
 
 class TestAffine:
@@ -34,14 +48,16 @@ class TestAffine:
         assert Affine(2.0, 0.0).is_convex
 
     def test_sup_nonpositive(self):
-        assert Affine(2.0, 5.0).sup_on_nonpositive() == 5.0
-        with pytest.raises(UnboundedPhiError):
-            Affine(-1.0, 0.0).sup_on_nonpositive()
+        # nondecreasing: the sup over x <= 0 is the value at 0; a negative
+        # slope grows as x -> -inf and is flagged, so phi refuses it
+        assert sup_on_grid(Affine(2.0, 5.0)) == Affine(2.0, 5.0)(0.0) == 5.0
+        assert Affine(-1.0, 0.0).monotonicity == DECREASING
+        assert sup_on_grid(Affine(-1.0, 0.0)) == 1e3
 
     def test_identity_and_constant(self):
         identity, constant = Affine(1.0, 0.0), Affine(0.0, 3.0)
         assert identity(4.5) == 4.5
-        assert identity.sup_on_nonpositive() == 0.0
+        assert sup_on_grid(identity) == identity(0.0) == 0.0
         assert constant(-100.0) == 3.0
 
 
@@ -51,11 +67,11 @@ class TestExp:
         assert Exp(2.0)(1.0) == pytest.approx(math.e ** 2)
 
     def test_sup_nonpositive_is_one(self):
-        assert Exp(1.0).sup_on_nonpositive() == 1.0
+        assert sup_on_grid(Exp(1.0)) == Exp(1.0)(0.0) == 1.0
 
     def test_negative_rate_unbounded(self):
-        with pytest.raises(UnboundedPhiError):
-            Exp(-1.0).sup_on_nonpositive()
+        assert Exp(-1.0).monotonicity == DECREASING
+        assert sup_on_grid(Exp(-1.0)) == math.inf
 
     def test_lipschitz_on_ray(self):
         # steepest point of e^x on (-inf, 1] is at 1
@@ -78,8 +94,8 @@ class TestAbsPower:
             AbsPower(0.5)
 
     def test_unbounded_below_ray(self):
-        with pytest.raises(UnboundedPhiError):
-            AbsPower(1.0).sup_on_nonpositive()
+        assert AbsPower(1.0).monotonicity is None
+        assert sup_on_grid(AbsPower(1.0)) == 1e3
 
 
 class TestClamp:
@@ -88,8 +104,8 @@ class TestClamp:
         assert f(-5.0) == -1.0 and f(0.3) == 0.3 and f(5.0) == 1.0
 
     def test_sup_nonpositive(self):
-        assert Clamp(-1.0, 1.0).sup_on_nonpositive() == 0.0
-        assert Clamp(0.5, 2.0).sup_on_nonpositive() == 0.5
+        assert sup_on_grid(Clamp(-1.0, 1.0)) == Clamp(-1.0, 1.0)(0.0) == 0.0
+        assert sup_on_grid(Clamp(0.5, 2.0)) == Clamp(0.5, 2.0)(0.0) == 0.5
 
     def test_lipschitz(self):
         assert Clamp(-1.0, 1.0).lipschitz_on_ray(1.0) == 1.0
@@ -103,9 +119,10 @@ class TestMaxAffine:
 
     def test_sup_nonpositive(self):
         f = MaxAffine(((1.0, 0.0), (2.0, -1.0)))
-        assert f.sup_on_nonpositive() == 0.0
-        with pytest.raises(UnboundedPhiError):
-            MaxAffine(((1.0, 0.0), (-1.0, 0.0))).sup_on_nonpositive()
+        assert sup_on_grid(f) == f(0.0) == 0.0
+        absolute = MaxAffine(((1.0, 0.0), (-1.0, 0.0)))
+        assert absolute.monotonicity is None
+        assert sup_on_grid(absolute) == 1e3
 
 
 class TestPolynomial:
@@ -114,13 +131,16 @@ class TestPolynomial:
         assert f(2.0) == 5.0
 
     def test_sup_via_critical_points(self):
-        # -(x+1)^2 + 2 = 1 - 2x - x^2 peaks at x = -1 inside the ray
+        # -(x+1)^2 + 2 = 1 - 2x - x^2 peaks at x = -1 inside the ray, above
+        # its value at 0: it is not nondecreasing, and flagged so
         f = Polynomial((1.0, -2.0, -1.0))
-        assert f.sup_on_nonpositive() == pytest.approx(2.0)
+        assert sup_on_grid(f) == f(-1.0) == 2.0 > f(0.0)
+        assert f.monotonicity is None
 
     def test_unbounded(self):
-        with pytest.raises(UnboundedPhiError):
-            Polynomial((0.0, 0.0, 1.0)).sup_on_nonpositive()  # x^2
+        square = Polynomial((0.0, 0.0, 1.0))
+        assert square.monotonicity is None
+        assert sup_on_grid(square) == 1e6
 
     def test_lipschitz_on_ray(self):
         # a line has its slope; the trimmed degree decides
@@ -149,6 +169,15 @@ INCREASING_PHIS = st.one_of(
     st.builds(lambda c0, c1, zeros: Polynomial((c0, c1) + (0.0,) * zeros),
               _PARAM, _SLOPE, st.integers(0, 2)),
 )
+
+
+@given(INCREASING_PHIS)
+@settings(max_examples=300, deadline=None)
+def test_a_nondecreasing_phi_peaks_on_the_nonpositive_ray_at_zero(phi):
+    # the brute-force sup over a grid of [-1e3, 0] that holds 0 is phi(0),
+    # the bound the simulator reports for a phi
+    assert phi.monotonicity == INCREASING
+    assert sup_on_grid(phi) == float(phi(0.0)) == _phi_bound(phi)
 
 
 @given(INCREASING_PHIS, st.integers(1, 33), st.integers(1, 2100),
@@ -210,3 +239,21 @@ class TestDescriptors:
     def test_missing_field(self):
         with pytest.raises(ConfigValidationError):
             from_descriptor({"kind": "clamp", "lo": -1.0})
+
+    @pytest.mark.parametrize("desc, message", [
+        ({"kind": "max-affine", "pieces": [[1, 2, 3]]},
+         "pieces: must be a list of [slope, intercept] pairs, got [[1, 2, 3]]"),
+        ({"kind": "max-affine", "pieces": "ab"},
+         "pieces: must be a list of [slope, intercept] pairs, got 'ab'"),
+        ({"kind": "max-affine", "pieces": [1.0, 2.0]},
+         "pieces: must be a list of [slope, intercept] pairs, got [1.0, 2.0]"),
+        ({"kind": "polynomial", "coeffs": None},
+         "coeffs: must be a list of numbers, got None"),
+        ({"kind": "polynomial", "coeffs": {"0": 1.0}},
+         "coeffs: must be a list of numbers, got {'0': 1.0}"),
+    ], ids=["triple", "string", "flat", "null", "object"])
+    def test_malformed_list_field(self, desc, message):
+        # named as a field, not Python's own unpacking or iteration message
+        with pytest.raises(ConfigValidationError,
+                           match=f"^phi: {re.escape(message)}$"):
+            from_descriptor(desc, "phi")

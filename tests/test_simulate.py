@@ -35,13 +35,12 @@ from nlprob.errors import (
     NlprobError,
     ScheduleInvalidError,
     SimulationOrderError,
-    UnboundedPhiError,
     UnsupportedModelError,
 )
 from nlprob.cli import main
 from nlprob.config import GRID_POINTS, parse_config
 from nlprob.expectation import expectation_values
-from nlprob.functions import ScalarFunction
+from nlprob.functions import INCREASING, ScalarFunction
 from nlprob.reports import all_passed
 from nlprob.simulate import PathSummary, TrajectorySample, swapped_view
 from nlprob.slln import validate_schedule
@@ -56,16 +55,18 @@ def strassen_evaluate(trajectory, phi: ScalarFunction,
                       n_start: int) -> StrassenEvaluation:
     """(sup_{n >= n_start} phi(S_n), sup_{x <= 0} phi(x)) for one trajectory.
 
-    The bound raises UnboundedPhiError for transforms unbounded on the
-    nonpositive axis (such as |x|). With the identity transform this reduces
-    to (max tail value, 0).
+    phi must be nondecreasing, so the bound is phi(0); any other phi (such
+    as |x|) is refused with ValueError, as the engine refuses it. With the
+    identity transform this reduces to (max tail value, 0).
     """
     s = np.asarray(trajectory, dtype=float)
     if not 1 <= n_start <= s.size:
         raise IndexOutOfRangeError(
             f"n_start {n_start} outside 1..{s.size}")
-    bound = phi.sup_on_nonpositive()
-    return StrassenEvaluation(float(np.max(phi(s[n_start - 1:]))), float(bound))
+    if phi.monotonicity != INCREASING:
+        raise ValueError(f"phi {phi.describe()} is not nondecreasing")
+    return StrassenEvaluation(float(np.max(phi(s[n_start - 1:]))),
+                              float(phi(0.0)))
 
 
 @pytest.fixture
@@ -724,9 +725,9 @@ class TestRunExperiment:
 
     def test_phi_is_called_once_per_path_group_when_nondecreasing(
             self, marginal_model, kolmogorov, monkeypatch):
-        # a nondecreasing phi is evaluated at each group's tail maxima after
-        # its last block: four blocks, the first ending before n_start, and
-        # two groups per strategy
+        # a nondecreasing phi is evaluated once at 0 for its bound, then at
+        # each group's tail maxima after its last block: four blocks, the
+        # first ending before n_start, and two groups per strategy
         block = nlprob.simulate.STEP_BLOCK
         group = nlprob.simulate.PATH_BLOCK
         calls = []
@@ -741,7 +742,7 @@ class TestRunExperiment:
         for phi in (Exp(1.0), Polynomial((0, 1))):
             run_slln_experiment(marginal_model, kolmogorov, strategies,
                                 phi=phi, **kwargs)
-            assert calls == [(group,), (1,)] * len(strategies)
+            assert calls == [()] + [(group,), (1,)] * len(strategies)
             calls.clear()
 
     @pytest.mark.parametrize("phi", [
@@ -946,7 +947,7 @@ class TestStrassenEvaluate:
         assert ev.bound == 1.0
 
     def test_unbounded_transform_is_refused(self):
-        with pytest.raises(UnboundedPhiError):
+        with pytest.raises(ValueError, match="is not nondecreasing"):
             strassen_evaluate([0.0, 1.0], AbsPower(2.0), 1)
 
     def test_tail_start_bounds(self):
