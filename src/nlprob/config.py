@@ -46,7 +46,7 @@ table, :func:`from_descriptor`. The parsed config is the whole run: the
 overrides applied, the checks the subcommand selects, the variables' names.
 Selected checks that cannot give a finite answer are refused here, before
 any work: ``na`` or ``vertical`` past the enumeration cap, ``strassen``
-with a ``phi`` that is not nondecreasing or whose limit phi(0) + its
+with a ``phi`` that is not declared nondecreasing or whose limit phi(0) + its
 Lipschitz constant * epsilon is not finite, a check that needs a missing
 ``seed`` or ``schedule``, a simulation on a model that is not
 rectangular or with two strategies of one label, and ``truncation`` at an
@@ -249,9 +249,7 @@ def parse_document(doc: dict[str, Any]) -> tuple[CredalSet,
     for field in ("space", "measures"):
         if field not in doc:
             raise ConfigValidationError(f"document misses field '{field}'")
-    size = doc["space"]
-    if isinstance(size, bool) or not isinstance(size, int) or size < 1:
-        raise ConfigValidationError(f"'space' must be a positive integer, got {size!r}")
+    size = read_number(doc["space"], "space", integer=True, low=1)
     rows = doc["measures"]
     if not isinstance(rows, list) or not rows:
         raise ConfigValidationError("'measures' must be a nonempty list of rows")
@@ -576,7 +574,8 @@ def parse_config(text: str, base_dir: str | Path | None = None,
         raise _field_error("phi", "must be a scalar-function descriptor")
     if "strassen" in selected:  # the limit the strassen-bound record reports
         if phi.monotonicity != INCREASING:
-            raise _field_error("phi", f"{phi.describe()} is not nondecreasing")
+            raise _field_error("phi", f"{phi.describe()} is not declared "
+                                      f"nondecreasing")
         sup = float(phi(0.0))  # a nondecreasing phi's sup over x <= 0
         lip = phi.lipschitz_on_ray(max(1.0, simulation.epsilon))
         if not math.isfinite(sup + lip * simulation.epsilon):

@@ -23,43 +23,41 @@ The negative control exchanges the centres, so that drift-max's
 lower-centred sum drifts at mu_up - mu_low and must cross eps. A path's
 outcomes depend only on its streams, and each part of a centred pair is
 computed on its own, so exchanging the centres exchanges the path's two
-trajectories bit for bit: a swapped run is the ``swapped_view`` of an
-unswapped one, for which an experiment keeps the tail max and min of both
-trajectories of every path. The CLI's control is the view of the
-experiment's own drift-max paths.
+trajectories bit for bit. The one swap is therefore ``swapped_view``: it
+reads an experiment's per-path numbers with their two trajectories
+exchanged, and one assembly (``_result``) builds the run's result and
+the view's alike. The CLI's control is the view of the experiment's own
+drift-max paths.
 
-The experiment runner is a step-major block engine. Each strategy's
-sampler tables are built once, and a block's weights come from the
-schedule's rules when the block is summed, so no array has the horizon's
-length. The paths of one strategy advance together, at most
-``PATH_BLOCK`` of them, through blocks of ``STEP_BLOCK`` steps. A
-strategy enters the engine through one method: its rows source
-(``_rows_source``) gives a block's row offsets, which pick each step's
-variable and measure, one cycle shared by every path or, for iid-random,
-one row per path. An adaptive strategy plugs in there, taking decisions at
-fixed step indices, so no grouping of paths changes a result. A block
-draws one uniform per path and step into a preallocated (paths x steps)
-buffer and inverts the chosen measure's CDF by bisecting for the count of
-cumulative weights at or below it (see ``sample_path``). The final
-position indexes a table of pre-centred pairs, the outcome's value minus
-the upper mean in the real part and minus the lower mean in the
-imaginary part, so one complex gather gives each step's two centred
-terms. A constant weight a (kolmogorov, mz) is folded into that table
-when it is built, fl(fl(x - c) * a), the float a per-step scaling makes;
-other weights a_i scale a block's terms part by part. From the weighted
-terms and the block's normalizers A_i, ``normalized_partial_sums`` forms
-both trajectories in one complex prefix sum, each bit for bit its own
-real one, carrying each path's running pair from block to block; no
-other module knows that pair format. Between blocks a path keeps only
-its running sums, the tail max and min of each trajectory and its grid
-samples, so no per-path array grows with the horizon, and the block
-buffers are bounded by the module constants. A phi must be
-nondecreasing, so that sup_n phi(S_n) = phi(sup_n S_n): it is evaluated
-once per path, at the tail max, after the path's last block, and its
-bound sup_{x <= 0} phi is phi(0), read once per result. That holds
-in floats too, as the catalog's nondecreasing members round
-monotonically; only the sign of a zero result can differ, since numpy's
-max picks among zeros of both signs by position.
+The experiment runner is a step-major block engine. The sampler's tables
+depend on the model alone and are built once per experiment, and a
+block's weights come from the schedule's rules when the block is summed,
+so no array has the horizon's length. The paths of one strategy advance
+together, at most ``PATH_BLOCK`` of them, through blocks of
+``STEP_BLOCK`` steps. A strategy enters the engine through its rows
+source (``_rows_source``), which gives a block's row offsets, picking
+each step's variable and measure: one cycle shared by every path or, for
+iid-random, one row per path. An adaptive strategy plugs in there,
+taking decisions at fixed step indices, so no grouping of paths changes
+a result. A block draws one uniform per path and step into a
+preallocated (paths x steps) buffer and inverts the chosen measure's CDF
+by bisection (see ``sample_path``). The final position indexes the
+sampler's table of pre-centred pairs (see ``_BlockSampler``), so one
+complex gather gives each step's two centred terms, already weighted
+when the weight is constant (kolmogorov, mz); other weights a_i scale a
+block's terms part by part. From the weighted terms and the block's
+normalizers A_i, ``normalized_partial_sums`` forms both trajectories in
+one complex prefix sum, each bit for bit its own real one, carrying each
+path's running pair from block to block; no other module knows that pair
+format. Between blocks a path keeps only its running sums, and its group
+writes each trajectory's tail max and min, final value and grid samples
+into its columns of the experiment's arrays, so no per-path array grows
+with the horizon. A phi must be nondecreasing, so that sup_n phi(S_n) =
+phi(sup_n S_n): it is evaluated once per result, over every path's tail
+max, and its bound sup_{x <= 0} phi is phi(0). That holds in floats too,
+as the catalog's nondecreasing members round monotonically; only the
+sign of a zero result can differ, since numpy's max picks among zeros of
+both signs by position.
 
 Every block checks S_n^{upper} <= S_n^{lower} at every step, exactly, with no
 slack: the upper centre is the max and the lower centre the min of one
@@ -293,8 +291,9 @@ def _rows_source(model: SequenceModel, strategy: AdversaryStrategy,
 
 
 class _BlockSampler:
-    """The sampler of one strategy on one rectangular-product model. It
-    draws a block of consecutive steps for a group of paths at once.
+    """The sampler of one rectangular-product model, built once per
+    experiment: it draws a block of consecutive steps for a group of paths
+    at once, whatever strategy their rows source plays.
 
     Its two tables have one row of width W per (variable, measure) pair,
     at offset (variable * measures + measure) * W: the measure's cumulative
@@ -302,14 +301,13 @@ class _BlockSampler:
     vectors (upper, lower): complex entries whose real part is the value
     minus the variable's upper centre and whose imaginary part is the
     value minus its lower centre. So a step's final bisection position is
-    also the flat index of its centred pair, and the rows source is all it
-    knows of the strategy. Given a constant ``weight`` a, each part is
-    scaled by it once here, fl(fl(value - centre) * a), the float the
-    partial sums would make at every step.
+    also the flat index of its centred pair. Given a constant ``weight`` a,
+    each part is scaled by it once here, fl(fl(value - centre) * a), the
+    float the partial sums would make at every step.
     """
 
-    def __init__(self, model: SequenceModel, strategy: AdversaryStrategy,
-                 steps: int, centers: tuple[np.ndarray, np.ndarray],
+    def __init__(self, model: SequenceModel,
+                 centers: tuple[np.ndarray, np.ndarray],
                  weight: float | None = None) -> None:
         if not model.product_measures:
             raise UnsupportedModelError(
@@ -330,27 +328,16 @@ class _BlockSampler:
                         out=part)
             if weight is not None:
                 part *= weight
-        self.model, self.strategy, self.steps = model, strategy, steps
 
-    def streams(self, seeds: Sequence, horizon: int
-                ) -> tuple[list[np.random.Generator], _Cycle]:
-        """The outcome streams of a group of paths, one per seed, and their
-        rows source over ``horizon`` steps: each path's outcome stream and
-        any choice stream are disjoint substreams of its seed."""
-        return ([np.random.Generator(np.random.PCG64(_seed_sequence(s, 0)))
-                 for s in seeds],
-                _rows_source(self.model, self.strategy, self.width, self.steps,
-                             seeds, horizon))
-
-    def draw(self, streams, start: int, steps: int, buf: _Buffers
-             ) -> np.ndarray:
-        """Steps start..start+steps-1 of every path in ``streams``, each
-        path's draws continuing its own streams: the positions, a view into
-        ``buf`` of shape (paths, steps). A position is the step's row
-        offset plus its outcome, so it indexes the step's centred pair, the
-        outcome is position % W and the measure is position // W % measures.
+    def draw(self, outcome_rngs: list, source: _Cycle, start: int,
+             steps: int, buf: _Buffers) -> np.ndarray:
+        """Steps start..start+steps-1 of a group of paths, each path's
+        draws continuing its outcome stream in ``outcome_rngs`` and its
+        rows from ``source``: the positions, a view into ``buf`` of shape
+        (paths, steps). A position is the step's row offset plus its
+        outcome, so it indexes the step's centred pair, the outcome is
+        position % W and the measure is position // W % measures.
         """
-        outcome_rngs, source = streams
         paths = len(outcome_rngs)
         u, seen = _halves(buf, paths, steps)
         for row, rng in zip(u, outcome_rngs):
@@ -361,6 +348,13 @@ class _BlockSampler:
                 _shaped(buf.idx, paths, steps), seen,
                 _shaped(buf.hit, paths, steps))
         return pos
+
+
+def _outcome_streams(seeds: Sequence) -> list[np.random.Generator]:
+    """Each path's outcome stream, the (seed, 0) substream of its seed; an
+    iid-random choice stream is the disjoint (seed, 1, salt) one."""
+    return [np.random.Generator(np.random.PCG64(_seed_sequence(s, 0)))
+            for s in seeds]
 
 
 def sample_path(model: SequenceModel, strategy: AdversaryStrategy,
@@ -394,8 +388,10 @@ def sample_path(model: SequenceModel, strategy: AdversaryStrategy,
     if n_steps < 1:
         raise IndexOutOfRangeError(f"need n_steps >= 1, got {n_steps}")
     zero = np.zeros(len(model.variables))
-    sampler = _BlockSampler(model, strategy, n_steps, (zero, zero))
-    pos = sampler.draw(sampler.streams([seed], n_steps), 0, n_steps,
+    sampler = _BlockSampler(model, (zero, zero))
+    source = _rows_source(model, strategy, sampler.width, n_steps, [seed],
+                          n_steps)
+    pos = sampler.draw(_outcome_streams([seed]), source, 0, n_steps,
                        _Buffers(1, n_steps))[0]
     rows, outcomes = np.divmod(pos, sampler.width)
     return SamplePath(rows % sampler.measures, outcomes,
@@ -430,10 +426,13 @@ class TrajectorySample:
 @dataclass(frozen=True, eq=False)
 class ExperimentResult:
     """An experiment's parameters, its paths' summaries and grid samples,
-    the exceedance fractions overall and per strategy, the phi bound, and
-    the two tail extremes its swapped view reads (``swapped_view``): per
-    path, in the order of ``path_summaries``, the tail max of the
-    lower-centred trajectory and the tail min of the upper-centred one."""
+    the exceedance fractions overall and per strategy and the phi bound,
+    each read from the per-path numbers it keeps in the order of
+    ``path_summaries``, the upper-centred trajectory in row 0 and the
+    lower-centred one in row 1: ``ends``, shape (3, 2, paths), the final
+    values, tail maxima and tail minima, and ``samples``, shape (2, paths,
+    grid points), the grid samples. ``swapped_view`` reads them with the
+    rows exchanged."""
 
     config: dict[str, Any]
     path_summaries: tuple[PathSummary, ...]
@@ -442,39 +441,52 @@ class ExperimentResult:
     lower_undershoot_fraction: float
     per_strategy: dict[str, dict[str, float]]
     phi_bound: float | None
-    tail_max_lower: np.ndarray
-    tail_min_upper: np.ndarray
+    ends: np.ndarray
+    samples: np.ndarray
 
 
-def _result(config: dict[str, Any], summaries: list[PathSummary],
-            samples: list[TrajectorySample], tail_max_lower: list[float],
-            tail_min_upper: list[float], phi_bound: float | None
-            ) -> ExperimentResult:
-    """The result of paths grouped by strategy in the order of
-    ``config["strategies"]``, ``config["paths_per_strategy"]`` each: the
-    exceedance fractions at ``config["epsilon"]``, overall and per
-    strategy."""
+def _result(config: dict[str, Any], grid: np.ndarray, ends: np.ndarray,
+            samples: np.ndarray, phi: ScalarFunction | None,
+            phi_bound: float | None) -> ExperimentResult:
+    """The result of the paths whose ``ends`` and ``samples`` are given
+    (see ``ExperimentResult``), grouped by strategy in the order of
+    ``config["strategies"]``, ``config["paths_per_strategy"]`` each: their
+    summaries, with phi evaluated once over every tail max (none when phi
+    is None), their samples at the steps ``grid``, and the exceedance
+    fractions at ``config["epsilon"]``, overall and per strategy."""
+    (final_up, final_low), (tail_max, _), (_, tail_min) = ends
     epsilon, n = config["epsilon"], config["paths_per_strategy"]
-    exceed = np.array([s.tail_max_upper > epsilon for s in summaries])
-    undershoot = np.array([s.tail_min_lower < -epsilon for s in summaries])
+    labels = config["strategies"]
+    # sup phi(S_n) = phi(sup S_n); an inf is NonFiniteError later
+    with np.errstate(over="ignore"):
+        sups = ([None] * tail_max.size if phi is None
+                else phi(tail_max).tolist())
+    summaries = tuple(
+        PathSummary(labels[k // n], k % n, *numbers)
+        for k, numbers in enumerate(zip(final_up.tolist(), final_low.tolist(),
+                                        tail_max.tolist(), tail_min.tolist(),
+                                        sups)))
+    trajectories = tuple(
+        TrajectorySample(labels[k // n], k % n, grid, up, low)
+        for k, (up, low) in enumerate(zip(*samples)))
+    exceed = tail_max > epsilon
+    undershoot = tail_min < -epsilon
     per_strategy = {label: {
         "upper_exceedance": float(exceed[k * n:(k + 1) * n].mean()),
         "lower_undershoot": float(undershoot[k * n:(k + 1) * n].mean()),
-    } for k, label in enumerate(config["strategies"])}
-    return ExperimentResult(config, tuple(summaries), tuple(samples),
+    } for k, label in enumerate(labels)}
+    return ExperimentResult(config, summaries, trajectories,
                             float(exceed.mean()), float(undershoot.mean()),
-                            per_strategy, phi_bound,
-                            np.array(tail_max_lower, dtype=float),
-                            np.array(tail_min_upper, dtype=float))
+                            per_strategy, phi_bound, ends, samples)
 
 
 def _phi_bound(phi: ScalarFunction | None) -> float | None:
-    """sup_{x <= 0} phi = phi(0), refusing a phi that is not nondecreasing
-    (ValueError); None for no phi."""
+    """sup_{x <= 0} phi = phi(0), refusing a phi that is not declared
+    nondecreasing (ValueError); None for no phi."""
     if phi is None:
         return None
     if phi.monotonicity != INCREASING:
-        raise ValueError(f"phi {phi.describe()} is not nondecreasing")
+        raise ValueError(f"phi {phi.describe()} is not declared nondecreasing")
     return float(phi(0.0))
 
 
@@ -482,43 +494,27 @@ def swapped_view(result: ExperimentResult, strategy: str | None = None,
                  phi: ScalarFunction | None = None) -> ExperimentResult:
     """``result`` with the centres of each path exchanged, restricted to
     the paths of the strategy labelled ``strategy`` when one is given: bit
-    for bit what a run of the same paths with ``swap_centers`` flipped
-    gives, with phi evaluated at each path's new tail max (no phi when
-    None).
-
-    A path's outcomes depend only on the CDF table and its (seed,
-    strategy, path) streams, and each part of a centred pair is computed
-    on its own (``_BlockSampler``, ``normalized_partial_sums``), so
-    exchanging the centres exchanges the path's two trajectories: the
-    final values change places, the new upper-centred tail max is the old
-    lower-centred one's, and the new lower-centred tail min the old
-    upper-centred one's. Viewing a view gives the result back, phi aside.
-    """
+    for bit what a run of the same paths with the centres exchanged gives
+    (see the module docstring), with phi evaluated at each path's new tail
+    max (no phi when None) and ``swap_centers`` flipped in its config. It
+    reads the strategy's columns of ``ends`` and ``samples`` with the two
+    trajectories exchanged, so viewing a view gives the result back, phi
+    aside."""
     phi_bound = _phi_bound(phi)
     labels = result.config["strategies"]
-    if strategy is not None and strategy not in labels:
-        raise BadStrategyParamError(f"no {strategy} paths in {labels}")
-    keep = [k for k, s in enumerate(result.path_summaries)
-            if strategy in (None, s.strategy)]
-    old = [result.path_summaries[k] for k in keep]
-    new_max = result.tail_max_lower[keep]
-    with np.errstate(over="ignore"):  # an inf is NonFiniteError later
-        sups = [None] * len(keep) if phi is None else phi(new_max).tolist()
-    summaries = [PathSummary(s.strategy, s.path_index, s.final_lower,
-                             s.final_upper, high, low, sup)
-                 for s, high, low, sup in zip(
-                     old, new_max.tolist(),
-                     result.tail_min_upper[keep].tolist(), sups)]
-    samples = [TrajectorySample(t.strategy, t.path_index, t.steps, t.lower,
-                                t.upper)
-               for t in (result.trajectory_samples[k] for k in keep)]
+    cols = slice(None)
+    if strategy is not None:
+        if strategy not in labels:
+            raise BadStrategyParamError(f"no {strategy} paths in {labels}")
+        n, k = result.config["paths_per_strategy"], labels.index(strategy)
+        cols = slice(k * n, (k + 1) * n)
     config = dict(result.config,
                   strategies=labels if strategy is None else [strategy],
                   swap_centers=not result.config["swap_centers"],
                   phi=phi.descriptor if phi is not None else None)
-    return _result(config, summaries, samples,
-                   [s.tail_max_upper for s in old],
-                   [s.tail_min_lower for s in old], phi_bound)
+    return _result(config, result.trajectory_samples[0].steps,
+                   result.ends[:, ::-1, cols], result.samples[::-1, cols],
+                   phi, phi_bound)
 
 
 def sample_grid(n_steps: int, n_start: int, points: int = GRID_POINTS) -> np.ndarray:
@@ -581,22 +577,21 @@ def run_slln_experiment(model: SequenceModel, schedule: WeightSchedule,
                         n_steps: int, paths_per_strategy: int, seed: int,
                         n_start: int | None = None,
                         epsilon: float = DEFAULT_EPSILON,
-                        swap_centers: bool = False,
                         phi: ScalarFunction | None = None,
                         jobs: int = 1,
                         grid_points: int = GRID_POINTS) -> ExperimentResult:
     """Run paths for every strategy and measure envelope exceedances.
 
     The upper-centered trajectory uses coordinate upper means, the
-    lower-centered one lower means; ``swap_centers=True`` deliberately
-    exchanges them, which must wreck convergence (negative control): it
-    runs the paths unswapped and returns their ``swapped_view``. When
-    ``phi`` is given, each path also records sup phi(S_n^upper) over the
-    tail as phi(tail max), and the result's ``phi_bound`` is phi's sup on
-    the nonpositive axis, phi(0): phi must be nondecreasing, and one whose
-    ``monotonicity`` is not increasing is refused (ValueError),
-    as are no strategies or two of one label (BadStrategyParamError) and
-    fewer than one path per strategy (ValueError).
+    lower-centered one lower means; the negative control, which exchanges
+    them and must wreck convergence, is the result's ``swapped_view``.
+    When ``phi`` is given, each path also records sup phi(S_n^upper) over
+    the tail as phi(tail max), phi evaluated once over every path, and the
+    result's ``phi_bound`` is phi's sup on the nonpositive axis, phi(0):
+    phi must be nondecreasing, and one whose ``monotonicity`` is not
+    increasing is refused (ValueError), as are no strategies or two of one
+    label (BadStrategyParamError) and fewer than one path per strategy
+    (ValueError).
 
     The exceedance and undershoot fractions are finite-horizon proxies, not
     the almost-sure limits: their false-alarm rate at a given ``epsilon``
@@ -604,9 +599,11 @@ def run_slln_experiment(model: SequenceModel, schedule: WeightSchedule,
     (see the module docstring), so a zero-crossing demand needs an
     ``epsilon`` above the fluctuation scale of the sums at ``n_start``.
 
-    The strategies run in turn, each one's paths in groups of at most
-    ``PATH_BLOCK``, block by block (see the module docstring), in path
-    order. ``jobs`` is accepted and ignored: the engine runs on one thread.
+    The sampler's tables are built once, from the model. The strategies
+    run in turn, each one's paths in groups of at most ``PATH_BLOCK``,
+    block by block (see the module docstring), in path order, each group
+    writing its columns of the result's ``ends`` and ``samples``.
+    ``jobs`` is accepted and ignored: the engine runs on one thread.
     """
     check_schedule(schedule, n_steps)
     phi_bound = _phi_bound(phi)
@@ -625,10 +622,6 @@ def run_slln_experiment(model: SequenceModel, schedule: WeightSchedule,
     if not 100 <= n_start < n_steps:
         raise ValueError(
             f"n_start must be in [100, {n_steps}), got {n_start}")
-    if swap_centers:
-        return swapped_view(run_slln_experiment(
-            model, schedule, strategies, n_steps, paths_per_strategy, seed,
-            n_start, epsilon, grid_points=grid_points), phi=phi)
 
     upper_c = np.array([float(expectation_values(model.credal, v).max())
                         for v in model.variables])
@@ -637,30 +630,28 @@ def run_slln_experiment(model: SequenceModel, schedule: WeightSchedule,
     grid = sample_grid(n_steps, n_start, grid_points)
     weight = schedule.constant_weight
     block = min(STEP_BLOCK, n_steps)
+    sampler = _BlockSampler(model, (upper_c, lower_c), weight)
     buf = _Buffers(min(PATH_BLOCK, paths_per_strategy), block)
-    summaries: list[PathSummary] = []
-    samples: list[TrajectorySample] = []
-    tail_max_lower: list[float] = []
-    tail_min_upper: list[float] = []
+    ends = np.empty((3, 2, len(strategies) * paths_per_strategy))
+    ends[1], ends[2] = -np.inf, np.inf
+    samples = np.empty((2, ends.shape[2], grid.size))
     for si, strat in enumerate(strategies):
-        sampler = _BlockSampler(model, strat, block, (upper_c, lower_c),
-                                weight)
         for first in range(0, paths_per_strategy, PATH_BLOCK):
             count = min(PATH_BLOCK, paths_per_strategy - first)
             seeds = [_seed_sequence(seed, si, first + i) for i in range(count)]
-            streams = sampler.streams(seeds, n_steps)
+            outcome_rngs = _outcome_streams(seeds)
+            source = _rows_source(model, strat, sampler.width, block, seeds,
+                                  n_steps)
+            col = si * paths_per_strategy + first
+            final, tail_max, tail_min = ends[:, :, col:col + count]
+            grids = samples[:, col:col + count]
             # the running pair sums; see normalized_partial_sums
             carry = np.full(count, complex(-0.0, -0.0))
-            # each trajectory's tail max and min and grid samples, S^up's
-            # row first
-            tail_max = np.full((2, count), -np.inf)
-            tail_min = np.full((2, count), np.inf)
-            grids = np.empty((2, count, grid.size))
             hi = 0  # the grid points up to the last block's stop
             for start in range(0, n_steps, STEP_BLOCK):
                 stop = min(start + STEP_BLOCK, n_steps)
                 steps = stop - start
-                pos = sampler.draw(streams, start, steps, buf)
+                pos = sampler.draw(outcome_rngs, source, start, steps, buf)
                 terms = _shaped(buf.pairs, count, steps)
                 np.take(sampler.pairs, pos, out=terms, mode="clip")
                 ii = np.arange(start + 1, stop + 1, dtype=float)
@@ -690,23 +681,11 @@ def run_slln_experiment(model: SequenceModel, schedule: WeightSchedule,
                     hi += 1
                 if hi > lo:
                     grids[:, :, lo:hi] = sums[:, :, grid[lo:hi] - 1 - start]
-            # sup phi(S_n) = phi(sup S_n); an inf is NonFiniteError later
-            with np.errstate(over="ignore"):
-                sups = ([None] * count if phi is None
-                        else phi(tail_max[0]).tolist())
-            for i in range(count):
-                summaries.append(PathSummary(
-                    strat.label, first + i, float(s_up[i, -1]),
-                    float(s_low[i, -1]), float(tail_max[0, i]),
-                    float(tail_min[1, i]), sups[i]))
-                samples.append(TrajectorySample(strat.label, first + i, grid,
-                                                grids[0, i], grids[1, i]))
-            tail_max_lower += tail_max[1].tolist()
-            tail_min_upper += tail_min[0].tolist()
+            final[...] = sums[:, :, -1]
 
     config = {
         "schedule": schedule.descriptor,
-        "strategies": [s.label for s in strategies],
+        "strategies": labels,
         "n_steps": n_steps,
         "paths_per_strategy": paths_per_strategy,
         "seed": seed,
@@ -715,5 +694,4 @@ def run_slln_experiment(model: SequenceModel, schedule: WeightSchedule,
         "swap_centers": False,
         "phi": phi.descriptor if phi is not None else None,
     }
-    return _result(config, summaries, samples, tail_max_lower,
-                   tail_min_upper, phi_bound)
+    return _result(config, grid, ends, samples, phi, phi_bound)

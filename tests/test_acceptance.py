@@ -39,6 +39,7 @@ from nlprob import (
 )
 from nlprob.cli import main
 from nlprob.reports import all_passed
+from nlprob.simulate import swapped_view
 
 SEED = 20250817
 N_STEPS = 100_000
@@ -145,16 +146,15 @@ def mz_experiment(marginal_model, slln_legs):
 
 @pytest.fixture(scope="module")
 def control_experiment(marginal_model, slln_legs):
-    return slln_experiment(marginal_model, slln_legs, "kolmogorov",
-                           [AdversaryStrategy("drift-max")],
-                           swap_centers=True)
+    return swapped_view(slln_experiment(
+        marginal_model, slln_legs, "kolmogorov",
+        [AdversaryStrategy("drift-max")]))
 
 
 @pytest.fixture(scope="module")
 def mz_control_experiment(marginal_model, slln_legs):
-    return slln_experiment(marginal_model, slln_legs, "mz",
-                           [AdversaryStrategy("drift-max")],
-                           swap_centers=True)
+    return swapped_view(slln_experiment(
+        marginal_model, slln_legs, "mz", [AdversaryStrategy("drift-max")]))
 
 
 def test_criterion_01_expectation_chain():

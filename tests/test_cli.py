@@ -650,7 +650,7 @@ REFUSED_AT_PARSE = {
                 "error: 7 coordinates exceed the enumeration cap 6\n"),
     "phi": ({"phi": {"kind": "polynomial", "coeffs": [0, 0, -1]}},
             "error: phi: polynomial(coeffs=[0.0, 0.0, -1.0]) is not "
-            "nondecreasing\n"),
+            "declared nondecreasing\n"),
     "schedule-kind": ({"schedule": {"kind": ["mz"], "p": 1.25}},
                       "error: schedule: unknown schedule kind ['mz']\n"),
     "negative-control": (

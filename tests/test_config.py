@@ -517,7 +517,7 @@ class TestRefusedAtParse:
         for subcommand in ("simulate", "all"):
             with pytest.raises(ConfigValidationError,
                                match=rf"^phi: {described} is not "
-                                     rf"nondecreasing$"):
+                                     rf"declared nondecreasing$"):
                 parse_config(text, subcommand=subcommand)
         for subcommand in NOT_SIMULATING:
             assert parse_config(text, subcommand=subcommand).phi.descriptor \
@@ -710,14 +710,16 @@ class TestParseDocument:
             parse_document([1, 2])
 
     def test_space_must_be_positive_integer(self, doc):
-        with pytest.raises(ConfigValidationError, match="'space'"):
+        # read as every integral field is (read_number): 2.0 is 2
+        with pytest.raises(ConfigValidationError,
+                           match=r"^space: must be >= 1, got 0$"):
             parse_document({**doc, "space": 0})
-        with pytest.raises(ConfigValidationError, match="'space'"):
-            parse_document({**doc, "space": 2.0})
-        for flag in (True, False):  # a bool is no count, as for read_number
-            with pytest.raises(ConfigValidationError, match="'space'"):
-                parse_document({"space": flag, "measures": [[1.0]],
-                                "variables": {"X": [0.0]}})
+        for bad in (2.5, "2", True, False):  # a bool is no count
+            with pytest.raises(ConfigValidationError,
+                               match=r"^space: must be an integer, got "):
+                parse_document({**doc, "space": bad})
+        credal, variables = parse_document({**doc, "space": 2.0})
+        assert credal.size == 2 and len(variables["X"].values) == 2
 
     def test_measure_rows_must_match_space(self, doc):
         with pytest.raises(ConfigValidationError, match=r"measures\[1\]"):

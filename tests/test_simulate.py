@@ -64,7 +64,7 @@ def strassen_evaluate(trajectory, phi: ScalarFunction,
         raise IndexOutOfRangeError(
             f"n_start {n_start} outside 1..{s.size}")
     if phi.monotonicity != INCREASING:
-        raise ValueError(f"phi {phi.describe()} is not nondecreasing")
+        raise ValueError(f"phi {phi.describe()} is not declared nondecreasing")
     return StrassenEvaluation(float(np.max(phi(s[n_start - 1:]))),
                               float(phi(0.0)))
 
@@ -415,6 +415,20 @@ def _path_oracle(model, schedule, strategies, n_steps, paths_per_strategy,
     return outputs
 
 
+def _assert_matches_oracle(got, want):
+    """Every summary and grid sample of ``got`` is the oracle's, bit for
+    bit (repr prints every float to the last bit and its sign)."""
+    for summary, sample, (want_summary, want_sample) in zip(
+            got.path_summaries, got.trajectory_samples, want, strict=True):
+        assert repr(summary) == repr(want_summary)
+        assert (sample.strategy, sample.path_index) == (
+            want_sample.strategy, want_sample.path_index)
+        for field in ("steps", "upper", "lower"):
+            a = getattr(sample, field)
+            b = getattr(want_sample, field)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
 def test_block_engine_matches_the_path_oracle(rng):
     # block size and path cap are the engine's; the horizons sit below one
     # block, on a block multiple and off it, the tail starts and grid points
@@ -458,25 +472,18 @@ def test_block_engine_matches_the_path_oracle(rng):
             seed=int(rng.integers(2**32)),
             # each horizon comes round 8 or 9 times: every start is taken
             n_start=starts[trial // len(horizons) % len(starts)],
-            swap_centers=bool(trial % 2),
             # each schedule meets every phi
             phi=(phis + (Exp(float(rng.uniform(0.1, 2.0))),))[
                 trial // len(schedules) % (len(phis) + 1)],
             grid_points=int(rng.integers(2, 200)))
         schedule = schedules[trial % len(schedules)]
-        want = _path_oracle(model, schedule, strategies, **kwargs)
+        swap = bool(trial % 2)
+        want = _path_oracle(model, schedule, strategies, swap_centers=swap,
+                            **kwargs)
         got = run_slln_experiment(model, schedule, strategies, **kwargs)
-        assert len(got.path_summaries) == len(want)
-        for summary, sample, (want_summary, want_sample) in zip(
-                got.path_summaries, got.trajectory_samples, want):
-            # repr prints every float to the last bit and its sign
-            assert repr(summary) == repr(want_summary)
-            assert (sample.strategy, sample.path_index) == (
-                want_sample.strategy, want_sample.path_index)
-            for field in ("steps", "upper", "lower"):
-                a = getattr(sample, field)
-                b = getattr(want_sample, field)
-                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        if swap:
+            got = swapped_view(got, phi=kwargs["phi"])
+        _assert_matches_oracle(got, want)
 
 
 @pytest.mark.parametrize("choice_blocks", [1, 3, nlprob.simulate.CHOICE_BLOCKS])
@@ -502,15 +509,11 @@ def test_iid_choices_match_the_path_oracle_across_chunks(rng, monkeypatch,
         model = _random_rectangular_model(rng) if trial < 3 else wide
         kwargs = dict(n_steps=n_steps, paths_per_strategy=3,
                       seed=int(rng.integers(2**32)), n_start=n_steps // 3,
-                      swap_centers=False, phi=None, grid_points=300)
-        want = _path_oracle(model, schedule, strategies, **kwargs)
+                      phi=None, grid_points=300)
+        want = _path_oracle(model, schedule, strategies, swap_centers=False,
+                            **kwargs)
         got = run_slln_experiment(model, schedule, strategies, **kwargs)
-        for summary, sample, (want_summary, want_sample) in zip(
-                got.path_summaries, got.trajectory_samples, want, strict=True):
-            assert repr(summary) == repr(want_summary)
-            for field in ("upper", "lower"):
-                assert getattr(sample, field).tobytes() == \
-                    getattr(want_sample, field).tobytes()
+        _assert_matches_oracle(got, want)
         # the oracle draws through the same rows source, so its choices
         # are checked against each path's choice stream, drawn here
         for pi in range(3):
@@ -537,6 +540,22 @@ def test_block_buffers_do_not_grow_with_the_horizon(marginal_model,
                         n_steps=5000, paths_per_strategy=40, seed=3)
     # one buffer set serves every group of every strategy
     assert sizes == [(nlprob.simulate.PATH_BLOCK, nlprob.simulate.STEP_BLOCK)]
+
+
+def test_sampler_tables_are_built_once_per_experiment(marginal_model,
+                                                      kolmogorov, monkeypatch):
+    # the CDF and pair tables depend on the model alone, not the strategy
+    built = []
+    original = nlprob.simulate._BlockSampler.__init__
+
+    def record(self, *args, **kwargs):
+        built.append(args)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(nlprob.simulate._BlockSampler, "__init__", record)
+    run_slln_experiment(marginal_model, kolmogorov, bundled_strategies(),
+                        n_steps=1000, paths_per_strategy=40, seed=3)
+    assert len(bundled_strategies()) == 4 and len(built) == 1
 
 
 def test_experiment_memory_does_not_grow_with_the_horizon(marginal_model):
@@ -653,11 +672,10 @@ class TestRunExperiment:
                                                kolmogorov):
         # negative control: drift-max against swapped centers drifts at
         # +0.4, far past epsilon on every path
-        result = run_slln_experiment(marginal_model, kolmogorov,
-                                     [AdversaryStrategy("drift-max")],
-                                     n_steps=2000, paths_per_strategy=4,
-                                     seed=11, n_start=200, epsilon=0.2,
-                                     swap_centers=True)
+        result = swapped_view(run_slln_experiment(
+            marginal_model, kolmogorov, [AdversaryStrategy("drift-max")],
+            n_steps=2000, paths_per_strategy=4, seed=11, n_start=200,
+            epsilon=0.2))
         assert result.upper_exceedance_fraction == 1.0
 
     def test_jobs_do_not_change_results(self, marginal_model, kolmogorov,
@@ -723,11 +741,12 @@ class TestRunExperiment:
         assert result.config["strategies"] == ["cyclic"]
         assert result.config["phi"] is None and result.phi_bound is None
 
-    def test_phi_is_called_once_per_path_group_when_nondecreasing(
+    def test_phi_is_called_once_at_zero_and_once_over_every_tail_max(
             self, marginal_model, kolmogorov, monkeypatch):
-        # a nondecreasing phi is evaluated once at 0 for its bound, then at
-        # each group's tail maxima after its last block: four blocks, the
-        # first ending before n_start, and two groups per strategy
+        # a nondecreasing phi is evaluated once at 0 for its bound, then
+        # once at the tail maxima of every path after the last group's last
+        # block: four blocks, the first ending before n_start, and two
+        # groups per strategy
         block = nlprob.simulate.STEP_BLOCK
         group = nlprob.simulate.PATH_BLOCK
         calls = []
@@ -742,7 +761,7 @@ class TestRunExperiment:
         for phi in (Exp(1.0), Polynomial((0, 1))):
             run_slln_experiment(marginal_model, kolmogorov, strategies,
                                 phi=phi, **kwargs)
-            assert calls == [()] + [(group,), (1,)] * len(strategies)
+            assert calls == [(), (len(strategies) * (group + 1),)]
             calls.clear()
 
     @pytest.mark.parametrize("phi", [
@@ -758,7 +777,7 @@ class TestRunExperiment:
         monkeypatch.setattr(nlprob.simulate._BlockSampler, "draw", refuse)
         with pytest.raises(ValueError,
                            match=rf"phi {re.escape(phi.describe())} is not "
-                                 r"nondecreasing"):
+                                 r"declared nondecreasing"):
             run_slln_experiment(marginal_model, kolmogorov,
                                 bundled_strategies(), n_steps=1000,
                                 paths_per_strategy=1, seed=1, phi=phi)
@@ -790,7 +809,7 @@ class TestRunExperiment:
 
 def _assert_same_result(got, want):
     """Bit for bit: every summary and grid sample, the fractions, the
-    parameters and the tail extremes a further view reads."""
+    parameters and the per-path numbers a further view reads."""
     assert repr(got.path_summaries) == repr(want.path_summaries)
     for a, b in zip(got.trajectory_samples, want.trajectory_samples,
                     strict=True):
@@ -800,14 +819,22 @@ def _assert_same_result(got, want):
     for field in ("config", "upper_exceedance_fraction",
                   "lower_undershoot_fraction", "per_strategy", "phi_bound"):
         assert getattr(got, field) == getattr(want, field)
-    for field in ("tail_max_lower", "tail_min_upper"):
-        assert getattr(got, field).tobytes() == getattr(want, field).tobytes()
+    for field in ("ends", "samples"):
+        a, b = getattr(got, field), getattr(want, field)
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 class TestSwappedView:
     SCHEDULE = make_schedule("mz", alpha=1.0, beta=0.5, p=1.25)
     KWARGS = dict(n_steps=2500, paths_per_strategy=3, seed=21, n_start=400,
                   epsilon=0.05)
+
+    def oracle(self, model, strategies, phi):
+        return _path_oracle(model, self.SCHEDULE, strategies,
+                            swap_centers=True, phi=phi,
+                            grid_points=GRID_POINTS, **{
+                                k: v for k, v in self.KWARGS.items()
+                                if k != "epsilon"})
 
     @pytest.mark.parametrize("phi", [None, Exp(1.0)], ids=["no-phi", "exp"])
     def test_view_is_the_swapped_run(self, rng, marginal_model, phi):
@@ -817,21 +844,13 @@ class TestSwappedView:
         for model in (marginal_model, _random_rectangular_model(rng)):
             plain = run_slln_experiment(model, self.SCHEDULE, strategies,
                                         phi=Affine(2.0, 1.0), **self.KWARGS)
-            swapped = run_slln_experiment(model, self.SCHEDULE, strategies,
-                                          swap_centers=True, phi=phi,
-                                          **self.KWARGS)
-            _assert_same_result(swapped_view(plain, phi=phi), swapped)
-            want = _path_oracle(model, self.SCHEDULE, strategies,
-                                swap_centers=True, phi=phi,
-                                grid_points=GRID_POINTS, **{
-                                    k: v for k, v in self.KWARGS.items()
-                                    if k != "epsilon"})
-            for summary, sample, (want_summary, want_sample) in zip(
-                    swapped.path_summaries, swapped.trajectory_samples, want,
-                    strict=True):
-                assert repr(summary) == repr(want_summary)
-                assert sample.upper.tobytes() == want_sample.upper.tobytes()
-                assert sample.lower.tobytes() == want_sample.lower.tobytes()
+            swapped = swapped_view(plain, phi=phi)
+            _assert_matches_oracle(swapped,
+                                   self.oracle(model, strategies, phi))
+            assert swapped.config == dict(
+                plain.config, swap_centers=True,
+                phi=None if phi is None else phi.descriptor)
+            assert swapped.phi_bound == (None if phi is None else 1.0)
             # each strategy's view is its part of the swapped run, and a
             # run of that strategy alone gives its own view
             for strat in strategies:
@@ -845,11 +864,10 @@ class TestSwappedView:
                     strat.label: swapped.per_strategy[strat.label]}
                 alone = run_slln_experiment(model, self.SCHEDULE, [strat],
                                             **self.KWARGS)
-                _assert_same_result(
-                    swapped_view(alone, strat.label, phi),
-                    run_slln_experiment(model, self.SCHEDULE, [strat],
-                                        swap_centers=True, phi=phi,
-                                        **self.KWARGS))
+                _assert_same_result(swapped_view(alone, strat.label, phi),
+                                    swapped_view(alone, phi=phi))
+                _assert_matches_oracle(swapped_view(alone, phi=phi),
+                                       self.oracle(model, [strat], phi))
 
     def test_view_of_a_view_is_the_run(self, marginal_model):
         plain = run_slln_experiment(marginal_model, self.SCHEDULE,
@@ -862,7 +880,7 @@ class TestSwappedView:
                                     **self.KWARGS)
         with pytest.raises(BadStrategyParamError, match="no drift-max paths"):
             swapped_view(plain, "drift-max")
-        with pytest.raises(ValueError, match="not nondecreasing"):
+        with pytest.raises(ValueError, match="not declared nondecreasing"):
             swapped_view(plain, phi=AbsPower(2.0))
 
 
@@ -902,7 +920,7 @@ class TestCliNegativeControl:
     def test_control_is_the_experiments_drift_max_paths_swapped(
             self, tmp_path):
         report, config = self.simulate(tmp_path)
-        swapped = self.direct(config, bundled_strategies(), swap_centers=True)
+        swapped = swapped_view(self.direct(config, bundled_strategies()))
         control = report["negative_control"]
         assert control["paths"] == [p for p in self.paths(swapped)
                                     if p["strategy"] == "drift-max"]
@@ -915,8 +933,8 @@ class TestCliNegativeControl:
     def test_control_without_drift_max_runs_it_alone(self, tmp_path):
         report, config = self.simulate(
             tmp_path, [{"kind": "fixed", "index": 0}, "cyclic"])
-        swapped = self.direct(config, [AdversaryStrategy("drift-max")],
-                              swap_centers=True)
+        swapped = swapped_view(self.direct(
+            config, [AdversaryStrategy("drift-max")]))
         control = report["negative_control"]
         assert control["paths"] == self.paths(swapped)
         assert control["config"] == swapped.config
@@ -947,7 +965,7 @@ class TestStrassenEvaluate:
         assert ev.bound == 1.0
 
     def test_unbounded_transform_is_refused(self):
-        with pytest.raises(ValueError, match="is not nondecreasing"):
+        with pytest.raises(ValueError, match="is not declared nondecreasing"):
             strassen_evaluate([0.0, 1.0], AbsPower(2.0), 1)
 
     def test_tail_start_bounds(self):
